@@ -23,7 +23,9 @@ Generators are named on the command line by comma-joined vertex names
 (order-insensitive; output order follows the alpha-curve index).  Exit
 codes: 0 on success (including the "no connecting class" answer, which
 is a valid result, not a failure), 1 on file or diagram errors, 2 on
-usage errors.  Identical inputs and flags produce byte-identical output.
+usage errors, 3 on an internal inconsistency (a ``ConsistencyError`` or
+``AuditError``: an exact identity failed, which is a bug in hfcalc, not
+in the input).  Identical inputs and flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ from fractions import Fraction
 
 from . import atlas as atlas_mod
 from .diagram import DiagramError, HeegaardDiagram, load_diagram, reverse_curve, serialize
-from .grading import (Generator, NoConnectingClassError, NoPositiveRepresentative,
-                      basepoint_multiplicity, enumerate_generators, euler_measure,
-                      generator_measure, gr0_of_theta, grading_table, homogeneous_lattice,
-                      homology_of_Y, maslov_index, positive_representative,
-                      relative_grading, solve_domain, spinc_partition, theta_and_shift)
+from .grading import (ConsistencyError, Generator, NoConnectingClassError,
+                      NoPositiveRepresentative, basepoint_multiplicity,
+                      enumerate_generators, euler_measure, generator_measure,
+                      gr0_of_theta, grading_table, homogeneous_lattice, homology_of_Y,
+                      maslov_index, positive_representative, relative_grading,
+                      solve_domain, spinc_partition, theta_and_shift)
 from .layers import AuditReport, audit_index
 
 
@@ -500,6 +503,15 @@ def main(argv=None) -> int:
         else:
             print(f"error: {e}", file=sys.stderr)
         return 1
+    except ConsistencyError as e:
+        report["status"] = "error"
+        report["exit_status"] = 3
+        report["error"] = {"message": str(e), "kind": type(e).__name__}
+        if args.json:
+            _emit(args, report, [])
+        else:
+            print(f"internal error ({type(e).__name__}): {e}", file=sys.stderr)
+        return 3
     except (DiagramError, OSError) as e:
         line = getattr(e, "line", None)
         report["status"] = "error"

@@ -7,6 +7,15 @@ runs along the alpha curves from the first generator to the second and
 back along the beta curves -- has an integer solution; solvability
 partitions the generators into Spin^c classes.
 
+The corner matrix M depends only on the diagram; a generator pair only
+picks the right-hand side r(y) - r(x).  So M is factored once per
+diagram, U M V = S, and every question about the system is answered from
+that one factorization: the Spin^c class of a generator is a canonical
+key read off U r(g), a connecting domain is an exact division followed
+by one product with V, and the periodic lattice is a set of columns of
+V.  The factorization, the partition, the grading table and H1 are kept
+in per-diagram state that is freed together with the diagram.
+
 All index quantities are computed exactly:
 
 * Euler measure  e(D) = sum a_k (chi(D_k) - corners(D_k)/4);
@@ -25,14 +34,15 @@ non-integral Maslov index signals an internal inconsistency and raises.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from math import gcd
 from typing import Sequence
 
-from .diagram import ALPHA, BETA, HeegaardDiagram
-from .zlattice import AffineSolutionSet, IntMatrix, gcd_over_lattice, smith_invariants, solve_integer_system
+from .diagram import ALPHA, HeegaardDiagram
+from .zlattice import DimensionMismatch, IntMatrix, smith_invariants, smith_normal_form
 
 
 class GradingError(Exception):
@@ -60,6 +70,38 @@ class MixedLabelError(GradingError):
 
 
 # ---------------------------------------------------------------------------
+# Per-diagram state
+# ---------------------------------------------------------------------------
+
+_STATE: "weakref.WeakKeyDictionary[HeegaardDiagram, dict]" = weakref.WeakKeyDictionary()
+
+
+def _per_diagram(fn):
+    """Memoize ``fn(diagram)`` in state that is freed together with the diagram.
+
+    The state holds the diagram weakly, so a long-lived process keeps no
+    diagram alive that its caller has dropped.  Cached values must not
+    refer to the diagram, or it would keep itself alive.
+    """
+    @wraps(fn)
+    def cached(diagram: HeegaardDiagram):
+        state = _STATE.get(diagram)
+        if state is None:
+            state = _STATE[diagram] = {}
+        try:
+            return state[fn]
+        except KeyError:
+            value = state[fn] = fn(diagram)
+            return value
+
+    return cached
+
+
+def _not_a_generator(g) -> KeyError:
+    return KeyError(f"{g} is not a generator of this diagram")
+
+
+# ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
 
@@ -79,13 +121,11 @@ class Generator:
     @classmethod
     def from_display(cls, diagram: HeegaardDiagram, text: str) -> "Generator":
         names = [t.strip() for t in text.split(",") if t.strip()]
-        ids = [diagram.vertex_id(n) for n in names]
-        gens = {g.vertices: g for g in enumerate_generators(diagram)}
-        key = tuple(sorted(ids))
-        for verts, g in gens.items():
-            if tuple(sorted(verts)) == key:
-                return g
-        raise KeyError(f"{text!r} is not a generator of this diagram")
+        key = tuple(sorted(diagram.vertex_id(n) for n in names))
+        try:
+            return _generators_by_vertex_set(diagram)[key]
+        except KeyError:
+            raise _not_a_generator(repr(text)) from None
 
 
 def _curve_membership(diagram: HeegaardDiagram):
@@ -131,9 +171,63 @@ def enumerate_generators(diagram: HeegaardDiagram) -> tuple[Generator, ...]:
     return tuple(out)
 
 
+@_per_diagram
+def _generators_by_vertex_set(diagram: HeegaardDiagram) -> dict[tuple[int, ...], Generator]:
+    return {tuple(sorted(g.vertices)): g for g in enumerate_generators(diagram)}
+
+
 # ---------------------------------------------------------------------------
 # Corner system and domains
 # ---------------------------------------------------------------------------
+
+def _corner_terms(diagram: HeegaardDiagram):
+    """The corner matrix, sparsely: (row, plus, minus) per arc endpoint.
+
+    Each term adds +1 in column ``plus`` and -1 in column ``minus`` of
+    the row; the boundary of an arc is head - tail applied to
+    (left-region multiplicity) - (right-region multiplicity).
+    """
+    nv = diagram.n_vertices
+    for arc in diagram.arcs:
+        left = diagram.left_region(arc.index)
+        right = diagram.right_region(arc.index)
+        base = 0 if arc.family == ALPHA else nv
+        yield base + arc.head, left, right
+        yield base + arc.tail, right, left
+
+
+def _corner_matrix(diagram: HeegaardDiagram) -> IntMatrix:
+    rows = [[0] * diagram.n_regions for _ in range(2 * diagram.n_vertices)]
+    for row, plus, minus in _corner_terms(diagram):
+        rows[row][plus] += 1
+        rows[row][minus] -= 1
+    return IntMatrix.from_rows(rows, diagram.n_regions)
+
+
+def _corner_image(diagram: HeegaardDiagram, coeffs: Sequence[int]) -> tuple[int, ...]:
+    """M applied to region coefficients, using the sparsity of M."""
+    if len(coeffs) != diagram.n_regions:
+        raise DimensionMismatch(
+            f"vector of length {len(coeffs)} against {diagram.n_regions} regions")
+    image = [0] * (2 * diagram.n_vertices)
+    for row, plus, minus in _corner_terms(diagram):
+        image[row] += coeffs[plus] - coeffs[minus]
+    return tuple(image)
+
+
+def _corner_rhs(diagram: HeegaardDiagram, x: Generator, y: Generator) -> tuple[int, ...]:
+    """r(y) - r(x), where r(g) is +1 on the alpha row and -1 on the beta
+    row of each vertex of g."""
+    nv = diagram.n_vertices
+    rhs = [0] * (2 * nv)
+    for v in x.vertices:
+        rhs[v] -= 1
+        rhs[nv + v] += 1
+    for v in y.vertices:
+        rhs[v] += 1
+        rhs[nv + v] -= 1
+    return tuple(rhs)
+
 
 def build_corner_system(diagram: HeegaardDiagram, x: Generator, y: Generator
                         ) -> tuple[IntMatrix, tuple[int, ...]]:
@@ -143,40 +237,104 @@ def build_corner_system(diagram: HeegaardDiagram, x: Generator, y: Generator
     alpha row and one beta row: the boundary of (boundary of D restricted
     to the alpha curves) must be y - x as a 0-chain, and x - y on the
     beta side.  The coefficient of the boundary on an oriented arc is
-    (left-region multiplicity) - (right-region multiplicity).
+    (left-region multiplicity) - (right-region multiplicity).  The matrix
+    depends only on the diagram; x and y enter the right-hand side only.
     """
-    nv, nr = diagram.n_vertices, diagram.n_regions
-    rows = [[0] * nr for _ in range(2 * nv)]
-    for arc in diagram.arcs:
-        left = diagram.left_region(arc.index)
-        right = diagram.right_region(arc.index)
-        base = 0 if arc.family == ALPHA else nv
-        # d(arc) = head - tail applied to the arc coefficient.
-        rows[base + arc.head][left] += 1
-        rows[base + arc.head][right] -= 1
-        rows[base + arc.tail][left] -= 1
-        rows[base + arc.tail][right] += 1
-    rhs = [0] * (2 * nv)
-    for v in x.vertices:
-        rhs[v] -= 1          # alpha rows: y - x
-        rhs[diagram.n_vertices + v] += 1  # beta rows: x - y
-    for v in y.vertices:
-        rhs[v] += 1
-        rhs[diagram.n_vertices + v] -= 1
-    return IntMatrix.from_rows(rows, nr), tuple(rhs)
+    return _corner_matrix(diagram), _corner_rhs(diagram, x, y)
 
 
-@lru_cache(maxsize=None)
+@dataclass(frozen=True)
+class _Corners:
+    """The corner matrix M of one diagram, factored once as U M V = S.
+
+    ``factors`` are the nonzero invariant factors d_1 | ... | d_rank, the
+    leading diagonal entries of S.  For each generator g, in generator
+    order, ``images`` holds the first ``rank`` entries of U r(g),
+    unreduced, and ``class_of`` its Spin^c class index.
+    ``particular_rows`` are the rows of V cut to the first ``rank``
+    columns, and ``kernel`` the remaining columns of V.
+    """
+
+    factors: tuple[int, ...]
+    particular_rows: tuple[tuple[int, ...], ...]
+    kernel: tuple[tuple[int, ...], ...]
+    images: dict[Generator, tuple[int, ...]]
+    class_of: dict[Generator, int]
+
+
+def _check_factorization(diagram: HeegaardDiagram, u: IntMatrix, v: IntMatrix,
+                         factors: tuple[int, ...]) -> None:
+    """Certificate: U M V is diag(factors) padded with zeros."""
+    nr = v.cols
+    mv = [[0] * nr for _ in range(2 * diagram.n_vertices)]
+    for row, plus, minus in _corner_terms(diagram):
+        mv[row] = [w + a - b for w, a, b in zip(mv[row], v.row(plus), v.row(minus))]
+    for i, u_row in enumerate(u.entries):
+        acc = [0] * nr
+        for k, a in enumerate(u_row):
+            if a:
+                acc = [s + a * w for s, w in zip(acc, mv[k])]
+        want = [0] * nr
+        if i < len(factors):
+            want[i] = factors[i]
+        if acc != want:
+            raise ConsistencyError(f"U M V differs from the Smith form S in row {i}")
+
+
+@_per_diagram
+def _corners(diagram: HeegaardDiagram) -> _Corners:
+    """Factor M once and sort every generator into its Spin^c class.
+
+    With U M V = S, M p = r(y) - r(x) has an integer solution exactly when
+    d_i divides entry i of U r(y) - U r(x) for i < rank and the entries
+    past the rank agree.  So the key of g -- entries i < rank of U r(g)
+    reduced mod d_i, the entries past the rank kept exactly -- is equal
+    for two generators exactly when they share a class.
+    """
+    dec = smith_normal_form(_corner_matrix(diagram))
+    factors = tuple(d for d in dec.diagonal() if d)
+    rank = len(factors)
+    _check_factorization(diagram, dec.u, dec.v, factors)
+
+    nv = diagram.n_vertices
+    u_cols = list(zip(*dec.u.entries))
+    # U r(v) for a single vertex v: its alpha column of U minus its beta column.
+    vertex_image = [[a - b for a, b in zip(u_cols[v], u_cols[nv + v])] for v in range(nv)]
+
+    images: dict[Generator, tuple[int, ...]] = {}
+    class_of: dict[Generator, int] = {}
+    index_of_key: dict[tuple[int, ...], int] = {}
+    for g in enumerate_generators(diagram):
+        image = ([sum(col) for col in zip(*(vertex_image[v] for v in g.vertices))]
+                 or [0] * (2 * nv))
+        key = tuple(c % d for c, d in zip(image, factors)) + tuple(image[rank:])
+        images[g] = tuple(image[:rank])
+        class_of[g] = index_of_key.setdefault(key, len(index_of_key))
+
+    return _Corners(
+        factors=factors,
+        particular_rows=tuple(row[:rank] for row in dec.v.entries),
+        kernel=tuple(dec.v.column(j) for j in range(rank, dec.v.cols)),
+        images=images,
+        class_of=class_of,
+    )
+
+
+def _class_index(corners: _Corners, g: Generator) -> int:
+    try:
+        return corners.class_of[g]
+    except KeyError:
+        raise _not_a_generator(g) from None
+
+
 def homogeneous_lattice(diagram: HeegaardDiagram) -> tuple[tuple[int, ...], ...]:
     """Basis of the lattice of periodic classes (kernel of the corner system).
 
     The kernel does not depend on the generator pair; the all-ones vector
-    (the class of the full surface) always belongs to it.
+    (the class of the full surface) always belongs to it.  The basis is
+    the columns of V at the zero diagonal entries of S.
     """
-    gens = enumerate_generators(diagram)
-    x = gens[0] if gens else Generator(())
-    m, rhs = build_corner_system(diagram, x, x)
-    return solve_integer_system(m, rhs).kernel
+    return _corners(diagram).kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,14 +366,20 @@ def solve_domain(diagram: HeegaardDiagram, x: Generator, y: Generator) -> Domain
     """A connecting domain from x to y, or None when none exists.
 
     None means the generators lie in different Spin^c classes; it is a
-    valid mathematical answer, not an error.  The returned domain carries
-    access to the homogeneous lattice through ``Domain.lattice``.
+    valid mathematical answer, not an error.  Otherwise S q = U r(y) -
+    U r(x) is solved by exact division and the domain is V q, the same
+    particular solution ``solve_integer_system`` gives; it is checked
+    against the corner system before it is returned.  The returned domain
+    carries access to the homogeneous lattice through ``Domain.lattice``.
     """
-    m, rhs = build_corner_system(diagram, x, y)
-    sol = solve_integer_system(m, rhs)
-    if sol.is_empty:
+    corners = _corners(diagram)
+    if _class_index(corners, x) != _class_index(corners, y):
         return None
-    return Domain(diagram, x, y, sol.particular)
+    steps = [(b - a) // d for a, b, d in
+             zip(corners.images[x], corners.images[y], corners.factors)]
+    coeffs = tuple(sum(v * q for v, q in zip(row, steps)) for row in corners.particular_rows)
+    _check_connecting(diagram, x, y, coeffs)
+    return Domain(diagram, x, y, coeffs)
 
 
 def positive_representative(domain: Domain, radius: int = 8) -> Domain:
@@ -287,8 +451,8 @@ def basepoint_multiplicity(diagram: HeegaardDiagram, domain) -> int:
 
 
 def _check_connecting(diagram: HeegaardDiagram, x: Generator, y: Generator, coeffs) -> None:
-    m, rhs = build_corner_system(diagram, x, y)
-    if m.mul_vec(list(coeffs)) != tuple(rhs):
+    """Certificate: the coefficients solve the corner system for (x, y)."""
+    if _corner_image(diagram, coeffs) != _corner_rhs(diagram, x, y):
         raise ConsistencyError("domain does not satisfy the corner system for (x, y)")
 
 
@@ -347,47 +511,34 @@ def _anchor_key(diagram: HeegaardDiagram, g: Generator) -> tuple[str, ...]:
     return tuple(sorted(diagram.vertex_names[v] for v in g.vertices))
 
 
-@lru_cache(maxsize=None)
+@_per_diagram
 def spinc_partition(diagram: HeegaardDiagram) -> tuple[SpincClass, ...]:
-    """Partition the generators by corner-system solvability.
+    """Partition the generators into Spin^c classes.
 
-    Solvability is an equivalence relation; the implementation verifies
-    transitivity explicitly (every pair inside a class must connect, every
-    pair across classes must not).  Each class gets a deterministic anchor
-    (lexicographically minimal sorted vertex names) and its divisibility.
+    x and y share a class exactly when r(y) - r(x) lies in the image of
+    the corner matrix M.  M is factored once, U M V = S, and each
+    generator g gets the key U r(g) with entry i < rank reduced mod the
+    invariant factor d_i and the entries past the rank kept exactly; two
+    generators share a class exactly when their keys are equal.  Classes
+    are numbered by first appearance in generator order, and members keep
+    that order.  Two certificates guard the result: U M V = S is checked
+    once per diagram, and every domain ``solve_domain`` returns is
+    checked against the corner system.  Each class gets a deterministic
+    anchor (lexicographically minimal sorted vertex names) and its
+    divisibility.
     """
-    gens = enumerate_generators(diagram)
-    classes: list[list[Generator]] = []
-    for g in gens:
-        for cls in classes:
-            if solve_domain(diagram, cls[0], g) is not None:
-                cls.append(g)
-                break
-        else:
-            classes.append([g])
-
-    for cls in classes:
-        for a, b in itertools.combinations(cls, 2):
-            if solve_domain(diagram, a, b) is None:
-                raise ConsistencyError("connectivity of generators is not transitive")
-    for c1, c2 in itertools.combinations(classes, 2):
-        for a in c1:
-            for b in c2:
-                if solve_domain(diagram, a, b) is not None:
-                    raise ConsistencyError("distinct classes contain a connected pair")
-
+    members: dict[int, list[Generator]] = {}
+    for g, i in _corners(diagram).class_of.items():
+        members.setdefault(i, []).append(g)
     out = []
-    for i, cls in enumerate(classes):
+    for i, cls in members.items():
         anchor = min(cls, key=lambda g: _anchor_key(diagram, g))
         out.append(SpincClass(i, tuple(cls), anchor, divisibility(diagram, anchor)))
     return tuple(out)
 
 
 def spinc_class_of(diagram: HeegaardDiagram, g: Generator) -> SpincClass:
-    for cls in spinc_partition(diagram):
-        if g in cls.members:
-            return cls
-    raise KeyError(f"{g} is not a generator of this diagram")
+    return spinc_partition(diagram)[_class_index(_corners(diagram), g)]
 
 
 def relative_grading(diagram: HeegaardDiagram, x: Generator, y: Generator) -> int:
@@ -424,7 +575,7 @@ class GradingLabel:
     level: int = 0
 
 
-@lru_cache(maxsize=None)
+@_per_diagram
 def grading_table(diagram: HeegaardDiagram) -> tuple[tuple[Generator, GradingLabel], ...]:
     """Label every generator: (class id, grading offset relative to anchor).
 
@@ -439,11 +590,16 @@ def grading_table(diagram: HeegaardDiagram) -> tuple[tuple[Generator, GradingLab
     return tuple(rows)
 
 
+@_per_diagram
+def _labels(diagram: HeegaardDiagram) -> dict[Generator, GradingLabel]:
+    return dict(grading_table(diagram))
+
+
 def label_of(diagram: HeegaardDiagram, g: Generator) -> GradingLabel:
-    for gen, label in grading_table(diagram):
-        if gen == g:
-            return label
-    raise KeyError(f"{g} is not a generator of this diagram")
+    try:
+        return _labels(diagram)[g]
+    except KeyError:
+        raise _not_a_generator(g) from None
 
 
 def shift_label(label: GradingLabel, i: int) -> GradingLabel:
@@ -521,7 +677,7 @@ class Homology:
         return out
 
 
-@lru_cache(maxsize=None)
+@_per_diagram
 def homology_of_Y(diagram: HeegaardDiagram) -> Homology:
     """H1 of the 3-manifold: H1(surface) / (alpha and beta curve classes).
 

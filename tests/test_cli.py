@@ -170,3 +170,33 @@ def test_selftest(capsys):
     assert main(["--seed", "1", "selftest"]) == 0
     out = capsys.readouterr().out
     assert "all passed" in out
+
+
+def test_consistency_error_exit_code_3(capsys, monkeypatch, s1s2_file):
+    # Break the certificate that checks every solved domain against the
+    # corner system: the internal inconsistency must surface as exit code 3.
+    import hfcalc.grading as grading
+    monkeypatch.setattr(grading, "_corner_image", lambda d, coeffs: (1,) * (2 * d.n_vertices))
+    code, rep, _ = run_json(capsys, ["domain", s1s2_file, "x0", "x1"])
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["exit_status"] == 3
+    assert rep["error"]["kind"] == "ConsistencyError"
+    assert "corner system" in rep["error"]["message"]
+
+    assert main(["domain", s1s2_file, "x0", "x1"]) == 3
+    assert "internal error (ConsistencyError)" in capsys.readouterr().err
+
+
+def test_audit_error_exit_code_3(capsys, monkeypatch, s1s2_file):
+    import hfcalc.cli as cli
+    from hfcalc.layers import AuditError
+
+    def broken(*args):
+        raise AuditError("layer sum differs from the Maslov index")
+
+    monkeypatch.setattr(cli, "audit_index", broken)
+    code, rep, _ = run_json(capsys, ["audit", s1s2_file, "x0", "x1"])
+    assert code == 3
+    assert rep["error"] == {"kind": "AuditError",
+                            "message": "layer sum differs from the Maslov index"}

@@ -1,13 +1,19 @@
 """Generator enumeration, corner system, measures, classes, gradings."""
 
+import gc
+import itertools
 import random
+import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hfcalc.atlas import build_torus_diagram, stabilize
-from hfcalc.diagram import assemble_regions, rename, reverse_curve
-from hfcalc.grading import (Generator, GradingLabel, MixedLabelError,
+from hfcalc.atlas import build_annulus_open_book, build_torus_diagram, stabilize
+from hfcalc.diagram import assemble_regions, load_diagram, rename, reverse_curve, serialize
+from hfcalc.grading import (ConsistencyError, Generator, GradingLabel, MixedLabelError,
                             NoConnectingClassError, NoPositiveRepresentative,
                             TwistedElement, basepoint_multiplicity,
                             build_corner_system, divisibility, enumerate_generators,
@@ -15,8 +21,9 @@ from hfcalc.grading import (Generator, GradingLabel, MixedLabelError,
                             grading_table, homogeneous_lattice, homology_of_Y,
                             label_of, maslov_index, point_measure,
                             positive_representative, relative_grading, shift_label,
-                            solve_domain, spinc_partition, theta_and_shift,
-                            twisted_label)
+                            solve_domain, spinc_class_of, spinc_partition,
+                            theta_and_shift, twisted_label)
+from hfcalc.zlattice import solve_integer_system
 
 
 def boundary_trace(diagram, coeffs):
@@ -392,3 +399,156 @@ def test_rename_robustness(two_finger):
             for y in cls.members:
                 assert relative_grading(two_finger, x, y) == \
                     relative_grading(renamed, map_gen(x), map_gen(y))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the factored corner system against the pairwise solver
+# ---------------------------------------------------------------------------
+
+def pairwise_reference(d):
+    """Classes, domains, lattice and table decided pair by pair.
+
+    Every pair gets its own corner system and its own Smith form, and the
+    partition is checked for transitivity explicitly: every pair inside a
+    class connects, no pair across classes does.
+    """
+    gens = enumerate_generators(d)
+
+    def solve(x, y):
+        m, rhs = build_corner_system(d, x, y)
+        return solve_integer_system(m, rhs)
+
+    classes = []
+    for g in gens:
+        for cls in classes:
+            if not solve(cls[0], g).is_empty:
+                cls.append(g)
+                break
+        else:
+            classes.append([g])
+    for cls in classes:
+        for a, b in itertools.combinations(cls, 2):
+            assert not solve(a, b).is_empty, "connectivity is not transitive"
+    for c1, c2 in itertools.combinations(classes, 2):
+        for a in c1:
+            for b in c2:
+                assert solve(a, b).is_empty, "distinct classes contain a connected pair"
+
+    def value(x, y, coeffs):
+        total = (euler_measure(d, coeffs) + generator_measure(d, coeffs, x)
+                 + generator_measure(d, coeffs, y) - 2 * basepoint_multiplicity(d, coeffs))
+        assert total.denominator == 1
+        return int(total)
+
+    x0 = gens[0] if gens else Generator(())
+    lattice = solve(x0, x0).kernel
+    domains = {(x, y): solve(x, y).particular for x in gens for y in gens}
+    partition, table = [], {}
+    for i, cls in enumerate(classes):
+        anchor = min(cls, key=lambda g: sorted(d.vertex_names[v] for v in g.vertices))
+        div = 0
+        for vec in lattice:
+            div = gcd(div, abs(value(anchor, anchor, vec)))
+        partition.append((i, tuple(cls), anchor, div))
+        for g in cls:
+            off = value(g, anchor, domains[(g, anchor)])
+            table[g] = GradingLabel(i, off % div if div else off, div)
+    return partition, domains, lattice, tuple((g, table[g]) for g in gens)
+
+
+def assert_matches_pairwise(d):
+    partition, domains, lattice, table = pairwise_reference(d)
+    assert [(c.index, c.members, c.anchor, c.divisibility)
+            for c in spinc_partition(d)] == partition
+    for (x, y), particular in domains.items():
+        dom = solve_domain(d, x, y)
+        assert (dom.coefficients if dom is not None else None) == particular
+    assert homogeneous_lattice(d) == lattice
+    assert grading_table(d) == table
+
+
+@pytest.mark.parametrize("fixture", ["s3", "l31", "s1s2", "two_finger", "d2_diagram"])
+def test_factored_matches_pairwise_fixtures(fixture, request):
+    assert_matches_pairwise(request.getfixturevalue(fixture))
+
+
+def test_factored_matches_pairwise_atlas(atlas_suite):
+    for d in atlas_suite:
+        assert_matches_pairwise(d)
+
+
+@st.composite
+def transformed_diagrams(draw):
+    """torus(p, q) or an annulus open book, then stabilize/rename steps.
+
+    Renaming goes through serialization and reloading, so it also changes
+    where each cycle starts and hence the generator order.
+    """
+    if draw(st.booleans()):
+        p = draw(st.integers(min_value=1, max_value=7))
+        q = draw(st.sampled_from([q for q in range(1, p) if gcd(p, q) == 1] or [0]))
+        d = build_torus_diagram(p, q).diagram
+    else:
+        d = build_annulus_open_book(draw(st.integers(min_value=-6, max_value=6))).diagram
+    for step in draw(st.lists(st.sampled_from(["stabilize", "rename"]), max_size=3)):
+        if step == "stabilize":
+            d = stabilize(d)[0].diagram
+        else:
+            names = sorted(d.input.signs)
+            fresh = draw(st.permutations([f"v{i}" for i in range(len(names))]))
+            curves = {c: f"{c[0]}r{i}" for i, c in enumerate(d.input.curve_names())}
+            renamed = assemble_regions(rename(d.input, dict(zip(names, fresh)), curves))
+            d = load_diagram(serialize(renamed))
+    return d
+
+
+@settings(max_examples=40, deadline=None)
+@given(transformed_diagrams())
+def test_factored_matches_pairwise_transformed(d):
+    assert_matches_pairwise(d)
+
+
+def test_factorization_certificate_detects_a_wrong_form(monkeypatch):
+    import hfcalc.grading as grading
+    from hfcalc.zlattice import IntMatrix, SmithDecomposition, smith_normal_form
+
+    def off_by_one(m):
+        dec = smith_normal_form(m)
+        rows = [list(r) for r in dec.v.entries]
+        rows[0][0] += 1
+        return SmithDecomposition(dec.u, dec.s, IntMatrix.from_rows(rows, dec.v.cols))
+
+    monkeypatch.setattr(grading, "smith_normal_form", off_by_one)
+    d = build_torus_diagram(3, 1).diagram
+    with pytest.raises(ConsistencyError, match="U M V"):
+        spinc_partition(d)
+
+
+# ---------------------------------------------------------------------------
+# Cached results live exactly as long as their diagram
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("query", [
+    grading_table,
+    homology_of_Y,
+    lambda d: relative_grading(d, enumerate_generators(d)[0], enumerate_generators(d)[0]),
+], ids=["grading_table", "homology_of_Y", "relative_grading"])
+def test_cached_results_do_not_retain_the_diagram(query):
+    d = build_annulus_open_book(3).diagram
+    query(d)
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
+
+
+def test_lookups_reject_foreign_generators(l31):
+    stranger = Generator((0, 1))
+    with pytest.raises(KeyError, match="not a generator"):
+        label_of(l31, stranger)
+    with pytest.raises(KeyError, match="not a generator"):
+        spinc_class_of(l31, stranger)
+    with pytest.raises(KeyError, match="not a generator"):
+        solve_domain(l31, stranger, stranger)
+    with pytest.raises(KeyError, match="not a generator"):
+        Generator.from_display(l31, "x0,x1")
