@@ -8,7 +8,9 @@ domains, partitions generators into Spin^c classes, computes Euler and
 point measures, Maslov indices, relative gradings with their modulus,
 layer decompositions with corner audits, and the quarter-integer shift
 arithmetic of the absolute grading.  All arithmetic is exact: integers
-are arbitrary precision and quarter-integer quantities are carried as
+are arbitrary precision, index quantities are computed as integers in
+quarter units, and the public functions that return a quarter-integer
+(Euler and point measures, the grading shift) return a
 ``fractions.Fraction``.
 
 Modules

@@ -23,9 +23,10 @@ Generators are named on the command line by comma-joined vertex names
 (order-insensitive; output order follows the alpha-curve index).  Exit
 codes: 0 on success (including the "no connecting class" answer, which
 is a valid result, not a failure), 1 on file or diagram errors, 2 on
-usage errors, 3 on an internal inconsistency (a ``ConsistencyError`` or
-``AuditError``: an exact identity failed, which is a bug in hfcalc, not
-in the input).  Identical inputs and flags produce byte-identical output.
+usage errors (a bad ``atlas torus`` pair or ``--c1sq`` value included),
+3 on an internal inconsistency (a ``ConsistencyError`` or ``AuditError``:
+an exact identity failed, which is a bug in hfcalc, not in the input).
+Identical inputs and flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ from .grading import (ConsistencyError, Generator, NoConnectingClassError,
                       maslov_index, positive_representative, relative_grading,
                       solve_domain, spinc_partition, theta_and_shift)
 from .layers import AuditReport, audit_index
+
+
+class _UsageError(Exception):
+    """A command-line argument out of range or malformed (exit code 2)."""
 
 
 def _frac(x: Fraction) -> str:
@@ -252,7 +257,10 @@ def _cmd_stabilize(diagram, args):
 
 def _run_atlas(args):
     if args.builder == "torus":
-        marked = atlas_mod.build_torus_diagram(args.p, args.q)
+        try:
+            marked = atlas_mod.build_torus_diagram(args.p, args.q)
+        except ValueError as e:
+            raise _UsageError(f"atlas torus: {e}") from None
     elif args.builder == "s1s2":
         marked = atlas_mod.build_s1s2()
     else:
@@ -273,7 +281,10 @@ def _run_atlas(args):
 
 
 def _run_shift(args):
-    theta, shift = theta_and_shift(Fraction(args.c1sq), args.chi, args.sigma)
+    try:
+        theta, shift = theta_and_shift(Fraction(args.c1sq), args.chi, args.sigma)
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"--c1sq is not a rational number: {args.c1sq!r}") from None
     payload = {"theta": _frac(theta), "shift": _frac(shift),
                "gr0_of_theta": _frac(gr0_of_theta(theta))}
     lines = [f"theta = {payload['theta']}",
@@ -466,6 +477,18 @@ def _emit(args, report: dict, lines: list[str]) -> None:
             print(line)
 
 
+def _fail(args, report: dict, code: int, error: dict, text: str) -> int:
+    """End with an error: the JSON document under --json, else ``text`` on stderr."""
+    report["status"] = "error"
+    report["exit_status"] = code
+    report["error"] = error
+    if args.json:
+        _emit(args, report, [])
+    else:
+        print(text, file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -494,34 +517,16 @@ def main(argv=None) -> int:
         report["payload"] = payload
         _emit(args, report, lines)
         return 0
+    except _UsageError as e:
+        return _fail(args, report, 2, {"message": str(e)}, f"hfcalc: error: {e}")
     except NoPositiveRepresentative as e:
-        report["status"] = "error"
-        report["exit_status"] = 1
-        report["error"] = {"message": str(e), "radius": e.radius}
-        if args.json:
-            _emit(args, report, [])
-        else:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _fail(args, report, 1, {"message": str(e), "radius": e.radius}, f"error: {e}")
     except ConsistencyError as e:
-        report["status"] = "error"
-        report["exit_status"] = 3
-        report["error"] = {"message": str(e), "kind": type(e).__name__}
-        if args.json:
-            _emit(args, report, [])
-        else:
-            print(f"internal error ({type(e).__name__}): {e}", file=sys.stderr)
-        return 3
+        return _fail(args, report, 3, {"message": str(e), "kind": type(e).__name__},
+                     f"internal error ({type(e).__name__}): {e}")
     except (DiagramError, OSError) as e:
-        line = getattr(e, "line", None)
-        report["status"] = "error"
-        report["exit_status"] = 1
-        report["error"] = {"message": str(e), "line": line}
-        if args.json:
-            _emit(args, report, [])
-        else:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _fail(args, report, 1, {"message": str(e), "line": getattr(e, "line", None)},
+                     f"error: {e}")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ slot ``i``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 LEFT_AFTER = "left-after"
 RIGHT_AFTER = "right-after"
@@ -290,7 +290,6 @@ class _Graph:
                     arcs.append(Arc(len(arcs), family, name, pos,
                                     verts[pos], verts[(pos + 1) % n]))
         self.arcs = tuple(arcs)
-        self.arc_by_name = {a.name: a.index for a in arcs}
 
         nv = len(names)
         a_out = [-1] * nv
@@ -354,7 +353,10 @@ def trace_faces(inp: CurveSystemInput) -> tuple[tuple[tuple[str, str], ...], ...
     that starting dart.  Every directed arc side occurs in exactly one
     circle, so the total length of all circles is twice the arc count.
     """
-    g = _Graph(inp)
+    return _circles(_Graph(inp))
+
+
+def _circles(g: _Graph) -> tuple[tuple[tuple[str, str], ...], ...]:
     circles = []
     for cyc in g.faces:
         circles.append(tuple((g.arcs[d // 2].name, "+" if d % 2 == 0 else "-") for d in cyc))
@@ -373,10 +375,6 @@ class Region:
     label: str
     genus: int
     faces: tuple[int, ...]  # face indices
-
-    @property
-    def boundary_circles(self) -> int:
-        return len(self.faces)
 
     @property
     def chi(self) -> int:
@@ -398,7 +396,6 @@ class HeegaardDiagram:
 
     def __init__(self, graph: _Graph, regions: tuple[Region, ...],
                  region_of_face: tuple[int, ...], basepoint_region: int):
-        self._graph = graph
         self.input = graph.input
         self.genus = graph.input.genus
         self.vertex_names = graph.vertex_names
@@ -437,9 +434,6 @@ class HeegaardDiagram:
         except KeyError:
             raise KeyError(f"unknown vertex {name!r}") from None
 
-    def dart_name(self, dart: int) -> str:
-        return self._graph.dart_name(dart)
-
     def left_region(self, arc: int) -> int:
         """Region on the left of the arc's forward direction."""
         return self.region_of_face[self.face_of_dart[2 * arc]]
@@ -455,9 +449,6 @@ class HeegaardDiagram:
     def quadrant_regions(self, vertex: int) -> tuple[int, int, int, int]:
         rot = self.rotations[vertex]
         return tuple(self.region_of_face[self.face_of_dart[d]] for d in rot)
-
-    def region_label(self, index: int) -> str:
-        return self.regions[index].label
 
     def canonical_region_name(self, index: int) -> str:
         """Lexicographically minimal circle id among the region's circles."""
@@ -480,15 +471,6 @@ def _canon_circle(circle) -> tuple:
     return pairs[k:] + pairs[:k]
 
 
-def _check_faces_argument(graph: _Graph, faces) -> None:
-    if faces is None:
-        return
-    expected = {_canon_circle(c) for c in trace_faces(graph.input)}
-    given = {_canon_circle(c) for c in faces}
-    if given != expected:
-        raise ValidationError("supplied face circles do not match the rotation-system trace")
-
-
 def assemble_regions(inp: CurveSystemInput,
                      faces=None,
                      directives: Sequence[RegionDirective] | None = None) -> HeegaardDiagram:
@@ -502,7 +484,9 @@ def assemble_regions(inp: CurveSystemInput,
     removal disconnects the surface.
     """
     graph = _Graph(inp)
-    _check_faces_argument(graph, faces)
+    if faces is not None and ({_canon_circle(c) for c in faces}
+                              != {_canon_circle(c) for c in _circles(graph)}):
+        raise ValidationError("supplied face circles do not match the rotation-system trace")
     if directives is None:
         directives = inp.directives
 
@@ -616,8 +600,7 @@ def assemble_regions(inp: CurveSystemInput,
 
 def load_diagram(text: str) -> HeegaardDiagram:
     """Parse, trace, and assemble in one step."""
-    inp = parse_diagram(text)
-    return assemble_regions(inp, trace_faces(inp), inp.directives)
+    return assemble_regions(parse_diagram(text))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ All index quantities are computed exactly:
   the class divisibility d, which is the gcd of mu(P) - 2 n_z(P) over the
   lattice of periodic (homogeneous) classes P.
 
-Quarter-integers are carried as ``fractions.Fraction`` end to end; any
-non-integral Maslov index signals an internal inconsistency and raises.
+Four times each is one integer dot product w . D with a weight per region
+(``_quarter_weights``), so the index arithmetic is integer; a value that
+is not a multiple of 4 is an internal inconsistency and raises.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import wraps
-from math import gcd
 from typing import Sequence
 
 from .diagram import ALPHA, HeegaardDiagram
-from .zlattice import DimensionMismatch, IntMatrix, smith_invariants, smith_normal_form
+from .zlattice import (DimensionMismatch, IntMatrix, gcd_over_lattice, smith_invariants,
+                       smith_normal_form)
 
 
 class GradingError(Exception):
@@ -419,18 +420,40 @@ def _coeffs(domain) -> Sequence[int]:
 # Measures and the index
 # ---------------------------------------------------------------------------
 
+def _quarter_weights(diagram: HeegaardDiagram, vertices: Sequence[int],
+                     basepoint: int) -> list[int]:
+    """Region weights w with w . D = 4 (e + n_vertices + basepoint n_z)(D).
+
+    w_k = 4 chi(D_k) - corners(D_k), plus 1 per quadrant of D_k at each of
+    ``vertices`` (with repetition), plus 4 ``basepoint`` if D_k holds z.
+    """
+    w = [4 * r.chi - c for r, c in zip(diagram.regions, diagram.corner_counts)]
+    for v in vertices:
+        for r in diagram.quadrant_regions(v):
+            w[r] += 1
+    w[diagram.basepoint_region] += 4 * basepoint
+    return w
+
+
+def _dot(weights: Sequence[int], coeffs: Sequence[int]) -> int:
+    return sum(w * a for w, a in zip(weights, coeffs) if a)
+
+
+def _whole(quarters: int, what: str) -> int:
+    """An index given in quarter units, as an integer (checked)."""
+    value, rest = divmod(quarters, 4)
+    if rest:
+        raise ConsistencyError(f"non-integral {what} {Fraction(quarters, 4)}")
+    return value
+
+
 def euler_measure(diagram: HeegaardDiagram, domain) -> Fraction:
     """e(D) = sum a_k (chi(region k) - corners(region k)/4).
 
     Every corner of an elementary region is convex, so the concave term
     vanishes region by region.
     """
-    coeffs = _coeffs(domain)
-    total = Fraction(0)
-    for r, a in zip(diagram.regions, coeffs):
-        if a:
-            total += a * (Fraction(r.chi) - Fraction(diagram.corner_counts[r.index], 4))
-    return total
+    return Fraction(_dot(_quarter_weights(diagram, (), 0), _coeffs(domain)), 4)
 
 
 def point_measure(diagram: HeegaardDiagram, domain, vertex: str | int) -> Fraction:
@@ -461,12 +484,8 @@ def maslov_index(diagram: HeegaardDiagram, x: Generator, y: Generator, domain) -
     domain satisfying the corner system (checked)."""
     coeffs = _coeffs(domain)
     _check_connecting(diagram, x, y, coeffs)
-    total = (euler_measure(diagram, coeffs)
-             + generator_measure(diagram, coeffs, x)
-             + generator_measure(diagram, coeffs, y))
-    if total.denominator != 1:
-        raise ConsistencyError(f"non-integral Maslov index {total}")
-    return int(total)
+    weights = _quarter_weights(diagram, x.vertices + y.vertices, 0)
+    return _whole(_dot(weights, coeffs), "Maslov index")
 
 
 # ---------------------------------------------------------------------------
@@ -483,28 +502,16 @@ class SpincClass:
     divisibility: int
 
 
-def _grading_value(diagram: HeegaardDiagram, x: Generator, y: Generator, coeffs) -> int:
-    total = (euler_measure(diagram, coeffs)
-             + generator_measure(diagram, coeffs, x)
-             + generator_measure(diagram, coeffs, y)
-             - 2 * basepoint_multiplicity(diagram, coeffs))
-    if total.denominator != 1:
-        raise ConsistencyError(f"non-integral grading value {total}")
-    return int(total)
-
-
 def divisibility(diagram: HeegaardDiagram, anchor: Generator) -> int:
     """gcd of mu(P) - 2 n_z(P) over the periodic lattice, evaluated at the
     anchor with x = y; 0 encodes an integer-valued relative grading.
 
+    Four times it is the gcd of the quarter weights over the lattice basis.
     The full-surface class contributes mu = 2 and n_z = 1, hence 0.
     """
-    values = [_grading_value(diagram, anchor, anchor, vec)
-              for vec in homogeneous_lattice(diagram)]
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
+    weights = _quarter_weights(diagram, anchor.vertices * 2, -2)
+    return _whole(gcd_over_lattice(homogeneous_lattice(diagram), weights),
+                  "grading value gcd")
 
 
 def _anchor_key(diagram: HeegaardDiagram, g: Generator) -> tuple[str, ...]:
@@ -552,7 +559,8 @@ def relative_grading(diagram: HeegaardDiagram, x: Generator, y: Generator) -> in
     if dom is None:
         raise NoConnectingClassError(
             f"{x.display(diagram)} and {y.display(diagram)} lie in different Spin^c classes")
-    value = _grading_value(diagram, x, y, dom.coefficients)
+    weights = _quarter_weights(diagram, x.vertices + y.vertices, -2)
+    value = _whole(_dot(weights, dom.coefficients), "grading value")
     d = spinc_class_of(diagram, x).divisibility
     return value % d if d else value
 

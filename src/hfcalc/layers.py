@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .grading import (ConsistencyError, Domain, Generator, basepoint_multiplicity,
-                      euler_measure, generator_measure, maslov_index, _coeffs)
+from .grading import (ConsistencyError, Generator, basepoint_multiplicity, maslov_index,
+                      _coeffs)
 from .diagram import HeegaardDiagram
 
 

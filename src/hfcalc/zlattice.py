@@ -82,9 +82,6 @@ class IntMatrix:
             other.cols,
         )
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows([self.column(j) for j in range(self.cols)], self.rows)
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
@@ -195,10 +192,11 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             continue
         t += 1
 
+    # The transforms are built here from ints, so they skip from_rows's checks.
     return SmithDecomposition(
-        IntMatrix.from_rows(u, nrows),
-        IntMatrix.from_rows(a, ncols),
-        IntMatrix.from_rows(v, ncols),
+        IntMatrix(tuple(map(tuple, u)), nrows),
+        IntMatrix(tuple(map(tuple, a)), ncols),
+        IntMatrix(tuple(map(tuple, v)), ncols),
     )
 
 

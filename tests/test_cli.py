@@ -142,6 +142,27 @@ def test_missing_file_exit_code(capsys):
     assert main(["validate", "/nonexistent/zzz.hd"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["atlas", "torus", "0", "1"],
+    ["atlas", "torus", "2", "2"],
+    ["shift", "--c1sq", "abc", "--chi", "1", "--sigma", "0"],
+    ["shift", "--c1sq", "1/0", "--chi", "1", "--sigma", "0"],
+], ids=["torus-p0", "torus-not-coprime", "c1sq-not-a-number", "c1sq-zero-denominator"])
+def test_bad_argument_values_are_usage_errors(argv, capsys, tmp_path):
+    out = tmp_path / "F.hd"
+    if argv[0] == "atlas":
+        argv = argv + ["-o", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hfcalc: error: ") and captured.err.count("\n") == 1
+    assert main(["--json"] + argv) == 2
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert rep["status"] == "error" and rep["exit_status"] == 2
+    assert not out.exists()
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -125,6 +125,27 @@ def test_assemble_unknown_circle():
     assert "unknown circle" in str(err.value)
 
 
+def test_assemble_rejects_mismatched_faces():
+    inp = parse_diagram(L31_TEXT)
+    with pytest.raises(ValidationError, match="do not match"):
+        assemble_regions(inp, trace_faces(inp)[1:])
+
+
+def test_load_builds_the_face_graph_once(monkeypatch):
+    import hfcalc.diagram as diagram_mod
+
+    built = []
+
+    class CountingGraph(diagram_mod._Graph):
+        def __init__(self, inp):
+            built.append(inp)
+            super().__init__(inp)
+
+    monkeypatch.setattr(diagram_mod, "_Graph", CountingGraph)
+    load_diagram(L31_TEXT)
+    assert len(built) == 1
+
+
 def test_assemble_rejects_dependent_family():
     # Merging the two circles on one side of the curves would disconnect
     # the surface when cutting along a family; the validator must say so.

@@ -435,14 +435,23 @@ def pairwise_reference(d):
                 assert solve(a, b).is_empty, "distinct classes contain a connected pair"
 
     def value(x, y, coeffs):
-        total = (euler_measure(d, coeffs) + generator_measure(d, coeffs, x)
-                 + generator_measure(d, coeffs, y) - 2 * basepoint_multiplicity(d, coeffs))
-        assert total.denominator == 1
-        return int(total)
+        """mu - 2 n_z region by region in Fractions, from the diagram's raw
+        data only; maslov_index must agree with the mu part."""
+        e = sum((a * (Fraction(r.chi) - Fraction(d.corner_counts[r.index], 4))
+                 for r, a in zip(d.regions, coeffs)), Fraction(0))
+        n_xy = sum((Fraction(coeffs[k], 4) for g in (x, y) for v in g.vertices
+                    for k in d.quadrant_regions(v)), Fraction(0))
+        mu = e + n_xy
+        assert mu.denominator == 1
+        assert maslov_index(d, x, y, coeffs) == mu
+        return int(mu) - 2 * coeffs[d.basepoint_region]
 
     x0 = gens[0] if gens else Generator(())
     lattice = solve(x0, x0).kernel
     domains = {(x, y): solve(x, y).particular for x in gens for y in gens}
+    for (x, y), particular in domains.items():
+        if particular is not None:
+            value(x, y, particular)
     partition, table = [], {}
     for i, cls in enumerate(classes):
         anchor = min(cls, key=lambda g: sorted(d.vertex_names[v] for v in g.vertices))
