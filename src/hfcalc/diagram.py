@@ -28,6 +28,7 @@ slot ``i``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 LEFT_AFTER = "left-after"
@@ -436,10 +437,10 @@ class HeegaardDiagram:
 
     def left_region(self, arc: int) -> int:
         """Region on the left of the arc's forward direction."""
-        return self.region_of_face[self.face_of_dart[2 * arc]]
+        return self.arc_sides[arc][0]
 
     def right_region(self, arc: int) -> int:
-        return self.region_of_face[self.face_of_dart[2 * arc + 1]]
+        return self.arc_sides[arc][1]
 
     def quadrant_region(self, vertex: int, position: int) -> int:
         """Region owning the sector between rotation slots position, position+1."""
@@ -447,8 +448,27 @@ class HeegaardDiagram:
         return self.region_of_face[self.face_of_dart[dart]]
 
     def quadrant_regions(self, vertex: int) -> tuple[int, int, int, int]:
-        rot = self.rotations[vertex]
-        return tuple(self.region_of_face[self.face_of_dart[d]] for d in rot)
+        return self.quadrants[vertex]
+
+    # -- lookup tables, built on first use --------------------------------
+
+    @cached_property
+    def quadrants(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Per vertex, the regions of its four quadrants in rotation order."""
+        return tuple(tuple(self.region_of_face[self.face_of_dart[d]] for d in rot)
+                     for rot in self.rotations)
+
+    @cached_property
+    def arc_sides(self) -> tuple[tuple[int, int], ...]:
+        """Per arc, its (left, right) regions relative to the forward direction."""
+        return tuple((self.region_of_face[self.face_of_dart[2 * a]],
+                      self.region_of_face[self.face_of_dart[2 * a + 1]])
+                     for a in range(len(self.arcs)))
+
+    @cached_property
+    def region_chi(self) -> tuple[int, ...]:
+        """Per region, its Euler characteristic."""
+        return tuple(r.chi for r in self.regions)
 
     def canonical_region_name(self, index: int) -> str:
         """Lexicographically minimal circle id among the region's circles."""

@@ -181,7 +181,8 @@ def _generators_by_vertex_set(diagram: HeegaardDiagram) -> dict[tuple[int, ...],
 # Corner system and domains
 # ---------------------------------------------------------------------------
 
-def _corner_terms(diagram: HeegaardDiagram):
+@_per_diagram
+def _corner_terms(diagram: HeegaardDiagram) -> tuple[tuple[int, int, int], ...]:
     """The corner matrix, sparsely: (row, plus, minus) per arc endpoint.
 
     Each term adds +1 in column ``plus`` and -1 in column ``minus`` of
@@ -189,12 +190,12 @@ def _corner_terms(diagram: HeegaardDiagram):
     (left-region multiplicity) - (right-region multiplicity).
     """
     nv = diagram.n_vertices
-    for arc in diagram.arcs:
-        left = diagram.left_region(arc.index)
-        right = diagram.right_region(arc.index)
+    terms = []
+    for arc, (left, right) in zip(diagram.arcs, diagram.arc_sides):
         base = 0 if arc.family == ALPHA else nv
-        yield base + arc.head, left, right
-        yield base + arc.tail, right, left
+        terms.append((base + arc.head, left, right))
+        terms.append((base + arc.tail, right, left))
+    return tuple(terms)
 
 
 def _corner_matrix(diagram: HeegaardDiagram) -> IntMatrix:
@@ -207,9 +208,6 @@ def _corner_matrix(diagram: HeegaardDiagram) -> IntMatrix:
 
 def _corner_image(diagram: HeegaardDiagram, coeffs: Sequence[int]) -> tuple[int, ...]:
     """M applied to region coefficients, using the sparsity of M."""
-    if len(coeffs) != diagram.n_regions:
-        raise DimensionMismatch(
-            f"vector of length {len(coeffs)} against {diagram.n_regions} regions")
     image = [0] * (2 * diagram.n_vertices)
     for row, plus, minus in _corner_terms(diagram):
         image[row] += coeffs[plus] - coeffs[minus]
@@ -412,13 +410,24 @@ def positive_representative(domain: Domain, radius: int = 8) -> Domain:
     raise NoPositiveRepresentative(radius)
 
 
-def _coeffs(domain) -> Sequence[int]:
-    return domain.coefficients if isinstance(domain, Domain) else domain
+def _coeffs(diagram: HeegaardDiagram, domain) -> Sequence[int]:
+    """The region coefficients of a domain, checked to have one per region."""
+    coeffs = domain.coefficients if isinstance(domain, Domain) else domain
+    if len(coeffs) != diagram.n_regions:
+        raise DimensionMismatch(
+            f"vector of length {len(coeffs)} against {diagram.n_regions} regions")
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
 # Measures and the index
 # ---------------------------------------------------------------------------
+
+@_per_diagram
+def _base_weights(diagram: HeegaardDiagram) -> tuple[int, ...]:
+    """4 e(D_k) per region: 4 chi(D_k) - corners(D_k)."""
+    return tuple(4 * chi - c for chi, c in zip(diagram.region_chi, diagram.corner_counts))
+
 
 def _quarter_weights(diagram: HeegaardDiagram, vertices: Sequence[int],
                      basepoint: int) -> list[int]:
@@ -427,9 +436,10 @@ def _quarter_weights(diagram: HeegaardDiagram, vertices: Sequence[int],
     w_k = 4 chi(D_k) - corners(D_k), plus 1 per quadrant of D_k at each of
     ``vertices`` (with repetition), plus 4 ``basepoint`` if D_k holds z.
     """
-    w = [4 * r.chi - c for r, c in zip(diagram.regions, diagram.corner_counts)]
+    w = list(_base_weights(diagram))
+    quadrants = diagram.quadrants
     for v in vertices:
-        for r in diagram.quadrant_regions(v):
+        for r in quadrants[v]:
             w[r] += 1
     w[diagram.basepoint_region] += 4 * basepoint
     return w
@@ -453,14 +463,14 @@ def euler_measure(diagram: HeegaardDiagram, domain) -> Fraction:
     Every corner of an elementary region is convex, so the concave term
     vanishes region by region.
     """
-    return Fraction(_dot(_quarter_weights(diagram, (), 0), _coeffs(domain)), 4)
+    return Fraction(_dot(_base_weights(diagram), _coeffs(diagram, domain)), 4)
 
 
 def point_measure(diagram: HeegaardDiagram, domain, vertex: str | int) -> Fraction:
     """n_w(D): one quarter of the total multiplicity of the four quadrants at w."""
     v = vertex if isinstance(vertex, int) else diagram.vertex_id(vertex)
-    coeffs = _coeffs(domain)
-    return Fraction(sum(coeffs[r] for r in diagram.quadrant_regions(v)), 4)
+    coeffs = _coeffs(diagram, domain)
+    return Fraction(sum(coeffs[r] for r in diagram.quadrants[v]), 4)
 
 
 def generator_measure(diagram: HeegaardDiagram, domain, gen: Generator) -> Fraction:
@@ -470,7 +480,7 @@ def generator_measure(diagram: HeegaardDiagram, domain, gen: Generator) -> Fract
 
 def basepoint_multiplicity(diagram: HeegaardDiagram, domain) -> int:
     """n_z(D): the coefficient of the basepoint region."""
-    return _coeffs(domain)[diagram.basepoint_region]
+    return _coeffs(diagram, domain)[diagram.basepoint_region]
 
 
 def _check_connecting(diagram: HeegaardDiagram, x: Generator, y: Generator, coeffs) -> None:
@@ -482,7 +492,7 @@ def _check_connecting(diagram: HeegaardDiagram, x: Generator, y: Generator, coef
 def maslov_index(diagram: HeegaardDiagram, x: Generator, y: Generator, domain) -> int:
     """mu(A) = e(D) + n_x(D) + n_y(D); exact, and an integer for every
     domain satisfying the corner system (checked)."""
-    coeffs = _coeffs(domain)
+    coeffs = _coeffs(diagram, domain)
     _check_connecting(diagram, x, y, coeffs)
     weights = _quarter_weights(diagram, x.vertices + y.vertices, 0)
     return _whole(_dot(weights, coeffs), "Maslov index")

@@ -8,6 +8,12 @@ edge, or a convex/concave corner of the layer, and the vertex's
 membership in the source and target generators refines the corner into
 x-, y-, degenerate, or auxiliary type.
 
+A domain is decomposed in one pass over its vertices and arcs (see
+``decompose_layers``).  Layer indices are counted in integer quarter
+units and become a ``Fraction`` only when returned.  They are counted on
+the layers, not from the region weights ``maslov_index`` uses, so the
+first identity below compares two independent computations.
+
 Three exact identities are audited for every decomposition:
 
 * the layer sum of e + n_x + n_y equals the same quantity computed
@@ -188,33 +194,62 @@ class LayerSurface:
 
 def decompose_layers(diagram: HeegaardDiagram, x: Generator, y: Generator,
                      domain) -> tuple[LayerSurface, ...]:
-    """Split a nonnegative domain into its max-multiplicity many layers."""
-    coeffs = _coeffs(domain)
+    """Split a nonnegative domain into its max-multiplicity many layers.
+
+    The quadrant multiplicities of each vertex and the larger multiplicity
+    beside each arc are read once; a region, vertex or arc whose largest
+    multiplicity is below a level is absent from that layer and from
+    every layer above it.
+    """
+    coeffs = _coeffs(diagram, domain)
     if any(c < 0 for c in coeffs):
         raise ValueError("layer decomposition needs a nonnegative domain")
-    m = max(coeffs, default=0)
     xset, yset = set(x.vertices), set(y.vertices)
+    vertices = []
+    for v, quadrants in enumerate(diagram.quadrants):
+        mults = [coeffs[r] for r in quadrants]
+        vertices.append((max(mults), mults, v in xset, v in yset, v))
+    arcs = [(max(coeffs[left], coeffs[right]), a)
+            for a, (left, right) in enumerate(diagram.arc_sides)]
+    regions = range(len(coeffs))
     layers = []
-    for level in range(1, m + 1):
-        regions = tuple(i for i, c in enumerate(coeffs) if c >= level)
-        rset = set(regions)
-        arcs = tuple(a.index for a in diagram.arcs
-                     if diagram.left_region(a.index) in rset
-                     or diagram.right_region(a.index) in rset)
+    for level in range(1, max(coeffs) + 1):
+        regions = [r for r in regions if coeffs[r] >= level]
+        vertices = [t for t in vertices if t[0] >= level]
+        arcs = [t for t in arcs if t[0] >= level]
         clusters: list[CornerClass] = []
-        for v in range(diagram.n_vertices):
-            mults = [coeffs[r] for r in diagram.quadrant_regions(v)]
-            clusters.extend(classify_corner(mults, level, v in xset, v in yset, v))
-        layers.append(LayerSurface(level, regions, arcs, tuple(clusters)))
+        for _, mults, in_x, in_y, v in vertices:
+            clusters.extend(classify_corner(mults, level, in_x, in_y, v))
+        layers.append(LayerSurface(level, tuple(regions), tuple(a for _, a in arcs),
+                                   tuple(clusters)))
     return tuple(layers)
 
 
 def layer_euler(diagram: HeegaardDiagram, layer: LayerSurface) -> int:
     """chi of the layer: clusters - included arcs + sum of region chi."""
-    v = len(layer.clusters)
-    e = len(layer.arcs)
-    f = sum(diagram.regions[r].chi for r in layer.regions)
-    return v - e + f
+    chi = diagram.region_chi
+    return len(layer.clusters) - len(layer.arcs) + sum(chi[r] for r in layer.regions)
+
+
+def _corner_shapes(layer: LayerSurface) -> tuple[int, int]:
+    """(convex, concave) cluster counts of a layer."""
+    convex = concave = 0
+    for c in layer.clusters:
+        if c.shape == CONVEX:
+            convex += 1
+        elif c.shape == CONCAVE:
+            concave += 1
+    return convex, concave
+
+
+def _index_quarters(diagram: HeegaardDiagram, x: Generator, y: Generator,
+                    layer: LayerSurface, chi: int, convex: int, concave: int) -> int:
+    """4 (e + n_x + n_y)(F_l): 4 chi - p + q plus the included quadrants
+    at the vertices of x and y."""
+    rset = set(layer.regions)
+    quadrants = diagram.quadrants
+    included = sum(r in rset for v in x.vertices + y.vertices for r in quadrants[v])
+    return 4 * chi - convex + concave + included
 
 
 def layer_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
@@ -224,17 +259,15 @@ def layer_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
     The layer's Euler measure uses chi(F_l) - p/4 + q/4 where p and q
     count convex and concave boundary corners of the layer, auxiliary and
     degenerate ones included; the point measures use the layer's 0/1
-    multiplicity function.
+    multiplicity function.  The sum is counted in integer quarter units,
+    4 chi(F_l) - p + q + (included quadrants at x and y), and returned as
+    a ``Fraction``.  It is taken on the layer itself, not from the
+    region weights of ``maslov_index``, so the audit compares two
+    independent computations.
     """
-    p = sum(1 for c in layer.clusters if c.shape == CONVEX)
-    q = sum(1 for c in layer.clusters if c.shape == CONCAVE)
-    rset = set(layer.regions)
-    total = Fraction(layer_euler(diagram, layer)) - Fraction(p, 4) + Fraction(q, 4)
-    for gen in (x, y):
-        for v in gen.vertices:
-            inc = sum(1 for r in diagram.quadrant_regions(v) if r in rset)
-            total += Fraction(inc, 4)
-    return total
+    quarters = _index_quarters(diagram, x, y, layer, layer_euler(diagram, layer),
+                               *_corner_shapes(layer))
+    return Fraction(quarters, 4)
 
 
 @dataclass(frozen=True)
@@ -277,18 +310,20 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
     Raises ``AuditError`` when an identity fails; a failure signals an
     implementation inconsistency, never bad user input.
     """
-    coeffs = _coeffs(domain)
+    coeffs = _coeffs(diagram, domain)
     layers = decompose_layers(diagram, x, y, coeffs)
     mu = maslov_index(diagram, x, y, coeffs)
 
     reports = []
-    total = Fraction(0)
+    quarters = 0
     x_interior = y_interior = 0
     degenerate_present = False
     auxiliary_present = False
     for layer in layers:
-        idx = layer_index(diagram, x, y, layer)
-        total += idx
+        chi = layer_euler(diagram, layer)
+        convex, concave = _corner_shapes(layer)
+        layer_quarters = _index_quarters(diagram, x, y, layer, chi, convex, concave)
+        quarters += layer_quarters
         aux_signed = 0
         bdeg = ideg = 0
         for c in layer.clusters:
@@ -305,30 +340,26 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
             elif c.kind == AUXILIARY:
                 auxiliary_present = True
                 aux_signed += c.sign or 0
-        reports.append(LayerReport(
-            layer.level,
-            layer_euler(diagram, layer),
-            sum(1 for c in layer.clusters if c.shape == CONVEX),
-            sum(1 for c in layer.clusters if c.shape == CONCAVE),
-            bdeg, ideg, aux_signed, idx))
+        reports.append(LayerReport(layer.level, chi, convex, concave, bdeg, ideg,
+                                   aux_signed, Fraction(layer_quarters, 4)))
 
+    total = Fraction(quarters, 4)
     if total != mu:
         raise AuditError(f"layer index sum {total} differs from Maslov index {mu}")
 
     single = None
     if len(layers) == 1 and not degenerate_present and not auxiliary_present:
-        chi = layer_euler(diagram, layers[0])
-        q = sum(1 for c in layers[0].clusters if c.shape == CONCAVE)
+        chi, q = reports[0].chi, reports[0].concave
         single = (chi + q == mu)
         if not single:
             raise AuditError(f"single-layer identity failed: chi {chi} + q {q} != mu {mu}")
 
     pos_vertices = neg_vertices = 0
     xset, yset = set(x.vertices), set(y.vertices)
-    for v in range(diagram.n_vertices):
+    for v, quadrants in enumerate(diagram.quadrants):
         if (v in xset) ^ (v in yset):
             continue
-        mults = [coeffs[r] for r in diagram.quadrant_regions(v)]
+        mults = [coeffs[r] for r in quadrants]
         w = _balance_weight(diagram.signs[v], mults)
         if w > 0:
             pos_vertices += 1

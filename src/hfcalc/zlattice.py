@@ -50,10 +50,6 @@ class IntMatrix:
             cols = 0
         return cls(entries, cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -73,19 +69,10 @@ class IntMatrix:
             raise DimensionMismatch(f"vector of length {len(vec)} against {self.cols} columns")
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.cols} columns against {other.rows} rows")
-        cols = [other.column(j) for j in range(other.cols)]
-        return IntMatrix.from_rows(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries],
-            other.cols,
-        )
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Factorization U @ M @ V = S with U, V unimodular and S diagonal.
+    """Factorization U M V = S with U, V unimodular and S diagonal.
 
     The diagonal of S is nonnegative, satisfies the divisibility chain
     d1 | d2 | ..., and has its zero entries last.
@@ -108,7 +95,9 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     exact division steps (restarting whenever a nonzero remainder produces
     a smaller pivot), then fix up divisibility by folding any offending
     entry into the pivot row.  Pivot magnitudes strictly decrease on every
-    restart, so the loop terminates.
+    restart, so the loop terminates.  The pivot is the first entry of
+    least magnitude in row-major order, so its search stops at the first
+    entry of magnitude 1.
     """
     nrows, ncols = m.rows, m.cols
     a = [list(row) for row in m.entries]
@@ -141,14 +130,19 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     t = 0
     while t < min(nrows, ncols):
-        # Locate a smallest-magnitude nonzero entry in the submatrix.
+        # Locate the first smallest-magnitude nonzero entry in the submatrix.
         pivot = None
         best = None
         for i in range(t, nrows):
+            row = a[i]
             for j in range(t, ncols):
-                x = a[i][j]
+                x = row[j]
                 if x and (best is None or abs(x) < best):
                     best, pivot = abs(x), (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -179,14 +173,16 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             break
 
         # Divisibility fix: fold a non-multiple into the pivot row and redo.
+        # A unit pivot divides every entry, so it needs no scan.
         offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % a[t][t]:
-                    offender = i
+        if a[t][t] != 1:
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if a[i][j] % a[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is not None:
             add_row(offender, t, 1)
             continue

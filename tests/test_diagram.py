@@ -187,6 +187,30 @@ def test_quadrants_unknown_vertex(s3):
         quadrants_at(s3, "nope")
 
 
+def test_lookup_tables_match_the_face_lookups(atlas_suite):
+    for d in atlas_suite:
+        def region_of_dart(dart):
+            return d.region_of_face[d.face_of_dart[dart]]
+
+        assert d.quadrants == tuple(
+            tuple(region_of_dart(dart) for dart in rot) for rot in d.rotations)
+        for v in range(d.n_vertices):
+            assert d.quadrants[v] == tuple(d.quadrant_region(v, i) for i in range(4))
+        assert d.arc_sides == tuple((region_of_dart(2 * a), region_of_dart(2 * a + 1))
+                                    for a in range(d.n_arcs))
+        assert d.region_chi == tuple(r.chi for r in d.regions)
+
+
+def test_lookup_tables_are_built_on_first_use():
+    d = load_diagram(L31_TEXT)
+    tables = ("quadrants", "arc_sides", "region_chi")
+    assert not any(name in vars(d) for name in tables)
+    d.left_region(0)
+    assert "arc_sides" in vars(d)
+    d.quadrant_regions(0)
+    assert "quadrants" in vars(d)
+
+
 @pytest.mark.parametrize("text", [S3_TEXT, L31_TEXT, D2_TEXT, TWO_FINGER_TEXT])
 def test_serialize_round_trip(text):
     d1 = load_diagram(text)

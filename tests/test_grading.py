@@ -9,10 +9,9 @@ from math import gcd
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hfcalc.atlas import build_annulus_open_book, build_torus_diagram, stabilize
-from hfcalc.diagram import assemble_regions, load_diagram, rename, reverse_curve, serialize
+from hfcalc.diagram import assemble_regions, rename, reverse_curve
 from hfcalc.grading import (ConsistencyError, Generator, GradingLabel, MixedLabelError,
                             NoConnectingClassError, NoPositiveRepresentative,
                             TwistedElement, basepoint_multiplicity,
@@ -23,7 +22,8 @@ from hfcalc.grading import (ConsistencyError, Generator, GradingLabel, MixedLabe
                             positive_representative, relative_grading, shift_label,
                             solve_domain, spinc_class_of, spinc_partition,
                             theta_and_shift, twisted_label)
-from hfcalc.zlattice import solve_integer_system
+from hfcalc.zlattice import DimensionMismatch, solve_integer_system
+from strategies import transformed_diagrams
 
 
 def boundary_trace(diagram, coeffs):
@@ -210,6 +210,21 @@ def test_maslov_of_full_surface_is_two(fixture, request):
     d = request.getfixturevalue(fixture)
     for g in enumerate_generators(d):
         assert maslov_index(d, g, g, [1] * d.n_regions) == 2
+
+
+@pytest.mark.parametrize("entry", [
+    lambda d, x, y, c: euler_measure(d, c),
+    lambda d, x, y, c: point_measure(d, c, x.vertices[0]),
+    lambda d, x, y, c: generator_measure(d, c, x),
+    lambda d, x, y, c: basepoint_multiplicity(d, c),
+    maslov_index,
+], ids=["euler_measure", "point_measure", "generator_measure", "basepoint_multiplicity",
+        "maslov_index"])
+@pytest.mark.parametrize("coeffs", [[], [1, 1], [1, 1, 1, 1]])
+def test_domains_of_the_wrong_length_are_rejected(entry, coeffs, s1s2):
+    x, y = enumerate_generators(s1s2)
+    with pytest.raises(DimensionMismatch, match="3 regions"):
+        entry(s1s2, x, y, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -484,31 +499,6 @@ def test_factored_matches_pairwise_fixtures(fixture, request):
 def test_factored_matches_pairwise_atlas(atlas_suite):
     for d in atlas_suite:
         assert_matches_pairwise(d)
-
-
-@st.composite
-def transformed_diagrams(draw):
-    """torus(p, q) or an annulus open book, then stabilize/rename steps.
-
-    Renaming goes through serialization and reloading, so it also changes
-    where each cycle starts and hence the generator order.
-    """
-    if draw(st.booleans()):
-        p = draw(st.integers(min_value=1, max_value=7))
-        q = draw(st.sampled_from([q for q in range(1, p) if gcd(p, q) == 1] or [0]))
-        d = build_torus_diagram(p, q).diagram
-    else:
-        d = build_annulus_open_book(draw(st.integers(min_value=-6, max_value=6))).diagram
-    for step in draw(st.lists(st.sampled_from(["stabilize", "rename"]), max_size=3)):
-        if step == "stabilize":
-            d = stabilize(d)[0].diagram
-        else:
-            names = sorted(d.input.signs)
-            fresh = draw(st.permutations([f"v{i}" for i in range(len(names))]))
-            curves = {c: f"{c[0]}r{i}" for i, c in enumerate(d.input.curve_names())}
-            renamed = assemble_regions(rename(d.input, dict(zip(names, fresh)), curves))
-            d = load_diagram(serialize(renamed))
-    return d
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,13 +5,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from hfcalc.atlas import build_torus_diagram
-from hfcalc.grading import (enumerate_generators, homogeneous_lattice, maslov_index,
-                            solve_domain)
+from hfcalc.grading import (basepoint_multiplicity, enumerate_generators,
+                            homogeneous_lattice, maslov_index, positive_representative,
+                            solve_domain, spinc_partition)
 from hfcalc.layers import (AUXILIARY, BOUNDARY_DEGENERATE, CONCAVE, CONVEX, EDGE_POINT,
-                           INTERIOR, INTERIOR_DEGENERATE, audit_index, classify_corner,
-                           decompose_layers, layer_euler, layer_index)
+                           INTERIOR, INTERIOR_DEGENERATE, AuditReport,
+                           LayerReport, LayerSurface, _balance_weight, audit_index,
+                           classify_corner, decompose_layers, layer_euler, layer_index)
+from hfcalc.zlattice import DimensionMismatch
+from strategies import transformed_diagrams
 
 
 def kinds(mults, level, in_x, in_y):
@@ -237,3 +242,139 @@ def test_audit_identities_over_translates(fixture, request):
                 audit_index(d, x, y, cand)  # raises AuditError on failure
                 audited += 1
     assert audited > 10
+
+
+@pytest.mark.parametrize("entry", [decompose_layers, audit_index])
+@pytest.mark.parametrize("coeffs", [[], [1, 1], [1, 1, 1, 1]])
+def test_domains_of_the_wrong_length_are_rejected(entry, coeffs, s1s2):
+    x, y = enumerate_generators(s1s2)
+    with pytest.raises(DimensionMismatch, match="3 regions"):
+        entry(s1s2, x, y, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the one-pass audit against the per-level Fraction computation
+# ---------------------------------------------------------------------------
+
+def per_level_decompose(d, x, y, coeffs):
+    """Every layer recomputed from the raw face lookups, level by level."""
+    def region_of_dart(dart):
+        return d.region_of_face[d.face_of_dart[dart]]
+
+    xset, yset = set(x.vertices), set(y.vertices)
+    layers = []
+    for level in range(1, max(coeffs, default=0) + 1):
+        regions = tuple(i for i, c in enumerate(coeffs) if c >= level)
+        rset = set(regions)
+        arcs = tuple(a for a in range(d.n_arcs)
+                     if region_of_dart(2 * a) in rset or region_of_dart(2 * a + 1) in rset)
+        clusters = []
+        for v in range(d.n_vertices):
+            mults = [coeffs[region_of_dart(dart)] for dart in d.rotations[v]]
+            clusters.extend(classify_corner(mults, level, v in xset, v in yset, v))
+        layers.append(LayerSurface(level, regions, arcs, tuple(clusters)))
+    return tuple(layers)
+
+
+def fraction_layer_euler(d, layer):
+    return len(layer.clusters) - len(layer.arcs) + sum(d.regions[r].chi for r in layer.regions)
+
+
+def fraction_layer_index(d, x, y, layer):
+    p = sum(1 for c in layer.clusters if c.shape == CONVEX)
+    q = sum(1 for c in layer.clusters if c.shape == CONCAVE)
+    rset = set(layer.regions)
+    total = Fraction(fraction_layer_euler(d, layer)) - Fraction(p, 4) + Fraction(q, 4)
+    for gen in (x, y):
+        for v in gen.vertices:
+            inc = sum(1 for i in range(4) if d.quadrant_region(v, i) in rset)
+            total += Fraction(inc, 4)
+    return total
+
+
+def fraction_audit(d, x, y, coeffs):
+    """The audit with every statistic recounted per use, in Fractions."""
+    layers = per_level_decompose(d, x, y, coeffs)
+    mu = maslov_index(d, x, y, coeffs)
+    reports = []
+    total = Fraction(0)
+    x_interior = y_interior = 0
+    degenerate_present = auxiliary_present = False
+    for layer in layers:
+        idx = fraction_layer_index(d, x, y, layer)
+        total += idx
+        aux_signed = bdeg = ideg = 0
+        for c in layer.clusters:
+            if c.kind == INTERIOR and c.role == "x":
+                x_interior += 1
+            elif c.kind == INTERIOR and c.role == "y":
+                y_interior += 1
+            elif c.kind == INTERIOR_DEGENERATE:
+                ideg += 1
+                degenerate_present = True
+            elif c.kind == BOUNDARY_DEGENERATE:
+                bdeg += 1
+                degenerate_present = True
+            elif c.kind == AUXILIARY:
+                auxiliary_present = True
+                aux_signed += c.sign or 0
+        reports.append(LayerReport(
+            layer.level, fraction_layer_euler(d, layer),
+            sum(1 for c in layer.clusters if c.shape == CONVEX),
+            sum(1 for c in layer.clusters if c.shape == CONCAVE),
+            bdeg, ideg, aux_signed, idx))
+    assert total == mu
+    single = None
+    if len(layers) == 1 and not degenerate_present and not auxiliary_present:
+        chi = fraction_layer_euler(d, layers[0])
+        q = sum(1 for c in layers[0].clusters if c.shape == CONCAVE)
+        single = chi + q == mu
+        assert single
+    pos = neg = 0
+    xset, yset = set(x.vertices), set(y.vertices)
+    for v in range(d.n_vertices):
+        if (v in xset) ^ (v in yset):
+            continue
+        w = _balance_weight(d.signs[v], [coeffs[d.quadrant_region(v, i)] for i in range(4)])
+        pos += w > 0
+        neg += w < 0
+    assert x_interior + pos == y_interior + neg
+    return AuditReport(tuple(reports), total, mu, basepoint_multiplicity(d, coeffs),
+                       x_interior, y_interior, pos, neg, single)
+
+
+def assert_audit_matches_oracle(d):
+    """The positive representative of every same-class pair plus k copies
+    of the full surface, k <= 3: layers, layer indices and reports agree
+    with the oracle, reprs included (so a Fraction stays a Fraction)."""
+    audited = 0
+    for cls in spinc_partition(d):
+        for x in cls.members:
+            for y in cls.members:
+                pos = positive_representative(solve_domain(d, x, y))
+                for k in range(4):
+                    coeffs = tuple(c + k for c in pos.coefficients)
+                    layers = decompose_layers(d, x, y, coeffs)
+                    assert layers == per_level_decompose(d, x, y, coeffs)
+                    assert ([repr(layer_index(d, x, y, l)) for l in layers]
+                            == [repr(fraction_layer_index(d, x, y, l)) for l in layers])
+                    assert repr(audit_index(d, x, y, coeffs)) == \
+                        repr(fraction_audit(d, x, y, coeffs))
+                    audited += 1
+    assert audited
+
+
+@pytest.mark.parametrize("fixture", ["s3", "l31", "s1s2", "two_finger", "d2_diagram"])
+def test_one_pass_audit_matches_oracle_fixtures(fixture, request):
+    assert_audit_matches_oracle(request.getfixturevalue(fixture))
+
+
+def test_one_pass_audit_matches_oracle_atlas(atlas_suite):
+    for d in atlas_suite:
+        assert_audit_matches_oracle(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(transformed_diagrams())
+def test_one_pass_audit_matches_oracle_transformed(d):
+    assert_audit_matches_oracle(d)

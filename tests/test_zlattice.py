@@ -7,6 +7,7 @@ sympy's normal forms.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -16,9 +17,22 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+import hfcalc.grading as grading
+from hfcalc.atlas import build_annulus_open_book, build_s1s2, build_torus_diagram, stabilize
 from hfcalc.zlattice import (AffineSolutionSet, DimensionMismatch, IntMatrix,
-                             gcd_over_lattice, smith_invariants, smith_normal_form,
-                             solve_integer_system)
+                             SmithDecomposition, gcd_over_lattice, smith_invariants,
+                             smith_normal_form, solve_integer_system)
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    assert a.cols == b.rows
+    cols = [b.column(j) for j in range(b.cols)]
+    return IntMatrix.from_rows(
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries], b.cols)
 
 
 def bareiss_det(m: IntMatrix) -> int:
@@ -81,7 +95,7 @@ small_matrices = st.integers(min_value=0, max_value=4).flatmap(
 def test_smith_invariants_examples():
     assert smith_invariants(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
     assert smith_invariants(IntMatrix.from_rows([[0, 0], [0, 0]])) == (0, 0)
-    assert smith_invariants(IntMatrix.identity(3)) == (1, 1, 1)
+    assert smith_invariants(identity(3)) == (1, 1, 1)
 
 
 def test_smith_invariants_against_divisor_oracle():
@@ -90,7 +104,7 @@ def test_smith_invariants_against_divisor_oracle():
 
 
 def test_solve_examples():
-    sol = solve_integer_system(IntMatrix.identity(2), [3, -5])
+    sol = solve_integer_system(identity(2), [3, -5])
     assert sol.particular == (3, -5)
     assert sol.kernel == ()
 
@@ -113,7 +127,7 @@ def test_gcd_over_lattice_examples():
 
 def test_dimension_errors():
     with pytest.raises(DimensionMismatch):
-        solve_integer_system(IntMatrix.identity(2), [1])
+        solve_integer_system(identity(2), [1])
     with pytest.raises(DimensionMismatch):
         gcd_over_lattice([(1, 2, 3)], (1, 2))
     with pytest.raises(DimensionMismatch):
@@ -124,7 +138,7 @@ def test_dimension_errors():
 @given(small_matrices)
 def test_smith_form_properties(m):
     dec = smith_normal_form(m)
-    assert dec.u @ m @ dec.v == dec.s
+    assert matmul(matmul(dec.u, m), dec.v) == dec.s
     if m.rows:
         assert abs(bareiss_det(dec.u)) == 1
     if m.cols:
@@ -208,3 +222,138 @@ def test_gcd_over_lattice_matches_enumeration(basis, f):
     for v in values:
         g = gcd(g, v)
     assert got == g
+
+
+# ---------------------------------------------------------------------------
+# The early-stopping pivot search against the full scan
+# ---------------------------------------------------------------------------
+
+def full_scan_smith(m: IntMatrix) -> SmithDecomposition:
+    """The Smith form with the pivot search scanning the whole submatrix
+    and the divisibility scan run for every pivot."""
+    nrows, ncols = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def swap_rows(i: int, j: int) -> None:
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i: int, j: int) -> None:
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src: int, dst: int, factor: int) -> None:
+        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src: int, dst: int, factor: int) -> None:
+        for row in a:
+            row[dst] += factor * row[src]
+        for row in v:
+            row[dst] += factor * row[src]
+
+    def negate_row(i: int) -> None:
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(nrows, ncols):
+        # Locate a smallest-magnitude nonzero entry in the submatrix.
+        pivot = None
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                x = a[i][j]
+                if x and (best is None or abs(x) < best):
+                    best, pivot = abs(x), (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        if a[t][t] < 0:
+            negate_row(t)
+
+        while True:
+            restart = False
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    add_row(t, i, -(a[i][t] // a[t][t]))
+                    if a[i][t]:  # remainder is a strictly smaller pivot
+                        swap_rows(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    add_col(t, j, -(a[t][j] // a[t][t]))
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            break
+
+        # Divisibility fix: fold a non-multiple into the pivot row and redo.
+        offender = None
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if a[i][j] % a[t][t]:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(offender, t, 1)
+            continue
+        t += 1
+
+    return SmithDecomposition(IntMatrix.from_rows(u, nrows), IntMatrix.from_rows(a, ncols),
+                              IntMatrix.from_rows(v, ncols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices)
+def test_smith_form_matches_full_scan_small(m):
+    assert smith_normal_form(m) == full_scan_smith(m)
+
+
+def test_smith_form_matches_full_scan_random():
+    # Sparse matrices with entries in -2..2 have many unit entries, so
+    # the early stop and the skipped divisibility scan both trigger often.
+    rng = random.Random(5)
+    for _ in range(300):
+        r, c = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -2)) for _ in range(c)] for _ in range(r)]
+        m = IntMatrix.from_rows(rows, c)
+        assert smith_normal_form(m) == full_scan_smith(m)
+
+
+def test_smith_form_matches_full_scan_on_atlas_matrices(monkeypatch):
+    """Every corner and homology matrix factored for atlas diagrams."""
+    seen = []
+
+    def recording(fn):
+        def wrapped(m):
+            seen.append(m)
+            return fn(m)
+        return wrapped
+
+    monkeypatch.setattr(grading, "smith_normal_form", recording(smith_normal_form))
+    monkeypatch.setattr(grading, "smith_invariants", recording(smith_invariants))
+    diagrams = [build_torus_diagram(p, q).diagram
+                for p in range(1, 8) for q in range(p) if gcd(p, q) == 1]
+    diagrams += [build_annulus_open_book(n).diagram for n in range(-5, 6)]
+    diagrams.append(build_s1s2().diagram)
+    diagrams += [stabilize(d)[0].diagram for d in diagrams[:8]]
+    for d in diagrams:
+        grading.spinc_partition(d)
+        grading.homology_of_Y(d)
+    assert len(seen) == 2 * len(diagrams)
+    for m in seen:
+        assert smith_normal_form(m) == full_scan_smith(m)
