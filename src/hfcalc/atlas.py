@@ -7,16 +7,15 @@ reproducible byte for byte via ``diagram.serialize``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .diagram import (CurveSystemInput, HeegaardDiagram, RegionDirective,
                       assemble_regions, load_diagram)
 from .grading import Generator, enumerate_generators
 
 
-@dataclass(frozen=True)
-class MarkedDiagram:
+class MarkedDiagram(NamedTuple):
     """A built diagram with optional marked contact generator.
 
     The contact generator, when present, selects the unique interior

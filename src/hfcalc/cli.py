@@ -36,6 +36,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import atlas as atlas_mod
 from .diagram import DiagramError, HeegaardDiagram, load_diagram, reverse_curve, serialize
@@ -45,7 +46,9 @@ from .grading import (ConsistencyError, Generator, NoConnectingClassError,
                       gr0_of_theta, grading_table, homogeneous_lattice, homology_of_Y,
                       maslov_index, positive_representative, relative_grading,
                       solve_domain, spinc_partition, theta_and_shift)
-from .layers import AuditReport, audit_index
+
+if TYPE_CHECKING:
+    from .layers import AuditReport
 
 
 class _UsageError(Exception):
@@ -218,6 +221,8 @@ def _audit_payload(report: AuditReport) -> dict:
 
 
 def _cmd_audit(diagram, args):
+    from .layers import audit_index  # here, so that the other commands start without it
+
     x = _parse_generator(diagram, args.x)
     y = _parse_generator(diagram, args.y)
     dom = solve_domain(diagram, x, y)
@@ -342,6 +347,8 @@ def _selftest(seed: int, radius: int):
         return cases
 
     def layer_identities():
+        from .layers import audit_index
+
         cases = 0
         for d in suite:
             gens = enumerate_generators(d)

@@ -27,9 +27,9 @@ slot ``i``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 LEFT_AFTER = "left-after"
 RIGHT_AFTER = "right-after"
@@ -53,8 +53,7 @@ class ValidationError(DiagramError):
     """A structurally well-formed input that does not describe a surface."""
 
 
-@dataclass(frozen=True)
-class RegionDirective:
+class RegionDirective(NamedTuple):
     """Grouping of traced circles into one region with a genus.
 
     ``circles`` is a tuple of canonical circle ids, or None for the
@@ -67,8 +66,7 @@ class RegionDirective:
     line: int | None = None
 
 
-@dataclass(frozen=True)
-class CurveSystemInput:
+class CurveSystemInput(NamedTuple):
     """Parsed, name-interned curve data before surface assembly."""
 
     genus: int
@@ -77,7 +75,7 @@ class CurveSystemInput:
     signs: Mapping[str, int]  # vertex name -> +1 / -1
     basepoint: tuple[str, str, str]  # curve, vertex, side
     directives: tuple[RegionDirective, ...] = ()
-    source: Mapping[str, tuple[int, int]] = field(default_factory=dict)
+    source: Mapping[str, tuple[int, int]] = MappingProxyType({})
 
     def curve_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.alpha) + tuple(n for n, _ in self.beta)
@@ -246,8 +244,7 @@ def parse_diagram(text: str) -> CurveSystemInput:
 # Graph structure and face tracing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Oriented edge between consecutive vertices along one curve."""
 
     index: int
@@ -368,8 +365,7 @@ def _circles(g: _Graph) -> tuple[tuple[tuple[str, str], ...], ...]:
 # Regions and assembled diagrams
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A complement region: one or more traced circles plus a genus."""
 
     index: int
@@ -382,8 +378,7 @@ class Region:
         return 2 - 2 * self.genus - len(self.faces)
 
 
-@dataclass(frozen=True)
-class Quadrant:
+class Quadrant(NamedTuple):
     vertex: str
     position: int  # 0..3 between rotation slots position and position + 1
     region: int
@@ -706,8 +701,8 @@ def reverse_curve(inp: CurveSystemInput, curve: str) -> CurveSystemInput:
 
     signs = {v: (-s if v in flipped else s) for v, s in inp.signs.items()}
     directives = tuple(
-        replace(d, circles=None if d.circles is None
-                else tuple(map_dart_id(x) for x in d.circles))
+        d._replace(circles=None if d.circles is None
+                   else tuple(map_dart_id(x) for x in d.circles))
         for d in inp.directives)
 
     # Relocate the basepoint: resolve the old locator to a dart, map it,
@@ -719,8 +714,8 @@ def reverse_curve(inp: CurveSystemInput, curve: str) -> CurveSystemInput:
     new_listing = tuple(reversed(names[c2])) if c2 == curve else names[c2]
     new_bp = (c2, new_listing[p2], LEFT_AFTER if d2 == "+" else RIGHT_AFTER)
 
-    return replace(inp, alpha=flip_listing(inp.alpha), beta=flip_listing(inp.beta),
-                   signs=signs, basepoint=new_bp, directives=directives, source={})
+    return inp._replace(alpha=flip_listing(inp.alpha), beta=flip_listing(inp.beta),
+                        signs=signs, basepoint=new_bp, directives=directives, source={})
 
 
 def rename(inp: CurveSystemInput,
@@ -749,13 +744,13 @@ def rename(inp: CurveSystemInput,
         return f"{c(curve)}.{pos}{sign}"
 
     directives = tuple(
-        replace(d, circles=None if d.circles is None
-                else tuple(fix_circle(x) for x in d.circles))
+        d._replace(circles=None if d.circles is None
+                   else tuple(fix_circle(x) for x in d.circles))
         for d in inp.directives)
     bp = (c(inp.basepoint[0]), v(inp.basepoint[1]), inp.basepoint[2])
     new_names = [c(n) for n, _ in inp.alpha + inp.beta] + [v(x) for x in inp.signs]
     if len(set(new_names)) != len(new_names):
         raise ValueError("rename maps collide")
-    return replace(inp, alpha=do(inp.alpha), beta=do(inp.beta),
-                   signs={v(k): s for k, s in inp.signs.items()},
-                   basepoint=bp, directives=directives, source={})
+    return inp._replace(alpha=do(inp.alpha), beta=do(inp.beta),
+                        signs={v(k): s for k, s in inp.signs.items()},
+                        basepoint=bp, directives=directives, source={})

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import wraps
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .diagram import ALPHA, HeegaardDiagram
 from .zlattice import (DimensionMismatch, IntMatrix, gcd_over_lattice, smith_invariants,
@@ -106,8 +105,7 @@ def _not_a_generator(g) -> KeyError:
 # Generators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """A tuple of intersection points, one per alpha curve (by index).
 
     The selected vertices occupy pairwise distinct beta curves, so the
@@ -148,27 +146,29 @@ def enumerate_generators(diagram: HeegaardDiagram) -> tuple[Generator, ...]:
     Backtracks over alpha curves in diagram order, choosing vertices in
     listing order and skipping beta curves already used.  The empty result
     is allowed (a diagram may have no generators in some class setups).
+    The backtracking keeps its own stack, so the genus is not bounded by
+    the interpreter's recursion limit.
     """
     _, beta_of = _curve_membership(diagram)
     out: list[Generator] = []
-    chosen: list[int] = []
+    chosen: list[int] = []  # the vertex picked on each alpha curve but the last open one
     used_beta: set[int] = set()
-
-    def rec(i: int) -> None:
-        if i == diagram.genus:
-            out.append(Generator(tuple(chosen)))
-            return
-        for v in diagram.alpha[i][1]:
-            b = beta_of[v]
-            if b in used_beta:
-                continue
-            used_beta.add(b)
+    pending = [iter(diagram.alpha[0][1])]  # the untried vertices of each open alpha curve
+    while pending:
+        for v in pending[-1]:
+            if beta_of[v] not in used_beta:
+                break
+        else:
+            pending.pop()
+            if chosen:
+                used_beta.remove(beta_of[chosen.pop()])
+            continue
+        if len(pending) == diagram.genus:
+            out.append(Generator(tuple(chosen) + (v,)))
+        else:
             chosen.append(v)
-            rec(i + 1)
-            chosen.pop()
-            used_beta.remove(b)
-
-    rec(0)
+            used_beta.add(beta_of[v])
+            pending.append(iter(diagram.alpha[len(pending)][1]))
     return tuple(out)
 
 
@@ -242,8 +242,7 @@ def build_corner_system(diagram: HeegaardDiagram, x: Generator, y: Generator
     return _corner_matrix(diagram), _corner_rhs(diagram, x, y)
 
 
-@dataclass(frozen=True)
-class _Corners:
+class _Corners(NamedTuple):
     """The corner matrix M of one diagram, factored once as U M V = S.
 
     ``factors`` are the nonzero invariant factors d_1 | ... | d_rank, the
@@ -336,14 +335,20 @@ def homogeneous_lattice(diagram: HeegaardDiagram) -> tuple[tuple[int, ...], ...]
     return _corners(diagram).kernel
 
 
-@dataclass(frozen=True, eq=False)
-class Domain:
-    """Integer 2-chain of regions connecting ``source`` to ``target``."""
+class Domain(NamedTuple):
+    """Integer 2-chain of regions connecting ``source`` to ``target``.
+
+    Two domains are equal only when they are the same object.
+    """
 
     diagram: HeegaardDiagram
     source: Generator
     target: Generator
     coefficients: tuple[int, ...]
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     @property
     def lattice(self) -> tuple[tuple[int, ...], ...]:
@@ -358,7 +363,7 @@ class Domain:
         for s, vec in zip(steps, basis):
             for i, v in enumerate(vec):
                 coeffs[i] += s * v
-        return replace(self, coefficients=tuple(coeffs))
+        return self._replace(coefficients=tuple(coeffs))
 
 
 def solve_domain(diagram: HeegaardDiagram, x: Generator, y: Generator) -> Domain | None:
@@ -406,7 +411,7 @@ def positive_representative(domain: Domain, radius: int = 8) -> Domain:
                 for i, v in enumerate(vec):
                     coeffs[i] += s * v
             if all(c >= 0 for c in coeffs):
-                return replace(domain, coefficients=tuple(coeffs))
+                return domain._replace(coefficients=tuple(coeffs))
     raise NoPositiveRepresentative(radius)
 
 
@@ -502,8 +507,7 @@ def maslov_index(diagram: HeegaardDiagram, x: Generator, y: Generator, domain) -
 # Spin^c classes, divisibility, relative grading
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpincClass:
+class SpincClass(NamedTuple):
     """Equivalence class of generators under connecting domains."""
 
     index: int
@@ -579,8 +583,7 @@ def relative_grading(diagram: HeegaardDiagram, x: Generator, y: Generator) -> in
 # Grading labels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradingLabel:
+class GradingLabel(NamedTuple):
     """Affine grading coordinate: offset relative to the class anchor.
 
     ``modulus`` 0 means integer-valued; otherwise the offset is a residue
@@ -625,22 +628,26 @@ def shift_label(label: GradingLabel, i: int) -> GradingLabel:
     off = label.offset + 2 * i
     if label.modulus:
         off %= label.modulus
-    return replace(label, offset=off, level=label.level + i)
+    return label._replace(offset=off, level=label.level + i)
 
 
-@dataclass(frozen=True)
-class TwistedElement:
+class _TwistedElement(NamedTuple):
+    summands: tuple[tuple[tuple[int, ...], Generator], ...]
+
+
+class TwistedElement(_TwistedElement):
     """Formal sum of group-ring multiples of generators.
 
     Each summand pairs an exponent vector over a fixed H^1 basis with a
     generator; the exponent is ignored by the grading.
     """
 
-    summands: tuple[tuple[tuple[int, ...], Generator], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.summands:
+    def __new__(cls, summands):
+        if not summands:
             raise ValueError("twisted element must have at least one summand")
+        return super().__new__(cls, summands)
 
 
 def twisted_label(diagram: HeegaardDiagram, element: TwistedElement) -> GradingLabel:
@@ -679,8 +686,7 @@ def gr0_of_theta(theta) -> Fraction:
 # First homology of the underlying 3-manifold
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Homology:
+class Homology(NamedTuple):
     b1: int
     torsion: tuple[int, ...]
 

@@ -17,16 +17,14 @@ The three public operations are:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class DimensionMismatch(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple):
     """Immutable dense integer matrix.
 
     Entries are stored as a tuple of row tuples.  Zero-row or zero-column
@@ -70,8 +68,7 @@ class IntMatrix:
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """Factorization U M V = S with U, V unimodular and S diagonal.
 
     The diagonal of S is nonnegative, satisfies the divisibility chain
@@ -204,8 +201,7 @@ def smith_invariants(m: IntMatrix) -> tuple[int, ...]:
     return smith_normal_form(m).diagonal()
 
 
-@dataclass(frozen=True)
-class AffineSolutionSet:
+class AffineSolutionSet(NamedTuple):
     """Integer solution set of an inhomogeneous system M x = b.
 
     ``particular`` is None exactly when no integer solution exists.  The

@@ -41,6 +41,20 @@ region rA: genus=0 circles=a0.0- a0.1+
 """
 
 
+def s1s2_plus_pairs_text(pairs: int) -> str:
+    """S1 x S2 plus ``pairs`` one-vertex curve pairs: genus pairs + 1, two generators.
+
+    Every pair a{i}: w{i}+ / b{i}: w{i} bounds one traced circle, and all of
+    those circles join the two S1 x S2 circles in a single planar region.
+    """
+    lines = ["heegaard v1", f"genus: {pairs + 1}", "alpha a0: x0+ x1-"]
+    lines += [f"alpha a{i}: w{i}+" for i in range(1, pairs + 1)]
+    lines += ["beta  b0: x0 x1"] + [f"beta  b{i}: w{i}" for i in range(1, pairs + 1)]
+    circles = ["a0.0-", "a0.1+"] + [f"a{i}.0+" for i in range(1, pairs + 1)]
+    lines += ["basepoint: a0 x1 left-after", f"region r0: genus=0 circles={' '.join(circles)}"]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def s3():
     return load_diagram(S3_TEXT)

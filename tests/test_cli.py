@@ -1,12 +1,19 @@
 """CLI surface: subcommands, exit codes, structured output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hfcalc
 from hfcalc.cli import main
 
-from conftest import L31_TEXT, S3_TEXT
+from conftest import L31_TEXT, S3_TEXT, s1s2_plus_pairs_text
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -210,14 +217,97 @@ def test_consistency_error_exit_code_3(capsys, monkeypatch, s1s2_file):
 
 
 def test_audit_error_exit_code_3(capsys, monkeypatch, s1s2_file):
-    import hfcalc.cli as cli
+    import hfcalc.layers as layers
     from hfcalc.layers import AuditError
 
     def broken(*args):
         raise AuditError("layer sum differs from the Maslov index")
 
-    monkeypatch.setattr(cli, "audit_index", broken)
+    monkeypatch.setattr(layers, "audit_index", broken)
     code, rep, _ = run_json(capsys, ["audit", s1s2_file, "x0", "x1"])
     assert code == 3
     assert rep["error"] == {"kind": "AuditError",
                             "message": "layer sum differs from the Maslov index"}
+
+
+def test_generators_beyond_the_recursion_limit(capsys, tmp_path):
+    path = tmp_path / "g1101.hd"
+    path.write_text(s1s2_plus_pairs_text(1100))
+    code, rep, _ = run_json(capsys, ["generators", str(path)])
+    assert code == 0
+    assert rep["diagram"]["genus"] == 1101
+    assert rep["payload"]["count"] == 2
+
+
+# ---------------------------------------------------------------------------
+# Import path: hfcalc.cli starts without dataclasses or layers
+# ---------------------------------------------------------------------------
+
+def run_python(args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_no_dataclasses_and_no_layers(tmp_path):
+    proc = run_python(["-c", "import sys; before = set(sys.modules); import hfcalc.cli; "
+                             "print(sorted(set(sys.modules) - before))"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(eval(proc.stdout))
+    assert "hfcalc.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "hfcalc.layers"})
+
+
+def test_audit_in_a_child_process(tmp_path):
+    out = tmp_path / "s1s2.hd"
+    assert run_python(["-m", "hfcalc.cli", "atlas", "s1s2", "-o", str(out)],
+                      tmp_path).returncode == 0
+    proc = run_python(["-m", "hfcalc.cli", "--json", "audit", str(out), "x0", "x1"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["status"] == "ok"
+    assert rep["payload"]["identities"] == {"layer_sum_equals_maslov": True,
+                                            "corner_balance": True}
+    assert rep["payload"]["layer_sum"] == str(rep["payload"]["maslov"])
+
+
+def test_package_binds_layers_names_on_first_use(tmp_path):
+    proc = run_python(["-c", "import sys, hfcalc; assert 'hfcalc.layers' not in sys.modules; "
+                             "f = hfcalc.audit_index; assert 'hfcalc.layers' in sys.modules; "
+                             "assert vars(hfcalc)['audit_index'] is f"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    import hfcalc.layers
+    assert hfcalc.audit_index is hfcalc.layers.audit_index
+
+
+PACKAGE_NAMES = [
+    "CurveSystemInput", "DiagramError", "HeegaardDiagram", "ParseError", "Quadrant",
+    "RegionDirective", "ValidationError", "assemble_regions", "load_diagram",
+    "parse_diagram", "quadrants_at", "rename", "reverse_curve", "serialize", "trace_faces",
+    "AffineSolutionSet", "IntMatrix", "gcd_over_lattice", "smith_invariants",
+    "smith_normal_form", "solve_integer_system",
+    "ConsistencyError", "Domain", "Generator", "GradingLabel", "Homology",
+    "MixedLabelError", "NoConnectingClassError", "NoPositiveRepresentative", "SpincClass",
+    "TwistedElement", "basepoint_multiplicity", "build_corner_system", "divisibility",
+    "enumerate_generators", "euler_measure", "generator_measure", "gr0_of_theta",
+    "grading_table", "homogeneous_lattice", "homology_of_Y", "label_of", "maslov_index",
+    "point_measure", "positive_representative", "relative_grading", "shift_label",
+    "solve_domain", "spinc_class_of", "spinc_partition", "theta_and_shift",
+    "twisted_label",
+    "AuditError", "AuditReport", "CornerClass", "LayerSurface", "audit_index",
+    "classify_corner", "decompose_layers", "layer_euler", "layer_index",
+    "MarkedDiagram", "build_annulus_open_book", "build_s1s2", "build_torus_diagram",
+    "stabilize", "__version__",
+]
+
+
+def test_package_exports():
+    for name in PACKAGE_NAMES:
+        namespace = {}
+        exec(f"from hfcalc import {name}", namespace)
+        assert namespace[name] is getattr(hfcalc, name)
+
+
+def test_unknown_package_attribute():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hfcalc.no_such_name

@@ -3,15 +3,18 @@
 import gc
 import itertools
 import random
+import sys
 import weakref
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfcalc.atlas import build_annulus_open_book, build_torus_diagram, stabilize
-from hfcalc.diagram import assemble_regions, rename, reverse_curve
+from hfcalc.diagram import assemble_regions, load_diagram, rename, reverse_curve
 from hfcalc.grading import (ConsistencyError, Generator, GradingLabel, MixedLabelError,
                             NoConnectingClassError, NoPositiveRepresentative,
                             TwistedElement, basepoint_multiplicity,
@@ -23,6 +26,7 @@ from hfcalc.grading import (ConsistencyError, Generator, GradingLabel, MixedLabe
                             solve_domain, spinc_class_of, spinc_partition,
                             theta_and_shift, twisted_label)
 from hfcalc.zlattice import DimensionMismatch, solve_integer_system
+from conftest import s1s2_plus_pairs_text
 from strategies import transformed_diagrams
 
 
@@ -74,6 +78,76 @@ def test_enumerate_product_count(s1s2):
 def test_generator_display_round_trip(l31):
     for g in enumerate_generators(l31):
         assert Generator.from_display(l31, g.display(l31)) == g
+
+
+def enumerate_recursive(diagram):
+    """Reference: generator enumeration by recursive backtracking."""
+    beta_of = [-1] * diagram.n_vertices
+    for j, (_, verts) in enumerate(diagram.beta):
+        for v in verts:
+            beta_of[v] = j
+    out, chosen, used_beta = [], [], set()
+
+    def rec(i):
+        if i == diagram.genus:
+            out.append(Generator(tuple(chosen)))
+            return
+        for v in diagram.alpha[i][1]:
+            b = beta_of[v]
+            if b in used_beta:
+                continue
+            used_beta.add(b)
+            chosen.append(v)
+            rec(i + 1)
+            chosen.pop()
+            used_beta.remove(b)
+
+    rec(0)
+    return tuple(out)
+
+
+def test_enumerate_matches_recursive_atlas(atlas_suite):
+    for d in atlas_suite:
+        assert enumerate_generators(d) == enumerate_recursive(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(transformed_diagrams())
+def test_enumerate_matches_recursive_transformed(d):
+    assert enumerate_generators(d) == enumerate_recursive(d)
+
+
+@st.composite
+def curve_incidences(draw):
+    """The curve data enumeration reads, with vertices on arbitrary curve pairs.
+
+    Atlas diagrams only meet alpha i with beta i, so used beta curves never
+    prune there; here they do.
+    """
+    genus = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=0, max_value=14))
+    curve = st.integers(min_value=0, max_value=genus - 1)
+    on_alpha = draw(st.lists(curve, min_size=n, max_size=n))
+    on_beta = draw(st.lists(curve, min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    alpha = tuple((f"a{i}", tuple(v for v in order if on_alpha[v] == i)) for i in range(genus))
+    beta = tuple((f"b{j}", tuple(v for v in range(n) if on_beta[v] == j))
+                 for j in range(genus))
+    return SimpleNamespace(genus=genus, n_vertices=n, alpha=alpha, beta=beta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve_incidences())
+def test_enumerate_matches_recursive_with_crossings(d):
+    assert enumerate_generators(d) == enumerate_recursive(d)
+
+
+def test_enumerate_beyond_the_recursion_limit():
+    d = load_diagram(s1s2_plus_pairs_text(1100))
+    assert d.genus == 1101 > sys.getrecursionlimit()
+    gens = enumerate_generators(d)
+    assert len(gens) == 2
+    assert [g.vertices[1:] for g in gens] == [tuple(range(2, 1102))] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +222,14 @@ def test_positive_representative_cases(s1s2):
 
     # bigon minus the full surface comes back as the bigon.
     ones = [c - 1 for c in bigon.coefficients]
-    from dataclasses import replace
-    shifted = replace(dom, coefficients=tuple(ones))
+    shifted = dom._replace(coefficients=tuple(ones))
     assert positive_representative(shifted).coefficients == bigon.coefficients
 
 
 def test_positive_representative_radius_failure(s1s2):
     x, y = enumerate_generators(s1s2)
     dom = solve_domain(s1s2, x, y)
-    from dataclasses import replace
-    deep = replace(dom, coefficients=tuple(c - 100 for c in dom.coefficients))
+    deep = dom._replace(coefficients=tuple(c - 100 for c in dom.coefficients))
     with pytest.raises(NoPositiveRepresentative) as err:
         positive_representative(deep, radius=3)
     assert err.value.radius == 3
