@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 from . import atlas as atlas_mod
 from .diagram import DiagramError, HeegaardDiagram, load_diagram, reverse_curve, serialize
 from .grading import (ConsistencyError, Generator, NoConnectingClassError,
-                      NoPositiveRepresentative, basepoint_multiplicity,
+                      NoPositiveRepresentative, _domain_grading, basepoint_multiplicity,
                       enumerate_generators, euler_measure, generator_measure,
                       gr0_of_theta, grading_table, homogeneous_lattice, homology_of_Y,
                       maslov_index, positive_representative, relative_grading,
@@ -53,10 +53,6 @@ if TYPE_CHECKING:
 
 class _UsageError(Exception):
     """A command-line argument out of range or malformed (exit code 2)."""
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _digest(diagram: HeegaardDiagram) -> dict:
@@ -164,9 +160,9 @@ def _cmd_grade(diagram, args):
 def _domain_measurements(diagram, x, y, dom):
     return {
         "coefficients": _coeff_map(diagram, dom.coefficients),
-        "euler_measure": _frac(euler_measure(diagram, dom)),
-        "n_x": _frac(generator_measure(diagram, dom, x)),
-        "n_y": _frac(generator_measure(diagram, dom, y)),
+        "euler_measure": str(euler_measure(diagram, dom)),
+        "n_x": str(generator_measure(diagram, dom, x)),
+        "n_y": str(generator_measure(diagram, dom, y)),
         "n_z": basepoint_multiplicity(diagram, dom),
         "maslov": maslov_index(diagram, x, y, dom),
     }
@@ -182,7 +178,7 @@ def _cmd_domain(diagram, args):
                 ["no connecting class (distinct Spin^c classes)"])
     payload = {"connecting": True, "lattice_rank": len(dom.lattice)}
     payload.update(_domain_measurements(diagram, x, y, dom))
-    payload["relative_grading"] = relative_grading(diagram, x, y)
+    payload["relative_grading"] = _domain_grading(dom)
     lines = [f"coefficients: {payload['coefficients']}",
              f"e = {payload['euler_measure']}, n_x = {payload['n_x']}, "
              f"n_y = {payload['n_y']}, n_z = {payload['n_z']}",
@@ -199,7 +195,7 @@ def _cmd_domain(diagram, args):
 def _audit_payload(report: AuditReport) -> dict:
     return {
         "maslov": report.maslov,
-        "layer_sum": _frac(report.layer_sum),
+        "layer_sum": str(report.layer_sum),
         "basepoint_multiplicity": report.basepoint,
         "x_interior": report.x_interior,
         "y_interior": report.y_interior,
@@ -214,7 +210,7 @@ def _audit_payload(report: AuditReport) -> dict:
             "boundary_degenerate": l.boundary_degenerate,
             "interior_degenerate": l.interior_degenerate,
             "auxiliary_signed": l.auxiliary_signed,
-            "index": _frac(l.index),
+            "index": str(l.index),
         } for l in report.layers],
         "identities": {"layer_sum_equals_maslov": True, "corner_balance": True},
     }
@@ -290,8 +286,8 @@ def _run_shift(args):
         theta, shift = theta_and_shift(Fraction(args.c1sq), args.chi, args.sigma)
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"--c1sq is not a rational number: {args.c1sq!r}") from None
-    payload = {"theta": _frac(theta), "shift": _frac(shift),
-               "gr0_of_theta": _frac(gr0_of_theta(theta))}
+    payload = {"theta": str(theta), "shift": str(shift),
+               "gr0_of_theta": str(gr0_of_theta(theta))}
     lines = [f"theta = {payload['theta']}",
              f"shift = {payload['shift']}",
              f"gr0(theta) = {payload['gr0_of_theta']}"]
@@ -302,7 +298,7 @@ def _run_shift(args):
 # Randomized self-test
 # ---------------------------------------------------------------------------
 
-def _selftest(seed: int, radius: int):
+def _selftest(seed: int):
     from .diagram import assemble_regions
 
     rng = random.Random(seed)
@@ -321,7 +317,7 @@ def _selftest(seed: int, radius: int):
                     for y in cls.members:
                         dom = solve_domain(d, x, y)
                         basis = dom.lattice
-                        base_val = relative_grading(d, x, y)
+                        base_val = _domain_grading(dom)
                         for _ in range(8):
                             steps = [rng.randint(-3, 3) for _ in basis]
                             other = dom.translate(steps)
@@ -513,7 +509,7 @@ def main(argv=None) -> int:
         elif args.command == "shift":
             payload, lines = _run_shift(args)
         else:  # selftest
-            payload, lines, ok = _selftest(args.seed, args.radius)
+            payload, lines, ok = _selftest(args.seed)
             if not ok:
                 report["payload"] = payload
                 report["status"] = "error"

@@ -14,8 +14,11 @@ region carrying a genus; that is how non-cellular embeddings (needed for
 instance by the standard S1 x S2 diagram, whose complement contains an
 annulus) are encoded.  Assembly validates the closed-surface Euler
 identity, connectivity, and the independence proxy (cutting along either
-curve family must not disconnect the surface).  The assembled
-``HeegaardDiagram`` is immutable and safe to share between threads.
+curve family must not disconnect the surface).  The independence check
+is the precondition ``grading.homology_of_Y`` relies on: with it, H1 of
+the 3-manifold is read off the alpha . beta intersection matrix.  The
+assembled ``HeegaardDiagram`` is immutable and safe to share between
+threads.
 
 Dart conventions used throughout: every arc gets a forward dart ``2 * arc``
 (along the curve orientation) and a backward dart ``2 * arc + 1``; traced
@@ -337,10 +340,6 @@ class _Graph:
     def dart_name(self, dart: int) -> str:
         return _dart_name(self.arcs, dart)
 
-    def origin(self, dart: int) -> int:
-        arc = self.arcs[dart // 2]
-        return arc.tail if dart % 2 == 0 else arc.head
-
 
 def trace_faces(inp: CurveSystemInput) -> tuple[tuple[tuple[str, str], ...], ...]:
     """Trace the rotation-system faces of a parsed curve system.
@@ -366,7 +365,12 @@ def _circles(g: _Graph) -> tuple[tuple[tuple[str, str], ...], ...]:
 # ---------------------------------------------------------------------------
 
 class Region(NamedTuple):
-    """A complement region: one or more traced circles plus a genus."""
+    """A complement region: one or more traced circles plus a genus.
+
+    A genus of 1 or more never survives assembly: the region would lie in
+    the complement of the alpha curves, which the Euler and independence
+    checks force to be planar.
+    """
 
     index: int
     label: str
@@ -486,6 +490,21 @@ def _canon_circle(circle) -> tuple:
     return pairs[k:] + pairs[:k]
 
 
+def _connected(n: int, edges) -> bool:
+    """Whether the edges, pairs of node ids in range(n), join all n nodes."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    return len({find(x) for x in range(n)}) == 1
+
+
 def assemble_regions(inp: CurveSystemInput,
                      faces=None,
                      directives: Sequence[RegionDirective] | None = None) -> HeegaardDiagram:
@@ -557,43 +576,15 @@ def assemble_regions(inp: CurveSystemInput,
             f"{nv} - {ne} + {sum(r.chi for r in regions)} = {chi}, "
             f"but genus {inp.genus} requires {2 - 2 * inp.genus}")
 
-    # Connectivity of graph union regions.
-    parent = list(range(nv))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
-    for arc in graph.arcs:
-        union(arc.tail, arc.head)
-    for r in regions:
-        anchor = graph.origin(graph.faces[r.faces[0]][0])
-        for f in r.faces[1:]:
-            union(anchor, graph.origin(graph.faces[f][0]))
-    if len({find(v) for v in range(nv)}) != 1:
+    # Every quadrant at a vertex borders the arcs there, so the graph plus
+    # the regions is connected exactly when the regions are, across arcs.
+    sides = [(arc.family, region_of_face[graph.face_of_dart[2 * arc.index]],
+              region_of_face[graph.face_of_dart[2 * arc.index + 1]]) for arc in graph.arcs]
+    if not _connected(len(regions), ((l, r) for _, l, r in sides)):
         raise ValidationError("diagram is disconnected (graph plus regions)")
-
     # Cutting along one family must keep the region adjacency connected.
     for family, fam_name in ((BETA, ALPHA), (ALPHA, BETA)):
-        rparent = list(range(len(regions)))
-
-        def rfind(x: int) -> int:
-            while rparent[x] != x:
-                rparent[x] = rparent[rparent[x]]
-                x = rparent[x]
-            return x
-
-        for arc in graph.arcs:
-            if arc.family == family:
-                l = region_of_face[graph.face_of_dart[2 * arc.index]]
-                r_ = region_of_face[graph.face_of_dart[2 * arc.index + 1]]
-                rparent[rfind(l)] = rfind(r_)
-        if len({rfind(i) for i in range(len(regions))}) != 1:
+        if not _connected(len(regions), ((l, r) for f, l, r in sides if f == family)):
             raise ValidationError(
                 f"cutting along the {fam_name} curves disconnects the surface; "
                 f"the {fam_name} family is not independent")
@@ -748,9 +739,10 @@ def rename(inp: CurveSystemInput,
                    else tuple(fix_circle(x) for x in d.circles))
         for d in inp.directives)
     bp = (c(inp.basepoint[0]), v(inp.basepoint[1]), inp.basepoint[2])
-    new_names = [c(n) for n, _ in inp.alpha + inp.beta] + [v(x) for x in inp.signs]
-    if len(set(new_names)) != len(new_names):
-        raise ValueError("rename maps collide")
+    # Curve and vertex names live in separate namespaces.
+    for new_names in ([c(n) for n, _ in inp.alpha + inp.beta], [v(x) for x in inp.signs]):
+        if len(set(new_names)) != len(new_names):
+            raise ValueError("rename maps collide")
     return inp._replace(alpha=do(inp.alpha), beta=do(inp.beta),
                         signs={v(k): s for k, s in inp.signs.items()},
                         basepoint=bp, directives=directives, source={})

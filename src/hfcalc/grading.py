@@ -573,8 +573,14 @@ def relative_grading(diagram: HeegaardDiagram, x: Generator, y: Generator) -> in
     if dom is None:
         raise NoConnectingClassError(
             f"{x.display(diagram)} and {y.display(diagram)} lie in different Spin^c classes")
+    return _domain_grading(dom)
+
+
+def _domain_grading(domain: Domain) -> int:
+    """``relative_grading`` of a domain's endpoints, read off the solved domain."""
+    diagram, x, y = domain.diagram, domain.source, domain.target
     weights = _quarter_weights(diagram, x.vertices + y.vertices, -2)
-    value = _whole(_dot(weights, dom.coefficients), "grading value")
+    value = _whole(_dot(weights, domain.coefficients), "grading value")
     d = spinc_class_of(diagram, x).divisibility
     return value % d if d else value
 
@@ -703,74 +709,24 @@ class Homology(NamedTuple):
 
 @_per_diagram
 def homology_of_Y(diagram: HeegaardDiagram) -> Homology:
-    """H1 of the 3-manifold: H1(surface) / (alpha and beta curve classes).
+    """H1 of the 3-manifold: the cokernel of the g x g intersection matrix.
 
-    The surface's 1-skeleton is the diagram graph extended by one bridge
-    edge between consecutive boundary circles of every multi-circle
-    region and two loop edges per unit of region genus (the bridges make
-    paths through a region visible to the cycle space; the loops carry
-    the region's own handles).  Cycle coordinates live on the non-tree
-    edges of a spanning forest; each region imposes one relation (the sum
-    of its boundary circles), each curve one more, and the Smith form of
-    the relation matrix gives b1 and the torsion coefficients.
+    Entry (i, j) is the algebraic intersection number alpha_i . beta_j,
+    the sum of the crossing signs over the vertices on both curves.
+    Every diagram comes from ``assemble_regions``, which checked that
+    cutting along the alpha curves leaves the surface connected; with
+    Euler characteristic 2 - 2g and 2g boundary circles the cut surface is
+    then planar (so, too, no region of genus 1 or more assembles).  So the
+    alpha classes extend to a symplectic basis of H1(surface), the
+    quotient by them is Z^g by pairing with the alpha curves, and each
+    beta curve maps to its column of the matrix.  The Smith form gives b1
+    (g minus the nonzero invariant factors) and the torsion (the factors
+    above 1).
     """
-    nv = diagram.n_vertices
-    parent = list(range(nv))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    edges: list[tuple[int, int]] = [(a.tail, a.head) for a in diagram.arcs]
-    arc_edge = list(range(len(diagram.arcs)))
-
-    def circle_anchor(face: int) -> int:
-        d = diagram.faces[face][0]
-        arc = diagram.arcs[d // 2]
-        return arc.tail if d % 2 == 0 else arc.head
-
-    for r in diagram.regions:
-        a0 = circle_anchor(r.faces[0])
-        for f in r.faces[1:]:
-            edges.append((a0, circle_anchor(f)))
-        for _ in range(2 * r.genus):
-            edges.append((a0, a0))
-
-    nontree: list[int] = []
-    for idx, (u, v) in enumerate(edges):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            nontree.append(idx)
-        else:
-            parent[ru] = rv
-
-    col_of = {e: i for i, e in enumerate(nontree)}
-    ncols = len(nontree)
-
-    def walk_row(darts) -> list[int]:
-        row = [0] * ncols
-        for d in darts:
-            e = arc_edge[d // 2]
-            if e in col_of:
-                row[col_of[e]] += 1 if d % 2 == 0 else -1
-        return row
-
-    rows = []
-    for r in diagram.regions:
-        acc = [0] * ncols
-        for f in r.faces:
-            for i, x in enumerate(walk_row(diagram.faces[f])):
-                acc[i] += x
-        rows.append(acc)
-    for curves in (diagram.alpha, diagram.beta):
-        for name, _ in curves:
-            darts = [2 * a.index for a in diagram.arcs if a.curve == name]
-            rows.append(walk_row(darts))
-
-    inv = smith_invariants(IntMatrix.from_rows(rows, ncols))
-    nonzero = [d for d in inv if d]
-    b1 = ncols - len(nonzero)
-    torsion = tuple(d for d in nonzero if d > 1)
-    return Homology(b1, torsion)
+    g = diagram.genus
+    alpha_of, beta_of = _curve_membership(diagram)
+    rows = [[0] * g for _ in range(g)]
+    for v, sign in enumerate(diagram.signs):
+        rows[alpha_of[v]][beta_of[v]] += sign
+    nonzero = [d for d in smith_invariants(IntMatrix.from_rows(rows, g)) if d]
+    return Homology(g - len(nonzero), tuple(d for d in nonzero if d > 1))

@@ -55,6 +55,20 @@ def s1s2_plus_pairs_text(pairs: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def s1s2_sum_text(copies: int) -> str:
+    """#^copies S1 x S2: genus ``copies``, b1 = copies, 2^copies generators.
+
+    Copy i is the two-vertex S1 x S2 diagram on a{i} / b{i}; the boundary
+    circles of all ``copies`` annuli are merged in one planar region.
+    """
+    lines = ["heegaard v1", f"genus: {copies}"]
+    lines += [f"alpha a{i}: x{i}+ y{i}-" for i in range(copies)]
+    lines += [f"beta  b{i}: x{i} y{i}" for i in range(copies)]
+    circles = [c for i in range(copies) for c in (f"a{i}.0-", f"a{i}.1+")]
+    lines += ["basepoint: a0 y0 left-after", f"region r0: genus=0 circles={' '.join(circles)}"]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def s3():
     return load_diagram(S3_TEXT)

@@ -98,6 +98,26 @@ def test_domain_bigon(capsys, s1s2_file):
     assert p["positive"]["n_z"] == 0
 
 
+def test_domain_solves_its_pair_once(capsys, monkeypatch, s1s2_file):
+    import hfcalc.cli as cli_mod
+    import hfcalc.grading as grading_mod
+
+    calls = []
+
+    def counting(solve):
+        def wrapped(*args):
+            calls.append(args[1:])
+            return solve(*args)
+        return wrapped
+
+    monkeypatch.setattr(cli_mod, "solve_domain", counting(grading_mod.solve_domain))
+    monkeypatch.setattr(grading_mod, "solve_domain", counting(grading_mod.solve_domain))
+    code, rep, _ = run_json(capsys, ["domain", s1s2_file, "x0", "x1", "--positive"])
+    assert code == 0
+    assert rep["payload"]["relative_grading"] == 1
+    assert len(calls) == 1
+
+
 def test_audit_command(capsys, s1s2_file):
     code, rep, _ = run_json(capsys, ["audit", s1s2_file, "x0", "x1"])
     assert code == 0

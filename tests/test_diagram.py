@@ -1,13 +1,16 @@
 """Parsing, face tracing, assembly, and serialization tests."""
 
+import random
+from collections import Counter
+
 import pytest
 
-from hfcalc.diagram import (ParseError, RegionDirective, ValidationError,
-                            assemble_regions, load_diagram, parse_diagram,
+from hfcalc.diagram import (ALPHA, BETA, ParseError, Region, RegionDirective, ValidationError,
+                            _Graph, assemble_regions, load_diagram, parse_diagram,
                             quadrants_at, rename, reverse_curve, serialize,
                             trace_faces)
 
-from conftest import D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT
+from conftest import D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text
 
 
 def test_parse_s3_counts():
@@ -156,6 +159,176 @@ def test_assemble_rejects_dependent_family():
     assert "disconnects" in str(err.value)
 
 
+def test_assemble_rejects_disconnected_surface():
+    # Euler-consistent, but the S1 x S2 part (with a genus-1 annulus) and
+    # the two one-vertex pairs (one region) share no arc.
+    text = s1s2_plus_pairs_text(2).replace(
+        "region r0: genus=0 circles=a0.0- a0.1+ a1.0+ a2.0+",
+        "region r0: genus=1 circles=a0.0- a0.1+\nregion r1: genus=0 circles=a1.0+ a2.0+")
+    with pytest.raises(ValidationError) as err:
+        load_diagram(text)
+    assert str(err.value) == "diagram is disconnected (graph plus regions)"
+
+
+def assembly_verdict_by_vertices(inp):
+    """The ValidationError message of the earlier ``assemble_regions``, or None.
+
+    Verbatim from it: region grouping, the Euler check, connectivity by a
+    union-find over vertices (arcs plus one bridge per extra circle of a
+    region), and a region union-find per cut family.
+    """
+    graph = _Graph(inp)
+    directives = inp.directives
+
+    def origin(dart):
+        arc = graph.arcs[dart // 2]
+        return arc.tail if dart % 2 == 0 else arc.head
+
+    face_index = {}
+    for f, cyc in enumerate(graph.faces):
+        for d in cyc:
+            face_index[graph.dart_name(d)] = f
+    claimed = {}
+    regions = []
+    auto_seen = False
+    for d in directives:
+        if d.genus < 0:
+            return f"region {d.label!r}: genus must be nonnegative"
+        if d.circles is None:
+            if auto_seen:
+                return "more than one 'circles=auto' region directive"
+            if d.genus != 0:
+                return "'circles=auto' regions must have genus 0"
+            auto_seen = True
+            continue
+        fids = []
+        for cid in d.circles:
+            if cid not in face_index:
+                return (f"region {d.label!r} references unknown circle {cid!r}; "
+                        f"known circles: {' '.join(graph.face_names)}")
+            f = face_index[cid]
+            if f in claimed:
+                return f"circle {cid!r} claimed by both {claimed[f]!r} and {d.label!r}"
+            claimed[f] = d.label
+            fids.append(f)
+        regions.append(Region(len(regions), d.label, d.genus, tuple(sorted(fids))))
+
+    for f, name in sorted(enumerate(graph.face_names), key=lambda p: p[1]):
+        if f not in claimed:
+            regions.append(Region(len(regions), name, 0, (f,)))
+
+    region_of_face = [-1] * len(graph.faces)
+    for r in regions:
+        for f in r.faces:
+            region_of_face[f] = r.index
+
+    nv = len(graph.vertex_names)
+    ne = len(graph.arcs)
+    chi = nv - ne + sum(r.chi for r in regions)
+    if chi != 2 - 2 * inp.genus:
+        return (f"Euler characteristic mismatch: V - E + sum chi(region) = "
+                f"{nv} - {ne} + {sum(r.chi for r in regions)} = {chi}, "
+                f"but genus {inp.genus} requires {2 - 2 * inp.genus}")
+
+    parent = list(range(nv))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        parent[find(x)] = find(y)
+
+    for arc in graph.arcs:
+        union(arc.tail, arc.head)
+    for r in regions:
+        anchor = origin(graph.faces[r.faces[0]][0])
+        for f in r.faces[1:]:
+            union(anchor, origin(graph.faces[f][0]))
+    if len({find(v) for v in range(nv)}) != 1:
+        return "diagram is disconnected (graph plus regions)"
+
+    for family, fam_name in ((BETA, ALPHA), (ALPHA, BETA)):
+        rparent = list(range(len(regions)))
+
+        def rfind(x):
+            while rparent[x] != x:
+                rparent[x] = rparent[rparent[x]]
+                x = rparent[x]
+            return x
+
+        for arc in graph.arcs:
+            if arc.family == family:
+                l = region_of_face[graph.face_of_dart[2 * arc.index]]
+                r_ = region_of_face[graph.face_of_dart[2 * arc.index + 1]]
+                rparent[rfind(l)] = rfind(r_)
+        if len({rfind(i) for i in range(len(regions))}) != 1:
+            return (f"cutting along the {fam_name} curves disconnects the surface; "
+                    f"the {fam_name} family is not independent")
+    return None
+
+
+def random_curve_system(rng):
+    """A random genus 1-3 curve system plus random region directives.
+
+    Half of the time the directives merge circles so that the Euler count
+    can hold, so many inputs get as far as the connectivity checks.
+    """
+    g = rng.randint(1, 3)
+    names = [f"v{i}" for i in range(rng.randint(g, g + 5))]
+
+    def curves():
+        order = rng.sample(names, len(names))
+        cuts = [0] + sorted(rng.sample(range(1, len(names)), g - 1)) + [len(names)]
+        return [order[a:b] for a, b in zip(cuts, cuts[1:])]
+
+    alpha, beta = curves(), curves()
+    lines = ["heegaard v1", f"genus: {g}"]
+    lines += [f"alpha a{i}: " + " ".join(v + rng.choice("+-") for v in vs)
+              for i, vs in enumerate(alpha)]
+    lines += [f"beta b{i}: " + " ".join(vs) for i, vs in enumerate(beta)]
+    c = rng.randrange(g)
+    lines.append(f"basepoint: a{c} {rng.choice(alpha[c])} "
+                 f"{rng.choice(['left-after', 'right-after'])}")
+    circles = [[a + d for a, d in circle] for circle in trace_faces(parse_diagram(
+        "\n".join(lines) + "\n"))]
+    rng.shuffle(circles)
+    excess = len(circles) - len(names) - (2 - 2 * g)  # Euler excess with disks only
+    k = 0
+    while circles and rng.random() < 0.8:
+        take = rng.randint(1, min(4, len(circles)))
+        if rng.random() < 0.5 and excess > 0:
+            take = min(len(circles), excess // 2 + 1)
+        genus = rng.choice((0, 0, 0, 1))
+        excess -= 2 * (take - 1) + 2 * genus
+        group, circles = circles[:take], circles[take:]
+        lines.append(f"region r{k}: genus={genus} circles="
+                     + " ".join(rng.choice(circle) for circle in group))
+        k += 1
+    return parse_diagram("\n".join(lines) + "\n")
+
+
+def test_assembly_checks_match_the_vertex_union_find():
+    rng = random.Random(2024)
+    outcomes = Counter()
+    for _ in range(1500):
+        inp = random_curve_system(rng)
+        try:
+            assemble_regions(inp)
+            got = None
+        except ValidationError as e:
+            got = str(e)
+        assert got == assembly_verdict_by_vertices(inp)
+        outcomes[got.split(";")[0].split(":")[0] if got else "assembled"] += 1
+    # Each connectivity verdict occurs, so the comparison is not vacuous.
+    assert outcomes["assembled"] > 100
+    assert outcomes["diagram is disconnected (graph plus regions)"]
+    assert outcomes["cutting along the alpha curves disconnects the surface"]
+    assert outcomes["cutting along the beta curves disconnects the surface"]
+
+
 def test_quadrants_s3(s3):
     quads = quadrants_at(s3, "x0")
     assert len(quads) == 4
@@ -252,6 +425,15 @@ def test_rename_roundtrip(l31):
     d = assemble_regions(renamed)
     assert set(d.vertex_names) == {"v0", "v1", "v2"}
     assert d.n_regions == l31.n_regions
+
+
+def test_rename_keeps_curve_and_vertex_names_apart():
+    # A vertex may share its name with a curve; the parser allows it.
+    text = L31_TEXT.replace("x0", "a0")
+    d = load_diagram(text)
+    assert rename(d.input) == d.input._replace(source={})
+    renamed = rename(d.input, vertex_map={"x1": "b0"}, curve_map={"b0": "x1"})
+    assert assemble_regions(renamed).n_regions == d.n_regions
 
 
 def test_rename_collision():

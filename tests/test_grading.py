@@ -12,6 +12,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hfcalc.atlas import build_annulus_open_book, build_torus_diagram, stabilize
 from hfcalc.diagram import assemble_regions, load_diagram, rename, reverse_curve
@@ -25,8 +27,9 @@ from hfcalc.grading import (ConsistencyError, Generator, GradingLabel, MixedLabe
                             positive_representative, relative_grading, shift_label,
                             solve_domain, spinc_class_of, spinc_partition,
                             theta_and_shift, twisted_label)
-from hfcalc.zlattice import DimensionMismatch, solve_integer_system
-from conftest import s1s2_plus_pairs_text
+from hfcalc.zlattice import DimensionMismatch, IntMatrix, smith_invariants, solve_integer_system
+from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
+                      s1s2_sum_text)
 from strategies import transformed_diagrams
 
 
@@ -392,6 +395,101 @@ def test_homology(s3, l31, s1s2):
     assert (homology_of_Y(s1s2).b1, homology_of_Y(s1s2).torsion) == (1, ())
     assert homology_of_Y(l31).order == 3
     assert homology_of_Y(s1s2).order == 0
+
+
+def homology_spanning_forest(diagram):
+    """H1 through a spanning forest of the surface's 1-skeleton (the earlier
+    implementation, kept verbatim as an independent oracle)."""
+    nv = diagram.n_vertices
+    parent = list(range(nv))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    edges: list[tuple[int, int]] = [(a.tail, a.head) for a in diagram.arcs]
+    arc_edge = list(range(len(diagram.arcs)))
+
+    def circle_anchor(face: int) -> int:
+        d = diagram.faces[face][0]
+        arc = diagram.arcs[d // 2]
+        return arc.tail if d % 2 == 0 else arc.head
+
+    for r in diagram.regions:
+        a0 = circle_anchor(r.faces[0])
+        for f in r.faces[1:]:
+            edges.append((a0, circle_anchor(f)))
+        for _ in range(2 * r.genus):
+            edges.append((a0, a0))
+
+    nontree: list[int] = []
+    for idx, (u, v) in enumerate(edges):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            nontree.append(idx)
+        else:
+            parent[ru] = rv
+
+    col_of = {e: i for i, e in enumerate(nontree)}
+    ncols = len(nontree)
+
+    def walk_row(darts) -> list[int]:
+        row = [0] * ncols
+        for d in darts:
+            e = arc_edge[d // 2]
+            if e in col_of:
+                row[col_of[e]] += 1 if d % 2 == 0 else -1
+        return row
+
+    rows = []
+    for r in diagram.regions:
+        acc = [0] * ncols
+        for f in r.faces:
+            for i, x in enumerate(walk_row(diagram.faces[f])):
+                acc[i] += x
+        rows.append(acc)
+    for curves in (diagram.alpha, diagram.beta):
+        for name, _ in curves:
+            darts = [2 * a.index for a in diagram.arcs if a.curve == name]
+            rows.append(walk_row(darts))
+
+    inv = smith_invariants(IntMatrix.from_rows(rows, ncols))
+    nonzero = [d for d in inv if d]
+    b1 = ncols - len(nonzero)
+    torsion = tuple(d for d in nonzero if d > 1)
+    return b1, torsion
+
+
+def assert_homology_matches_oracles(d):
+    h = homology_of_Y(d)
+    assert (h.b1, h.torsion) == homology_spanning_forest(d)
+    # sympy's Smith form of alpha_i . beta_j, read from the parsed listings.
+    g = d.genus
+    alpha_of = {v: i for i, (_, verts) in enumerate(d.input.alpha) for v in verts}
+    m = [[0] * g for _ in range(g)]
+    for j, (_, verts) in enumerate(d.input.beta):
+        for v in verts:
+            m[alpha_of[v]][j] += d.input.signs[v]
+    snf = sympy_snf(Matrix(m))
+    factors = sorted(abs(int(snf[i, i])) for i in range(g))
+    assert h.b1 == factors.count(0)
+    assert h.torsion == tuple(f for f in factors if f > 1)
+
+
+def test_homology_matches_oracles_atlas_and_fixtures(atlas_suite):
+    texts = [S3_TEXT, L31_TEXT, D2_TEXT, TWO_FINGER_TEXT]
+    texts += [s1s2_plus_pairs_text(k) for k in (1, 5, 40)]
+    texts += [s1s2_sum_text(g) for g in range(1, 5)]
+    for d in list(atlas_suite) + [load_diagram(t) for t in texts]:
+        assert_homology_matches_oracles(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(transformed_diagrams())
+def test_homology_matches_oracles_transformed(d):
+    assert_homology_matches_oracles(d)
 
 
 # ---------------------------------------------------------------------------
