@@ -13,11 +13,11 @@ quarter units, and the public functions that return a quarter-integer
 (Euler and point measures, the grading shift) return a
 ``fractions.Fraction``.
 
-Records are ``typing.NamedTuple``s: immutable, updated with ``_replace``,
-iterated, ordered and compared as tuples (a ``Domain`` is equal only to
-itself).  ``layers`` is imported on first use of one of its names here,
-so ``import hfcalc`` and the CLI start without it; its reports, such as
-``AuditReport``, stay dataclasses.
+Every record, the audit's reports included, is a ``typing.NamedTuple``:
+immutable, updated with ``_replace``, iterated, ordered and compared as
+tuples (a ``Domain`` is equal only to itself).  Every module, ``layers``
+included, is imported with the package, and a diagram's lookup tables
+are built when it is assembled.
 
 Modules
 -------
@@ -44,21 +44,9 @@ from .grading import (ConsistencyError, Domain, Generator, GradingLabel, Homolog
                       point_measure, positive_representative, relative_grading,
                       shift_label, solve_domain, spinc_class_of, spinc_partition,
                       theta_and_shift, twisted_label)
+from .layers import (AuditError, AuditReport, CornerClass, LayerSurface, audit_index,
+                     classify_corner, decompose_layers, layer_euler, layer_index)
 from .atlas import (MarkedDiagram, build_annulus_open_book, build_s1s2,
                     build_torus_diagram, stabilize)
 
 __version__ = "0.1.0"
-
-_LAYERS_NAMES = frozenset({"AuditError", "AuditReport", "CornerClass", "LayerSurface",
-                           "audit_index", "classify_corner", "decompose_layers",
-                           "layer_euler", "layer_index"})
-
-
-def __getattr__(name: str):
-    """Import ``layers`` on first use of one of its names, then bind the name here."""
-    if name not in _LAYERS_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import layers
-
-    value = globals()[name] = getattr(layers, name)
-    return value

@@ -36,19 +36,17 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import atlas as atlas_mod
-from .diagram import DiagramError, HeegaardDiagram, load_diagram, reverse_curve, serialize
+from .diagram import (DiagramError, HeegaardDiagram, assemble_regions, load_diagram,
+                      reverse_curve, serialize)
 from .grading import (ConsistencyError, Generator, NoConnectingClassError,
                       NoPositiveRepresentative, _domain_grading, basepoint_multiplicity,
                       enumerate_generators, euler_measure, generator_measure,
                       gr0_of_theta, grading_table, homogeneous_lattice, homology_of_Y,
                       maslov_index, positive_representative, relative_grading,
                       solve_domain, spinc_partition, theta_and_shift)
-
-if TYPE_CHECKING:
-    from .layers import AuditReport
+from .layers import AuditReport, audit_index
 
 
 class _UsageError(Exception):
@@ -217,8 +215,6 @@ def _audit_payload(report: AuditReport) -> dict:
 
 
 def _cmd_audit(diagram, args):
-    from .layers import audit_index  # here, so that the other commands start without it
-
     x = _parse_generator(diagram, args.x)
     y = _parse_generator(diagram, args.y)
     dom = solve_domain(diagram, x, y)
@@ -282,12 +278,20 @@ def _run_atlas(args):
 
 
 def _run_shift(args):
+    # Fraction would expand exponent notation: "1e99999999" is an integer of
+    # a hundred million digits, built before any check can see its size.
+    if "e" in args.c1sq.lower():
+        raise _UsageError(f"--c1sq takes an integer or a rational like 3/4, "
+                          f"not exponent notation: {args.c1sq!r}")
     try:
         theta, shift = theta_and_shift(Fraction(args.c1sq), args.chi, args.sigma)
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"--c1sq is not a rational number: {args.c1sq!r}") from None
-    payload = {"theta": str(theta), "shift": str(shift),
-               "gr0_of_theta": str(gr0_of_theta(theta))}
+    try:
+        payload = {"theta": str(theta), "shift": str(shift),
+                   "gr0_of_theta": str(gr0_of_theta(theta))}
+    except ValueError:  # beyond Python's limit on integer-to-string conversion
+        raise _UsageError("shift: the result has too many digits to print") from None
     lines = [f"theta = {payload['theta']}",
              f"shift = {payload['shift']}",
              f"gr0(theta) = {payload['gr0_of_theta']}"]
@@ -299,8 +303,6 @@ def _run_shift(args):
 # ---------------------------------------------------------------------------
 
 def _selftest(seed: int):
-    from .diagram import assemble_regions
-
     rng = random.Random(seed)
     suite = [atlas_mod.build_torus_diagram(3, 1).diagram,
              atlas_mod.build_torus_diagram(4, 1).diagram,
@@ -343,8 +345,6 @@ def _selftest(seed: int):
         return cases
 
     def layer_identities():
-        from .layers import audit_index
-
         cases = 0
         for d in suite:
             gens = enumerate_generators(d)

@@ -30,7 +30,6 @@ slot ``i``.
 
 from __future__ import annotations
 
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -395,7 +394,8 @@ class HeegaardDiagram:
     """
 
     def __init__(self, graph: _Graph, regions: tuple[Region, ...],
-                 region_of_face: tuple[int, ...], basepoint_region: int):
+                 region_of_face: tuple[int, ...], arc_sides: tuple[tuple[int, int], ...],
+                 basepoint_region: int):
         self.input = graph.input
         self.genus = graph.input.genus
         self.vertex_names = graph.vertex_names
@@ -413,6 +413,12 @@ class HeegaardDiagram:
         self.basepoint_region = basepoint_region
         self.corner_counts = tuple(
             sum(len(self.faces[f]) for f in r.faces) for r in regions)
+        # Per vertex, the regions of its four quadrants in rotation order.
+        self.quadrants = tuple(tuple(region_of_face[self.face_of_dart[d]] for d in rot)
+                               for rot in self.rotations)
+        # Per arc, its (left, right) regions relative to the forward direction.
+        self.arc_sides = arc_sides
+        self.region_chi = tuple(r.chi for r in regions)
 
     # -- basic queries ----------------------------------------------------
 
@@ -443,31 +449,10 @@ class HeegaardDiagram:
 
     def quadrant_region(self, vertex: int, position: int) -> int:
         """Region owning the sector between rotation slots position, position+1."""
-        dart = self.rotations[vertex][position]
-        return self.region_of_face[self.face_of_dart[dart]]
+        return self.quadrants[vertex][position]
 
     def quadrant_regions(self, vertex: int) -> tuple[int, int, int, int]:
         return self.quadrants[vertex]
-
-    # -- lookup tables, built on first use --------------------------------
-
-    @cached_property
-    def quadrants(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Per vertex, the regions of its four quadrants in rotation order."""
-        return tuple(tuple(self.region_of_face[self.face_of_dart[d]] for d in rot)
-                     for rot in self.rotations)
-
-    @cached_property
-    def arc_sides(self) -> tuple[tuple[int, int], ...]:
-        """Per arc, its (left, right) regions relative to the forward direction."""
-        return tuple((self.region_of_face[self.face_of_dart[2 * a]],
-                      self.region_of_face[self.face_of_dart[2 * a + 1]])
-                     for a in range(len(self.arcs)))
-
-    @cached_property
-    def region_chi(self) -> tuple[int, ...]:
-        """Per region, its Euler characteristic."""
-        return tuple(r.chi for r in self.regions)
 
     def canonical_region_name(self, index: int) -> str:
         """Lexicographically minimal circle id among the region's circles."""
@@ -578,13 +563,14 @@ def assemble_regions(inp: CurveSystemInput,
 
     # Every quadrant at a vertex borders the arcs there, so the graph plus
     # the regions is connected exactly when the regions are, across arcs.
-    sides = [(arc.family, region_of_face[graph.face_of_dart[2 * arc.index]],
-              region_of_face[graph.face_of_dart[2 * arc.index + 1]]) for arc in graph.arcs]
-    if not _connected(len(regions), ((l, r) for _, l, r in sides)):
+    arc_sides = tuple((region_of_face[graph.face_of_dart[2 * a]],
+                       region_of_face[graph.face_of_dart[2 * a + 1]]) for a in range(ne))
+    if not _connected(len(regions), arc_sides):
         raise ValidationError("diagram is disconnected (graph plus regions)")
     # Cutting along one family must keep the region adjacency connected.
     for family, fam_name in ((BETA, ALPHA), (ALPHA, BETA)):
-        if not _connected(len(regions), ((l, r) for f, l, r in sides if f == family)):
+        if not _connected(len(regions), (s for arc, s in zip(graph.arcs, arc_sides)
+                                         if arc.family == family)):
             raise ValidationError(
                 f"cutting along the {fam_name} curves disconnects the surface; "
                 f"the {fam_name} family is not independent")
@@ -601,7 +587,8 @@ def assemble_regions(inp: CurveSystemInput,
     dart = 2 * bp_arc if side == LEFT_AFTER else 2 * bp_arc + 1
     basepoint_region = region_of_face[graph.face_of_dart[dart]]
 
-    return HeegaardDiagram(graph, tuple(regions), tuple(region_of_face), basepoint_region)
+    return HeegaardDiagram(graph, tuple(regions), tuple(region_of_face), arc_sides,
+                           basepoint_region)
 
 
 def load_diagram(text: str) -> HeegaardDiagram:

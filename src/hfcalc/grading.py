@@ -472,10 +472,17 @@ def euler_measure(diagram: HeegaardDiagram, domain) -> Fraction:
 
 
 def point_measure(diagram: HeegaardDiagram, domain, vertex: str | int) -> Fraction:
-    """n_w(D): one quarter of the total multiplicity of the four quadrants at w."""
-    v = vertex if isinstance(vertex, int) else diagram.vertex_id(vertex)
+    """n_w(D): one quarter of the total multiplicity of the four quadrants at w.
+
+    Raises ``KeyError`` for an unknown vertex name or an index outside
+    ``range(diagram.n_vertices)``.
+    """
+    if not isinstance(vertex, int):
+        vertex = diagram.vertex_id(vertex)
+    elif not 0 <= vertex < diagram.n_vertices:
+        raise KeyError(f"unknown vertex {vertex!r}")
     coeffs = _coeffs(diagram, domain)
-    return Fraction(sum(coeffs[r] for r in diagram.quadrants[v]), 4)
+    return Fraction(sum(coeffs[r] for r in diagram.quadrants[vertex]), 4)
 
 
 def generator_measure(diagram: HeegaardDiagram, domain, gen: Generator) -> Fraction:

@@ -40,9 +40,8 @@ without the parity and crossing-sign filter, does not balance.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .grading import (ConsistencyError, Generator, basepoint_multiplicity, maslov_index,
                       _coeffs)
@@ -62,8 +61,7 @@ INTERIOR_DEGENERATE = "interior-degenerate"
 AUXILIARY = "auxiliary"
 
 
-@dataclass(frozen=True)
-class CornerClass:
+class CornerClass(NamedTuple):
     """Classification of one quadrant cluster of a layer at a vertex.
 
     ``shape`` records the local geometry (interior, edge, convex,
@@ -177,8 +175,7 @@ def classify_corner(mults: Sequence[int], level: int, in_x: bool, in_y: bool,
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LayerSurface:
+class LayerSurface(NamedTuple):
     """One level set of a nonnegative domain.
 
     ``regions`` are the regions of multiplicity >= level, ``arcs`` the
@@ -270,8 +267,7 @@ def layer_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
     return Fraction(quarters, 4)
 
 
-@dataclass(frozen=True)
-class LayerReport:
+class LayerReport(NamedTuple):
     level: int
     chi: int
     convex: int
@@ -282,8 +278,7 @@ class LayerReport:
     index: Fraction
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Per-layer corner statistics plus the audited identities.
 
     ``positive_vertices`` and ``negative_vertices`` are the balance

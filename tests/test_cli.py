@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -174,7 +176,11 @@ def test_missing_file_exit_code(capsys):
     ["atlas", "torus", "2", "2"],
     ["shift", "--c1sq", "abc", "--chi", "1", "--sigma", "0"],
     ["shift", "--c1sq", "1/0", "--chi", "1", "--sigma", "0"],
-], ids=["torus-p0", "torus-not-coprime", "c1sq-not-a-number", "c1sq-zero-denominator"])
+    ["shift", "--c1sq", "1e5000", "--chi", "1", "--sigma", "0"],
+    ["shift", "--c1sq", "1e99999999", "--chi", "1", "--sigma", "0"],
+    ["shift", "--c1sq", "0", "--chi", "1", "--sigma", "9" * 4300],
+], ids=["torus-p0", "torus-not-coprime", "c1sq-not-a-number", "c1sq-zero-denominator",
+        "c1sq-exponent", "c1sq-huge-exponent", "sigma-too-many-digits"])
 def test_bad_argument_values_are_usage_errors(argv, capsys, tmp_path):
     out = tmp_path / "F.hd"
     if argv[0] == "atlas":
@@ -237,17 +243,33 @@ def test_consistency_error_exit_code_3(capsys, monkeypatch, s1s2_file):
 
 
 def test_audit_error_exit_code_3(capsys, monkeypatch, s1s2_file):
-    import hfcalc.layers as layers
+    import hfcalc.cli as cli
     from hfcalc.layers import AuditError
 
     def broken(*args):
         raise AuditError("layer sum differs from the Maslov index")
 
-    monkeypatch.setattr(layers, "audit_index", broken)
+    monkeypatch.setattr(cli, "audit_index", broken)
     code, rep, _ = run_json(capsys, ["audit", s1s2_file, "x0", "x1"])
     assert code == 3
     assert rep["error"] == {"kind": "AuditError",
                             "message": "layer sum differs from the Maslov index"}
+
+
+def readme_commands():
+    """Every ``hfcalc ...`` line of README's shell blocks, as an argv list."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("hfcalc ")]
+
+
+def test_readme_commands_succeed(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 13
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_generators_beyond_the_recursion_limit(capsys, tmp_path):
@@ -260,7 +282,7 @@ def test_generators_beyond_the_recursion_limit(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Import path: hfcalc.cli starts without dataclasses or layers
+# Import path: hfcalc.cli starts and audits without dataclasses
 # ---------------------------------------------------------------------------
 
 def run_python(args, cwd):
@@ -269,13 +291,24 @@ def run_python(args, cwd):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_cli_import_loads_no_dataclasses_and_no_layers(tmp_path):
+def test_cli_import_loads_no_dataclasses(tmp_path):
     proc = run_python(["-c", "import sys; before = set(sys.modules); import hfcalc.cli; "
                              "print(sorted(set(sys.modules) - before))"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     loaded = set(eval(proc.stdout))
     assert "hfcalc.cli" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "hfcalc.layers"})
+    assert loaded.isdisjoint({"dataclasses", "inspect"})
+
+
+def test_audit_loads_no_dataclasses(tmp_path, s1s2_file):
+    script = ("import contextlib, io, sys\n"
+              "from hfcalc.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = main(['--json', 'audit', {s1s2_file!r}, 'x0', 'x1'])\n"
+              "print(code, 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n")
+    proc = run_python(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "False"]
 
 
 def test_audit_in_a_child_process(tmp_path):
@@ -289,15 +322,6 @@ def test_audit_in_a_child_process(tmp_path):
     assert rep["payload"]["identities"] == {"layer_sum_equals_maslov": True,
                                             "corner_balance": True}
     assert rep["payload"]["layer_sum"] == str(rep["payload"]["maslov"])
-
-
-def test_package_binds_layers_names_on_first_use(tmp_path):
-    proc = run_python(["-c", "import sys, hfcalc; assert 'hfcalc.layers' not in sys.modules; "
-                             "f = hfcalc.audit_index; assert 'hfcalc.layers' in sys.modules; "
-                             "assert vars(hfcalc)['audit_index'] is f"], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    import hfcalc.layers
-    assert hfcalc.audit_index is hfcalc.layers.audit_index
 
 
 PACKAGE_NAMES = [
@@ -326,6 +350,14 @@ def test_package_exports():
         namespace = {}
         exec(f"from hfcalc import {name}", namespace)
         assert namespace[name] is getattr(hfcalc, name)
+
+
+def test_star_import_binds_every_export(tmp_path):
+    names = PACKAGE_NAMES[:-1]  # all but __version__
+    proc = run_python(["-c", f"from hfcalc import *; "
+                             f"print([n for n in {names!r} if n not in globals()])"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_package_attribute():

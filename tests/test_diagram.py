@@ -374,16 +374,6 @@ def test_lookup_tables_match_the_face_lookups(atlas_suite):
         assert d.region_chi == tuple(r.chi for r in d.regions)
 
 
-def test_lookup_tables_are_built_on_first_use():
-    d = load_diagram(L31_TEXT)
-    tables = ("quadrants", "arc_sides", "region_chi")
-    assert not any(name in vars(d) for name in tables)
-    d.left_region(0)
-    assert "arc_sides" in vars(d)
-    d.quadrant_regions(0)
-    assert "quadrants" in vars(d)
-
-
 @pytest.mark.parametrize("text", [S3_TEXT, L31_TEXT, D2_TEXT, TWO_FINGER_TEXT])
 def test_serialize_round_trip(text):
     d1 = load_diagram(text)

@@ -269,6 +269,12 @@ def test_point_measures(s3, s1s2):
     assert point_measure(s1s2, complement, "x0") == Fraction(3, 4)
 
 
+@pytest.mark.parametrize("vertex", ["nope", -1, 99])
+def test_point_measure_unknown_vertex(s1s2, vertex):
+    with pytest.raises(KeyError, match=f"unknown vertex {vertex!r}"):
+        point_measure(s1s2, [0] * s1s2.n_regions, vertex)
+
+
 def test_maslov_zero_and_bigon(s1s2):
     x, y = enumerate_generators(s1s2)
     zero = solve_domain(s1s2, x, x)

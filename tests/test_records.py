@@ -1,15 +1,20 @@
 """Record types: repr, hashing, immutability and the equality they keep."""
 
+from fractions import Fraction
+
 import pytest
 
 from hfcalc.atlas import MarkedDiagram
 from hfcalc.diagram import Arc, CurveSystemInput, Quadrant, Region, RegionDirective
 from hfcalc.grading import (Domain, Generator, GradingLabel, Homology, SpincClass,
                             TwistedElement, _Corners, enumerate_generators, solve_domain)
+from hfcalc.layers import AuditReport, CornerClass, LayerReport, LayerSurface
 from hfcalc.zlattice import AffineSolutionSet, IntMatrix, SmithDecomposition
 
 G0, G1 = Generator((0,)), Generator((1,))
 ONE = IntMatrix(((1,),), 1)
+CORNER = CornerClass("convex", "convex", (2,), "x")
+LAYER = LayerReport(1, 1, 1, 0, 0, 0, 0, Fraction(3, 4))
 
 # One instance of every record type with the repr it must keep.
 RECORDS = [
@@ -46,6 +51,19 @@ RECORDS = [
     (MarkedDiagram(None, G0, "s1s2()"),
      "MarkedDiagram(diagram=None, contact_generator=Generator(vertices=(0,)), "
      "provenance='s1s2()')"),
+    (CORNER, "CornerClass(kind='convex', shape='convex', quadrants=(2,), role='x', "
+             "sign=None, vertex=None, level=None)"),
+    (LayerSurface(1, (0,), (1, 2), (CORNER,)),
+     "LayerSurface(level=1, regions=(0,), arcs=(1, 2), clusters=(CornerClass(kind='convex', "
+     "shape='convex', quadrants=(2,), role='x', sign=None, vertex=None, level=None),))"),
+    (LAYER, "LayerReport(level=1, chi=1, convex=1, concave=0, boundary_degenerate=0, "
+            "interior_degenerate=0, auxiliary_signed=0, index=Fraction(3, 4))"),
+    (AuditReport((LAYER,), Fraction(3, 4), 1, 0, 0, 0, 0, 0, None),
+     "AuditReport(layers=(LayerReport(level=1, chi=1, convex=1, concave=0, "
+     "boundary_degenerate=0, interior_degenerate=0, auxiliary_signed=0, "
+     "index=Fraction(3, 4)),), layer_sum=Fraction(3, 4), maslov=1, basepoint=0, "
+     "x_interior=0, y_interior=0, positive_vertices=0, negative_vertices=0, "
+     "single_layer_identity=None)"),
 ]
 IDS = [type(r).__name__ for r, _ in RECORDS]
 
