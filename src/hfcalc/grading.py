@@ -13,8 +13,10 @@ diagram, U M V = S, and every question about the system is answered from
 that one factorization: the Spin^c class of a generator is a canonical
 key read off U r(g), a connecting domain is an exact division followed
 by one product with V, and the periodic lattice is a set of columns of
-V.  The factorization, the partition, the grading table and H1 are kept
-in per-diagram state that is freed together with the diagram.
+V.  U and V stay sparse (``zlattice.sparse_smith``), and every product
+with them runs over their nonzero entries.  The factorization, the
+partition, the grading table and H1 are kept in per-diagram state that
+is freed together with the diagram.
 
 All index quantities are computed exactly:
 
@@ -38,11 +40,12 @@ import itertools
 import weakref
 from fractions import Fraction
 from functools import wraps
+from operator import add, mod
 from typing import NamedTuple, Sequence
 
 from .diagram import ALPHA, HeegaardDiagram
 from .zlattice import (DimensionMismatch, IntMatrix, gcd_over_lattice, smith_invariants,
-                       smith_normal_form)
+                       sparse_smith)
 
 
 class GradingError(Exception):
@@ -203,7 +206,8 @@ def _corner_matrix(diagram: HeegaardDiagram) -> IntMatrix:
     for row, plus, minus in _corner_terms(diagram):
         rows[row][plus] += 1
         rows[row][minus] -= 1
-    return IntMatrix.from_rows(rows, diagram.n_regions)
+    # Built from ints, so it skips from_rows's checks.
+    return IntMatrix(tuple(map(tuple, rows)), diagram.n_regions)
 
 
 def _corner_image(diagram: HeegaardDiagram, coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -250,32 +254,42 @@ class _Corners(NamedTuple):
     order, ``images`` holds the first ``rank`` entries of U r(g),
     unreduced, and ``class_of`` its Spin^c class index.
     ``particular_rows`` are the rows of V cut to the first ``rank``
-    columns, and ``kernel`` the remaining columns of V.
+    columns, each as the (column, value) pairs of its nonzero entries in
+    column order, and ``kernel`` the remaining columns of V.
     """
 
     factors: tuple[int, ...]
-    particular_rows: tuple[tuple[int, ...], ...]
+    particular_rows: tuple[tuple[tuple[int, int], ...], ...]
     kernel: tuple[tuple[int, ...], ...]
     images: dict[Generator, tuple[int, ...]]
     class_of: dict[Generator, int]
 
 
-def _check_factorization(diagram: HeegaardDiagram, u: IntMatrix, v: IntMatrix,
-                         factors: tuple[int, ...]) -> None:
-    """Certificate: U M V is diag(factors) padded with zeros."""
-    nr = v.cols
-    mv = [[0] * nr for _ in range(2 * diagram.n_vertices)]
+def _check_factorization(diagram: HeegaardDiagram, u_rows: Sequence[dict[int, int]],
+                         v_rows: Sequence[dict[int, int]], factors: tuple[int, ...]) -> None:
+    """Certificate: U (M V) is diag(factors) padded with zeros.
+
+    U and V are given by their rows as ``{column: value}`` dicts, and both
+    products run over nonzero entries only.
+    """
+    zero = [0] * diagram.n_regions
+    mv = [zero.copy() for _ in range(2 * diagram.n_vertices)]
     for row, plus, minus in _corner_terms(diagram):
-        mv[row] = [w + a - b for w, a, b in zip(mv[row], v.row(plus), v.row(minus))]
-    for i, u_row in enumerate(u.entries):
-        acc = [0] * nr
-        for k, a in enumerate(u_row):
-            if a:
-                acc = [s + a * w for s, w in zip(acc, mv[k])]
-        want = [0] * nr
+        acc = mv[row]
+        for j, x in v_rows[plus].items():
+            acc[j] += x
+        for j, x in v_rows[minus].items():
+            acc[j] -= x
+    everywhere = range(diagram.n_regions)
+    mv_items = [list(zip(itertools.compress(everywhere, row), filter(None, row))) for row in mv]
+    for i, u_row in enumerate(u_rows):
+        acc = zero.copy()
+        for k, a in u_row.items():
+            for j, x in mv_items[k]:
+                acc[j] += a * x
         if i < len(factors):
-            want[i] = factors[i]
-        if acc != want:
+            acc[i] -= factors[i]
+        if any(acc):
             raise ConsistencyError(f"U M V differs from the Smith form S in row {i}")
 
 
@@ -287,32 +301,45 @@ def _corners(diagram: HeegaardDiagram) -> _Corners:
     d_i divides entry i of U r(y) - U r(x) for i < rank and the entries
     past the rank agree.  So the key of g -- entries i < rank of U r(g)
     reduced mod d_i, the entries past the rank kept exactly -- is equal
-    for two generators exactly when they share a class.
+    for two generators exactly when they share a class.  The transforms
+    stay sparse throughout: U by rows, V by columns.
     """
-    dec = smith_normal_form(_corner_matrix(diagram))
-    factors = tuple(d for d in dec.diagonal() if d)
+    smith = sparse_smith(_corner_matrix(diagram))
+    factors = tuple(d for d in smith.diagonal if d)
     rank = len(factors)
-    _check_factorization(diagram, dec.u, dec.v, factors)
+    v_rows: list[dict[int, int]] = [{} for _ in range(diagram.n_regions)]
+    for j, col in enumerate(smith.v):
+        for r, x in col.items():
+            v_rows[r][j] = x
+    _check_factorization(diagram, smith.u, v_rows, factors)
 
-    nv = diagram.n_vertices
-    u_cols = list(zip(*dec.u.entries))
     # U r(v) for a single vertex v: its alpha column of U minus its beta column.
-    vertex_image = [[a - b for a, b in zip(u_cols[v], u_cols[nv + v])] for v in range(nv)]
+    nv = diagram.n_vertices
+    vertex_image = [[0] * (2 * nv) for _ in range(nv)]
+    for i, u_row in enumerate(smith.u):
+        for k, x in u_row.items():
+            if k < nv:
+                vertex_image[k][i] += x
+            else:
+                vertex_image[k - nv][i] -= x
 
     images: dict[Generator, tuple[int, ...]] = {}
     class_of: dict[Generator, int] = {}
     index_of_key: dict[tuple[int, ...], int] = {}
     for g in enumerate_generators(diagram):
-        image = ([sum(col) for col in zip(*(vertex_image[v] for v in g.vertices))]
-                 or [0] * (2 * nv))
-        key = tuple(c % d for c, d in zip(image, factors)) + tuple(image[rank:])
+        image = [0] * (2 * nv)
+        for v in g.vertices:
+            image = list(map(add, image, vertex_image[v]))
+        key = tuple(map(mod, image, factors)) + tuple(image[rank:])
         images[g] = tuple(image[:rank])
         class_of[g] = index_of_key.setdefault(key, len(index_of_key))
 
     return _Corners(
         factors=factors,
-        particular_rows=tuple(row[:rank] for row in dec.v.entries),
-        kernel=tuple(dec.v.column(j) for j in range(rank, dec.v.cols)),
+        particular_rows=tuple(tuple((j, x) for j, x in row.items() if j < rank)
+                              for row in v_rows),
+        kernel=tuple(tuple(col.get(r, 0) for r in range(diagram.n_regions))
+                     for col in smith.v[rank:]),
         images=images,
         class_of=class_of,
     )
@@ -372,18 +399,25 @@ def solve_domain(diagram: HeegaardDiagram, x: Generator, y: Generator) -> Domain
     None means the generators lie in different Spin^c classes; it is a
     valid mathematical answer, not an error.  Otherwise S q = U r(y) -
     U r(x) is solved by exact division and the domain is V q, the same
-    particular solution ``solve_integer_system`` gives; it is checked
-    against the corner system before it is returned.  The returned domain
-    carries access to the homogeneous lattice through ``Domain.lattice``.
+    particular solution ``solve_integer_system`` gives, summed over the
+    nonzero entries of V's rows (O(rank + nonzeros of V + regions)); it
+    is checked against the corner system before it is returned.  The
+    returned domain carries access to the homogeneous lattice through
+    ``Domain.lattice``.
     """
     corners = _corners(diagram)
     if _class_index(corners, x) != _class_index(corners, y):
         return None
     steps = [(b - a) // d for a, b, d in
              zip(corners.images[x], corners.images[y], corners.factors)]
-    coeffs = tuple(sum(v * q for v, q in zip(row, steps)) for row in corners.particular_rows)
+    coeffs = []
+    for row in corners.particular_rows:  # V q, over the nonzero entries of V
+        c = 0
+        for j, entry in row:
+            c += entry * steps[j]
+        coeffs.append(c)
     _check_connecting(diagram, x, y, coeffs)
-    return Domain(diagram, x, y, coeffs)
+    return Domain(diagram, x, y, tuple(coeffs))
 
 
 def positive_representative(domain: Domain, radius: int = 8) -> Domain:
@@ -735,5 +769,5 @@ def homology_of_Y(diagram: HeegaardDiagram) -> Homology:
     rows = [[0] * g for _ in range(g)]
     for v, sign in enumerate(diagram.signs):
         rows[alpha_of[v]][beta_of[v]] += sign
-    nonzero = [d for d in smith_invariants(IntMatrix.from_rows(rows, g)) if d]
+    nonzero = [d for d in smith_invariants(IntMatrix(tuple(map(tuple, rows)), g)) if d]
     return Homology(g - len(nonzero), tuple(d for d in nonzero if d > 1))

@@ -179,8 +179,9 @@ def test_missing_file_exit_code(capsys):
     ["shift", "--c1sq", "1e5000", "--chi", "1", "--sigma", "0"],
     ["shift", "--c1sq", "1e99999999", "--chi", "1", "--sigma", "0"],
     ["shift", "--c1sq", "0", "--chi", "1", "--sigma", "9" * 4300],
+    ["shift", "--c1sq", "1" * 5000, "--chi", "1", "--sigma", "0"],
 ], ids=["torus-p0", "torus-not-coprime", "c1sq-not-a-number", "c1sq-zero-denominator",
-        "c1sq-exponent", "c1sq-huge-exponent", "sigma-too-many-digits"])
+        "c1sq-exponent", "c1sq-huge-exponent", "sigma-too-many-digits", "c1sq-too-many-digits"])
 def test_bad_argument_values_are_usage_errors(argv, capsys, tmp_path):
     out = tmp_path / "F.hd"
     if argv[0] == "atlas":
@@ -194,6 +195,22 @@ def test_bad_argument_values_are_usage_errors(argv, capsys, tmp_path):
     rep = json.loads(captured.out)
     assert rep["status"] == "error" and rep["exit_status"] == 2
     assert not out.exists()
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter has no limit on integer string conversion")
+def test_c1sq_past_the_digit_limit_names_the_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    argv = ["shift", "--c1sq", "1" * (limit + 700), "--chi", "1", "--sigma", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"hfcalc: error: --c1sq has a {limit + 700}-digit number, past Python's "
+                   f"{limit}-digit limit for converting strings to integers\n")
+    # Underscores do not count; the digits of a denominator do.
+    denominator = "0_2" * (limit // 2 + 1)
+    assert main(["shift", "--c1sq", "1/" + denominator, "--chi", "1", "--sigma", "0"]) == 2
+    assert f"{limit}-digit limit" in capsys.readouterr().err
+    assert main(["shift", "--c1sq", "1" * limit, "--chi", "1", "--sigma", "0"]) == 0
 
 
 def test_unknown_command_exits_2(capsys):

@@ -30,6 +30,7 @@ from hfcalc.grading import (ConsistencyError, Generator, GradingLabel, MixedLabe
 from hfcalc.zlattice import DimensionMismatch, IntMatrix, smith_invariants, solve_integer_system
 from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
                       s1s2_sum_text)
+from dense_smith import dense_smith_normal_form
 from strategies import transformed_diagrams
 
 
@@ -685,18 +686,65 @@ def test_factored_matches_pairwise_transformed(d):
 
 def test_factorization_certificate_detects_a_wrong_form(monkeypatch):
     import hfcalc.grading as grading
-    from hfcalc.zlattice import IntMatrix, SmithDecomposition, smith_normal_form
+    from hfcalc.zlattice import sparse_smith
 
-    def off_by_one(m):
-        dec = smith_normal_form(m)
-        rows = [list(r) for r in dec.v.entries]
-        rows[0][0] += 1
-        return SmithDecomposition(dec.u, dec.s, IntMatrix.from_rows(rows, dec.v.cols))
+    def off_by_one(j, r):
+        def factor(m):
+            smith = sparse_smith(m)
+            v = [dict(col) for col in smith.v]
+            x = v[j].pop(r, 0) + 1
+            if x:
+                v[j][r] = x
+            return smith._replace(v=v)
+        return factor
 
-    monkeypatch.setattr(grading, "smith_normal_form", off_by_one)
-    d = build_torus_diagram(3, 1).diagram
-    with pytest.raises(ConsistencyError, match="U M V"):
-        spinc_partition(d)
+    # Entry (0, 0) of V, and the last entry of its last column, a kernel
+    # column whose product with M lies off the diagonal of S.
+    for j, r in ((0, 0), (-1, -1)):
+        d = build_torus_diagram(3, 1).diagram
+        monkeypatch.setattr(grading, "sparse_smith", off_by_one(j, r % d.n_regions))
+        with pytest.raises(ConsistencyError, match="U M V"):
+            spinc_partition(d)
+
+
+def dense_corners(d):
+    """The per-diagram factorization as computed with dense transforms."""
+    import hfcalc.grading as grading
+
+    dec = dense_smith_normal_form(grading._corner_matrix(d))
+    factors = tuple(x for x in dec.diagonal() if x)
+    rank = len(factors)
+    nv = d.n_vertices
+    u_cols = list(zip(*dec.u.entries))
+    vertex_image = [[a - b for a, b in zip(u_cols[v], u_cols[nv + v])] for v in range(nv)]
+    images, class_of, index_of_key = {}, {}, {}
+    for g in enumerate_generators(d):
+        image = ([sum(col) for col in zip(*(vertex_image[v] for v in g.vertices))]
+                 or [0] * (2 * nv))
+        key = tuple(c % f for c, f in zip(image, factors)) + tuple(image[rank:])
+        images[g] = tuple(image[:rank])
+        class_of[g] = index_of_key.setdefault(key, len(index_of_key))
+    particular_rows = tuple(row[:rank] for row in dec.v.entries)
+    kernel = tuple(dec.v.column(j) for j in range(rank, dec.v.cols))
+    return factors, particular_rows, kernel, images, class_of
+
+
+def test_corners_match_the_dense_path():
+    import hfcalc.grading as grading
+
+    diagrams = [build_torus_diagram(p, q).diagram
+                for p in range(1, 12) for q in range(-p, p + 1) if q and gcd(p, q) == 1]
+    diagrams += [build_annulus_open_book(n).diagram for n in range(-8, 9)]
+    diagrams += [stabilize(d)[0].diagram for d in diagrams[::9]]
+    for d in diagrams:
+        factors, rows, kernel, images, class_of = dense_corners(d)
+        corners = grading._corners(d)
+        assert (corners.factors, corners.kernel) == (factors, kernel)
+        assert corners.images == images and list(corners.images) == list(images)
+        assert corners.class_of == class_of
+        # Exact sparse rows: a stored zero would make a pair (j, 0) appear here.
+        assert corners.particular_rows == tuple(
+            tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hfcalc.diagram import Arc, CurveSystemInput, Quadrant, Region, RegionDirect
 from hfcalc.grading import (Domain, Generator, GradingLabel, Homology, SpincClass,
                             TwistedElement, _Corners, enumerate_generators, solve_domain)
 from hfcalc.layers import AuditReport, CornerClass, LayerReport, LayerSurface
-from hfcalc.zlattice import AffineSolutionSet, IntMatrix, SmithDecomposition
+from hfcalc.zlattice import AffineSolutionSet, IntMatrix, SmithDecomposition, SparseSmith
 
 G0, G1 = Generator((0,)), Generator((1,))
 ONE = IntMatrix(((1,),), 1)
@@ -32,11 +32,13 @@ RECORDS = [
     (SmithDecomposition(ONE, IntMatrix(((2,),), 1), ONE),
      "SmithDecomposition(u=IntMatrix(entries=((1,),), cols=1), "
      "s=IntMatrix(entries=((2,),), cols=1), v=IntMatrix(entries=((1,),), cols=1))"),
+    (SparseSmith([{0: 1}], (2,), [{0: -1}]),
+     "SparseSmith(u=[{0: 1}], diagonal=(2,), v=[{0: -1}])"),
     (AffineSolutionSet((1, 0), ((0, 1),)),
      "AffineSolutionSet(particular=(1, 0), kernel=((0, 1),))"),
     (Generator((0, 2)), "Generator(vertices=(0, 2))"),
-    (_Corners((2,), ((1,),), (), {G0: (0,)}, {G0: 0}),
-     "_Corners(factors=(2,), particular_rows=((1,),), kernel=(), "
+    (_Corners((2,), (((0, 1),),), (), {G0: (0,)}, {G0: 0}),
+     "_Corners(factors=(2,), particular_rows=(((0, 1),),), kernel=(), "
      "images={Generator(vertices=(0,)): (0,)}, class_of={Generator(vertices=(0,)): 0})"),
     (Domain(None, G0, G1, (1, 0, 0)),
      "Domain(diagram=None, source=Generator(vertices=(0,)), "

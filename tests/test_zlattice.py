@@ -3,7 +3,8 @@
 The Smith form implementation is cross-checked against two independent
 oracles: the determinantal-divisor characterization (the k-th invariant
 factor is the gcd of all k x k minors divided by the previous one) and
-sympy's normal forms.
+sympy's normal forms.  Its transforms are compared, entry for entry, with
+those of the dense implementation it replaced (``dense_smith``).
 """
 
 import itertools
@@ -21,7 +22,8 @@ import hfcalc.grading as grading
 from hfcalc.atlas import build_annulus_open_book, build_s1s2, build_torus_diagram, stabilize
 from hfcalc.zlattice import (AffineSolutionSet, DimensionMismatch, IntMatrix,
                              SmithDecomposition, gcd_over_lattice, smith_invariants,
-                             smith_normal_form, solve_integer_system)
+                             smith_normal_form, solve_integer_system, sparse_smith)
+from dense_smith import dense_smith_normal_form
 
 
 def identity(n: int) -> IntMatrix:
@@ -334,8 +336,9 @@ def test_smith_form_matches_full_scan_random():
         assert smith_normal_form(m) == full_scan_smith(m)
 
 
-def test_smith_form_matches_full_scan_on_atlas_matrices(monkeypatch):
-    """Every corner and homology matrix factored for atlas diagrams."""
+@pytest.fixture
+def atlas_matrices(monkeypatch):
+    """Every corner and homology matrix that grading factors for atlas diagrams."""
     seen = []
 
     def recording(fn):
@@ -344,7 +347,7 @@ def test_smith_form_matches_full_scan_on_atlas_matrices(monkeypatch):
             return fn(m)
         return wrapped
 
-    monkeypatch.setattr(grading, "smith_normal_form", recording(smith_normal_form))
+    monkeypatch.setattr(grading, "sparse_smith", recording(sparse_smith))
     monkeypatch.setattr(grading, "smith_invariants", recording(smith_invariants))
     diagrams = [build_torus_diagram(p, q).diagram
                 for p in range(1, 8) for q in range(p) if gcd(p, q) == 1]
@@ -355,5 +358,47 @@ def test_smith_form_matches_full_scan_on_atlas_matrices(monkeypatch):
         grading.spinc_partition(d)
         grading.homology_of_Y(d)
     assert len(seen) == 2 * len(diagrams)
-    for m in seen:
+    return seen
+
+
+def test_smith_form_matches_full_scan_on_atlas_matrices(atlas_matrices):
+    for m in atlas_matrices:
         assert smith_normal_form(m) == full_scan_smith(m)
+
+
+# ---------------------------------------------------------------------------
+# The sparse transforms against the dense implementation
+# ---------------------------------------------------------------------------
+
+def assert_matches_dense(m: IntMatrix) -> None:
+    """U, S and V equal the dense oracle's, and the core stores no zero."""
+    dense = dense_smith_normal_form(m)
+    assert smith_normal_form(m) == dense
+    core = sparse_smith(m)
+    assert len(core.u) == m.rows and len(core.v) == m.cols
+    assert all(x for row in core.u for x in row.values())
+    assert all(x for col in core.v for x in col.values())
+    assert core.diagonal == dense.diagonal() == smith_invariants(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices)
+def test_smith_form_matches_dense_small(m):
+    assert_matches_dense(m)
+
+
+def test_smith_form_matches_dense_random():
+    # Mostly zeros with small entries, as in corner matrices, plus wider
+    # entries that force remainders, restarts and divisibility folds.
+    rng = random.Random(11)
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1)] + [
+        (rng.randint(0, 14), rng.randint(0, 14)) for _ in range(400)]
+    for r, c in shapes:
+        values = rng.choice([(0, 0, 0, 0, 1, -1), (0, 0, 0, 1, -1, 2, -2), (0, 0, 3, -4, 6, 9)])
+        m = IntMatrix.from_rows([[rng.choice(values) for _ in range(c)] for _ in range(r)], c)
+        assert_matches_dense(m)
+
+
+def test_smith_form_matches_dense_on_atlas_matrices(atlas_matrices):
+    for m in atlas_matrices:
+        assert_matches_dense(m)
