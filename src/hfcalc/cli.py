@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import re
 import sys
 from fractions import Fraction
 
@@ -286,15 +285,14 @@ def _run_shift(args):
                           f"not exponent notation: {args.c1sq!r}")
     try:
         theta, shift = theta_and_shift(Fraction(args.c1sq), args.chi, args.sigma)
-    except (ValueError, ZeroDivisionError):
-        # Fraction raises the same ValueError for a number past the interpreter's
-        # limit on integer-from-string conversion as for a malformed literal.
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        digits = max((len(run.replace("_", "")) for run in re.findall(r"[\d_]+", args.c1sq)),
-                     default=0)
-        if limit and digits > limit:
-            raise _UsageError(f"--c1sq has a {digits}-digit number, past Python's "
-                              f"{limit}-digit limit for converting strings to integers") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        # Fraction parses the literal first, then converts its digits, so a
+        # well-formed number past the interpreter's limit on integer-from-string
+        # conversion fails here with that conversion's own message.
+        if "integer string conversion" in str(exc):
+            raise _UsageError(f"--c1sq has a number past Python's "
+                              f"{sys.get_int_max_str_digits()}-digit limit for "
+                              f"converting strings to integers") from None
         raise _UsageError(f"--c1sq is not a rational number: {args.c1sq!r}") from None
     try:
         payload = {"theta": str(theta), "shift": str(shift),

@@ -13,10 +13,10 @@ diagram, U M V = S, and every question about the system is answered from
 that one factorization: the Spin^c class of a generator is a canonical
 key read off U r(g), a connecting domain is an exact division followed
 by one product with V, and the periodic lattice is a set of columns of
-V.  U and V stay sparse (``zlattice.sparse_smith``), and every product
-with them runs over their nonzero entries.  The factorization, the
-partition, the grading table and H1 are kept in per-diagram state that
-is freed together with the diagram.
+V.  U and V stay sparse (``zlattice.smith_normal_form`` keeps U by rows
+and V by columns), and every product with them runs over their nonzero
+entries.  The factorization, the partition, the grading table and H1 are
+kept in per-diagram state that is freed together with the diagram.
 
 All index quantities are computed exactly:
 
@@ -45,7 +45,7 @@ from typing import NamedTuple, Sequence
 
 from .diagram import ALPHA, HeegaardDiagram
 from .zlattice import (DimensionMismatch, IntMatrix, gcd_over_lattice, smith_invariants,
-                       sparse_smith)
+                       smith_normal_form)
 
 
 class GradingError(Exception):
@@ -304,19 +304,19 @@ def _corners(diagram: HeegaardDiagram) -> _Corners:
     for two generators exactly when they share a class.  The transforms
     stay sparse throughout: U by rows, V by columns.
     """
-    smith = sparse_smith(_corner_matrix(diagram))
-    factors = tuple(d for d in smith.diagonal if d)
+    smith = smith_normal_form(_corner_matrix(diagram))
+    factors = tuple(d for d in smith.invariants if d)
     rank = len(factors)
     v_rows: list[dict[int, int]] = [{} for _ in range(diagram.n_regions)]
-    for j, col in enumerate(smith.v):
+    for j, col in enumerate(smith.v_columns):
         for r, x in col.items():
             v_rows[r][j] = x
-    _check_factorization(diagram, smith.u, v_rows, factors)
+    _check_factorization(diagram, smith.u_rows, v_rows, factors)
 
     # U r(v) for a single vertex v: its alpha column of U minus its beta column.
     nv = diagram.n_vertices
     vertex_image = [[0] * (2 * nv) for _ in range(nv)]
-    for i, u_row in enumerate(smith.u):
+    for i, u_row in enumerate(smith.u_rows):
         for k, x in u_row.items():
             if k < nv:
                 vertex_image[k][i] += x
@@ -339,7 +339,7 @@ def _corners(diagram: HeegaardDiagram) -> _Corners:
         particular_rows=tuple(tuple((j, x) for j, x in row.items() if j < rank)
                               for row in v_rows),
         kernel=tuple(tuple(col.get(r, 0) for r in range(diagram.n_regions))
-                     for col in smith.v[rank:]),
+                     for col in smith.v_columns[rank:]),
         images=images,
         class_of=class_of,
     )

@@ -5,15 +5,16 @@ that occur in practice are sparse: a corner system is (2 * vertices) x
 (regions) with at most four nonzero entries per row, from tens by tens up
 to hundreds by hundreds, and the transforms of its Smith form stay sparse
 too (for torus(16, 3), 131 of the 1024 entries of U and 69 of the 256 of
-V are nonzero).  So one classical Smith normal form, ``sparse_smith``,
-keeps U by rows and V by columns as ``{index: value}`` dicts, following
-Dumas, Saunders and Villard, *On efficient sparse integer matrix Smith
-normal form computations*; every other operation is built on it.
+V are nonzero).  So the one classical Smith normal form,
+``smith_normal_form``, keeps U by rows and V by columns as
+``{index: value}`` dicts, following Dumas, Saunders and Villard, *On
+efficient sparse integer matrix Smith normal form computations*; its
+answer writes U, S and V out as dense matrices only when asked to, and
+every other operation is built on it.
 
 The public operations are:
 
-* ``sparse_smith`` -- U M V = S with sparse U and V and the diagonal of S;
-* ``smith_normal_form`` -- the same factorization as dense matrices;
+* ``smith_normal_form`` -- U M V = S with U, V unimodular and S diagonal;
 * ``smith_invariants`` -- invariant factors d1 | d2 | ... of a matrix;
 * ``solve_integer_system`` -- all integer solutions of M x = b, returned as
   a particular solution plus a basis of the integer kernel lattice;
@@ -72,34 +73,46 @@ class IntMatrix(NamedTuple):
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)
 
 
+def _dense(vec: dict[int, int], n: int) -> tuple[int, ...]:
+    return tuple(vec.get(k, 0) for k in range(n))
+
+
 class SmithDecomposition(NamedTuple):
     """Factorization U M V = S with U, V unimodular and S diagonal.
 
-    The diagonal of S is nonnegative, satisfies the divisibility chain
-    d1 | d2 | ..., and has its zero entries last.
+    ``u_rows`` holds the rows of U and ``v_columns`` the columns of V,
+    each as an ``{index: value}`` dict without zero values, and
+    ``invariants`` the diagonal of S, of length min(rows, cols); S has no
+    other nonzero entry.  The diagonal is nonnegative, satisfies the
+    divisibility chain d1 | d2 | ..., and has its zero entries last.
+    ``u``, ``s`` and ``v`` write the three matrices out densely.
     """
 
-    u: IntMatrix
-    s: IntMatrix
-    v: IntMatrix
+    u_rows: tuple[dict[int, int], ...]
+    invariants: tuple[int, ...]
+    v_columns: tuple[dict[int, int], ...]
 
     def diagonal(self) -> tuple[int, ...]:
-        n = min(self.s.rows, self.s.cols)
-        return tuple(self.s[i, i] for i in range(n))
+        return self.invariants
 
+    # The dense matrices are built from ints, so they skip from_rows's checks.
+    @property
+    def u(self) -> IntMatrix:
+        n = len(self.u_rows)
+        return IntMatrix(tuple(_dense(row, n) for row in self.u_rows), n)
 
-class SparseSmith(NamedTuple):
-    """Factorization U M V = S with the transforms kept sparse.
+    @property
+    def s(self) -> IntMatrix:
+        nrows, ncols = len(self.u_rows), len(self.v_columns)
+        s = [[0] * ncols for _ in range(nrows)]
+        for i, d in enumerate(self.invariants):
+            s[i][i] = d
+        return IntMatrix(tuple(map(tuple, s)), ncols)
 
-    ``u`` holds the rows of U and ``v`` the columns of V, each as a
-    ``{index: value}`` dict without zero values; ``diagonal`` is the
-    diagonal of S, of length min(rows, cols).  S has no other nonzero
-    entry.
-    """
-
-    u: list[dict[int, int]]
-    diagonal: tuple[int, ...]
-    v: list[dict[int, int]]
+    @property
+    def v(self) -> IntMatrix:
+        n = len(self.v_columns)
+        return IntMatrix(tuple(zip(*(_dense(col, n) for col in self.v_columns))), n)
 
 
 def _add_multiple(dst: dict[int, int], src: dict[int, int], factor: int) -> None:
@@ -112,11 +125,12 @@ def _add_multiple(dst: dict[int, int], src: dict[int, int], factor: int) -> None
             del dst[k]
 
 
-def sparse_smith(m: IntMatrix) -> SparseSmith:
-    """The Smith normal form of ``m``, with U by rows and V by columns.
+def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+    """Compute the Smith normal form of ``m``, with U by rows and V by columns.
 
-    This is the one Smith form of the package: ``smith_normal_form`` and
-    ``smith_invariants`` read their answers off it.
+    This is the one Smith form of the package: ``smith_invariants``,
+    ``solve_integer_system`` and the corner system of ``grading`` all read
+    their answers off it.
 
     Classical pivoting algorithm: bring the smallest nonzero entry of the
     working submatrix to the pivot position, clear its row and column by
@@ -219,35 +233,17 @@ def sparse_smith(m: IntMatrix) -> SparseSmith:
             continue
         t += 1
 
-    return SparseSmith(u, tuple(a[i][i] for i in range(min(nrows, ncols))), v)
-
-
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Compute the Smith normal form of ``m`` with dense transforms.
-
-    The factorization is ``sparse_smith``'s, written out as dense matrices,
-    so U, S and V are those of the classical dense elimination exactly.
-    """
-    nrows, ncols = m.rows, m.cols
-    core = sparse_smith(m)
-    s = [[0] * ncols for _ in range(nrows)]
-    for i, d in enumerate(core.diagonal):
-        s[i][i] = d
-    # The matrices are built here from ints, so they skip from_rows's checks.
-    return SmithDecomposition(
-        IntMatrix(tuple(tuple(row.get(j, 0) for j in range(nrows)) for row in core.u), nrows),
-        IntMatrix(tuple(map(tuple, s)), ncols),
-        IntMatrix(tuple(tuple(col.get(i, 0) for col in core.v) for i in range(ncols)), ncols),
-    )
+    return SmithDecomposition(tuple(u), tuple(a[i][i] for i in range(min(nrows, ncols))),
+                              tuple(v))
 
 
 def smith_invariants(m: IntMatrix) -> tuple[int, ...]:
     """Invariant factors of ``m``: d1 | d2 | ..., zeros last.
 
     The returned tuple has length min(rows, cols).  It is the diagonal of
-    ``sparse_smith``, so no dense transform is built.
+    ``smith_normal_form``, so no dense transform is built.
     """
-    return sparse_smith(m).diagonal
+    return smith_normal_form(m).diagonal()
 
 
 class AffineSolutionSet(NamedTuple):
@@ -274,16 +270,19 @@ def solve_integer_system(m: IntMatrix, b: Sequence[int]) -> AffineSolutionSet:
     Diagonalize U M V = S; then M x = b becomes S y = U b with x = V y.
     Each diagonal entry must divide the transformed right-hand side, and
     rows beyond the rank force it to vanish.  Kernel basis vectors are the
-    columns of V matching zero diagonal positions.
+    columns of V matching zero diagonal positions.  Both products run over
+    the nonzero entries of U and V.
     """
     if len(b) != m.rows:
         raise DimensionMismatch(f"rhs of length {len(b)} against {m.rows} rows")
     dec = smith_normal_form(m)
     diag = dec.diagonal()
-    c = dec.u.mul_vec([int(x) for x in b])
+    b = [int(x) for x in b]
+    c = [sum(x * b[k] for k, x in row.items()) for row in dec.u_rows]
 
     kernel = tuple(
-        dec.v.column(j) for j in range(m.cols) if j >= len(diag) or diag[j] == 0
+        _dense(col, m.cols) for j, col in enumerate(dec.v_columns)
+        if j >= len(diag) or diag[j] == 0
     )
 
     y = [0] * m.cols
@@ -296,8 +295,11 @@ def solve_integer_system(m: IntMatrix, b: Sequence[int]) -> AffineSolutionSet:
             y[i] = q
         elif c[i]:
             return AffineSolutionSet(None, kernel)
-    particular = dec.v.mul_vec(y)
-    return AffineSolutionSet(particular, kernel)
+    particular = [0] * m.cols
+    for col, q in zip(dec.v_columns, y):
+        for k, x in col.items():
+            particular[k] += x * q
+    return AffineSolutionSet(tuple(particular), kernel)
 
 
 def gcd_over_lattice(kernel: Sequence[Sequence[int]], functional: Sequence[int]) -> int:

@@ -1,24 +1,22 @@
 """The dense Smith normal form, kept as a test oracle.
 
-A verbatim copy of the implementation that stored U, S and V as dense
-lists, before the transforms became sparse.  ``smith_normal_form`` must
-return exactly its U, S and V: same pivots, same operations, same order.
+It stores U, S and V as dense lists and applies every row and column
+operation to whole rows and columns.  ``smith_normal_form``, which keeps
+U and V sparse, must return exactly its U, S and V: same pivots, same
+operations, same order.
 """
 
-from hfcalc.zlattice import IntMatrix, SmithDecomposition
+from hfcalc.zlattice import IntMatrix
 
 
-def dense_smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Compute the Smith normal form of ``m`` with transforms.
+def full_scan_smith(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """U, S and V with U M V = S, from dense elimination.
 
-    Classical pivoting algorithm: bring the smallest nonzero entry of the
-    working submatrix to the pivot position, clear its row and column by
-    exact division steps (restarting whenever a nonzero remainder produces
-    a smaller pivot), then fix up divisibility by folding any offending
-    entry into the pivot row.  Pivot magnitudes strictly decrease on every
-    restart, so the loop terminates.  The pivot is the first entry of
-    least magnitude in row-major order, so its search stops at the first
-    entry of magnitude 1.
+    The pivot search scans the whole submatrix and the divisibility scan
+    runs for every pivot.  The pivot is still the first entry of least
+    magnitude in row-major order, and an entry that fails the scan is
+    never found under a unit pivot, so the answer is exactly
+    ``smith_normal_form``'s.
     """
     nrows, ncols = m.rows, m.cols
     a = [list(row) for row in m.entries]
@@ -51,19 +49,14 @@ def dense_smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     t = 0
     while t < min(nrows, ncols):
-        # Locate the first smallest-magnitude nonzero entry in the submatrix.
+        # Locate a smallest-magnitude nonzero entry in the submatrix.
         pivot = None
         best = None
         for i in range(t, nrows):
-            row = a[i]
             for j in range(t, ncols):
-                x = row[j]
+                x = a[i][j]
                 if x and (best is None or abs(x) < best):
                     best, pivot = abs(x), (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -94,24 +87,18 @@ def dense_smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             break
 
         # Divisibility fix: fold a non-multiple into the pivot row and redo.
-        # A unit pivot divides every entry, so it needs no scan.
         offender = None
-        if a[t][t] != 1:
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if a[i][j] % a[t][t]:
+                    offender = i
                     break
+            if offender is not None:
+                break
         if offender is not None:
             add_row(offender, t, 1)
             continue
         t += 1
 
-    # The transforms are built here from ints, so they skip from_rows's checks.
-    return SmithDecomposition(
-        IntMatrix(tuple(map(tuple, u)), nrows),
-        IntMatrix(tuple(map(tuple, a)), ncols),
-        IntMatrix(tuple(map(tuple, v)), ncols),
-    )
+    return (IntMatrix.from_rows(u, nrows), IntMatrix.from_rows(a, ncols),
+            IntMatrix.from_rows(v, ncols))

@@ -201,15 +201,15 @@ def test_bad_argument_values_are_usage_errors(argv, capsys, tmp_path):
                     reason="this interpreter has no limit on integer string conversion")
 def test_c1sq_past_the_digit_limit_names_the_limit(capsys):
     limit = sys.get_int_max_str_digits()
-    argv = ["shift", "--c1sq", "1" * (limit + 700), "--chi", "1", "--sigma", "0"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err == (f"hfcalc: error: --c1sq has a {limit + 700}-digit number, past Python's "
-                   f"{limit}-digit limit for converting strings to integers\n")
-    # Underscores do not count; the digits of a denominator do.
-    denominator = "0_2" * (limit // 2 + 1)
-    assert main(["shift", "--c1sq", "1/" + denominator, "--chi", "1", "--sigma", "0"]) == 2
-    assert f"{limit}-digit limit" in capsys.readouterr().err
+    message = (f"hfcalc: error: --c1sq has a number past Python's {limit}-digit limit "
+               f"for converting strings to integers\n")
+    for c1sq in ["1" * (limit + 700), "1/" + "2" * (limit + 1)]:
+        assert main(["shift", "--c1sq", c1sq, "--chi", "1", "--sigma", "0"]) == 2
+        assert capsys.readouterr().err == message
+    # A malformed literal is not a number, however long its digit runs.
+    bad = "1" * (limit + 700) + "x"
+    assert main(["shift", "--c1sq", bad, "--chi", "1", "--sigma", "0"]) == 2
+    assert capsys.readouterr().err == f"hfcalc: error: --c1sq is not a rational number: {bad!r}\n"
     assert main(["shift", "--c1sq", "1" * limit, "--chi", "1", "--sigma", "0"]) == 0
 
 

@@ -30,7 +30,7 @@ from hfcalc.grading import (ConsistencyError, Generator, GradingLabel, MixedLabe
 from hfcalc.zlattice import DimensionMismatch, IntMatrix, smith_invariants, solve_integer_system
 from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
                       s1s2_sum_text)
-from dense_smith import dense_smith_normal_form
+from smith_oracle import full_scan_smith
 from strategies import transformed_diagrams
 
 
@@ -686,23 +686,23 @@ def test_factored_matches_pairwise_transformed(d):
 
 def test_factorization_certificate_detects_a_wrong_form(monkeypatch):
     import hfcalc.grading as grading
-    from hfcalc.zlattice import sparse_smith
+    from hfcalc.zlattice import smith_normal_form
 
     def off_by_one(j, r):
         def factor(m):
-            smith = sparse_smith(m)
-            v = [dict(col) for col in smith.v]
+            dec = smith_normal_form(m)
+            v = [dict(col) for col in dec.v_columns]
             x = v[j].pop(r, 0) + 1
             if x:
                 v[j][r] = x
-            return smith._replace(v=v)
+            return dec._replace(v_columns=tuple(v))
         return factor
 
     # Entry (0, 0) of V, and the last entry of its last column, a kernel
     # column whose product with M lies off the diagonal of S.
     for j, r in ((0, 0), (-1, -1)):
         d = build_torus_diagram(3, 1).diagram
-        monkeypatch.setattr(grading, "sparse_smith", off_by_one(j, r % d.n_regions))
+        monkeypatch.setattr(grading, "smith_normal_form", off_by_one(j, r % d.n_regions))
         with pytest.raises(ConsistencyError, match="U M V"):
             spinc_partition(d)
 
@@ -711,11 +711,11 @@ def dense_corners(d):
     """The per-diagram factorization as computed with dense transforms."""
     import hfcalc.grading as grading
 
-    dec = dense_smith_normal_form(grading._corner_matrix(d))
-    factors = tuple(x for x in dec.diagonal() if x)
+    u, s, v = full_scan_smith(grading._corner_matrix(d))
+    factors = tuple(x for x in (s[i, i] for i in range(min(s.rows, s.cols))) if x)
     rank = len(factors)
     nv = d.n_vertices
-    u_cols = list(zip(*dec.u.entries))
+    u_cols = list(zip(*u.entries))
     vertex_image = [[a - b for a, b in zip(u_cols[v], u_cols[nv + v])] for v in range(nv)]
     images, class_of, index_of_key = {}, {}, {}
     for g in enumerate_generators(d):
@@ -724,8 +724,8 @@ def dense_corners(d):
         key = tuple(c % f for c, f in zip(image, factors)) + tuple(image[rank:])
         images[g] = tuple(image[:rank])
         class_of[g] = index_of_key.setdefault(key, len(index_of_key))
-    particular_rows = tuple(row[:rank] for row in dec.v.entries)
-    kernel = tuple(dec.v.column(j) for j in range(rank, dec.v.cols))
+    particular_rows = tuple(row[:rank] for row in v.entries)
+    kernel = tuple(v.column(j) for j in range(rank, v.cols))
     return factors, particular_rows, kernel, images, class_of
 
 

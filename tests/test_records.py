@@ -9,10 +9,9 @@ from hfcalc.diagram import Arc, CurveSystemInput, Quadrant, Region, RegionDirect
 from hfcalc.grading import (Domain, Generator, GradingLabel, Homology, SpincClass,
                             TwistedElement, _Corners, enumerate_generators, solve_domain)
 from hfcalc.layers import AuditReport, CornerClass, LayerReport, LayerSurface
-from hfcalc.zlattice import AffineSolutionSet, IntMatrix, SmithDecomposition, SparseSmith
+from hfcalc.zlattice import AffineSolutionSet, IntMatrix, SmithDecomposition
 
 G0, G1 = Generator((0,)), Generator((1,))
-ONE = IntMatrix(((1,),), 1)
 CORNER = CornerClass("convex", "convex", (2,), "x")
 LAYER = LayerReport(1, 1, 1, 0, 0, 0, 0, Fraction(3, 4))
 
@@ -29,11 +28,8 @@ RECORDS = [
     (Region(0, "r0", 0, (0, 1)), "Region(index=0, label='r0', genus=0, faces=(0, 1))"),
     (Quadrant("x0", 2, 1), "Quadrant(vertex='x0', position=2, region=1)"),
     (IntMatrix(((1, 2), (3, 4)), 2), "IntMatrix(entries=((1, 2), (3, 4)), cols=2)"),
-    (SmithDecomposition(ONE, IntMatrix(((2,),), 1), ONE),
-     "SmithDecomposition(u=IntMatrix(entries=((1,),), cols=1), "
-     "s=IntMatrix(entries=((2,),), cols=1), v=IntMatrix(entries=((1,),), cols=1))"),
-    (SparseSmith([{0: 1}], (2,), [{0: -1}]),
-     "SparseSmith(u=[{0: 1}], diagonal=(2,), v=[{0: -1}])"),
+    (SmithDecomposition(({0: 1},), (2,), ({0: -1},)),
+     "SmithDecomposition(u_rows=({0: 1},), invariants=(2,), v_columns=({0: -1},))"),
     (AffineSolutionSet((1, 0), ((0, 1),)),
      "AffineSolutionSet(particular=(1, 0), kernel=((0, 1),))"),
     (Generator((0, 2)), "Generator(vertices=(0, 2))"),

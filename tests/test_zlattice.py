@@ -4,7 +4,7 @@ The Smith form implementation is cross-checked against two independent
 oracles: the determinantal-divisor characterization (the k-th invariant
 factor is the gcd of all k x k minors divided by the previous one) and
 sympy's normal forms.  Its transforms are compared, entry for entry, with
-those of the dense implementation it replaced (``dense_smith``).
+those of a dense elimination (``smith_oracle``).
 """
 
 import itertools
@@ -20,10 +20,9 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import hfcalc.grading as grading
 from hfcalc.atlas import build_annulus_open_book, build_s1s2, build_torus_diagram, stabilize
-from hfcalc.zlattice import (AffineSolutionSet, DimensionMismatch, IntMatrix,
-                             SmithDecomposition, gcd_over_lattice, smith_invariants,
-                             smith_normal_form, solve_integer_system, sparse_smith)
-from dense_smith import dense_smith_normal_form
+from hfcalc.zlattice import (AffineSolutionSet, DimensionMismatch, IntMatrix, gcd_over_lattice,
+                             smith_invariants, smith_normal_form, solve_integer_system)
+from smith_oracle import full_scan_smith
 
 
 def identity(n: int) -> IntMatrix:
@@ -227,102 +226,26 @@ def test_gcd_over_lattice_matches_enumeration(basis, f):
 
 
 # ---------------------------------------------------------------------------
-# The early-stopping pivot search against the full scan
+# The sparse transforms against the dense full scan
 # ---------------------------------------------------------------------------
 
-def full_scan_smith(m: IntMatrix) -> SmithDecomposition:
-    """The Smith form with the pivot search scanning the whole submatrix
-    and the divisibility scan run for every pivot."""
-    nrows, ncols = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src: int, dst: int, factor: int) -> None:
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src: int, dst: int, factor: int) -> None:
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # Locate a smallest-magnitude nonzero entry in the submatrix.
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best):
-                    best, pivot = abs(x), (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if a[t][t] < 0:
-            negate_row(t)
-
-        while True:
-            restart = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    if a[i][t]:  # remainder is a strictly smaller pivot
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            break
-
-        # Divisibility fix: fold a non-multiple into the pivot row and redo.
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        t += 1
-
-    return SmithDecomposition(IntMatrix.from_rows(u, nrows), IntMatrix.from_rows(a, ncols),
-                              IntMatrix.from_rows(v, ncols))
+def assert_matches_full_scan(m: IntMatrix) -> None:
+    """U, S and V equal the dense oracle's, and the sparse rows of U and
+    columns of V store no zero."""
+    dec = smith_normal_form(m)
+    u, s, v = full_scan_smith(m)
+    assert (dec.u, dec.s, dec.v) == (u, s, v)
+    assert len(dec.u_rows) == m.rows and len(dec.v_columns) == m.cols
+    assert all(x for row in dec.u_rows for x in row.values())
+    assert all(x for col in dec.v_columns for x in col.values())
+    assert dec.invariants == tuple(s[i, i] for i in range(min(m.rows, m.cols)))
+    assert dec.invariants == smith_invariants(m)
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_smith_form_matches_full_scan_small(m):
-    assert smith_normal_form(m) == full_scan_smith(m)
+    assert_matches_full_scan(m)
 
 
 def test_smith_form_matches_full_scan_random():
@@ -332,13 +255,20 @@ def test_smith_form_matches_full_scan_random():
     for _ in range(300):
         r, c = rng.randint(1, 9), rng.randint(1, 9)
         rows = [[rng.choice((0, 0, 0, 1, -1, 2, -2)) for _ in range(c)] for _ in range(r)]
-        m = IntMatrix.from_rows(rows, c)
-        assert smith_normal_form(m) == full_scan_smith(m)
+        assert_matches_full_scan(IntMatrix.from_rows(rows, c))
+    # Empty shapes, and wider entries that force remainders, restarts and
+    # divisibility folds.
+    for r, c in [(0, 0), (0, 5), (5, 0)]:
+        assert_matches_full_scan(IntMatrix.from_rows([[0] * c for _ in range(r)], c))
+    for _ in range(200):
+        r, c = rng.randint(0, 14), rng.randint(0, 14)
+        values = rng.choice([(0, 0, 0, 0, 1, -1), (0, 0, 3, -4, 6, 9)])
+        rows = [[rng.choice(values) for _ in range(c)] for _ in range(r)]
+        assert_matches_full_scan(IntMatrix.from_rows(rows, c))
 
 
-@pytest.fixture
-def atlas_matrices(monkeypatch):
-    """Every corner and homology matrix that grading factors for atlas diagrams."""
+def test_smith_form_matches_full_scan_on_atlas_matrices(monkeypatch):
+    """Every corner and homology matrix factored for atlas diagrams."""
     seen = []
 
     def recording(fn):
@@ -347,7 +277,7 @@ def atlas_matrices(monkeypatch):
             return fn(m)
         return wrapped
 
-    monkeypatch.setattr(grading, "sparse_smith", recording(sparse_smith))
+    monkeypatch.setattr(grading, "smith_normal_form", recording(smith_normal_form))
     monkeypatch.setattr(grading, "smith_invariants", recording(smith_invariants))
     diagrams = [build_torus_diagram(p, q).diagram
                 for p in range(1, 8) for q in range(p) if gcd(p, q) == 1]
@@ -358,47 +288,5 @@ def atlas_matrices(monkeypatch):
         grading.spinc_partition(d)
         grading.homology_of_Y(d)
     assert len(seen) == 2 * len(diagrams)
-    return seen
-
-
-def test_smith_form_matches_full_scan_on_atlas_matrices(atlas_matrices):
-    for m in atlas_matrices:
-        assert smith_normal_form(m) == full_scan_smith(m)
-
-
-# ---------------------------------------------------------------------------
-# The sparse transforms against the dense implementation
-# ---------------------------------------------------------------------------
-
-def assert_matches_dense(m: IntMatrix) -> None:
-    """U, S and V equal the dense oracle's, and the core stores no zero."""
-    dense = dense_smith_normal_form(m)
-    assert smith_normal_form(m) == dense
-    core = sparse_smith(m)
-    assert len(core.u) == m.rows and len(core.v) == m.cols
-    assert all(x for row in core.u for x in row.values())
-    assert all(x for col in core.v for x in col.values())
-    assert core.diagonal == dense.diagonal() == smith_invariants(m)
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_matrices)
-def test_smith_form_matches_dense_small(m):
-    assert_matches_dense(m)
-
-
-def test_smith_form_matches_dense_random():
-    # Mostly zeros with small entries, as in corner matrices, plus wider
-    # entries that force remainders, restarts and divisibility folds.
-    rng = random.Random(11)
-    shapes = [(0, 0), (0, 5), (5, 0), (1, 1)] + [
-        (rng.randint(0, 14), rng.randint(0, 14)) for _ in range(400)]
-    for r, c in shapes:
-        values = rng.choice([(0, 0, 0, 0, 1, -1), (0, 0, 0, 1, -1, 2, -2), (0, 0, 3, -4, 6, 9)])
-        m = IntMatrix.from_rows([[rng.choice(values) for _ in range(c)] for _ in range(r)], c)
-        assert_matches_dense(m)
-
-
-def test_smith_form_matches_dense_on_atlas_matrices(atlas_matrices):
-    for m in atlas_matrices:
-        assert_matches_dense(m)
+    for m in seen:
+        assert_matches_full_scan(m)
