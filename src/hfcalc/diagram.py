@@ -17,8 +17,9 @@ identity, connectivity, and the independence proxy (cutting along either
 curve family must not disconnect the surface).  The independence check
 is the precondition ``grading.homology_of_Y`` relies on: with it, H1 of
 the 3-manifold is read off the alpha . beta intersection matrix.  The
-assembled ``HeegaardDiagram`` is immutable and safe to share between
-threads.
+assembled ``HeegaardDiagram`` is one object: the traced graph, its
+regions, and the answers cached for it.  It is read-only apart from that
+cache and safe to share between threads.
 
 Dart conventions used throughout: every arc gets a forward dart ``2 * arc``
 (along the curve orientation) and a backward dart ``2 * arc + 1``; traced
@@ -30,8 +31,7 @@ slot ``i``.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple
 
 LEFT_AFTER = "left-after"
 RIGHT_AFTER = "right-after"
@@ -77,7 +77,6 @@ class CurveSystemInput(NamedTuple):
     signs: Mapping[str, int]  # vertex name -> +1 / -1
     basepoint: tuple[str, str, str]  # curve, vertex, side
     directives: tuple[RegionDirective, ...] = ()
-    source: Mapping[str, tuple[int, int]] = MappingProxyType({})
 
     def curve_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.alpha) + tuple(n for n, _ in self.beta)
@@ -116,7 +115,6 @@ def parse_diagram(text: str) -> CurveSystemInput:
     signs: dict[str, int] = {}
     basepoint: tuple[str, str, str] | None = None
     directives: list[RegionDirective] = []
-    source: dict[str, tuple[int, int]] = {}
     seen_curves: set[str] = set()
     seen_alpha: dict[str, int] = {}
     seen_beta: dict[str, int] = {}
@@ -157,7 +155,7 @@ def parse_diagram(text: str) -> CurveSystemInput:
                 raise ParseError(f"curve {name!r} lists no vertices; every curve "
                                  "must cross the other family at least once", lineno)
             verts: list[str] = []
-            for col, tok in enumerate(toks):
+            for tok in toks:
                 if keyword == ALPHA:
                     vname, sign = _parse_alpha_token(tok, lineno)
                     if vname in seen_alpha:
@@ -172,8 +170,6 @@ def parse_diagram(text: str) -> CurveSystemInput:
                         raise ParseError(f"vertex {vname!r} listed twice on beta curves", lineno)
                     seen_beta[vname] = lineno
                 verts.append(vname)
-                source[f"vertex:{name}:{col}"] = (lineno, col)
-            source[f"curve:{name}"] = (lineno, 0)
             (alpha if keyword == ALPHA else beta).append((name, tuple(verts)))
         elif keyword == "basepoint:":
             if basepoint is not None:
@@ -184,7 +180,6 @@ def parse_diagram(text: str) -> CurveSystemInput:
             if toks[2] not in SIDES:
                 raise ParseError(f"basepoint side must be one of {SIDES}", lineno)
             basepoint = (toks[0], toks[1], toks[2])
-            source["basepoint"] = (lineno, 0)
         elif keyword == "region":
             body = stripped[len("region"):].strip()
             if ":" not in body:
@@ -208,7 +203,6 @@ def parse_diagram(text: str) -> CurveSystemInput:
                     raise ParseError("empty circle id", lineno)
                 circles = tuple(ids)
             directives.append(RegionDirective(label, int(gtxt), circles, lineno))
-            source[f"region:{label}"] = (lineno, 0)
         else:
             raise ParseError(f"unrecognized line {stripped!r}", lineno)
 
@@ -239,7 +233,7 @@ def parse_diagram(text: str) -> CurveSystemInput:
         raise ParseError(f"basepoint curve {bp_curve!r} does not exist")
 
     return CurveSystemInput(genus, tuple(alpha), tuple(beta), signs,
-                            basepoint, tuple(directives), source)
+                            basepoint, tuple(directives))
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +255,19 @@ class Arc(NamedTuple):
         return f"{self.curve}.{self.pos}"
 
 
-def _dart_name(arcs: Sequence[Arc], dart: int) -> str:
-    return arcs[dart // 2].name + ("+" if dart % 2 == 0 else "-")
-
-
 class _Graph:
-    """Vertices, arcs, rotations, and traced faces of a curve system."""
+    """Vertices, arcs, rotations, and traced faces of a curve system.
+
+    ``dart_names[d]`` is the circle id of dart ``d``: the arc's name
+    followed by ``+`` for the forward dart and ``-`` for the backward one.
+    ``alpha_of[v]`` and ``beta_of[v]`` are the indices of the alpha and
+    the beta curve through vertex ``v``.
+    """
 
     def __init__(self, inp: CurveSystemInput):
         self.input = inp
-        names: list[str] = []
-        for _, verts in inp.alpha:
-            names.extend(verts)
+        self.genus = inp.genus
+        names = [v for _, verts in inp.alpha for v in verts]
         self.vertex_names = tuple(names)
         self.vertex_index = {n: i for i, n in enumerate(names)}
         self.signs = tuple(inp.signs[n] for n in names)
@@ -281,6 +276,13 @@ class _Graph:
                            for name, verts in inp.alpha)
         self.beta = tuple((name, tuple(self.vertex_index[v] for v in verts))
                           for name, verts in inp.beta)
+        # Vertices are numbered in alpha listing order.
+        self.alpha_of = tuple(i for i, (_, verts) in enumerate(inp.alpha) for _ in verts)
+        beta_of = [-1] * len(names)
+        for j, (_, verts) in enumerate(self.beta):
+            for v in verts:
+                beta_of[v] = j
+        self.beta_of = tuple(beta_of)
 
         arcs: list[Arc] = []
         for family, curves in ((ALPHA, self.alpha), (BETA, self.beta)):
@@ -290,6 +292,7 @@ class _Graph:
                     arcs.append(Arc(len(arcs), family, name, pos,
                                     verts[pos], verts[(pos + 1) % n]))
         self.arcs = tuple(arcs)
+        self.dart_names = tuple(arc.name + d for arc in arcs for d in "+-")
 
         nv = len(names)
         a_out = [-1] * nv
@@ -315,6 +318,7 @@ class _Graph:
             for i, d in enumerate(rot):
                 sigma_inv[d] = rot[(i - 1) % 4]
         # Faces on the left: next dart of a face is sigma^-1 of the reversal.
+        # Each face starts at its lexicographically smallest dart name.
         face_of_dart = [-1] * ndarts
         faces: list[tuple[int, ...]] = []
         for start in range(ndarts):
@@ -326,18 +330,11 @@ class _Graph:
                 face_of_dart[d] = len(faces)
                 cycle.append(d)
                 d = sigma_inv[d ^ 1]
-            faces.append(tuple(cycle))
+            k = cycle.index(min(cycle, key=self.dart_names.__getitem__))
+            faces.append(tuple(cycle[k:] + cycle[:k]))
         self.face_of_dart = tuple(face_of_dart)
-
-        canon_faces = []
-        for cyc in faces:
-            k = min(range(len(cyc)), key=lambda i: _dart_name(self.arcs, cyc[i]))
-            canon_faces.append(cyc[k:] + cyc[:k])
-        self.faces = tuple(tuple(c) for c in canon_faces)
-        self.face_names = tuple(_dart_name(self.arcs, c[0]) for c in self.faces)
-
-    def dart_name(self, dart: int) -> str:
-        return _dart_name(self.arcs, dart)
+        self.faces = tuple(faces)
+        self.face_names = tuple(self.dart_names[c[0]] for c in faces)
 
 
 def trace_faces(inp: CurveSystemInput) -> tuple[tuple[tuple[str, str], ...], ...]:
@@ -349,13 +346,9 @@ def trace_faces(inp: CurveSystemInput) -> tuple[tuple[tuple[str, str], ...], ...
     that starting dart.  Every directed arc side occurs in exactly one
     circle, so the total length of all circles is twice the arc count.
     """
-    return _circles(_Graph(inp))
-
-
-def _circles(g: _Graph) -> tuple[tuple[tuple[str, str], ...], ...]:
-    circles = []
-    for cyc in g.faces:
-        circles.append(tuple((g.arcs[d // 2].name, "+" if d % 2 == 0 else "-") for d in cyc))
+    g = _Graph(inp)
+    circles = (tuple((g.dart_names[d][:-1], g.dart_names[d][-1]) for d in cyc)
+               for cyc in g.faces)
     return tuple(sorted(circles, key=lambda c: c[0]))
 
 
@@ -387,38 +380,124 @@ class Quadrant(NamedTuple):
     region: int
 
 
-class HeegaardDiagram:
-    """Validated immutable diagram; all queries are read-only.
+def _connected(n: int, edges) -> bool:
+    """Whether the edges, pairs of node ids in range(n), join all n nodes."""
+    parent = list(range(n))
 
-    Not constructed directly: use ``assemble_regions`` or ``load_diagram``.
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    return len({find(x) for x in range(n)}) == 1
+
+
+class HeegaardDiagram(_Graph):
+    """The traced graph of a curve system plus its regions, validated.
+
+    Built in one step from a ``CurveSystemInput`` (``assemble_regions``
+    and ``load_diagram`` do just that): the graph is traced, the circles
+    are grouped into regions by the input's directives, and the closed
+    surface is validated.  The diagram is read-only after that, except
+    for ``_cache``, where ``grading`` memoizes the answers it computes
+    from the diagram; they live exactly as long as the diagram does.
+
+    Region fields: ``regions``; ``region_of_face``; ``basepoint_region``;
+    ``corner_counts`` and ``region_chi`` per region; ``quadrants``, the
+    regions of each vertex's four quadrants in rotation order; and
+    ``arc_sides``, the (left, right) regions of each arc relative to its
+    forward direction.
     """
 
-    def __init__(self, graph: _Graph, regions: tuple[Region, ...],
-                 region_of_face: tuple[int, ...], arc_sides: tuple[tuple[int, int], ...],
-                 basepoint_region: int):
-        self.input = graph.input
-        self.genus = graph.input.genus
-        self.vertex_names = graph.vertex_names
-        self.vertex_index = dict(graph.vertex_index)
-        self.signs = graph.signs
-        self.alpha = graph.alpha
-        self.beta = graph.beta
-        self.arcs = graph.arcs
-        self.rotations = graph.rotations
-        self.faces = graph.faces
-        self.face_names = graph.face_names
-        self.face_of_dart = graph.face_of_dart
-        self.regions = regions
-        self.region_of_face = region_of_face
-        self.basepoint_region = basepoint_region
+    def __init__(self, inp: CurveSystemInput):
+        super().__init__(inp)
+        # Circles may be referenced through any of their darts; the canonical
+        # id (the minimal dart) is what serialization emits.
+        face_index = dict(zip(self.dart_names, self.face_of_dart))
+        claimed: dict[int, str] = {}
+        regions: list[Region] = []
+        auto_seen = False
+        for d in inp.directives:
+            if d.genus < 0:
+                raise ValidationError(f"region {d.label!r}: genus must be nonnegative")
+            if d.circles is None:
+                if auto_seen:
+                    raise ValidationError("more than one 'circles=auto' region directive")
+                if d.genus != 0:
+                    raise ValidationError("'circles=auto' regions must have genus 0")
+                auto_seen = True
+                continue
+            fids = []
+            for cid in d.circles:
+                if cid not in face_index:
+                    raise ValidationError(
+                        f"region {d.label!r} references unknown circle {cid!r}; "
+                        f"known circles: {' '.join(self.face_names)}")
+                f = face_index[cid]
+                if f in claimed:
+                    raise ValidationError(
+                        f"circle {cid!r} claimed by both {claimed[f]!r} and {d.label!r}")
+                claimed[f] = d.label
+                fids.append(f)
+            regions.append(Region(len(regions), d.label, d.genus, tuple(sorted(fids))))
+
+        for f, name in sorted(enumerate(self.face_names), key=lambda p: p[1]):
+            if f not in claimed:
+                regions.append(Region(len(regions), name, 0, (f,)))
+
+        region_of_face = [-1] * len(self.faces)
+        for r in regions:
+            for f in r.faces:
+                region_of_face[f] = r.index
+
+        nv = len(self.vertex_names)
+        ne = len(self.arcs)
+        assert ne == 2 * nv  # one alpha and one beta arc slot per vertex
+        chi = nv - ne + sum(r.chi for r in regions)
+        if chi != 2 - 2 * inp.genus:
+            raise ValidationError(
+                f"Euler characteristic mismatch: V - E + sum chi(region) = "
+                f"{nv} - {ne} + {sum(r.chi for r in regions)} = {chi}, "
+                f"but genus {inp.genus} requires {2 - 2 * inp.genus}")
+
+        # Every quadrant at a vertex borders the arcs there, so the graph plus
+        # the regions is connected exactly when the regions are, across arcs.
+        arc_sides = tuple((region_of_face[self.face_of_dart[2 * a]],
+                           region_of_face[self.face_of_dart[2 * a + 1]]) for a in range(ne))
+        if not _connected(len(regions), arc_sides):
+            raise ValidationError("diagram is disconnected (graph plus regions)")
+        # Cutting along one family must keep the region adjacency connected.
+        for family, fam_name in ((BETA, ALPHA), (ALPHA, BETA)):
+            if not _connected(len(regions), (s for arc, s in zip(self.arcs, arc_sides)
+                                             if arc.family == family)):
+                raise ValidationError(
+                    f"cutting along the {fam_name} curves disconnects the surface; "
+                    f"the {fam_name} family is not independent")
+
+        bp_curve, bp_vertex, side = inp.basepoint
+        bp_arc = None
+        for arc in self.arcs:
+            if arc.curve == bp_curve and arc.tail == self.vertex_index[bp_vertex]:
+                bp_arc = arc.index
+                break
+        if bp_arc is None:
+            raise ValidationError(
+                f"basepoint locator ({bp_curve}, {bp_vertex}) resolves to nothing")
+        dart = 2 * bp_arc if side == LEFT_AFTER else 2 * bp_arc + 1
+
+        self.regions = tuple(regions)
+        self.region_of_face = tuple(region_of_face)
+        self.basepoint_region = region_of_face[self.face_of_dart[dart]]
         self.corner_counts = tuple(
             sum(len(self.faces[f]) for f in r.faces) for r in regions)
-        # Per vertex, the regions of its four quadrants in rotation order.
+        self.region_chi = tuple(r.chi for r in regions)
         self.quadrants = tuple(tuple(region_of_face[self.face_of_dart[d]] for d in rot)
                                for rot in self.rotations)
-        # Per arc, its (left, right) regions relative to the forward direction.
         self.arc_sides = arc_sides
-        self.region_chi = tuple(r.chi for r in regions)
+        self._cache: dict = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -440,19 +519,9 @@ class HeegaardDiagram:
         except KeyError:
             raise KeyError(f"unknown vertex {name!r}") from None
 
-    def left_region(self, arc: int) -> int:
-        """Region on the left of the arc's forward direction."""
-        return self.arc_sides[arc][0]
-
-    def right_region(self, arc: int) -> int:
-        return self.arc_sides[arc][1]
-
     def quadrant_region(self, vertex: int, position: int) -> int:
         """Region owning the sector between rotation slots position, position+1."""
         return self.quadrants[vertex][position]
-
-    def quadrant_regions(self, vertex: int) -> tuple[int, int, int, int]:
-        return self.quadrants[vertex]
 
     def canonical_region_name(self, index: int) -> str:
         """Lexicographically minimal circle id among the region's circles."""
@@ -469,126 +538,16 @@ def quadrants_at(diagram: HeegaardDiagram, vertex: str) -> tuple[Quadrant, ...]:
     return tuple(Quadrant(vertex, i, diagram.quadrant_region(v, i)) for i in range(4))
 
 
-def _canon_circle(circle) -> tuple:
-    pairs = tuple((str(a), str(d)) for a, d in circle)
-    k = min(range(len(pairs)), key=lambda i: pairs[i][0] + pairs[i][1])
-    return pairs[k:] + pairs[:k]
+def assemble_regions(inp: CurveSystemInput) -> HeegaardDiagram:
+    """Trace the curve system, group its circles into regions, and validate.
 
-
-def _connected(n: int, edges) -> bool:
-    """Whether the edges, pairs of node ids in range(n), join all n nodes."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        parent[find(a)] = find(b)
-    return len({find(x) for x in range(n)}) == 1
-
-
-def assemble_regions(inp: CurveSystemInput,
-                     faces=None,
-                     directives: Sequence[RegionDirective] | None = None) -> HeegaardDiagram:
-    """Group traced circles into regions and validate the closed surface.
-
-    ``faces`` may be the output of ``trace_faces`` (it is re-derived and
-    cross-checked); ``directives`` defaults to the ones parsed from the
-    input.  Unclaimed circles each become their own disk region.  Raises
+    The input's region directives group the traced circles; unclaimed
+    circles each become their own disk region.  Raises
     ``ValidationError`` on an Euler mismatch, a doubly claimed circle, an
     unknown circle id, a disconnected surface, or a curve family whose
     removal disconnects the surface.
     """
-    graph = _Graph(inp)
-    if faces is not None and ({_canon_circle(c) for c in faces}
-                              != {_canon_circle(c) for c in _circles(graph)}):
-        raise ValidationError("supplied face circles do not match the rotation-system trace")
-    if directives is None:
-        directives = inp.directives
-
-    # Circles may be referenced through any of their darts; the canonical
-    # id (the minimal dart) is what serialization emits.
-    face_index: dict[str, int] = {}
-    for f, cyc in enumerate(graph.faces):
-        for d in cyc:
-            face_index[graph.dart_name(d)] = f
-    claimed: dict[int, str] = {}
-    regions: list[Region] = []
-    auto_seen = False
-    for d in directives:
-        if d.genus < 0:
-            raise ValidationError(f"region {d.label!r}: genus must be nonnegative")
-        if d.circles is None:
-            if auto_seen:
-                raise ValidationError("more than one 'circles=auto' region directive")
-            if d.genus != 0:
-                raise ValidationError("'circles=auto' regions must have genus 0")
-            auto_seen = True
-            continue
-        fids = []
-        for cid in d.circles:
-            if cid not in face_index:
-                raise ValidationError(
-                    f"region {d.label!r} references unknown circle {cid!r}; "
-                    f"known circles: {' '.join(graph.face_names)}")
-            f = face_index[cid]
-            if f in claimed:
-                raise ValidationError(
-                    f"circle {cid!r} claimed by both {claimed[f]!r} and {d.label!r}")
-            claimed[f] = d.label
-            fids.append(f)
-        regions.append(Region(len(regions), d.label, d.genus, tuple(sorted(fids))))
-
-    for f, name in sorted(enumerate(graph.face_names), key=lambda p: p[1]):
-        if f not in claimed:
-            regions.append(Region(len(regions), name, 0, (f,)))
-
-    region_of_face = [-1] * len(graph.faces)
-    for r in regions:
-        for f in r.faces:
-            region_of_face[f] = r.index
-
-    nv = len(graph.vertex_names)
-    ne = len(graph.arcs)
-    assert ne == 2 * nv  # one alpha and one beta arc slot per vertex
-    chi = nv - ne + sum(r.chi for r in regions)
-    if chi != 2 - 2 * inp.genus:
-        raise ValidationError(
-            f"Euler characteristic mismatch: V - E + sum chi(region) = "
-            f"{nv} - {ne} + {sum(r.chi for r in regions)} = {chi}, "
-            f"but genus {inp.genus} requires {2 - 2 * inp.genus}")
-
-    # Every quadrant at a vertex borders the arcs there, so the graph plus
-    # the regions is connected exactly when the regions are, across arcs.
-    arc_sides = tuple((region_of_face[graph.face_of_dart[2 * a]],
-                       region_of_face[graph.face_of_dart[2 * a + 1]]) for a in range(ne))
-    if not _connected(len(regions), arc_sides):
-        raise ValidationError("diagram is disconnected (graph plus regions)")
-    # Cutting along one family must keep the region adjacency connected.
-    for family, fam_name in ((BETA, ALPHA), (ALPHA, BETA)):
-        if not _connected(len(regions), (s for arc, s in zip(graph.arcs, arc_sides)
-                                         if arc.family == family)):
-            raise ValidationError(
-                f"cutting along the {fam_name} curves disconnects the surface; "
-                f"the {fam_name} family is not independent")
-
-    bp_curve, bp_vertex, side = inp.basepoint
-    bp_arc = None
-    for arc in graph.arcs:
-        if arc.curve == bp_curve and arc.tail == graph.vertex_index[bp_vertex]:
-            bp_arc = arc.index
-            break
-    if bp_arc is None:
-        raise ValidationError(
-            f"basepoint locator ({bp_curve}, {bp_vertex}) resolves to nothing")
-    dart = 2 * bp_arc if side == LEFT_AFTER else 2 * bp_arc + 1
-    basepoint_region = region_of_face[graph.face_of_dart[dart]]
-
-    return HeegaardDiagram(graph, tuple(regions), tuple(region_of_face), arc_sides,
-                           basepoint_region)
+    return HeegaardDiagram(inp)
 
 
 def load_diagram(text: str) -> HeegaardDiagram:
@@ -646,6 +605,18 @@ def serialize(diagram: HeegaardDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _map_circle_ids(directives: tuple[RegionDirective, ...],
+                    dart: Callable[[str, str, str], tuple]) -> tuple[RegionDirective, ...]:
+    """The directives with each circle id ``CURVE.POS`` + direction rewritten
+    as the (curve, position, direction) that ``dart`` maps its parts to."""
+    def rewrite(cid: str) -> str:
+        curve, pos = cid[:-1].rsplit(".", 1)
+        return "{}.{}{}".format(*dart(curve, pos, cid[-1]))
+
+    return tuple(d if d.circles is None else d._replace(circles=tuple(map(rewrite, d.circles)))
+                 for d in directives)
+
+
 def reverse_curve(inp: CurveSystemInput, curve: str) -> CurveSystemInput:
     """Reverse the listed orientation of one curve.
 
@@ -668,20 +639,12 @@ def reverse_curve(inp: CurveSystemInput, curve: str) -> CurveSystemInput:
             return arc_curve, pos, direction
         return arc_curve, (n - 2 - pos) % n, ("-" if direction == "+" else "+")
 
-    def map_dart_id(cid: str) -> str:
-        arc, direction = cid[:-1], cid[-1]
-        c, pos = arc.rsplit(".", 1)
-        c2, p2, d2 = map_dart(c, int(pos), direction)
-        return f"{c2}.{p2}{d2}"
-
     def flip_listing(curves):
         return tuple((nm, tuple(reversed(v)) if nm == curve else v) for nm, v in curves)
 
     signs = {v: (-s if v in flipped else s) for v, s in inp.signs.items()}
-    directives = tuple(
-        d._replace(circles=None if d.circles is None
-                   else tuple(map_dart_id(x) for x in d.circles))
-        for d in inp.directives)
+    directives = _map_circle_ids(inp.directives,
+                                 lambda c, pos, direction: map_dart(c, int(pos), direction))
 
     # Relocate the basepoint: resolve the old locator to a dart, map it,
     # and express the mapped dart as a locator in the new listings.
@@ -693,7 +656,7 @@ def reverse_curve(inp: CurveSystemInput, curve: str) -> CurveSystemInput:
     new_bp = (c2, new_listing[p2], LEFT_AFTER if d2 == "+" else RIGHT_AFTER)
 
     return inp._replace(alpha=flip_listing(inp.alpha), beta=flip_listing(inp.beta),
-                        signs=signs, basepoint=new_bp, directives=directives, source={})
+                        signs=signs, basepoint=new_bp, directives=directives)
 
 
 def rename(inp: CurveSystemInput,
@@ -716,15 +679,7 @@ def rename(inp: CurveSystemInput,
     def do(curves):
         return tuple((c(n), tuple(v(x) for x in verts)) for n, verts in curves)
 
-    def fix_circle(cid: str) -> str:
-        arc, sign = cid[:-1], cid[-1]
-        curve, pos = arc.rsplit(".", 1)
-        return f"{c(curve)}.{pos}{sign}"
-
-    directives = tuple(
-        d._replace(circles=None if d.circles is None
-                   else tuple(fix_circle(x) for x in d.circles))
-        for d in inp.directives)
+    directives = _map_circle_ids(inp.directives, lambda curve, pos, d: (c(curve), pos, d))
     bp = (c(inp.basepoint[0]), v(inp.basepoint[1]), inp.basepoint[2])
     # Curve and vertex names live in separate namespaces.
     for new_names in ([c(n) for n, _ in inp.alpha + inp.beta], [v(x) for x in inp.signs]):
@@ -732,4 +687,4 @@ def rename(inp: CurveSystemInput,
             raise ValueError("rename maps collide")
     return inp._replace(alpha=do(inp.alpha), beta=do(inp.beta),
                         signs={v(k): s for k, s in inp.signs.items()},
-                        basepoint=bp, directives=directives, source={})
+                        basepoint=bp, directives=directives)

@@ -15,8 +15,9 @@ key read off U r(g), a connecting domain is an exact division followed
 by one product with V, and the periodic lattice is a set of columns of
 V.  U and V stay sparse (``zlattice.smith_normal_form`` keeps U by rows
 and V by columns), and every product with them runs over their nonzero
-entries.  The factorization, the partition, the grading table and H1 are
-kept in per-diagram state that is freed together with the diagram.
+entries.  The generators, the factorization, the partition, the grading
+table and H1 are cached on the diagram itself, so each is computed once
+per diagram and lives exactly as long as the diagram does.
 
 All index quantities are computed exactly:
 
@@ -37,7 +38,6 @@ is not a multiple of 4 is an internal inconsistency and raises.
 from __future__ import annotations
 
 import itertools
-import weakref
 from fractions import Fraction
 from functools import wraps
 from operator import add, mod
@@ -76,25 +76,18 @@ class MixedLabelError(GradingError):
 # Per-diagram state
 # ---------------------------------------------------------------------------
 
-_STATE: "weakref.WeakKeyDictionary[HeegaardDiagram, dict]" = weakref.WeakKeyDictionary()
-
-
 def _per_diagram(fn):
-    """Memoize ``fn(diagram)`` in state that is freed together with the diagram.
+    """Memoize ``fn(diagram)`` in the diagram's own cache.
 
-    The state holds the diagram weakly, so a long-lived process keeps no
-    diagram alive that its caller has dropped.  Cached values must not
-    refer to the diagram, or it would keep itself alive.
+    The cache is a dict on the diagram, so a cached value lives exactly as
+    long as its diagram does.
     """
     @wraps(fn)
     def cached(diagram: HeegaardDiagram):
-        state = _STATE.get(diagram)
-        if state is None:
-            state = _STATE[diagram] = {}
         try:
-            return state[fn]
+            return diagram._cache[fn]
         except KeyError:
-            value = state[fn] = fn(diagram)
+            value = diagram._cache[fn] = fn(diagram)
             return value
 
     return cached
@@ -130,19 +123,7 @@ class Generator(NamedTuple):
             raise _not_a_generator(repr(text)) from None
 
 
-def _curve_membership(diagram: HeegaardDiagram):
-    """vertex -> (alpha index, beta index)."""
-    alpha_of = [-1] * diagram.n_vertices
-    beta_of = [-1] * diagram.n_vertices
-    for i, (_, verts) in enumerate(diagram.alpha):
-        for v in verts:
-            alpha_of[v] = i
-    for j, (_, verts) in enumerate(diagram.beta):
-        for v in verts:
-            beta_of[v] = j
-    return alpha_of, beta_of
-
-
+@_per_diagram
 def enumerate_generators(diagram: HeegaardDiagram) -> tuple[Generator, ...]:
     """All generators, in a deterministic order.
 
@@ -150,9 +131,9 @@ def enumerate_generators(diagram: HeegaardDiagram) -> tuple[Generator, ...]:
     listing order and skipping beta curves already used.  The empty result
     is allowed (a diagram may have no generators in some class setups).
     The backtracking keeps its own stack, so the genus is not bounded by
-    the interpreter's recursion limit.
+    the interpreter's recursion limit.  Runs once per diagram.
     """
-    _, beta_of = _curve_membership(diagram)
+    beta_of = diagram.beta_of
     out: list[Generator] = []
     chosen: list[int] = []  # the vertex picked on each alpha curve but the last open one
     used_beta: set[int] = set()
@@ -765,9 +746,8 @@ def homology_of_Y(diagram: HeegaardDiagram) -> Homology:
     above 1).
     """
     g = diagram.genus
-    alpha_of, beta_of = _curve_membership(diagram)
     rows = [[0] * g for _ in range(g)]
-    for v, sign in enumerate(diagram.signs):
-        rows[alpha_of[v]][beta_of[v]] += sign
+    for i, j, sign in zip(diagram.alpha_of, diagram.beta_of, diagram.signs):
+        rows[i][j] += sign
     nonzero = [d for d in smith_invariants(IntMatrix(tuple(map(tuple, rows)), g)) if d]
     return Homology(g - len(nonzero), tuple(d for d in nonzero if d > 1))

@@ -33,9 +33,19 @@ pair count is odd, and only when the pair type agrees with the vertex's
 crossing sign; such vertices at positive crossings count as positive,
 at negative crossings as negative.  The balance then reads: interior
 occurrences of x-only vertices plus positive vertices equal interior
-occurrences of y-only vertices plus negative vertices.  (Verified
-exactly on tens of thousands of generated domains; the type label alone,
-without the parity and crossing-sign filter, does not balance.)
+occurrences of y-only vertices plus negative vertices.  (The type label
+alone, without the parity and crossing-sign filter, does not balance.)
+
+The balance is not invariant under reversing a curve, and fails on some
+correct domains of curve-reversed open books.  A reversal flips the
+crossing sign of every vertex on the curve but leaves a*b unchanged:
+reversing a beta curve keeps the rotation, and reversing an alpha curve
+shifts it by two slots, which negates both jumps.  So a vertex that
+counted stops counting.  Example: the annulus open book with n = 1 and
+b0 reversed, pair x2 -> x1, domain (2, 1, 0).  Vertex x0 has quadrant
+multiplicities (2, 1, 0, 1) before and after the reversal; at crossing
+sign +1 it counts as positive and the balance reads 0 + 1 = 1 + 0, at
+-1 it does not count and 0 + 0 != 1 + 0 raises ``AuditError``.
 """
 
 from __future__ import annotations

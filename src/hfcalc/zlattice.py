@@ -92,9 +92,6 @@ class SmithDecomposition(NamedTuple):
     invariants: tuple[int, ...]
     v_columns: tuple[dict[int, int], ...]
 
-    def diagonal(self) -> tuple[int, ...]:
-        return self.invariants
-
     # The dense matrices are built from ints, so they skip from_rows's checks.
     @property
     def u(self) -> IntMatrix:
@@ -243,7 +240,7 @@ def smith_invariants(m: IntMatrix) -> tuple[int, ...]:
     The returned tuple has length min(rows, cols).  It is the diagonal of
     ``smith_normal_form``, so no dense transform is built.
     """
-    return smith_normal_form(m).diagonal()
+    return smith_normal_form(m).invariants
 
 
 class AffineSolutionSet(NamedTuple):
@@ -276,7 +273,7 @@ def solve_integer_system(m: IntMatrix, b: Sequence[int]) -> AffineSolutionSet:
     if len(b) != m.rows:
         raise DimensionMismatch(f"rhs of length {len(b)} against {m.rows} rows")
     dec = smith_normal_form(m)
-    diag = dec.diagonal()
+    diag = dec.invariants
     b = [int(x) for x in b]
     c = [sum(x * b[k] for k, x in row.items()) for row in dec.u_rows]
 

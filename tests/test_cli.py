@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, structured output."""
 
+import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -12,6 +14,7 @@ import pytest
 
 import hfcalc
 from hfcalc.cli import main
+from hfcalc.diagram import assemble_regions, load_diagram, reverse_curve, serialize
 
 from conftest import L31_TEXT, S3_TEXT, s1s2_plus_pairs_text
 
@@ -287,6 +290,60 @@ def test_readme_commands_succeed(capsys, monkeypatch, tmp_path):
     assert len(commands) == 13
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+# sha256 of the --json stdout and exit code of every case of
+# ``golden_cases``; any byte of output that changes changes it.
+GOLDEN_JSON_DIGEST = "2264c1b313eaed77a533c62b986aca02a00d86f28dfcf2eba7ee73ffa631fdb4"
+
+
+def golden_cases(capsys):
+    """Run the golden cases in the current directory; yield (argv, stdout, code).
+
+    Diagrams: torus(p, q) for 0 <= q < p <= 5, annulus open books with
+    |n| <= 3, S1 x S2, the stabilization of torus(3, 1), and every curve
+    reversal of these.  Commands: validate, info, generators, spinc and
+    grade on each, and ``domain --positive`` and ``audit`` on every
+    ordered pair of its generators.  Files are named relatively, so the
+    output does not depend on the directory.
+    """
+    def run(argv):
+        code = main(["--json"] + argv)
+        return argv, capsys.readouterr().out, code
+
+    builders = [["torus", str(p), str(q)] for p in range(1, 6) for q in range(p)
+                if math.gcd(p, q) == 1]
+    builders += [["openbook-annulus", str(n)] for n in range(-3, 4)] + [["s1s2"]]
+    files = []
+    for k, builder in enumerate(builders):
+        files.append(f"d{k}.hd")
+        yield run(["atlas"] + builder + ["-o", files[-1]])
+    yield run(["stabilize", "d2.hd", "-o", "st.hd"])  # d2.hd is torus(3, 1)
+    files.append("st.hd")
+    for path in list(files):
+        inp = load_diagram(Path(path).read_text(encoding="utf-8")).input
+        for curve in inp.curve_names():
+            files.append(f"{path[:-3]}-{curve}.hd")
+            Path(files[-1]).write_text(serialize(assemble_regions(reverse_curve(inp, curve))),
+                                       encoding="utf-8")
+    for path in files:
+        for command in ("validate", "info", "generators", "spinc", "grade"):
+            argv, out, code = run([command, path])
+            yield argv, out, code
+            if command == "generators":
+                gens = json.loads(out)["payload"]["generators"]
+        for x in gens:
+            for y in gens:
+                yield run(["domain", path, x, y, "--positive"])
+                yield run(["audit", path, x, y])
+
+
+def test_golden_json_digest(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for argv, out, code in golden_cases(capsys):
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == GOLDEN_JSON_DIGEST
 
 
 def test_generators_beyond_the_recursion_limit(capsys, tmp_path):

@@ -123,7 +123,8 @@ def test_enumerate_matches_recursive_transformed(d):
 
 @st.composite
 def curve_incidences(draw):
-    """The curve data enumeration reads, with vertices on arbitrary curve pairs.
+    """The curve data enumeration reads, with vertices on arbitrary curve pairs,
+    and the empty per-diagram cache it is memoized in.
 
     Atlas diagrams only meet alpha i with beta i, so used beta curves never
     prune there; here they do.
@@ -137,7 +138,8 @@ def curve_incidences(draw):
     alpha = tuple((f"a{i}", tuple(v for v in order if on_alpha[v] == i)) for i in range(genus))
     beta = tuple((f"b{j}", tuple(v for v in range(n) if on_beta[v] == j))
                  for j in range(genus))
-    return SimpleNamespace(genus=genus, n_vertices=n, alpha=alpha, beta=beta)
+    return SimpleNamespace(genus=genus, n_vertices=n, alpha=alpha, beta=beta,
+                           beta_of=tuple(on_beta), _cache={})
 
 
 @settings(max_examples=300, deadline=None)
@@ -632,7 +634,7 @@ def pairwise_reference(d):
         e = sum((a * (Fraction(r.chi) - Fraction(d.corner_counts[r.index], 4))
                  for r, a in zip(d.regions, coeffs)), Fraction(0))
         n_xy = sum((Fraction(coeffs[k], 4) for g in (x, y) for v in g.vertices
-                    for k in d.quadrant_regions(v)), Fraction(0))
+                    for k in d.quadrants[v]), Fraction(0))
         mu = e + n_xy
         assert mu.denominator == 1
         assert maslov_index(d, x, y, coeffs) == mu

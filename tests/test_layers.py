@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from hfcalc.atlas import build_torus_diagram
+from hfcalc.atlas import build_annulus_open_book, build_torus_diagram
+from hfcalc.diagram import assemble_regions, reverse_curve
 from hfcalc.grading import (basepoint_multiplicity, enumerate_generators,
                             homogeneous_lattice, maslov_index, positive_representative,
                             solve_domain, spinc_partition)
 from hfcalc.layers import (AUXILIARY, BOUNDARY_DEGENERATE, CONCAVE, CONVEX, EDGE_POINT,
-                           INTERIOR, INTERIOR_DEGENERATE, AuditReport,
+                           INTERIOR, INTERIOR_DEGENERATE, AuditError, AuditReport,
                            LayerReport, LayerSurface, _balance_weight, audit_index,
                            classify_corner, decompose_layers, layer_euler, layer_index)
 from hfcalc.zlattice import DimensionMismatch
@@ -242,6 +243,23 @@ def test_audit_identities_over_translates(fixture, request):
                 audit_index(d, x, y, cand)  # raises AuditError on failure
                 audited += 1
     assert audited > 10
+
+
+# The corner balance counts a vertex only when its pair type matches its
+# crossing sign; reversing a curve flips the sign and keeps the type, so
+# correct domains of reversed open books fail the balance (see ``layers``).
+@pytest.mark.xfail(strict=True, raises=AuditError,
+                   reason="the corner balance is not invariant under curve reversal")
+@pytest.mark.parametrize("curve", ["a0", "b0"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_audit_after_reversing_a_curve_of_an_open_book(n, curve):
+    d = assemble_regions(reverse_curve(build_annulus_open_book(n).diagram.input, curve))
+    gens = enumerate_generators(d)
+    for x in gens:
+        for y in gens:
+            dom = solve_domain(d, x, y)
+            if dom is not None:
+                audit_index(d, x, y, positive_representative(dom))
 
 
 @pytest.mark.parametrize("entry", [decompose_layers, audit_index])

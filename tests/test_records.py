@@ -20,9 +20,9 @@ RECORDS = [
     (RegionDirective("r0", 0, ("a0.0-",), 3),
      "RegionDirective(label='r0', genus=0, circles=('a0.0-',), line=3)"),
     (CurveSystemInput(1, (("a0", ("x0",)),), (("b0", ("x0",)),), {"x0": 1},
-                      ("a0", "x0", "left-after"), (), {}),
+                      ("a0", "x0", "left-after"), ()),
      "CurveSystemInput(genus=1, alpha=(('a0', ('x0',)),), beta=(('b0', ('x0',)),), "
-     "signs={'x0': 1}, basepoint=('a0', 'x0', 'left-after'), directives=(), source={})"),
+     "signs={'x0': 1}, basepoint=('a0', 'x0', 'left-after'), directives=())"),
     (Arc(0, "alpha", "a0", 0, 0, 1),
      "Arc(index=0, family='alpha', curve='a0', pos=0, tail=0, head=1)"),
     (Region(0, "r0", 0, (0, 1)), "Region(index=0, label='r0', genus=0, faces=(0, 1))"),
@@ -116,10 +116,3 @@ def test_twisted_element_needs_a_summand():
         TwistedElement(())
     assert TwistedElement((((0,), G0),)).summands == (((0,), G0),)
 
-
-def test_default_source_is_shared_and_read_only():
-    a = CurveSystemInput(1, (), (), {}, ("a0", "x0", "left-after"))
-    b = CurveSystemInput(1, (), (), {}, ("a0", "x0", "left-after"))
-    assert a.source == {} and a.source is b.source
-    with pytest.raises(TypeError):
-        a.source["curve:a0"] = (1, 0)

@@ -144,7 +144,7 @@ def test_smith_form_properties(m):
         assert abs(bareiss_det(dec.u)) == 1
     if m.cols:
         assert abs(bareiss_det(dec.v)) == 1
-    diag = dec.diagonal()
+    diag = dec.invariants
     for i in range(dec.s.rows):
         for j in range(dec.s.cols):
             if i != j:
