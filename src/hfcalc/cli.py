@@ -32,6 +32,7 @@ Identical inputs and flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -421,7 +422,9 @@ def _selftest(seed: int):
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     ap = argparse.ArgumentParser(prog="hfcalc",
                                  description="Exact calculator for gradings of "
                                              "Heegaard-diagram generators")

@@ -8,11 +8,16 @@ edge, or a convex/concave corner of the layer, and the vertex's
 membership in the source and target generators refines the corner into
 x-, y-, degenerate, or auxiliary type.
 
-A domain is decomposed in one pass over its vertices and arcs (see
-``decompose_layers``).  Layer indices are counted in integer quarter
-units and become a ``Fraction`` only when returned.  They are counted on
-the layers, not from the region weights ``maslov_index`` uses, so the
-first identity below compares two independent computations.
+A layer changes only where the domain's multiplicities do: the layers
+of levels c' + 1, ..., c between two consecutive distinct multiplicities
+c' < c hold the same regions, arcs and clusters.  A domain is therefore
+classified once per run of levels between distinct multiplicities (see
+``decompose_layers``), so the work grows with the number of distinct
+multiplicities, not with the largest one.  Layer indices are counted in
+integer quarter units and become a ``Fraction`` only when returned.
+They are counted on the layers, not from the region weights
+``maslov_index`` uses, so the first identity below compares two
+independent computations.
 
 Three exact identities are audited for every decomposition:
 
@@ -51,7 +56,7 @@ sign +1 it counts as positive and the balance reads 0 + 1 = 1 + 0, at
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .grading import (ConsistencyError, Generator, basepoint_multiplicity, maslov_index,
                       _coeffs)
@@ -149,6 +154,10 @@ def _balance_weight(crossing_sign: int, mults: Sequence[int]) -> int:
     return crossing_sign * (pairs % 2)
 
 
+# Shape of a cluster by its number of quadrants (four is an interior point).
+_CLUSTER_SHAPE = {1: CONVEX, 2: EDGE_POINT, 3: CONCAVE}
+
+
 def classify_corner(mults: Sequence[int], level: int, in_x: bool, in_y: bool,
                     vertex: int | None = None) -> tuple[CornerClass, ...]:
     """Classify the quadrant clusters of one vertex at one layer level.
@@ -171,7 +180,7 @@ def classify_corner(mults: Sequence[int], level: int, in_x: bool, in_y: bool,
 
     out = []
     for run in _clusters(included):
-        shape = {1: CONVEX, 2: EDGE_POINT, 3: CONCAVE}[len(run)]
+        shape = _CLUSTER_SHAPE[len(run)]
         if shape == EDGE_POINT:
             kind = BOUNDARY_DEGENERATE if degenerate else EDGE_POINT
             sign = None
@@ -199,15 +208,14 @@ class LayerSurface(NamedTuple):
     clusters: tuple[CornerClass, ...]
 
 
-def decompose_layers(diagram: HeegaardDiagram, x: Generator, y: Generator,
-                     domain) -> tuple[LayerSurface, ...]:
-    """Split a nonnegative domain into its max-multiplicity many layers.
+_Vertex = tuple[int, list[int], bool, bool, int]  # (max, mults, in x, in y, index)
 
-    The quadrant multiplicities of each vertex and the larger multiplicity
-    beside each arc are read once; a region, vertex or arc whose largest
-    multiplicity is below a level is absent from that layer and from
-    every layer above it.
-    """
+
+def _vertex_table(diagram: HeegaardDiagram, x: Generator, y: Generator,
+                  domain) -> tuple[Sequence[int], list[_Vertex]]:
+    """A nonnegative domain's coefficients and, per vertex, its quadrant
+    multiplicities (and their maximum) and membership in x and y, each
+    read once."""
     coeffs = _coeffs(diagram, domain)
     if any(c < 0 for c in coeffs):
         raise ValueError("layer decomposition needs a nonnegative domain")
@@ -216,19 +224,51 @@ def decompose_layers(diagram: HeegaardDiagram, x: Generator, y: Generator,
     for v, quadrants in enumerate(diagram.quadrants):
         mults = [coeffs[r] for r in quadrants]
         vertices.append((max(mults), mults, v in xset, v in yset, v))
+    return coeffs, vertices
+
+
+def _layer_runs(diagram: HeegaardDiagram, coeffs: Sequence[int],
+                vertices: list[_Vertex]) -> Iterator[tuple[LayerSurface, int]]:
+    """Each run of identical layers as (its first layer, its last level).
+
+    Between consecutive distinct positive coefficients c' < c, the levels
+    c' + 1, ..., c include exactly the regions, vertex quadrants and arcs
+    of multiplicity >= c, so they share one set of regions, arcs and
+    clusters; the clusters are classified at the run's first level.
+    A region, vertex or arc whose largest multiplicity is below a run is
+    absent from it and from every run above it.
+    """
     arcs = [(max(coeffs[left], coeffs[right]), a)
             for a, (left, right) in enumerate(diagram.arc_sides)]
     regions = range(len(coeffs))
-    layers = []
-    for level in range(1, max(coeffs) + 1):
-        regions = [r for r in regions if coeffs[r] >= level]
-        vertices = [t for t in vertices if t[0] >= level]
-        arcs = [t for t in arcs if t[0] >= level]
+    first = 1
+    for last in sorted(set(coeffs) - {0}):
+        regions = [r for r in regions if coeffs[r] >= last]
+        vertices = [t for t in vertices if t[0] >= last]
+        arcs = [t for t in arcs if t[0] >= last]
         clusters: list[CornerClass] = []
         for _, mults, in_x, in_y, v in vertices:
-            clusters.extend(classify_corner(mults, level, in_x, in_y, v))
-        layers.append(LayerSurface(level, tuple(regions), tuple(a for _, a in arcs),
-                                   tuple(clusters)))
+            clusters.extend(classify_corner(mults, first, in_x, in_y, v))
+        yield (LayerSurface(first, tuple(regions), tuple(a for _, a in arcs),
+                            tuple(clusters)), last)
+        first = last + 1
+
+
+def decompose_layers(diagram: HeegaardDiagram, x: Generator, y: Generator,
+                     domain) -> tuple[LayerSurface, ...]:
+    """Split a nonnegative domain into its max-multiplicity many layers.
+
+    One ``LayerSurface`` per level 1, ..., max; every cluster carries its
+    layer's level.  The layers are classified once per run of levels
+    between distinct multiplicities and copied across the run.
+    """
+    coeffs, vertices = _vertex_table(diagram, x, y, domain)
+    layers = []
+    for layer, last in _layer_runs(diagram, coeffs, vertices):
+        layers.append(layer)
+        for level in range(layer.level + 1, last + 1):
+            layers.append(layer._replace(
+                level=level, clusters=tuple(c._replace(level=level) for c in layer.clusters)))
     return tuple(layers)
 
 
@@ -312,11 +352,13 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
                 domain) -> AuditReport:
     """Decompose, classify, and verify the exact layer identities.
 
-    Raises ``AuditError`` when an identity fails; a failure signals an
+    Statistics are taken once per run of identical layers (see
+    ``decompose_layers``) and counted once per level of the run; the
+    report still holds one ``LayerReport`` per level.  Raises
+    ``AuditError`` when an identity fails; a failure signals an
     implementation inconsistency, never bad user input.
     """
-    coeffs = _coeffs(diagram, domain)
-    layers = decompose_layers(diagram, x, y, coeffs)
+    coeffs, vertices = _vertex_table(diagram, x, y, domain)
     mu = maslov_index(diagram, x, y, coeffs)
 
     reports = []
@@ -324,18 +366,19 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
     x_interior = y_interior = 0
     degenerate_present = False
     auxiliary_present = False
-    for layer in layers:
+    for layer, last in _layer_runs(diagram, coeffs, vertices):
+        length = last - layer.level + 1
         chi = layer_euler(diagram, layer)
         convex, concave = _corner_shapes(layer)
         layer_quarters = _index_quarters(diagram, x, y, layer, chi, convex, concave)
-        quarters += layer_quarters
+        quarters += layer_quarters * length
         aux_signed = 0
         bdeg = ideg = 0
         for c in layer.clusters:
             if c.kind == INTERIOR and c.role == "x":
-                x_interior += 1
+                x_interior += length
             elif c.kind == INTERIOR and c.role == "y":
-                y_interior += 1
+                y_interior += length
             elif c.kind == INTERIOR_DEGENERATE:
                 ideg += 1
                 degenerate_present = True
@@ -345,26 +388,25 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
             elif c.kind == AUXILIARY:
                 auxiliary_present = True
                 aux_signed += c.sign or 0
-        reports.append(LayerReport(layer.level, chi, convex, concave, bdeg, ideg,
-                                   aux_signed, Fraction(layer_quarters, 4)))
+        index = Fraction(layer_quarters, 4)
+        reports.extend(LayerReport(level, chi, convex, concave, bdeg, ideg, aux_signed, index)
+                       for level in range(layer.level, last + 1))
 
     total = Fraction(quarters, 4)
     if total != mu:
         raise AuditError(f"layer index sum {total} differs from Maslov index {mu}")
 
     single = None
-    if len(layers) == 1 and not degenerate_present and not auxiliary_present:
+    if len(reports) == 1 and not degenerate_present and not auxiliary_present:
         chi, q = reports[0].chi, reports[0].concave
         single = (chi + q == mu)
         if not single:
             raise AuditError(f"single-layer identity failed: chi {chi} + q {q} != mu {mu}")
 
     pos_vertices = neg_vertices = 0
-    xset, yset = set(x.vertices), set(y.vertices)
-    for v, quadrants in enumerate(diagram.quadrants):
-        if (v in xset) ^ (v in yset):
+    for _, mults, in_x, in_y, v in vertices:
+        if in_x ^ in_y:
             continue
-        mults = [coeffs[r] for r in quadrants]
         w = _balance_weight(diagram.signs[v], mults)
         if w > 0:
             pos_vertices += 1

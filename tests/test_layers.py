@@ -198,6 +198,31 @@ def test_audit_bigon_plus_full_surface(s1s2):
     assert len(report.layers) == 2
 
 
+def test_each_run_of_identical_layers_is_classified_once(s1s2, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return classify_corner(*args, **kwargs)
+
+    monkeypatch.setattr("hfcalc.layers.classify_corner", counting)
+    x, y = enumerate_generators(s1s2)
+    bigon = [1 if s1s2.canonical_region_name(i) == "a0.0+" else 0
+             for i in range(s1s2.n_regions)]
+    coeffs = [c + 50 for c in bigon]
+    report = audit_index(s1s2, x, y, coeffs)
+    distinct = len(set(coeffs) - {0})
+    assert distinct == 2
+    assert 0 < len(calls) <= distinct * s1s2.n_vertices
+    assert [r.level for r in report.layers] == list(range(1, 52))
+    assert report.maslov == report.layer_sum == 101
+
+    surfaces = decompose_layers(s1s2, x, y, coeffs)
+    assert [s.level for s in surfaces] == list(range(1, 52))
+    for s in surfaces:
+        assert s.clusters and all(c.level == s.level for c in s.clusters)
+
+
 def test_audit_interior_degenerate_full_surface(s3):
     (g,) = enumerate_generators(s3)
     report = audit_index(s3, g, g, [1])
@@ -280,16 +305,18 @@ def per_level_decompose(d, x, y, coeffs):
         return d.region_of_face[d.face_of_dart[dart]]
 
     xset, yset = set(x.vertices), set(y.vertices)
+    sides = [(region_of_dart(2 * a), region_of_dart(2 * a + 1)) for a in range(d.n_arcs)]
+    mults = [[coeffs[region_of_dart(dart)] for dart in d.rotations[v]]
+             for v in range(d.n_vertices)]
     layers = []
     for level in range(1, max(coeffs, default=0) + 1):
         regions = tuple(i for i, c in enumerate(coeffs) if c >= level)
         rset = set(regions)
-        arcs = tuple(a for a in range(d.n_arcs)
-                     if region_of_dart(2 * a) in rset or region_of_dart(2 * a + 1) in rset)
+        arcs = tuple(a for a, (left, right) in enumerate(sides)
+                     if left in rset or right in rset)
         clusters = []
         for v in range(d.n_vertices):
-            mults = [coeffs[region_of_dart(dart)] for dart in d.rotations[v]]
-            clusters.extend(classify_corner(mults, level, v in xset, v in yset, v))
+            clusters.extend(classify_corner(mults[v], level, v in xset, v in yset, v))
         layers.append(LayerSurface(level, regions, arcs, tuple(clusters)))
     return tuple(layers)
 
@@ -310,9 +337,9 @@ def fraction_layer_index(d, x, y, layer):
     return total
 
 
-def fraction_audit(d, x, y, coeffs):
-    """The audit with every statistic recounted per use, in Fractions."""
-    layers = per_level_decompose(d, x, y, coeffs)
+def fraction_audit(d, x, y, coeffs, layers):
+    """The audit of ``per_level_decompose``'s layers with every statistic
+    recounted per use, in Fractions."""
     mu = maslov_index(d, x, y, coeffs)
     reports = []
     total = Fraction(0)
@@ -361,23 +388,33 @@ def fraction_audit(d, x, y, coeffs):
                        x_interior, y_interior, pos, neg, single)
 
 
+# (c, k): the positive representative D(x, y), plus c - 1 copies of the
+# nonnegative periodic domain D(x, y) + D(y, x), plus k copies of the full
+# surface; that is c D(x, y) + (c - 1) D(y, x) + k, still a domain from x to
+# y.  With c > 1 a run of identical layers can be longer than one level
+# without being full-surface.
+SCALED_DOMAINS = [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 16), (3, 0), (3, 16)]
+
+
 def assert_audit_matches_oracle(d):
-    """The positive representative of every same-class pair plus k copies
-    of the full surface, k <= 3: layers, layer indices and reports agree
-    with the oracle, reprs included (so a Fraction stays a Fraction)."""
+    """For every same-class pair and (c, k) in ``SCALED_DOMAINS``: layers,
+    layer indices and reports agree with the per-level oracle, reprs
+    included (so a Fraction stays a Fraction)."""
     audited = 0
     for cls in spinc_partition(d):
         for x in cls.members:
             for y in cls.members:
-                pos = positive_representative(solve_domain(d, x, y))
-                for k in range(4):
-                    coeffs = tuple(c + k for c in pos.coefficients)
-                    layers = decompose_layers(d, x, y, coeffs)
-                    assert layers == per_level_decompose(d, x, y, coeffs)
+                there = positive_representative(solve_domain(d, x, y)).coefficients
+                back = positive_representative(solve_domain(d, y, x)).coefficients
+                for scale, k in SCALED_DOMAINS:
+                    coeffs = tuple(scale * a + (scale - 1) * b + k
+                                   for a, b in zip(there, back))
+                    layers = per_level_decompose(d, x, y, coeffs)
+                    assert decompose_layers(d, x, y, coeffs) == layers
+                    oracle = fraction_audit(d, x, y, coeffs, layers)
                     assert ([repr(layer_index(d, x, y, l)) for l in layers]
-                            == [repr(fraction_layer_index(d, x, y, l)) for l in layers])
-                    assert repr(audit_index(d, x, y, coeffs)) == \
-                        repr(fraction_audit(d, x, y, coeffs))
+                            == [repr(r.index) for r in oracle.layers])
+                    assert repr(audit_index(d, x, y, coeffs)) == repr(oracle)
                     audited += 1
     assert audited
 
