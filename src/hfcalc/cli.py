@@ -44,7 +44,7 @@ from .diagram import (DiagramError, HeegaardDiagram, assemble_regions, load_diag
 from .grading import (ConsistencyError, Generator, NoConnectingClassError,
                       NoPositiveRepresentative, _domain_grading, basepoint_multiplicity,
                       enumerate_generators, euler_measure, generator_measure,
-                      gr0_of_theta, grading_table, homogeneous_lattice, homology_of_Y,
+                      gr0_of_theta, grading_table, homology_of_Y,
                       maslov_index, positive_representative, relative_grading,
                       solve_domain, spinc_partition, theta_and_shift)
 from .layers import AuditReport, audit_index
@@ -104,7 +104,8 @@ def _cmd_info(diagram, args):
         "regions": regions,
         "basepoint_region": diagram.canonical_region_name(diagram.basepoint_region),
         "circles": list(diagram.face_names),
-        "lattice_rank": len(homogeneous_lattice(diagram)),
+        # The periodic domains are H2(Y) plus the surface class.
+        "lattice_rank": 1 + homology_of_Y(diagram).b1,
     }
     lines = [f"basepoint region: {payload['basepoint_region']}",
              f"periodic lattice rank: {payload['lattice_rank']}"]

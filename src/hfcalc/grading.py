@@ -7,17 +7,20 @@ runs along the alpha curves from the first generator to the second and
 back along the beta curves -- has an integer solution; solvability
 partitions the generators into Spin^c classes.
 
-The corner matrix M depends only on the diagram; a generator pair only
-picks the right-hand side r(y) - r(x).  So M is factored once per
-diagram, U M V = S, and every question about the system is answered from
-that one factorization: the Spin^c class of a generator is a canonical
-key read off U r(g), a connecting domain is an exact division followed
-by one product with V, and the periodic lattice is a set of columns of
-V.  U and V stay sparse (``zlattice.smith_normal_form`` keeps U by rows
-and V by columns), and every product with them runs over their nonzero
-entries.  The generators, the factorization, the partition, the grading
-table and H1 are cached on the diagram itself, so each is computed once
-per diagram and lives exactly as long as the diagram does.
+By Ozsvath--Szabo, x and y are connected exactly when eps(x, y), the
+loop along the alpha curves from x to y and back along the beta curves,
+vanishes in H1(Y) = Z^g / (columns of A), A_ij = alpha_i . beta_j, in
+coordinates indexed by alpha (``homology_of_Y`` says why).  Pushed off
+their curves, the alpha pieces cross no alpha curve, and averaging the
+push-offs to either side weighs each endpoint of a beta piece by one half
+(``spinc_partition``).  So the classes and H1 share one factorization of
+A.  The corner matrix M is factored only for a domain or the periodic
+lattice: with U M V = S, a domain is an exact division and one product
+with V, and the lattice is a set of columns of V.  Transforms stay sparse
+(U by rows, V by columns), products run over nonzero entries, and both
+factorizations are certified.  The generators, the factorizations, the
+partition, the grading table and H1 are cached on the diagram itself, so
+each is computed once per diagram and lives as long as the diagram does.
 
 All index quantities are computed exactly:
 
@@ -40,11 +43,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import wraps
-from operator import add, mod
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .diagram import ALPHA, HeegaardDiagram
-from .zlattice import (DimensionMismatch, IntMatrix, gcd_over_lattice, smith_invariants,
+from .zlattice import (DimensionMismatch, IntMatrix, SmithDecomposition, gcd_over_lattice,
                        smith_normal_form)
 
 
@@ -233,104 +236,94 @@ class _Corners(NamedTuple):
     ``factors`` are the nonzero invariant factors d_1 | ... | d_rank, the
     leading diagonal entries of S.  For each generator g, in generator
     order, ``images`` holds the first ``rank`` entries of U r(g),
-    unreduced, and ``class_of`` its Spin^c class index.
-    ``particular_rows`` are the rows of V cut to the first ``rank``
-    columns, each as the (column, value) pairs of its nonzero entries in
-    column order, and ``kernel`` the remaining columns of V.
+    unreduced.  ``particular_rows`` are the rows of V cut to the first
+    ``rank`` columns, each as the (column, value) pairs of its nonzero
+    entries in column order, and ``kernel`` the remaining columns of V.
     """
 
     factors: tuple[int, ...]
     particular_rows: tuple[tuple[tuple[int, int], ...], ...]
     kernel: tuple[tuple[int, ...], ...]
     images: dict[Generator, tuple[int, ...]]
-    class_of: dict[Generator, int]
 
 
-def _check_factorization(diagram: HeegaardDiagram, u_rows: Sequence[dict[int, int]],
-                         v_rows: Sequence[dict[int, int]], factors: tuple[int, ...]) -> None:
-    """Certificate: U (M V) is diag(factors) padded with zeros.
+def _check_factorization(m_rows: Sequence[Sequence[tuple[int, int]]],
+                         smith: SmithDecomposition, name: str) -> None:
+    """Certificate: U (``name`` V) is the Smith form S, for M and for A.
 
-    U and V are given by their rows as ``{column: value}`` dicts, and both
-    products run over nonzero entries only.
+    The matrix comes as rows of (column, value) terms.  A row of M V is
+    read back from a dense accumulator only at the columns it touched.
     """
-    zero = [0] * diagram.n_regions
-    mv = [zero.copy() for _ in range(2 * diagram.n_vertices)]
-    for row, plus, minus in _corner_terms(diagram):
-        acc = mv[row]
-        for j, x in v_rows[plus].items():
-            acc[j] += x
-        for j, x in v_rows[minus].items():
-            acc[j] -= x
-    everywhere = range(diagram.n_regions)
-    mv_items = [list(zip(itertools.compress(everywhere, row), filter(None, row))) for row in mv]
-    for i, u_row in enumerate(u_rows):
-        acc = zero.copy()
-        for k, a in u_row.items():
-            for j, x in mv_items[k]:
+    v_rows: list[dict[int, int]] = [{} for _ in range(len(smith.v_columns))]
+    for j, col in enumerate(smith.v_columns):
+        for r, x in col.items():
+            v_rows[r][j] = x
+    acc = [0] * len(smith.v_columns)
+    mv: list[list[tuple[int, int]]] = []
+    for row in m_rows:
+        touched: list[int] = []
+        for k, a in row:
+            touched += v_rows[k]
+            for j, x in v_rows[k].items():
                 acc[j] += a * x
-        if i < len(factors):
-            acc[i] -= factors[i]
+        mv.append([])
+        for j in touched:
+            if acc[j]:
+                mv[-1].append((j, acc[j]))
+                acc[j] = 0
+    for i, u_row in enumerate(smith.u_rows):
+        acc = [0] * len(smith.v_columns)
+        for k, a in u_row.items():
+            for j, x in mv[k]:
+                acc[j] += a * x
+        if i < len(smith.invariants):
+            acc[i] -= smith.invariants[i]
         if any(acc):
-            raise ConsistencyError(f"U M V differs from the Smith form S in row {i}")
+            raise ConsistencyError(f"U {name} V differs from the Smith form S in row {i}")
 
 
 @_per_diagram
 def _corners(diagram: HeegaardDiagram) -> _Corners:
-    """Factor M once and sort every generator into its Spin^c class.
+    """Factor M once, U M V = S, and read off U r(g) for every generator.
 
-    With U M V = S, M p = r(y) - r(x) has an integer solution exactly when
-    d_i divides entry i of U r(y) - U r(x) for i < rank and the entries
-    past the rank agree.  So the key of g -- entries i < rank of U r(g)
-    reduced mod d_i, the entries past the rank kept exactly -- is equal
-    for two generators exactly when they share a class.  The transforms
-    stay sparse throughout: U by rows, V by columns.
+    M p = r(y) - r(x) becomes S q = U r(y) - U r(x) with p = V q, solved
+    by exact division in ``solve_domain``.  Only domains and the periodic
+    lattice need it.  The transforms stay sparse: U by rows, V by columns.
     """
+    m_rows: list[list[tuple[int, int]]] = [[] for _ in range(2 * diagram.n_vertices)]
+    for row, plus, minus in _corner_terms(diagram):
+        m_rows[row] += ((plus, 1), (minus, -1))
     smith = smith_normal_form(_corner_matrix(diagram))
+    _check_factorization(m_rows, smith, "M")
     factors = tuple(d for d in smith.invariants if d)
-    rank = len(factors)
-    v_rows: list[dict[int, int]] = [{} for _ in range(diagram.n_regions)]
-    for j, col in enumerate(smith.v_columns):
-        for r, x in col.items():
-            v_rows[r][j] = x
-    _check_factorization(diagram, smith.u_rows, v_rows, factors)
+    rank, nv = len(factors), diagram.n_vertices
 
     # U r(v) for a single vertex v: its alpha column of U minus its beta column.
-    nv = diagram.n_vertices
-    vertex_image = [[0] * (2 * nv) for _ in range(nv)]
-    for i, u_row in enumerate(smith.u_rows):
+    vertex_image = [[0] * rank for _ in range(nv)]
+    for i, u_row in enumerate(smith.u_rows[:rank]):
         for k, x in u_row.items():
             if k < nv:
                 vertex_image[k][i] += x
             else:
                 vertex_image[k - nv][i] -= x
-
     images: dict[Generator, tuple[int, ...]] = {}
-    class_of: dict[Generator, int] = {}
-    index_of_key: dict[tuple[int, ...], int] = {}
     for g in enumerate_generators(diagram):
-        image = [0] * (2 * nv)
+        image = [0] * rank
         for v in g.vertices:
             image = list(map(add, image, vertex_image[v]))
-        key = tuple(map(mod, image, factors)) + tuple(image[rank:])
-        images[g] = tuple(image[:rank])
-        class_of[g] = index_of_key.setdefault(key, len(index_of_key))
+        images[g] = tuple(image)
 
+    particular_rows: list[list[tuple[int, int]]] = [[] for _ in range(diagram.n_regions)]
+    for j, col in enumerate(smith.v_columns[:rank]):
+        for r, x in col.items():
+            particular_rows[r].append((j, x))
     return _Corners(
         factors=factors,
-        particular_rows=tuple(tuple((j, x) for j, x in row.items() if j < rank)
-                              for row in v_rows),
+        particular_rows=tuple(map(tuple, particular_rows)),
         kernel=tuple(tuple(col.get(r, 0) for r in range(diagram.n_regions))
                      for col in smith.v_columns[rank:]),
         images=images,
-        class_of=class_of,
     )
-
-
-def _class_index(corners: _Corners, g: Generator) -> int:
-    try:
-        return corners.class_of[g]
-    except KeyError:
-        raise _not_a_generator(g) from None
 
 
 def homogeneous_lattice(diagram: HeegaardDiagram) -> tuple[tuple[int, ...], ...]:
@@ -384,11 +377,11 @@ def solve_domain(diagram: HeegaardDiagram, x: Generator, y: Generator) -> Domain
     nonzero entries of V's rows (O(rank + nonzeros of V + regions)); it
     is checked against the corner system before it is returned.  The
     returned domain carries access to the homogeneous lattice through
-    ``Domain.lattice``.
+    ``Domain.lattice``.  M is factored only for a pair that connects.
     """
-    corners = _corners(diagram)
-    if _class_index(corners, x) != _class_index(corners, y):
+    if spinc_class_of(diagram, x).index != spinc_class_of(diagram, y).index:
         return None
+    corners = _corners(diagram)
     steps = [(b - a) // d for a, b, d in
              zip(corners.images[x], corners.images[y], corners.factors)]
     coeffs = []
@@ -543,8 +536,11 @@ def divisibility(diagram: HeegaardDiagram, anchor: Generator) -> int:
     anchor with x = y; 0 encodes an integer-valued relative grading.
 
     Four times it is the gcd of the quarter weights over the lattice basis.
-    The full-surface class contributes mu = 2 and n_z = 1, hence 0.
+    The full-surface class contributes mu = 2 and n_z = 1, hence 0; when
+    b1 = 0 the lattice is Z Sigma, so no factorization is needed.
     """
+    if not homology_of_Y(diagram).b1:
+        return 0
     weights = _quarter_weights(diagram, anchor.vertices * 2, -2)
     return _whole(gcd_over_lattice(homogeneous_lattice(diagram), weights),
                   "grading value gcd")
@@ -555,33 +551,67 @@ def _anchor_key(diagram: HeegaardDiagram, g: Generator) -> tuple[str, ...]:
 
 
 @_per_diagram
+def _class_of(diagram: HeegaardDiagram) -> dict[Generator, SpincClass]:
+    """The Spin^c class of each generator; see ``spinc_partition``."""
+    smith = _intersection_form(diagram)
+    moduli = [2 * d for d in smith.invariants if d]
+    u_columns: list[dict[int, int]] = [{} for _ in range(diagram.genus)]
+    for r, row in enumerate(smith.u_rows):
+        for k, a in row.items():
+            u_columns[k][r] = a
+    # U_A h(v) per vertex, sparse: c is kept as U_A c, so h is never formed.
+    uh: list[dict[int, int]] = [{} for _ in range(diagram.n_vertices)]
+    for _, verts in diagram.beta:
+        uc: dict[int, int] = {}
+        for v in verts:
+            column, sign = u_columns[diagram.alpha_of[v]].items(), diagram.signs[v]
+            for r, a in column:
+                uc[r] = uc.get(r, 0) + sign * a
+            uh[v] = uc.copy()
+            for r, a in column:
+                uc[r] += sign * a
+    members: dict[tuple[int, ...], list[Generator]] = {}
+    for g in enumerate_generators(diagram):
+        image: dict[int, int] = {}
+        for v in g.vertices:
+            for r, x in uh[v].items():
+                image[r] = image.get(r, 0) + x
+        key = (tuple(image.get(r, 0) % m for r, m in enumerate(moduli))
+               + tuple(image.get(r, 0) for r in range(len(moduli), diagram.genus)))
+        members.setdefault(key, []).append(g)
+    class_of: dict[Generator, SpincClass] = {}
+    for i, cls in enumerate(members.values()):
+        anchor = min(cls, key=lambda g: _anchor_key(diagram, g))
+        spinc = SpincClass(i, tuple(cls), anchor, divisibility(diagram, anchor))
+        class_of.update(dict.fromkeys(cls, spinc))
+    return class_of
+
+
+@_per_diagram
 def spinc_partition(diagram: HeegaardDiagram) -> tuple[SpincClass, ...]:
     """Partition the generators into Spin^c classes.
 
-    x and y share a class exactly when r(y) - r(x) lies in the image of
-    the corner matrix M.  M is factored once, U M V = S, and each
-    generator g gets the key U r(g) with entry i < rank reduced mod the
-    invariant factor d_i and the entries past the rank kept exactly; two
-    generators share a class exactly when their keys are equal.  Classes
+    x and y share a class exactly when eps(x, y) = 0 in H1(Y) = Z^g /
+    (columns of A), in alpha coordinates (``homology_of_Y``).  Walk each
+    beta curve in listing order with a running vector c indexed by alpha;
+    at vertex v, add sign(v) e_alpha(v) to c, record h(v) = c, then add it
+    again.  So h(v) is twice the crossings before v plus the one at v: the
+    endpoint of a beta arc counts half, the push-off average of the eps
+    loop, and 2 eps(x, y) = h(y) - h(x) up to whole beta curves, with h(g)
+    summed over g.  So the class test is h(y) - h(x) in 2 (columns of A):
+    keys U_A h(g), entries i < rank reduced mod 2 d_i, are equal.  Classes
     are numbered by first appearance in generator order, and members keep
-    that order.  Two certificates guard the result: U M V = S is checked
-    once per diagram, and every domain ``solve_domain`` returns is
-    checked against the corner system.  Each class gets a deterministic
-    anchor (lexicographically minimal sorted vertex names) and its
-    divisibility.
+    that order.  Each class gets a deterministic anchor (lexicographically
+    minimal sorted vertex names) and its divisibility.
     """
-    members: dict[int, list[Generator]] = {}
-    for g, i in _corners(diagram).class_of.items():
-        members.setdefault(i, []).append(g)
-    out = []
-    for i, cls in members.items():
-        anchor = min(cls, key=lambda g: _anchor_key(diagram, g))
-        out.append(SpincClass(i, tuple(cls), anchor, divisibility(diagram, anchor)))
-    return tuple(out)
+    return tuple({c.index: c for c in _class_of(diagram).values()}.values())
 
 
 def spinc_class_of(diagram: HeegaardDiagram, g: Generator) -> SpincClass:
-    return spinc_partition(diagram)[_class_index(_corners(diagram), g)]
+    try:
+        return _class_of(diagram)[g]
+    except KeyError:
+        raise _not_a_generator(g) from None
 
 
 def relative_grading(diagram: HeegaardDiagram, x: Generator, y: Generator) -> int:
@@ -628,13 +658,13 @@ class GradingLabel(NamedTuple):
 def grading_table(diagram: HeegaardDiagram) -> tuple[tuple[Generator, GradingLabel], ...]:
     """Label every generator: (class id, grading offset relative to anchor).
 
-    The anchor of each class gets offset 0; label differences within a
-    class realize the relative grading.
+    The anchor of each class gets offset 0 with no domain solved; label
+    differences within a class realize the relative grading.
     """
     rows = []
     for g in enumerate_generators(diagram):
         cls = spinc_class_of(diagram, g)
-        off = relative_grading(diagram, g, cls.anchor)
+        off = 0 if g == cls.anchor else relative_grading(diagram, g, cls.anchor)
         rows.append((g, GradingLabel(cls.index, off, cls.divisibility)))
     return tuple(rows)
 
@@ -730,24 +760,33 @@ class Homology(NamedTuple):
 
 
 @_per_diagram
-def homology_of_Y(diagram: HeegaardDiagram) -> Homology:
-    """H1 of the 3-manifold: the cokernel of the g x g intersection matrix.
+def _intersection_form(diagram: HeegaardDiagram) -> SmithDecomposition:
+    """A_ij = alpha_i . beta_j (a sum of crossing signs) as U_A A V_A = S_A."""
+    g = diagram.genus
+    rows = [[0] * g for _ in range(g)]
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(g)]
+    for i, j, sign in zip(diagram.alpha_of, diagram.beta_of, diagram.signs):
+        rows[i][j] += sign
+        terms[i].append((j, sign))
+    smith = smith_normal_form(IntMatrix(tuple(map(tuple, rows)), g))
+    _check_factorization(terms, smith, "A")
+    return smith
 
-    Entry (i, j) is the algebraic intersection number alpha_i . beta_j,
-    the sum of the crossing signs over the vertices on both curves.
+
+@_per_diagram
+def homology_of_Y(diagram: HeegaardDiagram) -> Homology:
+    """H1 of the 3-manifold: the cokernel of the g x g intersection matrix A.
+
     Every diagram comes from ``assemble_regions``, which checked that
     cutting along the alpha curves leaves the surface connected; with
     Euler characteristic 2 - 2g and 2g boundary circles the cut surface is
     then planar (so, too, no region of genus 1 or more assembles).  So the
     alpha classes extend to a symplectic basis of H1(surface), the
     quotient by them is Z^g by pairing with the alpha curves, and each
-    beta curve maps to its column of the matrix.  The Smith form gives b1
-    (g minus the nonzero invariant factors) and the torsion (the factors
-    above 1).
+    beta curve maps to its column of A: H1(Y) = Z^g / (columns of A).  So
+    eps is read in alpha coordinates modulo A's columns, not A^T's.  S_A,
+    which ``spinc_partition`` reads too, gives b1 (g minus the nonzero
+    invariant factors) and the torsion (the factors above 1).
     """
-    g = diagram.genus
-    rows = [[0] * g for _ in range(g)]
-    for i, j, sign in zip(diagram.alpha_of, diagram.beta_of, diagram.signs):
-        rows[i][j] += sign
-    nonzero = [d for d in smith_invariants(IntMatrix(tuple(map(tuple, rows)), g)) if d]
-    return Homology(g - len(nonzero), tuple(d for d in nonzero if d > 1))
+    nonzero = [d for d in _intersection_form(diagram).invariants if d]
+    return Homology(diagram.genus - len(nonzero), tuple(d for d in nonzero if d > 1))

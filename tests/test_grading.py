@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from hfcalc.atlas import build_annulus_open_book, build_torus_diagram, stabilize
-from hfcalc.diagram import assemble_regions, load_diagram, rename, reverse_curve
+from hfcalc.atlas import build_annulus_open_book, build_s1s2, build_torus_diagram, stabilize
+from hfcalc.diagram import assemble_regions, load_diagram, rename, reverse_curve, serialize
 from hfcalc.grading import (ConsistencyError, Generator, GradingLabel, MixedLabelError,
                             NoConnectingClassError, NoPositiveRepresentative,
                             TwistedElement, basepoint_multiplicity,
@@ -505,8 +505,17 @@ def test_homology_matches_oracles_transformed(d):
 # Properties
 # ---------------------------------------------------------------------------
 
+def curve_reversals(d):
+    """Every diagram obtained from ``d`` by reversing one curve."""
+    return [assemble_regions(reverse_curve(d.input, c)) for c in d.input.curve_names()]
+
+
 def test_lattice_rank_identity(atlas_suite):
-    for d in atlas_suite:
+    # ``hfcalc info`` prints 1 + b1 as the lattice rank without factoring M.
+    once = [stabilize(d)[0].diagram for d in atlas_suite]
+    twice = [stabilize(d)[0].diagram for d in once]
+    reversed_ = [r for d in atlas_suite + once for r in curve_reversals(d)]
+    for d in atlas_suite + once + twice + reversed_:
         assert len(homogeneous_lattice(d)) == 1 + homology_of_Y(d).b1
 
 
@@ -690,23 +699,39 @@ def test_factorization_certificate_detects_a_wrong_form(monkeypatch):
     import hfcalc.grading as grading
     from hfcalc.zlattice import smith_normal_form
 
-    def off_by_one(j, r):
+    def off_by_one(j, r, square):
+        """Corrupt entry r of V's column j, in the g x g factorization of A
+        when ``square`` and in the corner matrix's otherwise."""
         def factor(m):
             dec = smith_normal_form(m)
+            if (m.rows == m.cols) != square:
+                return dec
             v = [dict(col) for col in dec.v_columns]
-            x = v[j].pop(r, 0) + 1
+            jj, rr = j % len(v), r % len(v)
+            x = v[jj].pop(rr, 0) + 1
             if x:
-                v[j][r] = x
+                v[jj][rr] = x
             return dec._replace(v_columns=tuple(v))
         return factor
 
-    # Entry (0, 0) of V, and the last entry of its last column, a kernel
-    # column whose product with M lies off the diagonal of S.
+    # openbook(2) has a class of three members, so its grading table solves
+    # domains and factors M.  Entry (0, 0) of V, and the last entry of its
+    # last column, a kernel column whose product with M lies off the
+    # diagonal of S.
+    assert max(len(c.members) for c in spinc_partition(build_annulus_open_book(2).diagram)) > 1
     for j, r in ((0, 0), (-1, -1)):
-        d = build_torus_diagram(3, 1).diagram
-        monkeypatch.setattr(grading, "smith_normal_form", off_by_one(j, r % d.n_regions))
+        d = build_annulus_open_book(2).diagram
+        monkeypatch.setattr(grading, "smith_normal_form", off_by_one(j, r, False))
         with pytest.raises(ConsistencyError, match="U M V"):
+            grading_table(d)
+        monkeypatch.undo()
+    # Entry (0, 0) of V_A, for genus 1 and 3: U_A A V_A = S_A fails.
+    torus = build_torus_diagram(3, 1).diagram
+    for d in (torus, stabilize(stabilize(torus)[0].diagram)[0].diagram):
+        monkeypatch.setattr(grading, "smith_normal_form", off_by_one(0, 0, True))
+        with pytest.raises(ConsistencyError, match="U A V"):
             spinc_partition(d)
+        monkeypatch.undo()
 
 
 def dense_corners(d):
@@ -743,10 +768,127 @@ def test_corners_match_the_dense_path():
         corners = grading._corners(d)
         assert (corners.factors, corners.kernel) == (factors, kernel)
         assert corners.images == images and list(corners.images) == list(images)
-        assert corners.class_of == class_of
+        assert {g: c.index for g, c in grading._class_of(d).items()} == class_of
         # Exact sparse rows: a stored zero would make a pair (j, 0) appear here.
         assert corners.particular_rows == tuple(
             tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+
+
+def epsilon_classes(d, transpose=False):
+    """Class indices from eps on the g x g intersection matrix, densely.
+
+    h(v) is twice the signed alpha crossings before v on its beta curve
+    plus the crossing at v; x and y share a class exactly when h(y) - h(x)
+    lies in twice the column lattice of A (rows alpha, columns beta).
+    ``transpose`` keys by A^T instead, which is wrong: a negative control.
+    """
+    g = d.genus
+    a = [[0] * g for _ in range(g)]
+    for v in range(d.n_vertices):
+        a[d.alpha_of[v]][d.beta_of[v]] += d.signs[v]
+    if transpose:
+        a = [list(col) for col in zip(*a)]
+    u, s, _ = full_scan_smith(IntMatrix.from_rows(a, g))
+    moduli = [2 * x for x in (s[i, i] for i in range(g)) if x]
+    h = [None] * d.n_vertices
+    for _, verts in d.beta:
+        c = [0] * g
+        for v in verts:
+            c[d.alpha_of[v]] += d.signs[v]
+            h[v] = list(c)
+            c[d.alpha_of[v]] += d.signs[v]
+    class_of, index_of_key = {}, {}
+    for gen in enumerate_generators(d):
+        total = [sum(col) for col in zip(*(h[v] for v in gen.vertices))]
+        image = [sum(x * t for x, t in zip(row, total)) for row in u.entries]
+        key = tuple(x % m for x, m in zip(image, moduli)) + tuple(image[len(moduli):])
+        class_of[gen] = index_of_key.setdefault(key, len(index_of_key))
+    return class_of
+
+
+def shuffled_copy(d, rng):
+    """``d`` with fresh vertex names and shuffled curve names, reloaded.
+
+    Serialization lists curves by name, so the alpha and the beta curves
+    are reordered independently and A is permuted on both sides.
+    """
+    inp = d.input
+    names = sorted(inp.signs)
+    vertex_map = dict(zip(names, (f"v{t:x}" for t in rng.sample(range(16 ** 4), len(names)))))
+    curves = inp.curve_names()
+    order = rng.sample(range(len(curves)), len(curves))
+    curve_map = {c: f"{c[0]}{k}" for c, k in zip(curves, order)}
+    return load_diagram(serialize(assemble_regions(rename(inp, vertex_map, curve_map))))
+
+
+def test_epsilon_partition_matches_the_corner_keys():
+    import hfcalc.grading as grading
+
+    atlas = [build_torus_diagram(p, q).diagram
+             for p in range(1, 6) for q in range(p) if gcd(p, q) == 1]
+    atlas += [build_annulus_open_book(n).diagram for n in range(-4, 5)]
+    atlas.append(build_s1s2().diagram)
+    once = [stabilize(d)[0].diagram for d in atlas]
+    twice = [stabilize(d)[0].diagram for d in once]
+    stabilized = atlas + once + twice
+    rng = random.Random(11)
+    diagrams = stabilized + [r for d in stabilized for r in curve_reversals(d)]
+    diagrams += [shuffled_copy(d, rng) for d in stabilized for _ in range(2)]
+    asymmetric = transposed_disagrees = 0
+    for d in diagrams:
+        *_, class_of = dense_corners(d)
+        partition = spinc_partition(d)
+        assert {g: c.index for c in partition for g in c.members} == class_of
+        assert [c.index for c in partition] == list(range(len(partition)))
+        assert all(spinc_class_of(d, g) is c for c in partition for g in c.members)
+        assert epsilon_classes(d) == class_of
+        a = [[0] * d.genus for _ in range(d.genus)]
+        for v in range(d.n_vertices):
+            a[d.alpha_of[v]][d.beta_of[v]] += d.signs[v]
+        asymmetric += a != [list(col) for col in zip(*a)]
+        transposed_disagrees += epsilon_classes(d, transpose=True) != class_of
+    assert asymmetric and transposed_disagrees
+
+
+def test_single_member_classes_factor_once_and_solve_nothing(monkeypatch):
+    import hfcalc.grading as grading
+    from hfcalc.zlattice import smith_normal_form
+
+    factored, solved = [], []
+
+    def counting_smith(m):
+        factored.append((m.rows, m.cols))
+        return smith_normal_form(m)
+
+    def counting_solve(solve):
+        def wrapped(d, x, y):
+            solved.append((x, y))
+            return solve(d, x, y)
+        return wrapped
+
+    monkeypatch.setattr(grading, "smith_normal_form", counting_smith)
+    monkeypatch.setattr(grading, "solve_domain", counting_solve(grading.solve_domain))
+
+    def run(d):
+        factored.clear()
+        solved.clear()
+        grading_table(d)
+        spinc_partition(d)
+        homology_of_Y(d)
+
+    single = [build_torus_diagram(p, q).diagram
+              for p in range(1, 12) for q in range(-p, p + 1) if q and gcd(p, q) == 1]
+    single += [build_annulus_open_book(n).diagram for n in range(-8, 0)]
+    single += [stabilize(d)[0].diagram for d in single]
+    for d in single:
+        run(d)
+        assert factored == [(d.genus, d.genus)] and solved == []
+    several = [build_annulus_open_book(n).diagram for n in range(1, 9)]
+    for d in several + [stabilize(d)[0].diagram for d in several]:
+        run(d)
+        assert factored == [(d.genus, d.genus), (2 * d.n_vertices, d.n_regions)]
+        assert len(solved) == len(enumerate_generators(d)) - len(spinc_partition(d))
+        assert all(x != y for x, y in solved)
 
 
 # ---------------------------------------------------------------------------

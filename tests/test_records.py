@@ -33,9 +33,9 @@ RECORDS = [
     (AffineSolutionSet((1, 0), ((0, 1),)),
      "AffineSolutionSet(particular=(1, 0), kernel=((0, 1),))"),
     (Generator((0, 2)), "Generator(vertices=(0, 2))"),
-    (_Corners((2,), (((0, 1),),), (), {G0: (0,)}, {G0: 0}),
+    (_Corners((2,), (((0, 1),),), (), {G0: (0,)}),
      "_Corners(factors=(2,), particular_rows=(((0, 1),),), kernel=(), "
-     "images={Generator(vertices=(0,)): (0,)}, class_of={Generator(vertices=(0,)): 0})"),
+     "images={Generator(vertices=(0,)): (0,)})"),
     (Domain(None, G0, G1, (1, 0, 0)),
      "Domain(diagram=None, source=Generator(vertices=(0,)), "
      "target=Generator(vertices=(1,)), coefficients=(1, 0, 0))"),

@@ -268,25 +268,27 @@ def test_smith_form_matches_full_scan_random():
 
 
 def test_smith_form_matches_full_scan_on_atlas_matrices(monkeypatch):
-    """Every corner and homology matrix factored for atlas diagrams."""
+    """Every intersection and corner matrix factored for atlas diagrams."""
     seen = []
 
-    def recording(fn):
-        def wrapped(m):
-            seen.append(m)
-            return fn(m)
-        return wrapped
+    def recording(m):
+        seen.append(m)
+        return smith_normal_form(m)
 
-    monkeypatch.setattr(grading, "smith_normal_form", recording(smith_normal_form))
-    monkeypatch.setattr(grading, "smith_invariants", recording(smith_invariants))
+    monkeypatch.setattr(grading, "smith_normal_form", recording)
     diagrams = [build_torus_diagram(p, q).diagram
                 for p in range(1, 8) for q in range(p) if gcd(p, q) == 1]
     diagrams += [build_annulus_open_book(n).diagram for n in range(-5, 6)]
     diagrams.append(build_s1s2().diagram)
     diagrams += [stabilize(d)[0].diagram for d in diagrams[:8]]
     for d in diagrams:
+        grading.grading_table(d)
         grading.spinc_partition(d)
         grading.homology_of_Y(d)
-    assert len(seen) == 2 * len(diagrams)
+    # One intersection matrix for each of the 38 diagrams, and a corner
+    # matrix for the 7 with a class of several members or b1 > 0: the open
+    # books 0..5 and s1s2.
+    assert len(diagrams) == 38
+    assert len(seen) == 38 + 7
     for m in seen:
         assert_matches_full_scan(m)
