@@ -23,7 +23,8 @@ Generators are named on the command line by comma-joined vertex names
 (order-insensitive; output order follows the alpha-curve index).  Exit
 codes: 0 on success (including the "no connecting class" answer, which
 is a valid result, not a failure), 1 on file or diagram errors, 2 on
-usage errors (a bad ``atlas torus`` pair or ``--c1sq`` value included),
+usage errors (a bad ``atlas torus`` pair, ``--c1sq`` value or a negative
+``--radius`` included, each for any command),
 3 on an internal inconsistency (a ``ConsistencyError`` or ``AuditError``:
 an exact identity failed, which is a bug in hfcalc, not in the input).
 Identical inputs and flags produce byte-identical output.
@@ -510,6 +511,8 @@ def main(argv=None) -> int:
     report = {"command": list(argv), "diagram": None, "payload": None,
               "status": "ok", "exit_status": 0}
     try:
+        if args.radius < 0:
+            raise _UsageError(f"--radius must be nonnegative, got {args.radius}")
         if args.command in _DIAGRAM_COMMANDS:
             diagram = _load(args.file)
             report["diagram"] = _digest(diagram)

@@ -15,9 +15,11 @@ their curves, the alpha pieces cross no alpha curve, and averaging the
 push-offs to either side weighs each endpoint of a beta piece by one half
 (``spinc_partition``).  So the classes and H1 share one factorization of
 A.  The corner matrix M is factored only for a domain or the periodic
-lattice: with U M V = S, a domain is an exact division and one product
-with V, and the lattice is a set of columns of V.  Transforms stay sparse
-(U by rows, V by columns), products run over nonzero entries, and both
+lattice: with U M V = S, a domain is zlattice's particular solution (U
+applied to r(y) - r(x), exact division by the invariant factors, one
+product with V), the same one ``solve_integer_system`` computes, and the
+lattice is a set of columns of V.  Transforms stay sparse (U by rows and
+by columns, V by columns), products run over nonzero entries, and both
 factorizations are certified.  The generators, the factorizations, the
 partition, the grading table and H1 are cached on the diagram itself, so
 each is computed once per diagram and lives as long as the diagram does.
@@ -43,12 +45,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import wraps
-from operator import add
 from typing import NamedTuple, Sequence
 
 from .diagram import ALPHA, HeegaardDiagram
-from .zlattice import (DimensionMismatch, IntMatrix, SmithDecomposition, gcd_over_lattice,
-                       smith_normal_form)
+from .zlattice import (DimensionMismatch, IntMatrix, SmithDecomposition, _kernel, _particular,
+                       _transpose, gcd_over_lattice, smith_normal_form)
 
 
 class GradingError(Exception):
@@ -230,23 +231,6 @@ def build_corner_system(diagram: HeegaardDiagram, x: Generator, y: Generator
     return _corner_matrix(diagram), _corner_rhs(diagram, x, y)
 
 
-class _Corners(NamedTuple):
-    """The corner matrix M of one diagram, factored once as U M V = S.
-
-    ``factors`` are the nonzero invariant factors d_1 | ... | d_rank, the
-    leading diagonal entries of S.  For each generator g, in generator
-    order, ``images`` holds the first ``rank`` entries of U r(g),
-    unreduced.  ``particular_rows`` are the rows of V cut to the first
-    ``rank`` columns, each as the (column, value) pairs of its nonzero
-    entries in column order, and ``kernel`` the remaining columns of V.
-    """
-
-    factors: tuple[int, ...]
-    particular_rows: tuple[tuple[tuple[int, int], ...], ...]
-    kernel: tuple[tuple[int, ...], ...]
-    images: dict[Generator, tuple[int, ...]]
-
-
 def _check_factorization(m_rows: Sequence[Sequence[tuple[int, int]]],
                          smith: SmithDecomposition, name: str) -> None:
     """Certificate: U (``name`` V) is the Smith form S, for M and for A.
@@ -254,10 +238,7 @@ def _check_factorization(m_rows: Sequence[Sequence[tuple[int, int]]],
     The matrix comes as rows of (column, value) terms.  A row of M V is
     read back from a dense accumulator only at the columns it touched.
     """
-    v_rows: list[dict[int, int]] = [{} for _ in range(len(smith.v_columns))]
-    for j, col in enumerate(smith.v_columns):
-        for r, x in col.items():
-            v_rows[r][j] = x
+    v_rows = _transpose(smith.v_columns, len(smith.v_columns))
     acc = [0] * len(smith.v_columns)
     mv: list[list[tuple[int, int]]] = []
     for row in m_rows:
@@ -283,57 +264,30 @@ def _check_factorization(m_rows: Sequence[Sequence[tuple[int, int]]],
 
 
 @_per_diagram
-def _corners(diagram: HeegaardDiagram) -> _Corners:
-    """Factor M once, U M V = S, and read off U r(g) for every generator.
+def _corners(diagram: HeegaardDiagram) -> tuple[SmithDecomposition, list[dict[int, int]]]:
+    """M factored once, U M V = S and certified, with the columns of U.
 
-    M p = r(y) - r(x) becomes S q = U r(y) - U r(x) with p = V q, solved
-    by exact division in ``solve_domain``.  Only domains and the periodic
-    lattice need it.  The transforms stay sparse: U by rows, V by columns.
+    Only domains and the periodic lattice need it.  The transforms stay
+    sparse: U by rows and by columns, V by columns.
     """
     m_rows: list[list[tuple[int, int]]] = [[] for _ in range(2 * diagram.n_vertices)]
     for row, plus, minus in _corner_terms(diagram):
         m_rows[row] += ((plus, 1), (minus, -1))
     smith = smith_normal_form(_corner_matrix(diagram))
     _check_factorization(m_rows, smith, "M")
-    factors = tuple(d for d in smith.invariants if d)
-    rank, nv = len(factors), diagram.n_vertices
-
-    # U r(v) for a single vertex v: its alpha column of U minus its beta column.
-    vertex_image = [[0] * rank for _ in range(nv)]
-    for i, u_row in enumerate(smith.u_rows[:rank]):
-        for k, x in u_row.items():
-            if k < nv:
-                vertex_image[k][i] += x
-            else:
-                vertex_image[k - nv][i] -= x
-    images: dict[Generator, tuple[int, ...]] = {}
-    for g in enumerate_generators(diagram):
-        image = [0] * rank
-        for v in g.vertices:
-            image = list(map(add, image, vertex_image[v]))
-        images[g] = tuple(image)
-
-    particular_rows: list[list[tuple[int, int]]] = [[] for _ in range(diagram.n_regions)]
-    for j, col in enumerate(smith.v_columns[:rank]):
-        for r, x in col.items():
-            particular_rows[r].append((j, x))
-    return _Corners(
-        factors=factors,
-        particular_rows=tuple(map(tuple, particular_rows)),
-        kernel=tuple(tuple(col.get(r, 0) for r in range(diagram.n_regions))
-                     for col in smith.v_columns[rank:]),
-        images=images,
-    )
+    return smith, _transpose(smith.u_rows, 2 * diagram.n_vertices)
 
 
+@_per_diagram
 def homogeneous_lattice(diagram: HeegaardDiagram) -> tuple[tuple[int, ...], ...]:
     """Basis of the lattice of periodic classes (kernel of the corner system).
 
     The kernel does not depend on the generator pair; the all-ones vector
     (the class of the full surface) always belongs to it.  The basis is
-    the columns of V at the zero diagonal entries of S.
+    the columns of V at the zero diagonal entries of S, read off once per
+    diagram.
     """
-    return _corners(diagram).kernel
+    return _kernel(_corners(diagram)[0])
 
 
 class Domain(NamedTuple):
@@ -362,36 +316,34 @@ class Domain(NamedTuple):
             raise ValueError(f"expected {len(basis)} lattice steps")
         coeffs = list(self.coefficients)
         for s, vec in zip(steps, basis):
-            for i, v in enumerate(vec):
-                coeffs[i] += s * v
-        return self._replace(coefficients=tuple(coeffs))
+            if s:
+                for i, v in enumerate(vec):
+                    coeffs[i] += s * v
+        return Domain(self.diagram, self.source, self.target, tuple(coeffs))
 
 
 def solve_domain(diagram: HeegaardDiagram, x: Generator, y: Generator) -> Domain | None:
     """A connecting domain from x to y, or None when none exists.
 
     None means the generators lie in different Spin^c classes; it is a
-    valid mathematical answer, not an error.  Otherwise S q = U r(y) -
-    U r(x) is solved by exact division and the domain is V q, the same
-    particular solution ``solve_integer_system`` gives, summed over the
-    nonzero entries of V's rows (O(rank + nonzeros of V + regions)); it
-    is checked against the corner system before it is returned.  The
+    valid mathematical answer, not an error.  Otherwise the domain is the
+    particular solution of M p = r(y) - r(x) from zlattice's
+    ``_particular``, on M factored once per diagram: U applied to the
+    right-hand side by U's columns, exact division, then V q.  It is
+    checked against the corner system before it is returned.  A pair in
+    one class with no integer solution raises ``ConsistencyError``.  The
     returned domain carries access to the homogeneous lattice through
     ``Domain.lattice``.  M is factored only for a pair that connects.
     """
     if spinc_class_of(diagram, x).index != spinc_class_of(diagram, y).index:
         return None
-    corners = _corners(diagram)
-    steps = [(b - a) // d for a, b, d in
-             zip(corners.images[x], corners.images[y], corners.factors)]
-    coeffs = []
-    for row in corners.particular_rows:  # V q, over the nonzero entries of V
-        c = 0
-        for j, entry in row:
-            c += entry * steps[j]
-        coeffs.append(c)
+    smith, u_columns = _corners(diagram)
+    coeffs = _particular(smith, u_columns, _corner_rhs(diagram, x, y))
+    if coeffs is None:
+        raise ConsistencyError("the corner system has no integer solution for (x, y) "
+                               "in one Spin^c class")
     _check_connecting(diagram, x, y, coeffs)
-    return Domain(diagram, x, y, tuple(coeffs))
+    return Domain(diagram, x, y, coeffs)
 
 
 def positive_representative(domain: Domain, radius: int = 8) -> Domain:
@@ -402,24 +354,17 @@ def positive_representative(domain: Domain, radius: int = 8) -> Domain:
     lexicographically, so the result is deterministic and small.  Since
     the all-ones vector lies in the lattice, a large enough radius always
     succeeds; failure raises ``NoPositiveRepresentative`` with the radius.
+    A negative radius raises ``ValueError``.
     """
-    basis = domain.lattice
-    base = domain.coefficients
-    if not basis:
-        if all(c >= 0 for c in base):
-            return domain
-        raise NoPositiveRepresentative(radius)
-    rank = len(basis)
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
+    rank = len(domain.lattice)
     for shell in range(radius + 1):
         for combo in itertools.product(range(-shell, shell + 1), repeat=rank):
-            if max((abs(c) for c in combo), default=0) != shell:
-                continue
-            coeffs = list(base)
-            for s, vec in zip(combo, basis):
-                for i, v in enumerate(vec):
-                    coeffs[i] += s * v
-            if all(c >= 0 for c in coeffs):
-                return domain._replace(coefficients=tuple(coeffs))
+            if max(map(abs, combo), default=0) == shell:
+                candidate = domain.translate(combo)
+                if all(c >= 0 for c in candidate.coefficients):
+                    return candidate
     raise NoPositiveRepresentative(radius)
 
 
@@ -555,10 +500,7 @@ def _class_of(diagram: HeegaardDiagram) -> dict[Generator, SpincClass]:
     """The Spin^c class of each generator; see ``spinc_partition``."""
     smith = _intersection_form(diagram)
     moduli = [2 * d for d in smith.invariants if d]
-    u_columns: list[dict[int, int]] = [{} for _ in range(diagram.genus)]
-    for r, row in enumerate(smith.u_rows):
-        for k, a in row.items():
-            u_columns[k][r] = a
+    u_columns = _transpose(smith.u_rows, diagram.genus)
     # U_A h(v) per vertex, sparse: c is kept as U_A c, so h is never formed.
     uh: list[dict[int, int]] = [{} for _ in range(diagram.n_vertices)]
     for _, verts in diagram.beta:

@@ -9,15 +9,19 @@ V are nonzero).  So the one classical Smith normal form,
 ``smith_normal_form``, keeps U by rows and V by columns as
 ``{index: value}`` dicts, following Dumas, Saunders and Villard, *On
 efficient sparse integer matrix Smith normal form computations*; its
-answer writes U, S and V out as dense matrices only when asked to, and
-every other operation is built on it.
+answer writes U, S and V out as dense matrices only when asked to.
+Solving M x = b is built on it once: ``_particular`` divides U b by the
+invariant factors and forms V q, and ``_kernel`` reads the kernel basis
+off V.  ``solve_integer_system`` and ``grading.solve_domain`` both use
+them; the latter factors M once per diagram and keeps U by columns.
 
 The public operations are:
 
 * ``smith_normal_form`` -- U M V = S with U, V unimodular and S diagonal;
 * ``smith_invariants`` -- invariant factors d1 | d2 | ... of a matrix;
 * ``solve_integer_system`` -- all integer solutions of M x = b, returned as
-  a particular solution plus a basis of the integer kernel lattice;
+  a particular solution plus a basis of the integer kernel lattice, with
+  M factored on every call;
 * ``gcd_over_lattice`` -- the nonnegative generator of the image of an
   integer functional restricted to a lattice.
 """
@@ -64,17 +68,18 @@ class IntMatrix(NamedTuple):
         i, j = key
         return self.entries[i][j]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.cols:
-            raise DimensionMismatch(f"vector of length {len(vec)} against {self.cols} columns")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)
-
 
 def _dense(vec: dict[int, int], n: int) -> tuple[int, ...]:
     return tuple(vec.get(k, 0) for k in range(n))
+
+
+def _transpose(vectors: Sequence[dict[int, int]], n: int) -> list[dict[int, int]]:
+    """Sparse rows as n sparse columns, or sparse columns as n sparse rows."""
+    out: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, vec in enumerate(vectors):
+        for k, x in vec.items():
+            out[k][i] = x
+    return out
 
 
 class SmithDecomposition(NamedTuple):
@@ -125,9 +130,9 @@ def _add_multiple(dst: dict[int, int], src: dict[int, int], factor: int) -> None
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Compute the Smith normal form of ``m``, with U by rows and V by columns.
 
-    This is the one Smith form of the package: ``smith_invariants``,
-    ``solve_integer_system`` and the corner system of ``grading`` all read
-    their answers off it.
+    This is the one Smith form of the package: ``smith_invariants`` and
+    ``solve_integer_system`` read their answers off it, and ``grading``
+    factors both the intersection matrix A and the corner matrix M with it.
 
     Classical pivoting algorithm: bring the smallest nonzero entry of the
     working submatrix to the pivot position, clear its row and column by
@@ -261,42 +266,56 @@ class AffineSolutionSet(NamedTuple):
         return self.particular is None
 
 
+def _kernel(dec: SmithDecomposition) -> tuple[tuple[int, ...], ...]:
+    """A basis of the integer kernel of M: the columns of V at zero invariants."""
+    n, diag = len(dec.v_columns), dec.invariants
+    return tuple(_dense(col, n) for j, col in enumerate(dec.v_columns)
+                 if j >= len(diag) or diag[j] == 0)
+
+
+def _particular(dec: SmithDecomposition, u_columns: Sequence[dict[int, int]],
+                b: Sequence[int]) -> tuple[int, ...] | None:
+    """The solution V q of M x = b, where S q = U b; None when there is none.
+
+    ``u_columns`` are the columns of U (``_transpose`` of ``u_rows``), so
+    c = U b is summed over the nonzero entries of b only.  Each invariant
+    d_i must divide c_i, and c must vanish past the rank; then q_i = c_i /
+    d_i and x = V q runs over the nonzero entries of V's first columns.
+    """
+    c: dict[int, int] = {}
+    for k, x in enumerate(b):
+        if x:
+            for i, a in u_columns[k].items():
+                c[i] = c.get(i, 0) + a * x
+    diag = dec.invariants
+    solution = [0] * len(dec.v_columns)
+    for i, ci in c.items():
+        if not ci:
+            continue
+        d = diag[i] if i < len(diag) else 0
+        if not d or ci % d:
+            return None
+        q = ci // d
+        for r, v in dec.v_columns[i].items():
+            solution[r] += v * q
+    return tuple(solution)
+
+
 def solve_integer_system(m: IntMatrix, b: Sequence[int]) -> AffineSolutionSet:
     """Solve M x = b over the integers.
 
-    Diagonalize U M V = S; then M x = b becomes S y = U b with x = V y.
+    Diagonalize U M V = S; then M x = b becomes S q = U b with x = V q.
     Each diagonal entry must divide the transformed right-hand side, and
-    rows beyond the rank force it to vanish.  Kernel basis vectors are the
-    columns of V matching zero diagonal positions.  Both products run over
-    the nonzero entries of U and V.
+    rows beyond the rank force it to vanish (``_particular``).  Kernel
+    basis vectors are the columns of V matching zero diagonal positions
+    (``_kernel``).  M is factored on every call; a caller with many
+    right-hand sides factors once and calls the two helpers itself.
     """
     if len(b) != m.rows:
         raise DimensionMismatch(f"rhs of length {len(b)} against {m.rows} rows")
     dec = smith_normal_form(m)
-    diag = dec.invariants
-    b = [int(x) for x in b]
-    c = [sum(x * b[k] for k, x in row.items()) for row in dec.u_rows]
-
-    kernel = tuple(
-        _dense(col, m.cols) for j, col in enumerate(dec.v_columns)
-        if j >= len(diag) or diag[j] == 0
-    )
-
-    y = [0] * m.cols
-    for i in range(m.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            q, r = divmod(c[i], d)
-            if r:
-                return AffineSolutionSet(None, kernel)
-            y[i] = q
-        elif c[i]:
-            return AffineSolutionSet(None, kernel)
-    particular = [0] * m.cols
-    for col, q in zip(dec.v_columns, y):
-        for k, x in col.items():
-            particular[k] += x * q
-    return AffineSolutionSet(tuple(particular), kernel)
+    particular = _particular(dec, _transpose(dec.u_rows, m.rows), [int(x) for x in b])
+    return AffineSolutionSet(particular, _kernel(dec))
 
 
 def gcd_over_lattice(kernel: Sequence[Sequence[int]], functional: Sequence[int]) -> int:

@@ -3,10 +3,23 @@
 It stores U, S and V as dense lists and applies every row and column
 operation to whole rows and columns.  ``smith_normal_form``, which keeps
 U and V sparse, must return exactly its U, S and V: same pivots, same
-operations, same order.
+operations, same order.  ``column`` and ``mul_vec`` are the dense matrix
+reads the tests check answers with.
 """
 
-from hfcalc.zlattice import IntMatrix
+from typing import Sequence
+
+from hfcalc.zlattice import DimensionMismatch, IntMatrix
+
+
+def column(m: IntMatrix, j: int) -> tuple[int, ...]:
+    return tuple(row[j] for row in m.entries)
+
+
+def mul_vec(m: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
+    if len(vec) != m.cols:
+        raise DimensionMismatch(f"vector of length {len(vec)} against {m.cols} columns")
+    return tuple(sum(a * x for a, x in zip(row, vec)) for row in m.entries)
 
 
 def full_scan_smith(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -183,11 +183,18 @@ def test_missing_file_exit_code(capsys):
     ["shift", "--c1sq", "1e99999999", "--chi", "1", "--sigma", "0"],
     ["shift", "--c1sq", "0", "--chi", "1", "--sigma", "9" * 4300],
     ["shift", "--c1sq", "1" * 5000, "--chi", "1", "--sigma", "0"],
+    # A negative radius fails before any file is read, so none is needed.
+    ["--radius", "-1", "audit", "missing.hd", "x0", "x0"],
+    ["--radius", "-3", "domain", "missing.hd", "x0", "x1", "--positive"],
+    ["--radius", "-1", "grade", "missing.hd"],
+    ["--radius", "-1", "atlas", "s1s2"],
+    ["--radius", "-1", "shift", "--c1sq", "1", "--chi", "1", "--sigma", "0"],
 ], ids=["torus-p0", "torus-not-coprime", "c1sq-not-a-number", "c1sq-zero-denominator",
-        "c1sq-exponent", "c1sq-huge-exponent", "sigma-too-many-digits", "c1sq-too-many-digits"])
+        "c1sq-exponent", "c1sq-huge-exponent", "sigma-too-many-digits", "c1sq-too-many-digits",
+        "radius-audit", "radius-domain", "radius-grade", "radius-atlas", "radius-shift"])
 def test_bad_argument_values_are_usage_errors(argv, capsys, tmp_path):
     out = tmp_path / "F.hd"
-    if argv[0] == "atlas":
+    if "atlas" in argv:
         argv = argv + ["-o", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -30,7 +30,7 @@ from hfcalc.grading import (ConsistencyError, Generator, GradingLabel, MixedLabe
 from hfcalc.zlattice import DimensionMismatch, IntMatrix, smith_invariants, solve_integer_system
 from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
                       s1s2_sum_text)
-from smith_oracle import full_scan_smith
+from smith_oracle import column, full_scan_smith, mul_vec
 from strategies import transformed_diagrams
 
 
@@ -171,7 +171,7 @@ def test_full_surface_class_in_kernel(fixture, request):
     d = request.getfixturevalue(fixture)
     g = enumerate_generators(d)[0]
     m, _ = build_corner_system(d, g, g)
-    assert m.mul_vec([1] * d.n_regions) == tuple([0] * (2 * d.n_vertices))
+    assert mul_vec(m, [1] * d.n_regions) == tuple([0] * (2 * d.n_vertices))
 
 
 def test_bigon_solves_corner_system(s1s2):
@@ -180,7 +180,7 @@ def test_bigon_solves_corner_system(s1s2):
     bigon = [0] * s1s2.n_regions
     bigon[next(i for i in range(s1s2.n_regions)
                if s1s2.canonical_region_name(i) == "a0.0+")] = 1
-    assert m.mul_vec(bigon) == tuple(rhs)
+    assert mul_vec(m, bigon) == tuple(rhs)
 
 
 @pytest.mark.parametrize("fixture", ["s1s2", "two_finger", "d2_diagram"])
@@ -212,7 +212,7 @@ def test_solve_zero_domain(l31):
     dom = solve_domain(l31, g, g)
     assert dom is not None
     m, rhs = build_corner_system(l31, g, g)
-    assert m.mul_vec(dom.coefficients) == tuple(rhs)
+    assert mul_vec(m, dom.coefficients) == tuple(rhs)
 
 
 def test_positive_representative_cases(s1s2):
@@ -239,6 +239,76 @@ def test_positive_representative_radius_failure(s1s2):
     with pytest.raises(NoPositiveRepresentative) as err:
         positive_representative(deep, radius=3)
     assert err.value.radius == 3
+
+
+def test_positive_representative_rejects_a_negative_radius(s1s2):
+    x, _ = enumerate_generators(s1s2)
+    zero = solve_domain(s1s2, x, x)
+    with pytest.raises(ValueError, match="nonnegative"):
+        positive_representative(zero, radius=-1)
+    assert positive_representative(zero, radius=0).coefficients == zero.coefficients
+
+
+def search_oracle(domain, radius):
+    """The positive-representative search with its own lattice-combination
+    loop, verbatim, as an oracle for the one built on ``Domain.translate``."""
+    basis = domain.lattice
+    base = domain.coefficients
+    if not basis:
+        if all(c >= 0 for c in base):
+            return domain
+        raise NoPositiveRepresentative(radius)
+    rank = len(basis)
+    for shell in range(radius + 1):
+        for combo in itertools.product(range(-shell, shell + 1), repeat=rank):
+            if max((abs(c) for c in combo), default=0) != shell:
+                continue
+            coeffs = list(base)
+            for s, vec in zip(combo, basis):
+                for i, v in enumerate(vec):
+                    coeffs[i] += s * v
+            if all(c >= 0 for c in coeffs):
+                return domain._replace(coefficients=tuple(coeffs))
+    raise NoPositiveRepresentative(radius)
+
+
+def search_outcome(search, domain, radius):
+    try:
+        return "found", search(domain, radius).coefficients
+    except NoPositiveRepresentative as e:
+        return "failed", e.radius
+
+
+def assert_search_matches_oracle(d, rng, pairs=6):
+    """Sampled same-class pairs, each at a random radius 0-4, as solved and
+    pushed down by a random multiple of the full surface (which forces
+    failures at small radii)."""
+    outcomes = set()
+    for cls in spinc_partition(d):
+        for _ in range(pairs):
+            x, y = rng.choice(cls.members), rng.choice(cls.members)
+            dom = solve_domain(d, x, y)
+            for depth in (0, rng.randint(1, 6)):
+                low = dom._replace(coefficients=tuple(c - depth for c in dom.coefficients))
+                radius = rng.randint(0, 4)
+                got = search_outcome(positive_representative, low, radius)
+                assert got == search_outcome(search_oracle, low, radius)
+                outcomes.add(got[0])
+    return outcomes
+
+
+def test_positive_search_matches_the_oracle(atlas_suite):
+    rng = random.Random(5)
+    outcomes = set()
+    for d in list(atlas_suite) + [load_diagram(s1s2_sum_text(g)) for g in range(1, 5)]:
+        outcomes |= assert_search_matches_oracle(d, rng)
+    assert outcomes == {"found", "failed"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(transformed_diagrams(), st.randoms(use_true_random=False))
+def test_positive_search_matches_the_oracle_transformed(d, rng):
+    assert_search_matches_oracle(d, rng, pairs=3)
 
 
 # ---------------------------------------------------------------------------
@@ -699,43 +769,54 @@ def test_factorization_certificate_detects_a_wrong_form(monkeypatch):
     import hfcalc.grading as grading
     from hfcalc.zlattice import smith_normal_form
 
-    def off_by_one(j, r, square):
-        """Corrupt entry r of V's column j, in the g x g factorization of A
-        when ``square`` and in the corner matrix's otherwise."""
+    def off_by_one(field, j, r, square):
+        """Corrupt entry r of vector j of ``field`` (U's rows or V's columns),
+        in the g x g factorization of A when ``square`` and in the corner
+        matrix's otherwise."""
         def factor(m):
             dec = smith_normal_form(m)
             if (m.rows == m.cols) != square:
                 return dec
-            v = [dict(col) for col in dec.v_columns]
-            jj, rr = j % len(v), r % len(v)
-            x = v[jj].pop(rr, 0) + 1
+            vecs = [dict(vec) for vec in getattr(dec, field)]
+            jj, rr = j % len(vecs), r % len(vecs)
+            x = vecs[jj].pop(rr, 0) + 1
             if x:
-                v[jj][rr] = x
-            return dec._replace(v_columns=tuple(v))
+                vecs[jj][rr] = x
+            return dec._replace(**{field: tuple(vecs)})
         return factor
 
     # openbook(2) has a class of three members, so its grading table solves
     # domains and factors M.  Entry (0, 0) of V, and the last entry of its
     # last column, a kernel column whose product with M lies off the
-    # diagonal of S.
+    # diagonal of S; entry (0, 0) of U, and the last entry of its last row.
     assert max(len(c.members) for c in spinc_partition(build_annulus_open_book(2).diagram)) > 1
-    for j, r in ((0, 0), (-1, -1)):
+    for field, j, r in (("v_columns", 0, 0), ("v_columns", -1, -1),
+                        ("u_rows", 0, 0), ("u_rows", -1, -1)):
         d = build_annulus_open_book(2).diagram
-        monkeypatch.setattr(grading, "smith_normal_form", off_by_one(j, r, False))
+        monkeypatch.setattr(grading, "smith_normal_form", off_by_one(field, j, r, False))
         with pytest.raises(ConsistencyError, match="U M V"):
             grading_table(d)
         monkeypatch.undo()
-    # Entry (0, 0) of V_A, for genus 1 and 3: U_A A V_A = S_A fails.
+    # Entry (0, 0) of V_A, for genus 1 and 3, and U_A's first and last rows
+    # for genus 3: U_A A V_A = S_A fails.
     torus = build_torus_diagram(3, 1).diagram
-    for d in (torus, stabilize(stabilize(torus)[0].diagram)[0].diagram):
-        monkeypatch.setattr(grading, "smith_normal_form", off_by_one(0, 0, True))
+    genus3 = stabilize(stabilize(torus)[0].diagram)[0].diagram
+    cases = [(torus, "v_columns", 0, 0), (genus3, "v_columns", 0, 0),
+             (genus3, "u_rows", 0, 0), (genus3, "u_rows", -1, -1)]
+    for d, field, j, r in cases:
+        monkeypatch.setattr(grading, "smith_normal_form", off_by_one(field, j, r, True))
         with pytest.raises(ConsistencyError, match="U A V"):
             spinc_partition(d)
         monkeypatch.undo()
 
 
 def dense_corners(d):
-    """The per-diagram factorization as computed with dense transforms."""
+    """The per-diagram factorization as computed with dense transforms.
+
+    Returns the nonzero invariant factors of M, the dense V, U r(g) for
+    each generator g cut to the rank, and the classes that the keys of
+    U r(g) (entries below the rank reduced mod d_i) give.
+    """
     import hfcalc.grading as grading
 
     u, s, v = full_scan_smith(grading._corner_matrix(d))
@@ -751,9 +832,16 @@ def dense_corners(d):
         key = tuple(c % f for c, f in zip(image, factors)) + tuple(image[rank:])
         images[g] = tuple(image[:rank])
         class_of[g] = index_of_key.setdefault(key, len(index_of_key))
-    particular_rows = tuple(row[:rank] for row in v.entries)
-    kernel = tuple(v.column(j) for j in range(rank, v.cols))
-    return factors, particular_rows, kernel, images, class_of
+    return factors, v, images, class_of
+
+
+def dense_domain(factors, v, images, x, y):
+    """V q with S q = U r(y) - U r(x), by dense exact division and product."""
+    q = []
+    for a, b, f in zip(images[x], images[y], factors):
+        assert (b - a) % f == 0
+        q.append((b - a) // f)
+    return tuple(sum(entry * step for entry, step in zip(row, q)) for row in v.entries)
 
 
 def test_corners_match_the_dense_path():
@@ -763,15 +851,48 @@ def test_corners_match_the_dense_path():
                 for p in range(1, 12) for q in range(-p, p + 1) if q and gcd(p, q) == 1]
     diagrams += [build_annulus_open_book(n).diagram for n in range(-8, 9)]
     diagrams += [stabilize(d)[0].diagram for d in diagrams[::9]]
+    pairs = 0
     for d in diagrams:
-        factors, rows, kernel, images, class_of = dense_corners(d)
-        corners = grading._corners(d)
-        assert (corners.factors, corners.kernel) == (factors, kernel)
-        assert corners.images == images and list(corners.images) == list(images)
+        factors, v, images, class_of = dense_corners(d)
+        smith, u_columns = grading._corners(d)
+        assert tuple(x for x in smith.invariants if x) == factors
+        assert homogeneous_lattice(d) == tuple(column(v, j) for j in range(len(factors), v.cols))
         assert {g: c.index for g, c in grading._class_of(d).items()} == class_of
-        # Exact sparse rows: a stored zero would make a pair (j, 0) appear here.
-        assert corners.particular_rows == tuple(
-            tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+        assert all(x for col in u_columns for x in col.values())  # no stored zeros
+        for cls in spinc_partition(d):
+            for x in cls.members:
+                for y in cls.members:
+                    want = dense_domain(factors, v, images, x, y)
+                    assert solve_domain(d, x, y).coefficients == want
+                    pairs += 1
+    assert pairs > sum(len(enumerate_generators(d)) for d in diagrams)
+
+
+def test_merged_classes_without_a_domain_are_a_consistency_error(monkeypatch, tmp_path,
+                                                                  capsys):
+    """Negative control: a pair that the classes call connected but that
+    has no integer domain is a bug, not an answer of None."""
+    import hfcalc.grading as grading
+    from hfcalc.cli import main
+
+    d = build_torus_diagram(3, 1).diagram
+    x, y = enumerate_generators(d)[:2]
+    assert solve_domain(d, x, y) is None
+    real = grading._class_of
+
+    def merged(diagram):
+        classes = dict(real(diagram))
+        a, b = enumerate_generators(diagram)[:2]
+        classes[b] = classes[a]
+        return classes
+
+    monkeypatch.setattr(grading, "_class_of", merged)
+    with pytest.raises(ConsistencyError, match="no integer solution"):
+        solve_domain(d, x, y)
+    path = tmp_path / "t.hd"
+    path.write_text(serialize(d))
+    assert main(["domain", str(path), x.display(d), y.display(d)]) == 3
+    assert "no integer solution" in capsys.readouterr().err
 
 
 def epsilon_classes(d, transpose=False):

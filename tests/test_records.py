@@ -7,7 +7,7 @@ import pytest
 from hfcalc.atlas import MarkedDiagram
 from hfcalc.diagram import Arc, CurveSystemInput, Quadrant, Region, RegionDirective
 from hfcalc.grading import (Domain, Generator, GradingLabel, Homology, SpincClass,
-                            TwistedElement, _Corners, enumerate_generators, solve_domain)
+                            TwistedElement, enumerate_generators, solve_domain)
 from hfcalc.layers import AuditReport, CornerClass, LayerReport, LayerSurface
 from hfcalc.zlattice import AffineSolutionSet, IntMatrix, SmithDecomposition
 
@@ -33,9 +33,6 @@ RECORDS = [
     (AffineSolutionSet((1, 0), ((0, 1),)),
      "AffineSolutionSet(particular=(1, 0), kernel=((0, 1),))"),
     (Generator((0, 2)), "Generator(vertices=(0, 2))"),
-    (_Corners((2,), (((0, 1),),), (), {G0: (0,)}),
-     "_Corners(factors=(2,), particular_rows=(((0, 1),),), kernel=(), "
-     "images={Generator(vertices=(0,)): (0,)})"),
     (Domain(None, G0, G1, (1, 0, 0)),
      "Domain(diagram=None, source=Generator(vertices=(0,)), "
      "target=Generator(vertices=(1,)), coefficients=(1, 0, 0))"),

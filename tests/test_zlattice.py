@@ -22,7 +22,7 @@ import hfcalc.grading as grading
 from hfcalc.atlas import build_annulus_open_book, build_s1s2, build_torus_diagram, stabilize
 from hfcalc.zlattice import (AffineSolutionSet, DimensionMismatch, IntMatrix, gcd_over_lattice,
                              smith_invariants, smith_normal_form, solve_integer_system)
-from smith_oracle import full_scan_smith
+from smith_oracle import column, full_scan_smith, mul_vec
 
 
 def identity(n: int) -> IntMatrix:
@@ -31,7 +31,7 @@ def identity(n: int) -> IntMatrix:
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     assert a.cols == b.rows
-    cols = [b.column(j) for j in range(b.cols)]
+    cols = [column(b, j) for j in range(b.cols)]
     return IntMatrix.from_rows(
         [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries], b.cols)
 
@@ -110,6 +110,10 @@ def test_solve_examples():
     assert sol.kernel == ()
 
     assert solve_integer_system(IntMatrix.from_rows([[2]]), [1]).is_empty
+    # U b must vanish past the rank: x = 1 and x = 2 at once, or 0 = 1.
+    assert solve_integer_system(IntMatrix.from_rows([[1], [1]]), [1, 2]).is_empty
+    assert solve_integer_system(IntMatrix.from_rows([[0, 0]]), [1]).is_empty
+    assert solve_integer_system(IntMatrix.from_rows([[1], [1]]), [2, 2]).particular == (2,)
 
     sol = solve_integer_system(IntMatrix.from_rows([[1, 1]]), [2])
     assert sol.particular is not None
@@ -173,19 +177,19 @@ def test_invariants_match_oracles(m):
 @given(small_matrices, st.data())
 def test_solve_with_planted_solution(m, data):
     x0 = [data.draw(st.integers(min_value=-5, max_value=5)) for _ in range(m.cols)]
-    b = list(m.mul_vec(x0))
+    b = list(mul_vec(m, x0))
     sol = solve_integer_system(m, b)
     assert not sol.is_empty
-    assert m.mul_vec(sol.particular) == tuple(b)
+    assert mul_vec(m, sol.particular) == tuple(b)
     zero = tuple([0] * m.rows)
     for k in sol.kernel:
-        assert m.mul_vec(k) == zero
+        assert mul_vec(m, k) == zero
     # Lattice membership: random combinations still solve the system.
     combo = list(sol.particular)
     for k in sol.kernel:
         t = data.draw(st.integers(min_value=-3, max_value=3))
         combo = [a + t * kk for a, kk in zip(combo, k)]
-    assert m.mul_vec(combo) == tuple(b)
+    assert mul_vec(m, combo) == tuple(b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -195,7 +199,7 @@ def test_kernel_is_complete(m, data):
     sol = solve_integer_system(m, [0] * m.rows)
     assert sol.particular == tuple([0] * m.cols)
     v = [data.draw(st.integers(min_value=-4, max_value=4)) for _ in range(m.cols)]
-    if m.mul_vec(v) != tuple([0] * m.rows):
+    if mul_vec(m, v) != tuple([0] * m.rows):
         return
     # v must be an integer combination of the reported kernel basis.
     if not sol.kernel:
