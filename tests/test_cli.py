@@ -15,6 +15,7 @@ import pytest
 import hfcalc
 from hfcalc.cli import main
 from hfcalc.diagram import assemble_regions, load_diagram, reverse_curve, serialize
+from hfcalc.grading import enumerate_generators
 
 from conftest import L31_TEXT, S3_TEXT, s1s2_plus_pairs_text
 
@@ -351,6 +352,92 @@ def test_golden_json_digest(capsys, monkeypatch, tmp_path):
     for argv, out, code in golden_cases(capsys):
         digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
     assert digest.hexdigest() == GOLDEN_JSON_DIGEST
+
+
+# sha256 of the argv, exit code, stdout and stderr of every case of
+# ``text_and_error_cases``, then of every diagram file the cases write;
+# argparse's own rejections contribute only their exit code, since its
+# wording changes between Python versions.
+TEXT_AND_ERROR_DIGEST = "e748d7294622d7ab70b6b95ea9c5d474166dd284c704c281bc71e97a4715dc28"
+
+VALIDATION_ERROR_TEXT = S3_TEXT + "region r0: genus=1 circles=a0.0+\n"
+
+
+def text_and_error_cases(capsys, monkeypatch):
+    """Run the text-mode and error-path cases; yield (argv, code, stdout, stderr).
+
+    Text mode: every subcommand on the s1s2, openbook(2) and torus(3, 1)
+    atlas files, ``domain --positive`` and ``audit`` on every ordered pair
+    of generators.  Errors, in text and ``--json`` mode: a missing file, a
+    directory, a parse error, a validation error, an unknown generator,
+    hfcalc's own usage errors, an internal inconsistency (exit 3), a
+    positive search that finds nothing, and a failed selftest.  stdout
+    and stderr are None for argparse's rejections.
+    """
+    import hfcalc.cli as cli
+    import hfcalc.grading as grading
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return argv, code, captured.out, captured.err
+
+    files = {"s1s2.hd": ["s1s2"], "ob2.hd": ["openbook-annulus", "2"],
+             "t31.hd": ["torus", "3", "1"]}
+    for path, builder in files.items():
+        yield run(["atlas"] + builder + ["-o", path])
+    for path in files:
+        for command in ("validate", "info", "generators", "spinc", "grade"):
+            yield run([command, path])
+        diagram = load_diagram(Path(path).read_text(encoding="utf-8"))
+        gens = [g.display(diagram) for g in enumerate_generators(diagram)]
+        for x in gens:
+            for y in gens:
+                yield run(["domain", path, x, y, "--positive"])
+                yield run(["audit", path, x, y])
+        yield run(["stabilize", path, "-o", f"st-{path}"])
+    yield run(["shift", "--c1sq", "3/4", "--chi", "2", "--sigma", "-1"])
+    yield run(["--seed", "1", "selftest"])
+
+    Path("parse.hd").write_text("heegaard v1\ngenus: 1\nalpha a0: x0\n", encoding="utf-8")
+    Path("invalid.hd").write_text(VALIDATION_ERROR_TEXT, encoding="utf-8")
+    Path("folder.hd").mkdir()
+    errors = [["validate", "missing.hd"], ["info", "folder.hd"], ["grade", "parse.hd"],
+              ["spinc", "invalid.hd"], ["domain", "s1s2.hd", "x0", "zz"],
+              ["--radius", "-1", "audit", "s1s2.hd", "x0", "x1"],
+              ["atlas", "torus", "4", "2", "-o", "t42.hd"],
+              ["shift", "--c1sq", "1e5", "--chi", "1", "--sigma", "0"],
+              ["--radius", "0", "audit", "s1s2.hd", "x1", "x0"]]
+    for argv in errors:
+        yield run(argv)
+        yield run(["--json"] + argv)
+    with monkeypatch.context() as m:
+        m.setattr(grading, "_corner_image", lambda d, coeffs: (1,) * (2 * d.n_vertices))
+        yield run(["domain", "s1s2.hd", "x0", "x1"])
+        yield run(["--json", "domain", "s1s2.hd", "x0", "x1"])
+    with monkeypatch.context() as m:
+        m.setattr(cli, "relative_grading", lambda d, x, y: 1)
+        yield run(["--seed", "1", "selftest"])
+        yield run(["--json", "--seed", "1", "selftest"])
+
+    for argv in (["frobnicate"], ["validate"], ["--radius", "x", "info", "s1s2.hd"],
+                 ["atlas", "torus", "a", "1", "-o", "t.hd"], ["stabilize", "s1s2.hd"],
+                 ["--json", "domain", "s1s2.hd", "x0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        capsys.readouterr()
+        yield argv, exc.value.code, None, None
+
+
+def test_text_and_error_digest(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for argv, code, out, err in text_and_error_cases(capsys, monkeypatch):
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}\n{err}\n".encode())
+    for path in sorted(Path(".").glob("*.hd")):
+        if path.is_file():
+            digest.update(f"{path}\n".encode() + path.read_bytes())
+    assert digest.hexdigest() == TEXT_AND_ERROR_DIGEST
 
 
 def test_generators_beyond_the_recursion_limit(capsys, tmp_path):
