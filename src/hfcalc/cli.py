@@ -22,7 +22,8 @@ Global flags: ``--json`` (emit one JSON document on stdout), ``--radius``
 Generators are named on the command line by comma-joined vertex names
 (order-insensitive; output order follows the alpha-curve index).  Exit
 codes: 0 on success (including the "no connecting class" answer, which
-is a valid result, not a failure), 1 on file or diagram errors, 2 on
+is a valid result, not a failure), 1 on file or diagram errors (a file
+that cannot be read or is not UTF-8 included), 2 on
 usage errors (a bad ``atlas torus`` pair, ``--c1sq`` value or a negative
 ``--radius`` included, each for any command),
 3 on an internal inconsistency (a ``ConsistencyError`` or ``AuditError``:
@@ -40,8 +41,8 @@ import sys
 from fractions import Fraction
 
 from . import atlas as atlas_mod
-from .diagram import (DiagramError, HeegaardDiagram, assemble_regions, load_diagram,
-                      reverse_curve, serialize)
+from .diagram import (DiagramError, HeegaardDiagram, ParseError, assemble_regions,
+                      load_diagram, reverse_curve, serialize)
 from .grading import (ConsistencyError, Generator, NoConnectingClassError,
                       NoPositiveRepresentative, _domain_grading, basepoint_multiplicity,
                       enumerate_generators, euler_measure, generator_measure,
@@ -67,19 +68,24 @@ def _digest(diagram: HeegaardDiagram) -> dict:
 
 
 def _load(path: str) -> HeegaardDiagram:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_diagram(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:  # the bad byte's line, numbered as parse_diagram does
+        line = len((data[:e.start].decode("utf-8") + "_").splitlines())
+        raise ParseError(f"not UTF-8: cannot decode byte 0x{data[e.start]:02x}", line) from None
+    return load_diagram(text)
+
+
+def _write(diagram: HeegaardDiagram, path: str) -> None:
+    text = serialize(diagram)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _coeff_map(diagram: HeegaardDiagram, coeffs) -> dict:
     return {diagram.canonical_region_name(i): c for i, c in enumerate(coeffs)}
-
-
-def _parse_generator(diagram: HeegaardDiagram, text: str) -> Generator:
-    try:
-        return Generator.from_display(diagram, text)
-    except KeyError as e:
-        raise DiagramError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +175,26 @@ def _domain_measurements(diagram, x, y, dom):
     }
 
 
+def _resolve_pair(diagram, args):
+    """The generators named by ``args.x`` and ``args.y``, and their domain or None."""
+    try:
+        x = Generator.from_display(diagram, args.x)
+        y = Generator.from_display(diagram, args.y)
+    except KeyError as e:
+        raise DiagramError(str(e)) from None
+    return x, y, solve_domain(diagram, x, y)
+
+
+def _no_connecting_class():
+    return ({"connecting": False, "note": "no connecting class: the generators "
+                                          "lie in different Spin^c classes"},
+            ["no connecting class (distinct Spin^c classes)"])
+
+
 def _cmd_domain(diagram, args):
-    x = _parse_generator(diagram, args.x)
-    y = _parse_generator(diagram, args.y)
-    dom = solve_domain(diagram, x, y)
+    x, y, dom = _resolve_pair(diagram, args)
     if dom is None:
-        return ({"connecting": False, "note": "no connecting class: the generators "
-                                              "lie in different Spin^c classes"},
-                ["no connecting class (distinct Spin^c classes)"])
+        return _no_connecting_class()
     payload = {"connecting": True, "lattice_rank": len(dom.lattice)}
     payload.update(_domain_measurements(diagram, x, y, dom))
     payload["relative_grading"] = _domain_grading(dom)
@@ -218,13 +236,9 @@ def _audit_payload(report: AuditReport) -> dict:
 
 
 def _cmd_audit(diagram, args):
-    x = _parse_generator(diagram, args.x)
-    y = _parse_generator(diagram, args.y)
-    dom = solve_domain(diagram, x, y)
+    x, y, dom = _resolve_pair(diagram, args)
     if dom is None:
-        return ({"connecting": False, "note": "no connecting class: the generators "
-                                              "lie in different Spin^c classes"},
-                ["no connecting class (distinct Spin^c classes)"])
+        return _no_connecting_class()
     pos = positive_representative(dom, args.radius)
     report = audit_index(diagram, x, y, pos)
     payload = {"connecting": True,
@@ -243,9 +257,7 @@ def _cmd_audit(diagram, args):
 
 def _cmd_stabilize(diagram, args):
     marked, corr = atlas_mod.stabilize(diagram)
-    text = serialize(marked.diagram)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(marked.diagram, args.output)
     payload = {
         "output": args.output,
         "genus": marked.diagram.genus,
@@ -255,7 +267,7 @@ def _cmd_stabilize(diagram, args):
     return payload, [f"wrote genus-{marked.diagram.genus} diagram to {args.output}"]
 
 
-def _run_atlas(args):
+def _cmd_atlas(args, report):
     if args.builder == "torus":
         try:
             marked = atlas_mod.build_torus_diagram(args.p, args.q)
@@ -265,9 +277,8 @@ def _run_atlas(args):
         marked = atlas_mod.build_s1s2()
     else:
         marked = atlas_mod.build_annulus_open_book(args.n)
-    text = serialize(marked.diagram)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(marked.diagram, args.output)
+    report["diagram"] = _digest(marked.diagram)
     payload = {
         "output": args.output,
         "provenance": marked.provenance,
@@ -277,10 +288,10 @@ def _run_atlas(args):
     lines = [f"wrote {marked.provenance} to {args.output}"]
     if payload["contact_generator"]:
         lines.append(f"contact generator: {payload['contact_generator']}")
-    return marked.diagram, payload, lines
+    return payload, lines
 
 
-def _run_shift(args):
+def _cmd_shift(args, report):
     # Fraction would expand exponent notation: "1e99999999" is an integer of
     # a hundred million digits, built before any check can see its size.
     if "e" in args.c1sq.lower():
@@ -312,46 +323,52 @@ def _run_shift(args):
 # Randomized self-test
 # ---------------------------------------------------------------------------
 
-def _selftest(seed: int):
-    rng = random.Random(seed)
+def _same_class_pairs(suite):
+    """Each (diagram, class, x, y) with x and y in one Spin^c class, in suite order."""
+    for d in suite:
+        for cls in spinc_partition(d):
+            for x in cls.members:
+                for y in cls.members:
+                    yield d, cls, x, y
+
+
+def _grading_or_none(d, x, y):
+    try:
+        return relative_grading(d, x, y)
+    except NoConnectingClassError:
+        return None
+
+
+def _selftest(args, report):
+    rng = random.Random(args.seed)
     suite = [atlas_mod.build_torus_diagram(3, 1).diagram,
              atlas_mod.build_torus_diagram(4, 1).diagram,
              atlas_mod.build_s1s2().diagram,
              atlas_mod.build_annulus_open_book(0).diagram,
              atlas_mod.build_annulus_open_book(2).diagram]
-    checks = []
 
     def grading_ambiguity():
         cases = 0
-        for d in suite:
-            for cls in spinc_partition(d):
-                for x in cls.members:
-                    for y in cls.members:
-                        dom = solve_domain(d, x, y)
-                        basis = dom.lattice
-                        base_val = _domain_grading(dom)
-                        for _ in range(8):
-                            steps = [rng.randint(-3, 3) for _ in basis]
-                            other = dom.translate(steps)
-                            val = (maslov_index(d, x, y, other)
-                                   - 2 * basepoint_multiplicity(d, other))
-                            diff = val - base_val
-                            assert diff % cls.divisibility == 0 if cls.divisibility else diff == 0
-                            cases += 1
+        for d, cls, x, y in _same_class_pairs(suite):
+            dom = solve_domain(d, x, y)
+            base_val = _domain_grading(dom)
+            for _ in range(8):
+                other = dom.translate([rng.randint(-3, 3) for _ in dom.lattice])
+                val = maslov_index(d, x, y, other) - 2 * basepoint_multiplicity(d, other)
+                diff = val - base_val
+                assert diff % cls.divisibility == 0 if cls.divisibility else diff == 0
+                cases += 1
         return cases
 
     def additivity():
         cases = 0
-        for d in suite:
-            for cls in spinc_partition(d):
-                for x in cls.members:
-                    for y in cls.members:
-                        for z in cls.members:
-                            lhs = relative_grading(d, x, z)
-                            rhs = relative_grading(d, x, y) + relative_grading(d, y, z)
-                            m = cls.divisibility
-                            assert (lhs - rhs) % m == 0 if m else lhs == rhs
-                            cases += 1
+        for d, cls, x, y in _same_class_pairs(suite):
+            for z in cls.members:
+                lhs = relative_grading(d, x, z)
+                rhs = relative_grading(d, x, y) + relative_grading(d, y, z)
+                m = cls.divisibility
+                assert (lhs - rhs) % m == 0 if m else lhs == rhs
+                cases += 1
         return cases
 
     def layer_identities():
@@ -378,15 +395,8 @@ def _selftest(seed: int):
             st, corr = atlas_mod.stabilize(d)
             for x in enumerate_generators(d):
                 for y in enumerate_generators(d):
-                    try:
-                        g0 = relative_grading(d, x, y)
-                    except NoConnectingClassError:
-                        g0 = None
-                    try:
-                        g1 = relative_grading(st.diagram, corr[x], corr[y])
-                    except NoConnectingClassError:
-                        g1 = None
-                    assert g0 == g1
+                    assert (_grading_or_none(d, x, y)
+                            == _grading_or_none(st.diagram, corr[x], corr[y]))
                     cases += 1
         return cases
 
@@ -401,23 +411,23 @@ def _selftest(seed: int):
                 cases += 1
         return cases
 
-    counters = {}
+    checks = []
     for name, fn in [("grading-ambiguity", grading_ambiguity),
                      ("grading-additivity", additivity),
                      ("layer-identities", layer_identities),
                      ("stabilization-invariance", stabilization),
                      ("orientation-reversal", reversal)]:
         try:
-            counters[name] = fn()
-            checks.append({"name": name, "cases": counters[name], "passed": True})
+            checks.append({"name": name, "cases": fn(), "passed": True})
         except AssertionError:
-            checks.append({"name": name, "cases": counters.get(name, 0), "passed": False})
+            checks.append({"name": name, "cases": 0, "passed": False})
     all_passed = all(c["passed"] for c in checks)
-    payload = {"seed": seed, "checks": checks, "all_passed": all_passed}
     lines = [f"{c['name']}: {'pass' if c['passed'] else 'FAIL'} ({c['cases']} cases)"
              for c in checks]
     lines.append("all passed" if all_passed else "FAILURES PRESENT")
-    return payload, lines, all_passed
+    if not all_passed:
+        report.update(status="error", exit_status=1, error={"message": "selftest failures"})
+    return {"seed": args.seed, "checks": checks, "all_passed": all_passed}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +449,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("validate", "info", "generators", "spinc", "grade"):
         p = sub.add_parser(name)
         p.add_argument("file")
-    p = sub.add_parser("domain")
-    p.add_argument("file")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--positive", action="store_true",
-                   help="also compute a nonnegative representative")
-    p = sub.add_parser("audit")
-    p.add_argument("file")
-    p.add_argument("x")
-    p.add_argument("y")
+    domain, audit = sub.add_parser("domain"), sub.add_parser("audit")
+    for p in (domain, audit):
+        for name in ("file", "x", "y"):
+            p.add_argument(name)
+    domain.add_argument("--positive", action="store_true",
+                        help="also compute a nonnegative representative")
     p = sub.add_parser("stabilize")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
@@ -472,15 +478,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_DIAGRAM_COMMANDS = {
-    "validate": _cmd_validate,
-    "info": _cmd_info,
-    "generators": _cmd_generators,
-    "spinc": _cmd_spinc,
-    "grade": _cmd_grade,
-    "domain": _cmd_domain,
-    "audit": _cmd_audit,
-    "stabilize": _cmd_stabilize,
+def _on_file(command):
+    """Run ``command(diagram, args)`` on ``args.file``, recording the diagram's digest."""
+    def handler(args, report):
+        diagram = _load(args.file)
+        report["diagram"] = _digest(diagram)
+        return command(diagram, args)
+    return handler
+
+
+# handler(args, report) -> (payload, text lines); it may also fill in the report.
+_COMMANDS = {
+    "validate": _on_file(_cmd_validate),
+    "info": _on_file(_cmd_info),
+    "generators": _on_file(_cmd_generators),
+    "spinc": _on_file(_cmd_spinc),
+    "grade": _on_file(_cmd_grade),
+    "domain": _on_file(_cmd_domain),
+    "audit": _on_file(_cmd_audit),
+    "stabilize": _on_file(_cmd_stabilize),
+    "atlas": _cmd_atlas,
+    "shift": _cmd_shift,
+    "selftest": _selftest,
 }
 
 
@@ -494,9 +513,7 @@ def _emit(args, report: dict, lines: list[str]) -> None:
 
 def _fail(args, report: dict, code: int, error: dict, text: str) -> int:
     """End with an error: the JSON document under --json, else ``text`` on stderr."""
-    report["status"] = "error"
-    report["exit_status"] = code
-    report["error"] = error
+    report.update(status="error", exit_status=code, error=error)
     if args.json:
         _emit(args, report, [])
     else:
@@ -513,27 +530,9 @@ def main(argv=None) -> int:
     try:
         if args.radius < 0:
             raise _UsageError(f"--radius must be nonnegative, got {args.radius}")
-        if args.command in _DIAGRAM_COMMANDS:
-            diagram = _load(args.file)
-            report["diagram"] = _digest(diagram)
-            payload, lines = _DIAGRAM_COMMANDS[args.command](diagram, args)
-        elif args.command == "atlas":
-            diagram, payload, lines = _run_atlas(args)
-            report["diagram"] = _digest(diagram)
-        elif args.command == "shift":
-            payload, lines = _run_shift(args)
-        else:  # selftest
-            payload, lines, ok = _selftest(args.seed)
-            if not ok:
-                report["payload"] = payload
-                report["status"] = "error"
-                report["exit_status"] = 1
-                report["error"] = {"message": "selftest failures"}
-                _emit(args, report, lines)
-                return 1
-        report["payload"] = payload
+        report["payload"], lines = _COMMANDS[args.command](args, report)
         _emit(args, report, lines)
-        return 0
+        return report["exit_status"]
     except _UsageError as e:
         return _fail(args, report, 2, {"message": str(e)}, f"hfcalc: error: {e}")
     except NoPositiveRepresentative as e:

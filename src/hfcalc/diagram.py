@@ -31,6 +31,7 @@ slot ``i``.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Mapping, NamedTuple
 
 LEFT_AFTER = "left-after"
@@ -92,6 +93,17 @@ def _parse_alpha_token(tok: str, line: int) -> tuple[str, int]:
     return tok[:-1], (1 if tok[-1] == "+" else -1)
 
 
+def _parse_count(text: str, what: str, line: int) -> int:
+    # isdecimal, not isdigit: int() rejects superscripts such as '²'.
+    if not text.isdecimal():
+        raise ParseError(f"{what} must be a nonnegative integer, got {text!r}", line)
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's limit on integer-from-string conversion
+        raise ParseError(f"{what} has a number past Python's {sys.get_int_max_str_digits()}"
+                         f"-digit limit for converting strings to integers", line) from None
+
+
 def parse_diagram(text: str) -> CurveSystemInput:
     """Parse the line-oriented diagram format into a ``CurveSystemInput``.
 
@@ -135,10 +147,7 @@ def parse_diagram(text: str) -> CurveSystemInput:
         if keyword == "genus:":
             if genus is not None:
                 raise ParseError("duplicate genus line", lineno)
-            rest = stripped[len("genus:"):].strip()
-            if not rest.isdigit():
-                raise ParseError(f"genus must be a nonnegative integer, got {rest!r}", lineno)
-            genus = int(rest)
+            genus = _parse_count(stripped[len("genus:"):].strip(), "genus", lineno)
         elif keyword in (ALPHA, BETA):
             body = stripped[len(keyword):].strip()
             if ":" not in body:
@@ -189,9 +198,7 @@ def parse_diagram(text: str) -> CurveSystemInput:
             toks = rest.split()
             if len(toks) < 2 or not toks[0].startswith("genus=") or not toks[1].startswith("circles="):
                 raise ParseError("region line must read 'region LABEL: genus=N circles=...'", lineno)
-            gtxt = toks[0][len("genus="):]
-            if not gtxt.isdigit():
-                raise ParseError(f"region genus must be a nonnegative integer, got {gtxt!r}", lineno)
+            region_genus = _parse_count(toks[0][len("genus="):], "region genus", lineno)
             first = toks[1][len("circles="):]
             if first == "auto":
                 if len(toks) > 2:
@@ -202,7 +209,7 @@ def parse_diagram(text: str) -> CurveSystemInput:
                 if not all(ids):
                     raise ParseError("empty circle id", lineno)
                 circles = tuple(ids)
-            directives.append(RegionDirective(label, int(gtxt), circles, lineno))
+            directives.append(RegionDirective(label, region_genus, circles, lineno))
         else:
             raise ParseError(f"unrecognized line {stripped!r}", lineno)
 

@@ -496,8 +496,22 @@ def _anchor_key(diagram: HeegaardDiagram, g: Generator) -> tuple[str, ...]:
 
 
 @_per_diagram
-def _class_of(diagram: HeegaardDiagram) -> dict[Generator, SpincClass]:
-    """The Spin^c class of each generator; see ``spinc_partition``."""
+def spinc_partition(diagram: HeegaardDiagram) -> tuple[SpincClass, ...]:
+    """Partition the generators into Spin^c classes.
+
+    x and y share a class exactly when eps(x, y) = 0 in H1(Y) = Z^g /
+    (columns of A), in alpha coordinates (``homology_of_Y``).  Walk each
+    beta curve in listing order with a running vector c indexed by alpha;
+    at vertex v, add sign(v) e_alpha(v) to c, record h(v) = c, then add it
+    again.  So h(v) is twice the crossings before v plus the one at v: the
+    endpoint of a beta arc counts half, the push-off average of the eps
+    loop, and 2 eps(x, y) = h(y) - h(x) up to whole beta curves, with h(g)
+    summed over g.  So the class test is h(y) - h(x) in 2 (columns of A):
+    keys U_A h(g), entries i < rank reduced mod 2 d_i, are equal.  Classes
+    are numbered by first appearance in generator order, and members keep
+    that order.  Each class gets a deterministic anchor (lexicographically
+    minimal sorted vertex names) and its divisibility.
+    """
     smith = _intersection_form(diagram)
     moduli = [2 * d for d in smith.invariants if d]
     u_columns = _transpose(smith.u_rows, diagram.genus)
@@ -521,32 +535,16 @@ def _class_of(diagram: HeegaardDiagram) -> dict[Generator, SpincClass]:
         key = (tuple(image.get(r, 0) % m for r, m in enumerate(moduli))
                + tuple(image.get(r, 0) for r in range(len(moduli), diagram.genus)))
         members.setdefault(key, []).append(g)
-    class_of: dict[Generator, SpincClass] = {}
+    classes = []
     for i, cls in enumerate(members.values()):
         anchor = min(cls, key=lambda g: _anchor_key(diagram, g))
-        spinc = SpincClass(i, tuple(cls), anchor, divisibility(diagram, anchor))
-        class_of.update(dict.fromkeys(cls, spinc))
-    return class_of
+        classes.append(SpincClass(i, tuple(cls), anchor, divisibility(diagram, anchor)))
+    return tuple(classes)
 
 
 @_per_diagram
-def spinc_partition(diagram: HeegaardDiagram) -> tuple[SpincClass, ...]:
-    """Partition the generators into Spin^c classes.
-
-    x and y share a class exactly when eps(x, y) = 0 in H1(Y) = Z^g /
-    (columns of A), in alpha coordinates (``homology_of_Y``).  Walk each
-    beta curve in listing order with a running vector c indexed by alpha;
-    at vertex v, add sign(v) e_alpha(v) to c, record h(v) = c, then add it
-    again.  So h(v) is twice the crossings before v plus the one at v: the
-    endpoint of a beta arc counts half, the push-off average of the eps
-    loop, and 2 eps(x, y) = h(y) - h(x) up to whole beta curves, with h(g)
-    summed over g.  So the class test is h(y) - h(x) in 2 (columns of A):
-    keys U_A h(g), entries i < rank reduced mod 2 d_i, are equal.  Classes
-    are numbered by first appearance in generator order, and members keep
-    that order.  Each class gets a deterministic anchor (lexicographically
-    minimal sorted vertex names) and its divisibility.
-    """
-    return tuple({c.index: c for c in _class_of(diagram).values()}.values())
+def _class_of(diagram: HeegaardDiagram) -> dict[Generator, SpincClass]:
+    return {g: cls for cls in spinc_partition(diagram) for g in cls.members}
 
 
 def spinc_class_of(diagram: HeegaardDiagram, g: Generator) -> SpincClass:

@@ -171,6 +171,37 @@ def test_parse_error_json_payload(tmp_path, capsys):
     assert rep["error"]["line"] == 1
 
 
+# Files that once escaped as tracebacks: bytes that are not UTF-8, and
+# superscript digits that str.isdigit accepts but int() rejects.
+HOSTILE_FILES = {
+    "not-utf8": (b"heegaard v1\n\xff\n", 2, "not UTF-8: cannot decode byte 0xff"),
+    "not-utf8-after-crlf": (b"heegaard v1\r\ngenus: 1\r\n# caf\xe9\n", 3,
+                            "not UTF-8: cannot decode byte 0xe9"),
+    "genus-superscript": ("heegaard v1\ngenus: \u00b2\n".encode(), 2,
+                          "genus must be a nonnegative integer, got '\u00b2'"),
+    "region-genus-superscript": ((S3_TEXT + "region r: genus=\u00b9 circles=auto\n").encode(), 6,
+                                 "region genus must be a nonnegative integer, got '\u00b9'"),
+}
+if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+    HOSTILE_FILES["genus-past-the-digit-limit"] = (
+        b"heegaard v1\ngenus: " + b"9" * 5000 + b"\n", 2,
+        f"genus has a number past Python's {sys.get_int_max_str_digits()}-digit limit "
+        f"for converting strings to integers")
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_FILES))
+def test_hostile_files_are_parse_errors(case, capsys, tmp_path):
+    data, line, message = HOSTILE_FILES[case]
+    path = tmp_path / "hostile.hd"
+    path.write_bytes(data)
+    assert main(["info", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: line {line}: {message}\n")
+    code, rep, _ = run_json(capsys, ["info", str(path)])
+    assert code == 1
+    assert rep["status"] == "error" and rep["exit_status"] == 1
+    assert rep["error"] == {"line": line, "message": f"line {line}: {message}"}
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["validate", "/nonexistent/zzz.hd"]) == 1
 

@@ -1,16 +1,21 @@
 """Parsing, face tracing, assembly, and serialization tests."""
 
 import random
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hfcalc.diagram import (ALPHA, BETA, ParseError, Region, RegionDirective, ValidationError,
-                            _Graph, assemble_regions, load_diagram, parse_diagram,
-                            quadrants_at, rename, reverse_curve, serialize,
+from hfcalc.atlas import build_annulus_open_book, build_s1s2, build_torus_diagram, stabilize
+from hfcalc.diagram import (ALPHA, BETA, DiagramError, ParseError, Region, RegionDirective,
+                            ValidationError, _Graph, assemble_regions, load_diagram,
+                            parse_diagram, quadrants_at, rename, reverse_curve, serialize,
                             trace_faces)
 
-from conftest import D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text
+from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
+                      s1s2_sum_text)
 
 
 def test_parse_s3_counts():
@@ -27,6 +32,11 @@ def test_parse_l31_matches_atlas_file():
     assert inp.alpha[0][1] == ("x0", "x1", "x2")
     assert inp.beta[0][1] == ("x0", "x2", "x1")
     assert all(s == 1 for s in inp.signs.values())
+
+
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter has no limit on integer string conversion")
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -52,6 +62,21 @@ def test_parse_l31_matches_atlas_file():
     ("heegaard v1\ngenus: 1\nalpha a0:\nbeta b0: x0\nbasepoint: a0 x0 left-after\n",
      "no vertices"),
     ("heegaard v1\ngenus: 0\nbasepoint: a0 x0 left-after\n", "at least 1"),
+    # str.isdigit accepts superscripts, which int() rejects with ValueError.
+    pytest.param("heegaard v1\ngenus: \u00b2\n",
+                 "line 2: genus must be a nonnegative integer, got '\u00b2'",
+                 id="genus-superscript"),
+    pytest.param("heegaard v1\ngenus: 1\u00b2\n", "line 2: genus must be a nonnegative integer",
+                 id="genus-trailing-superscript"),
+    pytest.param(S3_TEXT + "region r: genus=\u00b9 circles=auto\n",
+                 "line 6: region genus must be a nonnegative integer, got '\u00b9'",
+                 id="region-genus-superscript"),
+    pytest.param("heegaard v1\ngenus: " + "9" * 5000 + "\n",
+                 "line 2: genus has a number past Python's", marks=NEEDS_DIGIT_LIMIT,
+                 id="genus-past-the-digit-limit"),
+    pytest.param("heegaard v1\ngenus: 1\nregion r: genus=" + "9" * 5000 + " circles=auto\n",
+                 "line 3: region genus has a number past Python's", marks=NEEDS_DIGIT_LIMIT,
+                 id="region-genus-past-the-digit-limit"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
@@ -65,6 +90,13 @@ def test_parse_error_carries_line_number():
         parse_diagram(text)
     assert err.value.line == 3
     assert "line 3" in str(err.value)
+
+
+def test_decimal_digits_of_any_script_are_numbers():
+    # ARABIC-INDIC DIGITs THREE and ZERO: decimal digits, which int() reads.
+    text = s1s2_sum_text(3).replace("genus: 3", "genus: \u0663").replace("genus=0", "genus=\u0660")
+    inp = parse_diagram(text)
+    assert inp.genus == 3 and inp.directives[0].genus == 0
 
 
 def test_trace_s3_single_square():
@@ -424,3 +456,47 @@ def test_rename_collision():
     d = load_diagram(L31_TEXT)
     with pytest.raises(ValueError):
         rename(d.input, vertex_map={"x0": "x1"})
+
+
+ATLAS_TEXTS = [serialize(m.diagram) for m in (
+    build_torus_diagram(1, 0), build_torus_diagram(3, 1), build_torus_diagram(5, 2),
+    build_s1s2(), build_annulus_open_book(-2), build_annulus_open_book(2),
+    stabilize(build_torus_diagram(3, 1).diagram)[0])]
+
+# Characters the format gives meaning to, digits that str.isdigit accepts
+# but int() does not, another script's decimal digit, and line breaks that
+# str.splitlines honours.
+NUMBER_CHARS = ["0", "7", "²", "¹", "٣"]
+MUTATION_CHARS = list(" \n:=+-#.,axbw") + NUMBER_CHARS + ["\x85", "\u2028"]
+
+
+@st.composite
+def mutated_atlas_texts(draw):
+    """An atlas text with characters inserted and deleted.
+
+    "extend-number" inserts a digit-like character right after a digit, so
+    that number fields (genus, region genus) meet odd digits often.
+    """
+    text = draw(st.sampled_from(ATLAS_TEXTS))
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["insert", "extend-number", "delete"]))
+        if kind == "extend-number":
+            ends = [i + 1 for i, c in enumerate(text) if c.isdigit()] or [0]
+            at = draw(st.sampled_from(ends))
+            text = text[:at] + draw(st.sampled_from(NUMBER_CHARS)) + text[at:]
+            continue
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        if kind == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + draw(st.sampled_from(MUTATION_CHARS)) + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_atlas_texts())
+def test_mutated_atlas_texts_fail_only_with_diagram_errors(text):
+    try:
+        load_diagram(text)
+    except DiagramError:
+        pass
