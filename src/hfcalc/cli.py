@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -503,21 +504,30 @@ _COMMANDS = {
 }
 
 
-def _emit(args, report: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
+def _emit(args, report: dict, lines: list[str]) -> int:
+    """Write the output; return the exit status, or 1 with nothing on stderr
+    when the reader closed stdout (then devnull, so the exit flush passes)."""
+    try:
+        if args.json:
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return report["exit_status"]
 
 
 def _fail(args, report: dict, code: int, error: dict, text: str) -> int:
     """End with an error: the JSON document under --json, else ``text`` on stderr."""
     report.update(status="error", exit_status=code, error=error)
     if args.json:
-        _emit(args, report, [])
-    else:
-        print(text, file=sys.stderr)
+        return _emit(args, report, [])
+    print(text, file=sys.stderr)
     return code
 
 
@@ -531,8 +541,6 @@ def main(argv=None) -> int:
         if args.radius < 0:
             raise _UsageError(f"--radius must be nonnegative, got {args.radius}")
         report["payload"], lines = _COMMANDS[args.command](args, report)
-        _emit(args, report, lines)
-        return report["exit_status"]
     except _UsageError as e:
         return _fail(args, report, 2, {"message": str(e)}, f"hfcalc: error: {e}")
     except NoPositiveRepresentative as e:
@@ -543,6 +551,7 @@ def main(argv=None) -> int:
     except (DiagramError, OSError) as e:
         return _fail(args, report, 1, {"message": str(e), "line": getattr(e, "line", None)},
                      f"error: {e}")
+    return _emit(args, report, lines)
 
 
 if __name__ == "__main__":

@@ -472,14 +472,14 @@ class HeegaardDiagram(_Graph):
 
         # Every quadrant at a vertex borders the arcs there, so the graph plus
         # the regions is connected exactly when the regions are, across arcs.
+        # Cutting along either family must keep them connected across the other
+        # family's arcs (alpha arcs first); all arcs are tried for the message.
         arc_sides = tuple((region_of_face[self.face_of_dart[2 * a]],
                            region_of_face[self.face_of_dart[2 * a + 1]]) for a in range(ne))
-        if not _connected(len(regions), arc_sides):
-            raise ValidationError("diagram is disconnected (graph plus regions)")
-        # Cutting along one family must keep the region adjacency connected.
-        for family, fam_name in ((BETA, ALPHA), (ALPHA, BETA)):
-            if not _connected(len(regions), (s for arc, s in zip(self.arcs, arc_sides)
-                                             if arc.family == family)):
+        for sides, fam_name in ((arc_sides[nv:], ALPHA), (arc_sides[:nv], BETA)):
+            if not _connected(len(regions), sides):
+                if not _connected(len(regions), arc_sides):
+                    raise ValidationError("diagram is disconnected (graph plus regions)")
                 raise ValidationError(
                     f"cutting along the {fam_name} curves disconnects the surface; "
                     f"the {fam_name} family is not independent")

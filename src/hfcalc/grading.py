@@ -12,17 +12,20 @@ loop along the alpha curves from x to y and back along the beta curves,
 vanishes in H1(Y) = Z^g / (columns of A), A_ij = alpha_i . beta_j, in
 coordinates indexed by alpha (``homology_of_Y`` says why).  Pushed off
 their curves, the alpha pieces cross no alpha curve, and averaging the
-push-offs to either side weighs each endpoint of a beta piece by one half
-(``spinc_partition``).  So the classes and H1 share one factorization of
-A.  The corner matrix M is factored only for a domain or the periodic
-lattice: with U M V = S, a domain is zlattice's particular solution (U
-applied to r(y) - r(x), exact division by the invariant factors, one
-product with V), the same one ``solve_integer_system`` computes, and the
-lattice is a set of columns of V.  Transforms stay sparse (U by rows and
-by columns, V by columns), products run over nonzero entries, and both
-factorizations are certified.  The generators, the factorizations, the
-partition, the grading table and H1 are cached on the diagram itself, so
-each is computed once per diagram and lives as long as the diagram does.
+push-offs to either side weighs each endpoint of a beta piece by one
+half (``spinc_partition``).  So the classes and H1 share one
+factorization of A, and so do the grading labels when b1 = 0
+(``_domain_avoiding_z``), so ``grade`` then factors only A, whatever the
+class sizes.  The corner matrix M is factored only for a domain, the
+periodic lattice, or the labels when b1 > 0: with U M V = S, a domain is
+zlattice's particular solution (U applied to r(y) - r(x), exact division
+by the invariant factors, one product with V), the same one
+``solve_integer_system`` computes, and the lattice is a set of columns
+of V.  Transforms stay sparse (U by rows and by columns, V by columns),
+products run over nonzero entries, and both factorizations are
+certified.  The generators, the factorizations, the partition, the
+grading table and H1 are cached on the diagram itself, so each is
+computed once per diagram and lives as long as the diagram does.
 
 All index quantities are computed exactly:
 
@@ -346,6 +349,71 @@ def solve_domain(diagram: HeegaardDiagram, x: Generator, y: Generator) -> Domain
     return Domain(diagram, x, y, coeffs)
 
 
+@_per_diagram
+def _beta_walk(diagram: HeegaardDiagram):
+    """Breadth-first from the basepoint region across the beta arcs (they reach
+    every region: assembly checks it), as (region, parent, arc, j, sign) with
+    D(region) = D(parent) + sign (value on this arc of beta_j); and beta-out per vertex."""
+    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in range(diagram.n_regions)]
+    for arc in range(diagram.n_vertices, diagram.n_arcs):
+        left, right = diagram.arc_sides[arc]
+        adjacent[right].append((left, arc, 1))
+        adjacent[left].append((right, arc, -1))
+    reached, queue, order = {diagram.basepoint_region}, [diagram.basepoint_region], []
+    for parent in queue:
+        for region, arc, sign in adjacent[parent]:
+            if region not in reached:
+                reached.add(region)
+                queue.append(region)
+                order.append((region, parent, arc,
+                              diagram.beta_of[diagram.arcs[arc].tail], sign))
+    return order, [rot[1 if s > 0 else 3] // 2
+                   for rot, s in zip(diagram.rotations, diagram.signs)]
+
+
+def _domain_avoiding_z(diagram: HeegaardDiagram, x: Generator, y: Generator) -> Domain:
+    """D0(x, y), the connecting domain with n_z = 0, for b1 = 0 and x, y in one class.
+
+    Its boundary on the beta arcs is a base chain b plus n_j beta_j, where
+    b is 1 on the beta_j arcs from y_j forward to x_j, so that db = x - y,
+    the beta half of the corner system.  Integrating across beta arcs
+    from D(z) = 0 is consistent exactly when every loop that crosses no
+    alpha curve sees no total jump.  The surface cut along the alpha
+    curves is planar, so those loops are generated by push-offs of the
+    alpha curves.  A push-off of alpha_i on its left crosses only the beta
+    arc left of alpha at each vertex v of alpha_i (rotation slot 1:
+    beta-out at a positive vertex, beta-in at a negative one), from that
+    arc's left to its right at a positive vertex and from right to left
+    at a negative one, so it jumps by -sign(v) (b + n_beta(v)) there.
+    Zero total is A n = r_alpha, with r_alpha,i = -sum over v in alpha_i
+    of sign(v) b[beta-left(v)].  The push-off on the right differs from it
+    by the sum of db over the vertices of alpha_i, which is 0, since x and
+    y each have one vertex there.  The alpha half of the corner system
+    follows from dd = 0.  n is ``_particular`` on U_A A V_A = S_A; since
+    b1 = 0, A is invertible over Q, and D0 is unique.  A non-integral n,
+    or a failed corner certificate, raises ``ConsistencyError``.
+    """
+    order, beta_out = _beta_walk(diagram)
+    x_on_beta = {diagram.beta_of[v]: v for v in x.vertices}
+    base = [0] * diagram.n_arcs
+    for v in y.vertices:
+        end = x_on_beta[diagram.beta_of[v]]
+        while v != end:
+            base[beta_out[v]] = 1
+            v = diagram.arcs[beta_out[v]].head
+    r = [0] * diagram.genus
+    for rot, i, sign in zip(diagram.rotations, diagram.alpha_of, diagram.signs):
+        r[i] -= sign * base[rot[1] // 2]
+    multiples = _particular(*_intersection_form(diagram), r)
+    if multiples is None:
+        raise ConsistencyError("D0 has no integral beta curve multiples for (x, y) in one class")
+    coeffs = [0] * diagram.n_regions
+    for region, parent, arc, j, sign in order:
+        coeffs[region] = coeffs[parent] + sign * (base[arc] + multiples[j])
+    _check_connecting(diagram, x, y, coeffs)
+    return Domain(diagram, x, y, tuple(coeffs))
+
+
 def positive_representative(domain: Domain, radius: int = 8) -> Domain:
     """A lattice translate with all coefficients nonnegative.
 
@@ -512,9 +580,8 @@ def spinc_partition(diagram: HeegaardDiagram) -> tuple[SpincClass, ...]:
     that order.  Each class gets a deterministic anchor (lexicographically
     minimal sorted vertex names) and its divisibility.
     """
-    smith = _intersection_form(diagram)
+    smith, u_columns = _intersection_form(diagram)
     moduli = [2 * d for d in smith.invariants if d]
-    u_columns = _transpose(smith.u_rows, diagram.genus)
     # U_A h(v) per vertex, sparse: c is kept as U_A c, so h is never formed.
     uh: list[dict[int, int]] = [{} for _ in range(diagram.n_vertices)]
     for _, verts in diagram.beta:
@@ -599,12 +666,15 @@ def grading_table(diagram: HeegaardDiagram) -> tuple[tuple[Generator, GradingLab
     """Label every generator: (class id, grading offset relative to anchor).
 
     The anchor of each class gets offset 0 with no domain solved; label
-    differences within a class realize the relative grading.
+    differences within a class realize the relative grading.  Another
+    member g gets the grading of D0(g, anchor) when b1 = 0, else of
+    ``solve_domain``'s domain.
     """
+    connect = solve_domain if homology_of_Y(diagram).b1 else _domain_avoiding_z
     rows = []
     for g in enumerate_generators(diagram):
         cls = spinc_class_of(diagram, g)
-        off = 0 if g == cls.anchor else relative_grading(diagram, g, cls.anchor)
+        off = 0 if g == cls.anchor else _domain_grading(connect(diagram, g, cls.anchor))
         rows.append((g, GradingLabel(cls.index, off, cls.divisibility)))
     return tuple(rows)
 
@@ -700,8 +770,9 @@ class Homology(NamedTuple):
 
 
 @_per_diagram
-def _intersection_form(diagram: HeegaardDiagram) -> SmithDecomposition:
-    """A_ij = alpha_i . beta_j (a sum of crossing signs) as U_A A V_A = S_A."""
+def _intersection_form(diagram: HeegaardDiagram) -> tuple[SmithDecomposition, list]:
+    """A_ij = alpha_i . beta_j (a sum of crossing signs) as U_A A V_A = S_A,
+    with the columns of U_A."""
     g = diagram.genus
     rows = [[0] * g for _ in range(g)]
     terms: list[list[tuple[int, int]]] = [[] for _ in range(g)]
@@ -710,7 +781,7 @@ def _intersection_form(diagram: HeegaardDiagram) -> SmithDecomposition:
         terms[i].append((j, sign))
     smith = smith_normal_form(IntMatrix(tuple(map(tuple, rows)), g))
     _check_factorization(terms, smith, "A")
-    return smith
+    return smith, _transpose(smith.u_rows, g)
 
 
 @_per_diagram
@@ -728,5 +799,5 @@ def homology_of_Y(diagram: HeegaardDiagram) -> Homology:
     which ``spinc_partition`` reads too, gives b1 (g minus the nonzero
     invariant factors) and the torsion (the factors above 1).
     """
-    nonzero = [d for d in _intersection_form(diagram).invariants if d]
+    nonzero = [d for d in _intersection_form(diagram)[0].invariants if d]
     return Homology(diagram.genus - len(nonzero), tuple(d for d in nonzero if d > 1))

@@ -523,6 +523,28 @@ def test_audit_in_a_child_process(tmp_path):
     assert rep["payload"]["layer_sum"] == str(rep["payload"]["maslov"])
 
 
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, flags):
+    """A reader that stops after 10 bytes, like ``| head -c 10``."""
+    import fcntl
+
+    path = tmp_path / "t.hd"
+    assert run_python(["-m", "hfcalc.cli", "atlas", "torus", "640", "1", "-o", str(path)],
+                      tmp_path).returncode == 0
+    read_end, write_end = os.pipe()
+    # A one-page pipe holds less than either output (16 kB of text, 160 kB
+    # of JSON), so the child is still writing when the pipe closes.
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen([sys.executable, "-m", "hfcalc.cli", *flags, "grade", str(path)],
+                            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                            stdout=write_end, stderr=subprocess.PIPE)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as out:
+        assert len(out.read(10)) == 10
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
+
+
 PACKAGE_NAMES = [
     "CurveSystemInput", "DiagramError", "HeegaardDiagram", "ParseError", "Quadrant",
     "RegionDirective", "ValidationError", "assemble_regions", "load_diagram",

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import random
 import sys
 import weakref
@@ -16,7 +17,8 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hfcalc.atlas import build_annulus_open_book, build_s1s2, build_torus_diagram, stabilize
-from hfcalc.diagram import assemble_regions, load_diagram, rename, reverse_curve, serialize
+from hfcalc.diagram import (ValidationError, assemble_regions, load_diagram, rename,
+                            reverse_curve, serialize)
 from hfcalc.grading import (ConsistencyError, Generator, GradingLabel, MixedLabelError,
                             NoConnectingClassError, NoPositiveRepresentative,
                             TwistedElement, basepoint_multiplicity,
@@ -625,15 +627,18 @@ def test_antisymmetry_and_additivity(fixture, request):
                     assert (lhs - rhs) % m == 0 if m else lhs == rhs
 
 
-def test_label_differences_realize_relative_grading(two_finger):
-    table = dict(grading_table(two_finger))
-    for cls in spinc_partition(two_finger):
-        m = cls.divisibility
-        for x in cls.members:
-            for y in cls.members:
-                diff = table[x].offset - table[y].offset
-                gr = relative_grading(two_finger, x, y)
-                assert (diff - gr) % m == 0 if m else diff == gr
+def test_label_differences_realize_relative_grading(two_finger, d2_diagram, rational_atlas):
+    # The b1 = 0 labels come from D0, not from the corner solve that
+    # relative_grading uses; two_finger and D2 have b1 = 1.
+    for d in [two_finger, d2_diagram] + rational_atlas:
+        table = dict(grading_table(d))
+        for cls in spinc_partition(d):
+            m = cls.divisibility
+            for x in cls.members:
+                for y in cls.members:
+                    diff = table[x].offset - table[y].offset
+                    gr = relative_grading(d, x, y)
+                    assert (diff - gr) % m == 0 if m else diff == gr
 
 
 def _grading_fingerprint(d):
@@ -785,17 +790,19 @@ def test_factorization_certificate_detects_a_wrong_form(monkeypatch):
             return dec._replace(**{field: tuple(vecs)})
         return factor
 
-    # openbook(2) has a class of three members, so its grading table solves
-    # domains and factors M.  Entry (0, 0) of V, and the last entry of its
-    # last column, a kernel column whose product with M lies off the
-    # diagonal of S; entry (0, 0) of U, and the last entry of its last row.
-    assert max(len(c.members) for c in spinc_partition(build_annulus_open_book(2).diagram)) > 1
+    # openbook(2) has a class of three members, so the relative grading of
+    # two of them solves a domain and factors M.  Entry (0, 0) of V, and
+    # the last entry of its last column, a kernel column whose product with
+    # M lies off the diagonal of S; entry (0, 0) of U, and the last entry
+    # of its last row.
+    x, y = max(spinc_partition(build_annulus_open_book(2).diagram),
+               key=lambda c: len(c.members)).members[:2]
     for field, j, r in (("v_columns", 0, 0), ("v_columns", -1, -1),
                         ("u_rows", 0, 0), ("u_rows", -1, -1)):
         d = build_annulus_open_book(2).diagram
         monkeypatch.setattr(grading, "smith_normal_form", off_by_one(field, j, r, False))
         with pytest.raises(ConsistencyError, match="U M V"):
-            grading_table(d)
+            relative_grading(d, x, y)
         monkeypatch.undo()
     # Entry (0, 0) of V_A, for genus 1 and 3, and U_A's first and last rows
     # for genus 3: U_A A V_A = S_A fails.
@@ -1005,11 +1012,97 @@ def test_single_member_classes_factor_once_and_solve_nothing(monkeypatch):
         run(d)
         assert factored == [(d.genus, d.genus)] and solved == []
     several = [build_annulus_open_book(n).diagram for n in range(1, 9)]
+    # b1 = 0: the several-member classes are labelled by D0, built on A's
+    # factorization, so M is never factored and no domain is solved.
     for d in several + [stabilize(d)[0].diagram for d in several]:
         run(d)
-        assert factored == [(d.genus, d.genus), (2 * d.n_vertices, d.n_regions)]
-        assert len(solved) == len(enumerate_generators(d)) - len(spinc_partition(d))
-        assert all(x != y for x, y in solved)
+        assert factored == [(d.genus, d.genus)] and solved == []
+        assert max(len(c.members) for c in spinc_partition(d)) > 1
+
+
+# ---------------------------------------------------------------------------
+# Oracle: D0, the n_z = 0 domain for b1 = 0, against the corner solve
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def rational_atlas(l31):
+    """b1 = 0 diagrams: torus(p, q) for p <= 11 and the open books with
+    0 < |n| <= 12, each as given, stabilized once and twice, and with each
+    curve reversed; and L(3,1)."""
+    given = [build_torus_diagram(p, q).diagram
+             for p in range(1, 12) for q in range(-p, p) if q and gcd(p, q) == 1]
+    given += [build_annulus_open_book(n).diagram for n in range(-12, 13) if n]
+    once = [stabilize(d)[0].diagram for d in given]
+    twice = [stabilize(d)[0].diagram for d in once]
+    diagrams = given + once + twice
+    return diagrams + [r for d in diagrams for r in curve_reversals(d)] + [l31]
+
+
+def assert_domain_avoiding_z_is_the_corner_solve(d):
+    """D0(x, y) = V q - n_z(V q) Sigma: the lattice is Z Sigma when b1 = 0."""
+    import hfcalc.grading as grading
+
+    assert homology_of_Y(d).b1 == 0
+    for cls in spinc_partition(d):
+        for x, y in itertools.product(cls.members, repeat=2):
+            solved = solve_domain(d, x, y).coefficients
+            n_z = solved[d.basepoint_region]
+            d0 = grading._domain_avoiding_z(d, x, y)
+            assert (d0.source, d0.target) == (x, y)
+            assert d0.coefficients == tuple(c - n_z for c in solved)
+
+
+def test_domain_avoiding_z_is_the_corner_solve_minus_n_z_sigma(rational_atlas):
+    several = 0
+    for d in rational_atlas:
+        assert_domain_avoiding_z_is_the_corner_solve(d)
+        several += max(len(c.members) for c in spinc_partition(d)) > 1
+    assert (len(rational_atlas), several) == (1606, 180)
+
+
+@settings(max_examples=40, deadline=None)
+@given(transformed_diagrams())
+def test_domain_avoiding_z_is_the_corner_solve_transformed(d):
+    if not homology_of_Y(d).b1:  # the open book n = 0 has b1 = 1
+        assert_domain_avoiding_z_is_the_corner_solve(d)
+
+
+def test_domain_avoiding_z_on_random_curve_systems():
+    """Random curve systems cross alpha_i with any beta_j; atlas ones only with beta_i."""
+    from test_diagram import random_curve_system
+
+    rng = random.Random(2024)
+    rational = off_diagonal = 0
+    for _ in range(3000):
+        try:
+            d = assemble_regions(random_curve_system(rng))
+        except ValidationError:
+            continue
+        if not homology_of_Y(d).b1:
+            assert_domain_avoiding_z_is_the_corner_solve(d)
+            rational += 1
+            off_diagonal += any(i != j for i, j in zip(d.alpha_of, d.beta_of))
+    assert (rational, off_diagonal) == (762, 431)
+
+
+def test_a_wrong_curve_multiple_is_a_consistency_error(monkeypatch, tmp_path, capsys):
+    """Negative control: D0 with one more copy of a beta curve fails its certificate."""
+    import hfcalc.grading as grading
+    from hfcalc.cli import main
+
+    real = grading._particular
+
+    def plus_one(smith, u_columns, b):
+        return tuple(n + 1 for n in real(smith, u_columns, b))
+
+    path = tmp_path / "ob.hd"
+    path.write_text(serialize(build_annulus_open_book(2).diagram))
+    monkeypatch.setattr(grading, "_particular", plus_one)
+    with pytest.raises(ConsistencyError, match="corner system"):
+        grading_table(build_annulus_open_book(2).diagram)
+    assert main(["--json", "grade", str(path)]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "ConsistencyError" and "corner system" in error["message"]
 
 
 # ---------------------------------------------------------------------------
