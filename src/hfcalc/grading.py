@@ -423,10 +423,20 @@ def positive_representative(domain: Domain, radius: int = 8) -> Domain:
     the all-ones vector lies in the lattice, a large enough radius always
     succeeds; failure raises ``NoPositiveRepresentative`` with the radius.
     A negative radius raises ``ValueError``.
+
+    At rank 1 (b1 = 0) the basis is the primitive vector +-Sigma, so the
+    search's first hit is D + t Sigma with t = max(0, -min D), taken in
+    closed form: it lies in shell t, and no smaller shell has one.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    rank = len(domain.lattice)
+    basis = domain.lattice
+    rank = len(basis)
+    if rank == 1:
+        t = max(0, -min(domain.coefficients))
+        if t > radius:
+            raise NoPositiveRepresentative(radius)
+        return domain.translate((t * basis[0][0],))
     for shell in range(radius + 1):
         for combo in itertools.product(range(-shell, shell + 1), repeat=rank):
             if max(map(abs, combo), default=0) == shell:

@@ -11,9 +11,15 @@ x-, y-, degenerate, or auxiliary type.
 A layer changes only where the domain's multiplicities do: the layers
 of levels c' + 1, ..., c between two consecutive distinct multiplicities
 c' < c hold the same regions, arcs and clusters.  A domain is therefore
-classified once per run of levels between distinct multiplicities (see
-``decompose_layers``), so the work grows with the number of distinct
-multiplicities, not with the largest one.  Layer indices are counted in
+classified once per run of levels between distinct multiplicities, so the
+work grows with the number of distinct multiplicities, not with the
+largest one; ``decompose_layers`` and ``audit_index`` share that walk.
+``decompose_layers`` builds the clusters with ``classify_corner``.  The
+audit only counts them: which clusters a vertex has at a layer depends
+only on which of its quadrants the layer includes and on its membership
+in x and y, so it looks up each vertex's counts in a 64-row table
+indexed by membership | quadrant mask, built from ``classify_corner`` on
+0/1 multiplicities at the first audit.  Layer indices are counted in
 integer quarter units and become a ``Fraction`` only when returned.
 They are counted on the layers, not from the region weights
 ``maslov_index`` uses, so the first identity below compares two
@@ -55,6 +61,7 @@ sign +1 it counts as positive and the balance reads 0 + 1 = 1 + 0, at
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -211,34 +218,29 @@ class LayerSurface(NamedTuple):
 _Vertex = tuple[int, list[int], bool, bool, int]  # (max, mults, in x, in y, index)
 
 
-def _vertex_table(diagram: HeegaardDiagram, x: Generator, y: Generator,
-                  domain) -> tuple[Sequence[int], list[_Vertex]]:
-    """A nonnegative domain's coefficients and, per vertex, its quadrant
-    multiplicities (and their maximum) and membership in x and y, each
-    read once."""
+def _nonnegative(diagram: HeegaardDiagram, domain) -> Sequence[int]:
+    """A domain's coefficients, checked to be one per region and nonnegative."""
     coeffs = _coeffs(diagram, domain)
     if any(c < 0 for c in coeffs):
         raise ValueError("layer decomposition needs a nonnegative domain")
-    xset, yset = set(x.vertices), set(y.vertices)
-    vertices = []
-    for v, quadrants in enumerate(diagram.quadrants):
-        mults = [coeffs[r] for r in quadrants]
-        vertices.append((max(mults), mults, v in xset, v in yset, v))
-    return coeffs, vertices
+    return coeffs
 
 
 def _layer_runs(diagram: HeegaardDiagram, coeffs: Sequence[int],
-                vertices: list[_Vertex]) -> Iterator[tuple[LayerSurface, int]]:
-    """Each run of identical layers as (its first layer, its last level).
+                vertices: list) -> Iterator[tuple[int, int, list, list, list]]:
+    """Each run of identical layers as (first level, last level, regions,
+    arcs, vertices).
 
     Between consecutive distinct positive coefficients c' < c, the levels
     c' + 1, ..., c include exactly the regions, vertex quadrants and arcs
     of multiplicity >= c, so they share one set of regions, arcs and
-    clusters; the clusters are classified at the run's first level.
-    A region, vertex or arc whose largest multiplicity is below a run is
-    absent from it and from every run above it.
+    clusters.  A region, arc (as (max, arc)) or vertex (any tuple whose
+    first entry is the vertex's largest multiplicity) whose largest
+    multiplicity is below a run is absent from it and from every run
+    above it.
     """
-    arcs = [(max(coeffs[left], coeffs[right]), a)
+    # A conditional, not max(): this runs once per arc on every audit.
+    arcs = [(coeffs[left] if coeffs[left] >= coeffs[right] else coeffs[right], a)
             for a, (left, right) in enumerate(diagram.arc_sides)]
     regions = range(len(coeffs))
     first = 1
@@ -246,11 +248,7 @@ def _layer_runs(diagram: HeegaardDiagram, coeffs: Sequence[int],
         regions = [r for r in regions if coeffs[r] >= last]
         vertices = [t for t in vertices if t[0] >= last]
         arcs = [t for t in arcs if t[0] >= last]
-        clusters: list[CornerClass] = []
-        for _, mults, in_x, in_y, v in vertices:
-            clusters.extend(classify_corner(mults, first, in_x, in_y, v))
-        yield (LayerSurface(first, tuple(regions), tuple(a for _, a in arcs),
-                            tuple(clusters)), last)
+        yield first, last, regions, arcs, vertices
         first = last + 1
 
 
@@ -262,13 +260,22 @@ def decompose_layers(diagram: HeegaardDiagram, x: Generator, y: Generator,
     layer's level.  The layers are classified once per run of levels
     between distinct multiplicities and copied across the run.
     """
-    coeffs, vertices = _vertex_table(diagram, x, y, domain)
+    coeffs = _nonnegative(diagram, domain)
+    xset, yset = set(x.vertices), set(y.vertices)
+    vertices: list[_Vertex] = []
+    for v, quadrants in enumerate(diagram.quadrants):
+        mults = [coeffs[r] for r in quadrants]
+        vertices.append((max(mults), mults, v in xset, v in yset, v))
     layers = []
-    for layer, last in _layer_runs(diagram, coeffs, vertices):
+    for first, last, regions, arcs, present in _layer_runs(diagram, coeffs, vertices):
+        clusters: list[CornerClass] = []
+        for _, mults, in_x, in_y, v in present:
+            clusters.extend(classify_corner(mults, first, in_x, in_y, v))
+        layer = LayerSurface(first, tuple(regions), tuple(a for _, a in arcs), tuple(clusters))
         layers.append(layer)
-        for level in range(layer.level + 1, last + 1):
+        for level in range(first + 1, last + 1):
             layers.append(layer._replace(
-                level=level, clusters=tuple(c._replace(level=level) for c in layer.clusters)))
+                level=level, clusters=tuple(c._replace(level=level) for c in clusters)))
     return tuple(layers)
 
 
@@ -276,27 +283,6 @@ def layer_euler(diagram: HeegaardDiagram, layer: LayerSurface) -> int:
     """chi of the layer: clusters - included arcs + sum of region chi."""
     chi = diagram.region_chi
     return len(layer.clusters) - len(layer.arcs) + sum(chi[r] for r in layer.regions)
-
-
-def _corner_shapes(layer: LayerSurface) -> tuple[int, int]:
-    """(convex, concave) cluster counts of a layer."""
-    convex = concave = 0
-    for c in layer.clusters:
-        if c.shape == CONVEX:
-            convex += 1
-        elif c.shape == CONCAVE:
-            concave += 1
-    return convex, concave
-
-
-def _index_quarters(diagram: HeegaardDiagram, x: Generator, y: Generator,
-                    layer: LayerSurface, chi: int, convex: int, concave: int) -> int:
-    """4 (e + n_x + n_y)(F_l): 4 chi - p + q plus the included quadrants
-    at the vertices of x and y."""
-    rset = set(layer.regions)
-    quadrants = diagram.quadrants
-    included = sum(r in rset for v in x.vertices + y.vertices for r in quadrants[v])
-    return 4 * chi - convex + concave + included
 
 
 def layer_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
@@ -312,8 +298,12 @@ def layer_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
     region weights of ``maslov_index``, so the audit compares two
     independent computations.
     """
-    quarters = _index_quarters(diagram, x, y, layer, layer_euler(diagram, layer),
-                               *_corner_shapes(layer))
+    shapes = [c.shape for c in layer.clusters]
+    rset = set(layer.regions)
+    quadrants = diagram.quadrants
+    included = sum(r in rset for v in x.vertices + y.vertices for r in quadrants[v])
+    quarters = (4 * layer_euler(diagram, layer) - shapes.count(CONVEX) + shapes.count(CONCAVE)
+                + included)
     return Fraction(quarters, 4)
 
 
@@ -348,49 +338,115 @@ class AuditReport(NamedTuple):
     single_layer_identity: bool | None  # None when hypotheses do not apply
 
 
+class _CornerCounts(NamedTuple):
+    """What ``audit_index`` counts of one vertex's clusters at one layer."""
+
+    clusters: int
+    convex: int
+    concave: int
+    boundary_degenerate: int
+    interior_degenerate: int
+    auxiliary: int
+    x_interior: int
+    y_interior: int
+    included: int  # included quadrants, once for each of x and y holding the vertex
+
+
+@functools.cache
+def _corner_table() -> tuple[_CornerCounts, ...]:
+    """``classify_corner``'s counts for every vertex and layer, indexed by
+    membership | mask.
+
+    membership is 16 (2 in_x + in_y), and bit q of mask is set when
+    quadrant q is in the layer, that is m_q >= level.  The clusters'
+    kinds and shapes depend on nothing else, so each row is
+    ``classify_corner`` run on the 0/1 multiplicities of its mask at level
+    1.  (The auxiliary corners' sign is the vertex's ``_pair_sign``, taken
+    from its own multiplicities.)  Built on the first audit.
+    """
+    rows = []
+    for index in range(64):
+        in_x, in_y = bool(index & 32), bool(index & 16)
+        mults = [(index >> q) & 1 for q in range(4)]
+        clusters = classify_corner(mults, 1, in_x, in_y)
+        kinds = [c.kind for c in clusters]
+        shapes = [c.shape for c in clusters]
+        roles = [c.role for c in clusters if c.kind == INTERIOR]
+        rows.append(_CornerCounts(
+            len(clusters), shapes.count(CONVEX), shapes.count(CONCAVE),
+            kinds.count(BOUNDARY_DEGENERATE), kinds.count(INTERIOR_DEGENERATE),
+            kinds.count(AUXILIARY), roles.count("x"), roles.count("y"),
+            sum(mults) * (in_x + in_y)))
+    return tuple(rows)
+
+
 def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
                 domain) -> AuditReport:
     """Decompose, classify, and verify the exact layer identities.
 
     Statistics are taken once per run of identical layers (see
-    ``decompose_layers``) and counted once per level of the run; the
-    report still holds one ``LayerReport`` per level.  Raises
-    ``AuditError`` when an identity fails; a failure signals an
-    implementation inconsistency, never bad user input.
+    ``decompose_layers``), by one ``_corner_table`` lookup per vertex
+    present, and counted once per level of the run; the report still
+    holds one ``LayerReport`` per level.  Raises ``AuditError`` when an
+    identity fails; a failure signals an implementation inconsistency,
+    never bad user input.
     """
-    coeffs, vertices = _vertex_table(diagram, x, y, domain)
+    coeffs = _nonnegative(diagram, domain)
     mu = maslov_index(diagram, x, y, coeffs)
+    table = _corner_table()
 
+    # Each vertex read once, as (max, mults, key): key is its membership,
+    # plus 64 when its pair sign is negative.  Only a vertex in neither or
+    # both generators has auxiliary corners or a balance weight, and its
+    # pair sign and weight are 1 and 0 unless both of its jumps are nonzero.
+    xset, yset = set(x.vertices), set(y.vertices)
+    signs = diagram.signs
+    vertices = []
+    pos_vertices = neg_vertices = 0
+    for v, (q0, q1, q2, q3) in enumerate(diagram.quadrants):
+        m0, m1, m2, m3 = mults = coeffs[q0], coeffs[q1], coeffs[q2], coeffs[q3]
+        in_x, in_y = v in xset, v in yset
+        key = 16 * (2 * in_x + in_y)
+        if in_x == in_y and m1 != m0 and m3 != m0:
+            key |= 64 * (_pair_sign(mults) < 0)
+            w = _balance_weight(signs[v], mults)
+            pos_vertices += w > 0
+            neg_vertices += w < 0
+        vertices.append((max(mults), mults, key))
+
+    region_chi = diagram.region_chi
     reports = []
     quarters = 0
     x_interior = y_interior = 0
     degenerate_present = False
     auxiliary_present = False
-    for layer, last in _layer_runs(diagram, coeffs, vertices):
-        length = last - layer.level + 1
-        chi = layer_euler(diagram, layer)
-        convex, concave = _corner_shapes(layer)
-        layer_quarters = _index_quarters(diagram, x, y, layer, chi, convex, concave)
+    for first, last, regions, arcs, present in _layer_runs(diagram, coeffs, vertices):
+        length = last - first + 1
+        counts: dict[int, int] = {}
+        for _, (m0, m1, m2, m3), key in present:
+            key |= (m0 >= first) | (m1 >= first) << 1 | (m2 >= first) << 2 | (m3 >= first) << 3
+            counts[key] = counts.get(key, 0) + 1
+        clusters = convex = concave = bdeg = ideg = auxiliary = aux_signed = included = 0
+        for key, n in counts.items():
+            row, pair_sign = table[key & 63], -1 if key & 64 else 1
+            clusters += n * row.clusters
+            convex += n * row.convex
+            concave += n * row.concave
+            bdeg += n * row.boundary_degenerate
+            ideg += n * row.interior_degenerate
+            auxiliary += n * row.auxiliary
+            aux_signed += n * row.auxiliary * pair_sign
+            x_interior += n * row.x_interior * length
+            y_interior += n * row.y_interior * length
+            included += n * row.included
+        degenerate_present = degenerate_present or bool(bdeg or ideg)
+        auxiliary_present = auxiliary_present or bool(auxiliary)
+        chi = clusters - len(arcs) + sum(map(region_chi.__getitem__, regions))
+        layer_quarters = 4 * chi - convex + concave + included
         quarters += layer_quarters * length
-        aux_signed = 0
-        bdeg = ideg = 0
-        for c in layer.clusters:
-            if c.kind == INTERIOR and c.role == "x":
-                x_interior += length
-            elif c.kind == INTERIOR and c.role == "y":
-                y_interior += length
-            elif c.kind == INTERIOR_DEGENERATE:
-                ideg += 1
-                degenerate_present = True
-            elif c.kind == BOUNDARY_DEGENERATE:
-                bdeg += 1
-                degenerate_present = True
-            elif c.kind == AUXILIARY:
-                auxiliary_present = True
-                aux_signed += c.sign or 0
         index = Fraction(layer_quarters, 4)
-        reports.extend(LayerReport(level, chi, convex, concave, bdeg, ideg, aux_signed, index)
-                       for level in range(layer.level, last + 1))
+        reports += [LayerReport(level, chi, convex, concave, bdeg, ideg, aux_signed, index)
+                    for level in range(first, last + 1)]
 
     total = Fraction(quarters, 4)
     if total != mu:
@@ -403,15 +459,6 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
         if not single:
             raise AuditError(f"single-layer identity failed: chi {chi} + q {q} != mu {mu}")
 
-    pos_vertices = neg_vertices = 0
-    for _, mults, in_x, in_y, v in vertices:
-        if in_x ^ in_y:
-            continue
-        w = _balance_weight(diagram.signs[v], mults)
-        if w > 0:
-            pos_vertices += 1
-        elif w < 0:
-            neg_vertices += 1
     if x_interior + pos_vertices != y_interior + neg_vertices:
         raise AuditError(
             f"corner balance failed: x-interior {x_interior} + positive {pos_vertices} "

@@ -284,7 +284,9 @@ def search_outcome(search, domain, radius):
 def assert_search_matches_oracle(d, rng, pairs=6):
     """Sampled same-class pairs, each at a random radius 0-4, as solved and
     pushed down by a random multiple of the full surface (which forces
-    failures at small radii)."""
+    failures at small radii).  Returns the outcomes seen, as ("rank 1" or
+    "rank >= 2", "found" or "failed"): rank 1 takes the closed form."""
+    rank = "rank 1" if len(homogeneous_lattice(d)) == 1 else "rank >= 2"
     outcomes = set()
     for cls in spinc_partition(d):
         for _ in range(pairs):
@@ -295,7 +297,7 @@ def assert_search_matches_oracle(d, rng, pairs=6):
                 radius = rng.randint(0, 4)
                 got = search_outcome(positive_representative, low, radius)
                 assert got == search_outcome(search_oracle, low, radius)
-                outcomes.add(got[0])
+                outcomes.add((rank, got[0]))
     return outcomes
 
 
@@ -304,7 +306,8 @@ def test_positive_search_matches_the_oracle(atlas_suite):
     outcomes = set()
     for d in list(atlas_suite) + [load_diagram(s1s2_sum_text(g)) for g in range(1, 5)]:
         outcomes |= assert_search_matches_oracle(d, rng)
-    assert outcomes == {"found", "failed"}
+    assert outcomes == {(rank, outcome) for rank in ("rank 1", "rank >= 2")
+                        for outcome in ("found", "failed")}
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,8 +14,9 @@ from hfcalc.grading import (basepoint_multiplicity, enumerate_generators,
                             solve_domain, spinc_partition)
 from hfcalc.layers import (AUXILIARY, BOUNDARY_DEGENERATE, CONCAVE, CONVEX, EDGE_POINT,
                            INTERIOR, INTERIOR_DEGENERATE, AuditError, AuditReport,
-                           LayerReport, LayerSurface, _balance_weight, audit_index,
-                           classify_corner, decompose_layers, layer_euler, layer_index)
+                           LayerReport, LayerSurface, _balance_weight, _corner_table,
+                           _pair_sign, audit_index, classify_corner, decompose_layers,
+                           layer_euler, layer_index)
 from hfcalc.zlattice import DimensionMismatch
 from strategies import transformed_diagrams
 
@@ -199,28 +200,69 @@ def test_audit_bigon_plus_full_surface(s1s2):
 
 
 def test_each_run_of_identical_layers_is_classified_once(s1s2, monkeypatch):
-    calls = []
+    # The audit classifies by lookups in ``_corner_table``, at most one per
+    # vertex present in a run; ``decompose_layers`` calls ``classify_corner``
+    # once per vertex present in a run.  Both are counted through patched
+    # module globals, so the test does not depend on what ran before it.
+    lookups, calls = [], []
+
+    class CountingTable(tuple):
+        def __getitem__(self, index):
+            lookups.append(index)
+            return tuple.__getitem__(self, index)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return classify_corner(*args, **kwargs)
 
+    table = _corner_table()
+    monkeypatch.setattr("hfcalc.layers._corner_table", lambda: CountingTable(table))
     monkeypatch.setattr("hfcalc.layers.classify_corner", counting)
     x, y = enumerate_generators(s1s2)
     bigon = [1 if s1s2.canonical_region_name(i) == "a0.0+" else 0
              for i in range(s1s2.n_regions)]
     coeffs = [c + 50 for c in bigon]
-    report = audit_index(s1s2, x, y, coeffs)
     distinct = len(set(coeffs) - {0})
     assert distinct == 2
-    assert 0 < len(calls) <= distinct * s1s2.n_vertices
+
+    report = audit_index(s1s2, x, y, coeffs)
+    assert 0 < len(lookups) <= distinct * s1s2.n_vertices
+    assert calls == []
     assert [r.level for r in report.layers] == list(range(1, 52))
     assert report.maslov == report.layer_sum == 101
 
     surfaces = decompose_layers(s1s2, x, y, coeffs)
+    assert 0 < len(calls) <= distinct * s1s2.n_vertices
     assert [s.level for s in surfaces] == list(range(1, 52))
     for s in surfaces:
         assert s.clusters and all(c.level == s.level for c in s.clusters)
+
+
+def test_corner_table_matches_classify_corner():
+    # Every multiplicity pattern in {0, ..., 3}^4 at levels 1-3, in each
+    # membership: the row at membership | mask, with the auxiliary sign
+    # taken as the row's count times the vertex's pair sign, counts what
+    # ``classify_corner`` returns on the multiplicities themselves.
+    table = _corner_table()
+    assert len(table) == 64
+    for mults in itertools.product(range(4), repeat=4):
+        for level in (1, 2, 3):
+            mask = sum(1 << q for q in range(4) if mults[q] >= level)
+            for in_x, in_y in itertools.product((False, True), repeat=2):
+                row = table[16 * (2 * in_x + in_y) | mask]
+                out = classify_corner(mults, level, in_x, in_y)
+                kinds = [c.kind for c in out]
+                shapes = [c.shape for c in out]
+                expected = (
+                    len(out), shapes.count(CONVEX), shapes.count(CONCAVE),
+                    kinds.count(BOUNDARY_DEGENERATE), kinds.count(INTERIOR_DEGENERATE),
+                    kinds.count(AUXILIARY),
+                    sum(c.kind == INTERIOR and c.role == "x" for c in out),
+                    sum(c.kind == INTERIOR and c.role == "y" for c in out),
+                    sum(m >= level for m in mults) * (in_x + in_y))
+                assert tuple(row) == expected, (mults, level, in_x, in_y)
+                assert (row.auxiliary * _pair_sign(mults)
+                        == sum(c.sign for c in out if c.kind == AUXILIARY))
 
 
 def test_audit_interior_degenerate_full_surface(s3):
@@ -339,7 +381,8 @@ def fraction_layer_index(d, x, y, layer):
 
 def fraction_audit(d, x, y, coeffs, layers):
     """The audit of ``per_level_decompose``'s layers with every statistic
-    recounted per use, in Fractions."""
+    recounted per use, in Fractions; a failed identity raises ``AuditError``
+    with the audit's message."""
     mu = maslov_index(d, x, y, coeffs)
     reports = []
     total = Fraction(0)
@@ -368,13 +411,15 @@ def fraction_audit(d, x, y, coeffs, layers):
             sum(1 for c in layer.clusters if c.shape == CONVEX),
             sum(1 for c in layer.clusters if c.shape == CONCAVE),
             bdeg, ideg, aux_signed, idx))
-    assert total == mu
+    if total != mu:
+        raise AuditError(f"layer index sum {total} differs from Maslov index {mu}")
     single = None
     if len(layers) == 1 and not degenerate_present and not auxiliary_present:
         chi = fraction_layer_euler(d, layers[0])
         q = sum(1 for c in layers[0].clusters if c.shape == CONCAVE)
         single = chi + q == mu
-        assert single
+        if not single:
+            raise AuditError(f"single-layer identity failed: chi {chi} + q {q} != mu {mu}")
     pos = neg = 0
     xset, yset = set(x.vertices), set(y.vertices)
     for v in range(d.n_vertices):
@@ -383,7 +428,9 @@ def fraction_audit(d, x, y, coeffs, layers):
         w = _balance_weight(d.signs[v], [coeffs[d.quadrant_region(v, i)] for i in range(4)])
         pos += w > 0
         neg += w < 0
-    assert x_interior + pos == y_interior + neg
+    if x_interior + pos != y_interior + neg:
+        raise AuditError(f"corner balance failed: x-interior {x_interior} + positive {pos} "
+                         f"!= y-interior {y_interior} + negative {neg}")
     return AuditReport(tuple(reports), total, mu, basepoint_multiplicity(d, coeffs),
                        x_interior, y_interior, pos, neg, single)
 
@@ -399,8 +446,10 @@ SCALED_DOMAINS = [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 16), (3, 0), (3, 1
 def assert_audit_matches_oracle(d):
     """For every same-class pair and (c, k) in ``SCALED_DOMAINS``: layers,
     layer indices and reports agree with the per-level oracle, reprs
-    included (so a Fraction stays a Fraction)."""
-    audited = 0
+    included (so a Fraction stays a Fraction), and where the oracle raises
+    ``AuditError``, the audit raises it with the same message.  Returns the
+    (x, y, c, k) inputs on which both raised."""
+    audited, failed = 0, []
     for cls in spinc_partition(d):
         for x in cls.members:
             for y in cls.members:
@@ -411,25 +460,43 @@ def assert_audit_matches_oracle(d):
                                    for a, b in zip(there, back))
                     layers = per_level_decompose(d, x, y, coeffs)
                     assert decompose_layers(d, x, y, coeffs) == layers
-                    oracle = fraction_audit(d, x, y, coeffs, layers)
+                    audited += 1
+                    try:
+                        oracle = fraction_audit(d, x, y, coeffs, layers)
+                    except AuditError as e:
+                        with pytest.raises(AuditError) as err:
+                            audit_index(d, x, y, coeffs)
+                        assert err.value.args == e.args
+                        failed.append((x, y, scale, k))
+                        continue
                     assert ([repr(layer_index(d, x, y, l)) for l in layers]
                             == [repr(r.index) for r in oracle.layers])
                     assert repr(audit_index(d, x, y, coeffs)) == repr(oracle)
-                    audited += 1
     assert audited
+    return failed
 
 
 @pytest.mark.parametrize("fixture", ["s3", "l31", "s1s2", "two_finger", "d2_diagram"])
 def test_one_pass_audit_matches_oracle_fixtures(fixture, request):
-    assert_audit_matches_oracle(request.getfixturevalue(fixture))
+    assert assert_audit_matches_oracle(request.getfixturevalue(fixture)) == []
 
 
 def test_one_pass_audit_matches_oracle_atlas(atlas_suite):
     for d in atlas_suite:
-        assert_audit_matches_oracle(d)
+        assert assert_audit_matches_oracle(d) == []
+
+
+# The corner balance fails on some correct domains of curve-reversed open
+# books (see ``test_audit_after_reversing_a_curve_of_an_open_book``); the
+# audit must fail on exactly the oracle's inputs, with its message.
+@pytest.mark.parametrize("curve", ["a0", "b0"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_one_pass_audit_matches_oracle_reversed_open_books(n, curve):
+    d = assemble_regions(reverse_curve(build_annulus_open_book(n).diagram.input, curve))
+    assert assert_audit_matches_oracle(d)
 
 
 @settings(max_examples=40, deadline=None)
 @given(transformed_diagrams())
 def test_one_pass_audit_matches_oracle_transformed(d):
-    assert_audit_matches_oracle(d)
+    assert assert_audit_matches_oracle(d) == []
