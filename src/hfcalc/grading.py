@@ -14,15 +14,15 @@ coordinates indexed by alpha (``homology_of_Y`` says why).  Pushed off
 their curves, the alpha pieces cross no alpha curve, and averaging the
 push-offs to either side weighs each endpoint of a beta piece by one
 half (``spinc_partition``).  So the classes and H1 share one
-factorization of A, and so do the grading labels when b1 = 0
-(``_domain_avoiding_z``), so ``grade`` then factors only A, whatever the
-class sizes.  The corner matrix M is factored only for a domain, the
-periodic lattice, or the labels when b1 > 0: with U M V = S, a domain is
-zlattice's particular solution (U applied to r(y) - r(x), exact division
-by the invariant factors, one product with V), the same one
-``solve_integer_system`` computes, and the lattice is a set of columns
-of V.  Transforms stay sparse (U by rows and by columns, V by columns),
-products run over nonzero entries, and both factorizations are
+factorization of A, and so does every grading value at every b1: D0
+(``_domain_avoiding_z``) and the periodic domains behind the divisibility
+are integrated across the beta arcs.  The corner matrix M is factored
+only for ``solve_domain`` and ``homogeneous_lattice``: with U M V = S, a
+domain is zlattice's particular solution (U applied to r(y) - r(x),
+exact division by the invariant factors, one product with V), the same
+one ``solve_integer_system`` computes, and the lattice is a set of
+columns of V.  Transforms stay sparse (U by rows and by columns, V by
+columns), products run over nonzero entries, and both factorizations are
 certified.  The generators, the factorizations, the partition, the
 grading table and H1 are cached on the diagram itself, so each is
 computed once per diagram and lives as long as the diagram does.
@@ -270,8 +270,9 @@ def _check_factorization(m_rows: Sequence[Sequence[tuple[int, int]]],
 def _corners(diagram: HeegaardDiagram) -> tuple[SmithDecomposition, list[dict[int, int]]]:
     """M factored once, U M V = S and certified, with the columns of U.
 
-    Only domains and the periodic lattice need it.  The transforms stay
-    sparse: U by rows and by columns, V by columns.
+    Its two callers, ``solve_domain`` and ``homogeneous_lattice``, stay on
+    M because ``domain`` prints V q and ``audit`` searches in V's basis
+    order.  The transforms stay sparse: U by rows and by columns, V by columns.
     """
     m_rows: list[list[tuple[int, int]]] = [[] for _ in range(2 * diagram.n_vertices)]
     for row, plus, minus in _corner_terms(diagram):
@@ -288,7 +289,7 @@ def homogeneous_lattice(diagram: HeegaardDiagram) -> tuple[tuple[int, ...], ...]
     The kernel does not depend on the generator pair; the all-ones vector
     (the class of the full surface) always belongs to it.  The basis is
     the columns of V at the zero diagonal entries of S, read off once per
-    diagram.
+    diagram, on M for the reason ``_corners`` gives.
     """
     return _kernel(_corners(diagram)[0])
 
@@ -371,8 +372,18 @@ def _beta_walk(diagram: HeegaardDiagram):
                    for rot, s in zip(diagram.rotations, diagram.signs)]
 
 
+def _integrate_beta(diagram: HeegaardDiagram, base: Sequence[int],
+                    multiples: Sequence[int]) -> list[int]:
+    """Region coefficients with D(z) = 0 that jump by base[arc] + multiples[j]
+    across each arc of beta_j (left minus right), along ``_beta_walk``."""
+    coeffs = [0] * diagram.n_regions
+    for region, parent, arc, j, sign in _beta_walk(diagram)[0]:
+        coeffs[region] = coeffs[parent] + sign * (base[arc] + multiples[j])
+    return coeffs
+
+
 def _domain_avoiding_z(diagram: HeegaardDiagram, x: Generator, y: Generator) -> Domain:
-    """D0(x, y), the connecting domain with n_z = 0, for b1 = 0 and x, y in one class.
+    """D0(x, y), a connecting domain with n_z = 0, for x, y in one class.
 
     Its boundary on the beta arcs is a base chain b plus n_j beta_j, where
     b is 1 on the beta_j arcs from y_j forward to x_j, so that db = x - y,
@@ -389,11 +400,12 @@ def _domain_avoiding_z(diagram: HeegaardDiagram, x: Generator, y: Generator) -> 
     of sign(v) b[beta-left(v)].  The push-off on the right differs from it
     by the sum of db over the vertices of alpha_i, which is 0, since x and
     y each have one vertex there.  The alpha half of the corner system
-    follows from dd = 0.  n is ``_particular`` on U_A A V_A = S_A; since
-    b1 = 0, A is invertible over Q, and D0 is unique.  A non-integral n,
-    or a failed corner certificate, raises ``ConsistencyError``.
+    follows from dd = 0.  n is ``_particular`` on U_A A V_A = S_A: unique
+    when b1 = 0, and any particular solution when b1 > 0, so D0 is then one
+    of many, all grading alike mod d.  A non-integral n, or a failed corner
+    certificate, raises ``ConsistencyError``.
     """
-    order, beta_out = _beta_walk(diagram)
+    beta_out = _beta_walk(diagram)[1]
     x_on_beta = {diagram.beta_of[v]: v for v in x.vertices}
     base = [0] * diagram.n_arcs
     for v in y.vertices:
@@ -407,9 +419,7 @@ def _domain_avoiding_z(diagram: HeegaardDiagram, x: Generator, y: Generator) -> 
     multiples = _particular(*_intersection_form(diagram), r)
     if multiples is None:
         raise ConsistencyError("D0 has no integral beta curve multiples for (x, y) in one class")
-    coeffs = [0] * diagram.n_regions
-    for region, parent, arc, j, sign in order:
-        coeffs[region] = coeffs[parent] + sign * (base[arc] + multiples[j])
+    coeffs = _integrate_beta(diagram, base, multiples)
     _check_connecting(diagram, x, y, coeffs)
     return Domain(diagram, x, y, tuple(coeffs))
 
@@ -558,15 +568,17 @@ def divisibility(diagram: HeegaardDiagram, anchor: Generator) -> int:
     """gcd of mu(P) - 2 n_z(P) over the periodic lattice, evaluated at the
     anchor with x = y; 0 encodes an integer-valued relative grading.
 
-    Four times it is the gcd of the quarter weights over the lattice basis.
-    The full-surface class contributes mu = 2 and n_z = 1, hence 0; when
-    b1 = 0 the lattice is Z Sigma, so no factorization is needed.
+    Four times it is the gcd of the quarter weights over a lattice basis.
+    Sigma contributes mu = 2 and n_z = 1, hence 0; the rest is D0 with base
+    chain 0 and beta multiples n in ker A, for a basis of ker A (so none,
+    and d = 0, when b1 = 0).
     """
-    if not homology_of_Y(diagram).b1:
+    kernel = _kernel(_intersection_form(diagram)[0])
+    if not kernel:
         return 0
+    periodic = [_integrate_beta(diagram, [0] * diagram.n_arcs, n) for n in kernel]
     weights = _quarter_weights(diagram, anchor.vertices * 2, -2)
-    return _whole(gcd_over_lattice(homogeneous_lattice(diagram), weights),
-                  "grading value gcd")
+    return _whole(gcd_over_lattice(periodic, weights), "grading value gcd")
 
 
 def _anchor_key(diagram: HeegaardDiagram, g: Generator) -> tuple[str, ...]:
@@ -635,14 +647,13 @@ def relative_grading(diagram: HeegaardDiagram, x: Generator, y: Generator) -> in
     """gr(x, y) = mu(A) - 2 n_z(A) for any connecting A, reduced mod d.
 
     Independent of the choice of A: two choices differ by a periodic
-    class, whose grading value is a multiple of d by construction.
-    Raises ``NoConnectingClassError`` when the classes differ.
+    class, whose grading value is a multiple of d by construction; this
+    grades D0.  Raises ``NoConnectingClassError`` when the classes differ.
     """
-    dom = solve_domain(diagram, x, y)
-    if dom is None:
+    if spinc_class_of(diagram, x).index != spinc_class_of(diagram, y).index:
         raise NoConnectingClassError(
             f"{x.display(diagram)} and {y.display(diagram)} lie in different Spin^c classes")
-    return _domain_grading(dom)
+    return _domain_grading(_domain_avoiding_z(diagram, x, y))
 
 
 def _domain_grading(domain: Domain) -> int:
@@ -677,14 +688,13 @@ def grading_table(diagram: HeegaardDiagram) -> tuple[tuple[Generator, GradingLab
 
     The anchor of each class gets offset 0 with no domain solved; label
     differences within a class realize the relative grading.  Another
-    member g gets the grading of D0(g, anchor) when b1 = 0, else of
-    ``solve_domain``'s domain.
+    member g gets the grading of D0(g, anchor).
     """
-    connect = solve_domain if homology_of_Y(diagram).b1 else _domain_avoiding_z
     rows = []
     for g in enumerate_generators(diagram):
         cls = spinc_class_of(diagram, g)
-        off = 0 if g == cls.anchor else _domain_grading(connect(diagram, g, cls.anchor))
+        off = (0 if g == cls.anchor
+               else _domain_grading(_domain_avoiding_z(diagram, g, cls.anchor)))
         rows.append((g, GradingLabel(cls.index, off, cls.divisibility)))
     return tuple(rows)
 

@@ -29,7 +29,8 @@ from hfcalc.grading import (ConsistencyError, Generator, GradingLabel, MixedLabe
                             positive_representative, relative_grading, shift_label,
                             solve_domain, spinc_class_of, spinc_partition,
                             theta_and_shift, twisted_label)
-from hfcalc.zlattice import DimensionMismatch, IntMatrix, smith_invariants, solve_integer_system
+from hfcalc.zlattice import (DimensionMismatch, IntMatrix, gcd_over_lattice, smith_invariants,
+                             solve_integer_system)
 from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
                       s1s2_sum_text)
 from smith_oracle import column, full_scan_smith, mul_vec
@@ -630,17 +631,19 @@ def test_antisymmetry_and_additivity(fixture, request):
                     assert (lhs - rhs) % m == 0 if m else lhs == rhs
 
 
-def test_label_differences_realize_relative_grading(two_finger, d2_diagram, rational_atlas):
-    # The b1 = 0 labels come from D0, not from the corner solve that
-    # relative_grading uses; two_finger and D2 have b1 = 1.
-    for d in [two_finger, d2_diagram] + rational_atlas:
+def test_label_differences_realize_relative_grading(rational_atlas, irrational_atlas):
+    # The labels come from D0, at every b1; the reference grades the corner
+    # solve instead.
+    import hfcalc.grading as grading
+
+    for d in rational_atlas + irrational_atlas:
         table = dict(grading_table(d))
         for cls in spinc_partition(d):
             m = cls.divisibility
             for x in cls.members:
                 for y in cls.members:
                     diff = table[x].offset - table[y].offset
-                    gr = relative_grading(d, x, y)
+                    gr = grading._domain_grading(solve_domain(d, x, y))
                     assert (diff - gr) % m == 0 if m else diff == gr
 
 
@@ -793,8 +796,8 @@ def test_factorization_certificate_detects_a_wrong_form(monkeypatch):
             return dec._replace(**{field: tuple(vecs)})
         return factor
 
-    # openbook(2) has a class of three members, so the relative grading of
-    # two of them solves a domain and factors M.  Entry (0, 0) of V, and
+    # openbook(2) has a class of three members, so solving a domain between
+    # two of them factors M.  Entry (0, 0) of V, and
     # the last entry of its last column, a kernel column whose product with
     # M lies off the diagonal of S; entry (0, 0) of U, and the last entry
     # of its last row.
@@ -805,7 +808,7 @@ def test_factorization_certificate_detects_a_wrong_form(monkeypatch):
         d = build_annulus_open_book(2).diagram
         monkeypatch.setattr(grading, "smith_normal_form", off_by_one(field, j, r, False))
         with pytest.raises(ConsistencyError, match="U M V"):
-            relative_grading(d, x, y)
+            solve_domain(d, x, y)
         monkeypatch.undo()
     # Entry (0, 0) of V_A, for genus 1 and 3, and U_A's first and last rows
     # for genus 3: U_A A V_A = S_A fails.
@@ -1006,6 +1009,8 @@ def test_single_member_classes_factor_once_and_solve_nothing(monkeypatch):
         grading_table(d)
         spinc_partition(d)
         homology_of_Y(d)
+        largest = max(spinc_partition(d), key=lambda c: len(c.members)).members
+        relative_grading(d, largest[-1], largest[0])
 
     single = [build_torus_diagram(p, q).diagram
               for p in range(1, 12) for q in range(-p, p + 1) if q and gcd(p, q) == 1]
@@ -1021,6 +1026,12 @@ def test_single_member_classes_factor_once_and_solve_nothing(monkeypatch):
         run(d)
         assert factored == [(d.genus, d.genus)] and solved == []
         assert max(len(c.members) for c in spinc_partition(d)) > 1
+    # b1 > 0: D0 again, and the divisibility integrates ker A, so M is
+    # never factored either.
+    for d in irrational_diagrams():
+        run(d)
+        assert factored == [(d.genus, d.genus)] and solved == []
+        assert homology_of_Y(d).b1 > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1068,6 +1079,8 @@ def test_domain_avoiding_z_is_the_corner_solve_minus_n_z_sigma(rational_atlas):
 def test_domain_avoiding_z_is_the_corner_solve_transformed(d):
     if not homology_of_Y(d).b1:  # the open book n = 0 has b1 = 1
         assert_domain_avoiding_z_is_the_corner_solve(d)
+    else:
+        assert_graded_from_a_alone(d)
 
 
 def test_domain_avoiding_z_on_random_curve_systems():
@@ -1075,7 +1088,7 @@ def test_domain_avoiding_z_on_random_curve_systems():
     from test_diagram import random_curve_system
 
     rng = random.Random(2024)
-    rational = off_diagonal = 0
+    rational = off_diagonal = irrational = 0
     for _ in range(3000):
         try:
             d = assemble_regions(random_curve_system(rng))
@@ -1085,7 +1098,84 @@ def test_domain_avoiding_z_on_random_curve_systems():
             assert_domain_avoiding_z_is_the_corner_solve(d)
             rational += 1
             off_diagonal += any(i != j for i, j in zip(d.alpha_of, d.beta_of))
-    assert (rational, off_diagonal) == (762, 431)
+        else:
+            assert_graded_from_a_alone(d)
+            irrational += 1
+    assert (rational, off_diagonal, irrational) == (762, 431, 27)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: grading from A at b1 > 0, against the corner matrix
+# ---------------------------------------------------------------------------
+
+def irrational_diagrams():
+    """b1 > 0 diagrams: s1s2, the open book n = 0, two-finger, D2,
+    #^g S1 x S2 for g <= 4 and S1 x S2 plus 1, 3 or 10 curve pairs, each as
+    given and stabilized once."""
+    given = [build_s1s2().diagram, build_annulus_open_book(0).diagram]
+    given += [load_diagram(t) for t in (TWO_FINGER_TEXT, D2_TEXT)]
+    given += [load_diagram(s1s2_sum_text(g)) for g in range(1, 5)]
+    given += [load_diagram(s1s2_plus_pairs_text(k)) for k in (1, 3, 10)]
+    return given + [stabilize(d)[0].diagram for d in given]
+
+
+@pytest.fixture(scope="module")
+def irrational_atlas():
+    """``irrational_diagrams`` and each of their curve reversals."""
+    diagrams = irrational_diagrams()
+    return diagrams + [r for d in diagrams for r in curve_reversals(d)]
+
+
+def assert_graded_from_a_alone(d):
+    """The lattice, divisibilities and gradings read off A match M's.
+
+    Sigma plus the periodic domains that ``divisibility`` takes its gcd
+    over spans ``homogeneous_lattice``, each basis solved in the other;
+    every divisibility is the gcd over M's lattice; and D0 has n_z = 0,
+    solves the corner system and grades like the corner solve mod d.
+    """
+    import hfcalc.grading as grading
+
+    lattice = homogeneous_lattice(d)
+    sigma = (1,) * d.n_regions
+    seen = []
+
+    def recording(kernel, weights):
+        seen.append(tuple(map(tuple, kernel)))
+        return gcd_over_lattice(kernel, weights)
+
+    for cls in spinc_partition(d):
+        seen.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grading, "gcd_over_lattice", recording)
+            assert grading.divisibility(d, cls.anchor) == cls.divisibility
+        periodic, = seen
+        for p in periodic:
+            assert p[d.basepoint_region] == 0
+            grading._check_connecting(d, cls.anchor, cls.anchor, p)
+        from_a = (sigma,) + periodic
+        for basis, other in ((from_a, lattice), (lattice, from_a)):
+            span = IntMatrix.from_rows(zip(*basis), len(basis))
+            assert all(not solve_integer_system(span, v).is_empty for v in other)
+        weights = grading._quarter_weights(d, cls.anchor.vertices * 2, -2)
+        assert cls.divisibility * 4 == gcd_over_lattice(lattice, weights)
+        m = cls.divisibility
+        for x, y in itertools.product(cls.members, repeat=2):
+            d0 = grading._domain_avoiding_z(d, x, y)
+            assert d0.coefficients[d.basepoint_region] == 0
+            grading._check_connecting(d, x, y, d0.coefficients)
+            solved = solve_domain(d, x, y)
+            gr = maslov_index(d, x, y, solved) - 2 * basepoint_multiplicity(d, solved)
+            value = maslov_index(d, x, y, d0)
+            assert (value - gr) % m == 0 if m else value == gr
+            assert relative_grading(d, x, y) == (gr % m if m else gr)
+
+
+def test_graded_from_a_alone_at_positive_b1(irrational_atlas):
+    for d in irrational_atlas:
+        assert homology_of_Y(d).b1 > 0
+        assert_graded_from_a_alone(d)
+    assert len(irrational_atlas) == 168
 
 
 def test_a_wrong_curve_multiple_is_a_consistency_error(monkeypatch, tmp_path, capsys):

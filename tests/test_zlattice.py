@@ -291,10 +291,10 @@ def test_smith_form_matches_full_scan_on_atlas_matrices(monkeypatch):
         grading.homology_of_Y(d)
         largest = max(grading.spinc_partition(d), key=lambda c: len(c.members))
         if len(largest.members) > 1:
-            grading.relative_grading(d, *largest.members[:2])
+            grading.solve_domain(d, *largest.members[:2])
     # One intersection matrix for each of the 38 diagrams, and a corner
     # matrix for the 7 with a class of several members, factored by the
-    # relative grading of two of them: the open books 0..5 and s1s2.
+    # domain between two of them: the open books 0..5 and s1s2.
     assert len(diagrams) == 38
     assert len(seen) == 38 + 7
     for m in seen:
