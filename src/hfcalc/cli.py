@@ -45,9 +45,9 @@ from . import atlas as atlas_mod
 from .diagram import (DiagramError, HeegaardDiagram, ParseError, assemble_regions,
                       load_diagram, reverse_curve, serialize)
 from .grading import (ConsistencyError, Generator, NoConnectingClassError,
-                      NoPositiveRepresentative, _domain_grading, basepoint_multiplicity,
-                      enumerate_generators, euler_measure, generator_measure,
-                      gr0_of_theta, grading_table, homology_of_Y,
+                      NoPositiveRepresentative, _domain_avoiding_z, _domain_grading,
+                      basepoint_multiplicity, enumerate_generators, euler_measure,
+                      generator_measure, gr0_of_theta, grading_table, homology_of_Y,
                       maslov_index, positive_representative, relative_grading,
                       solve_domain, spinc_partition, theta_and_shift)
 from .layers import AuditReport, audit_index
@@ -362,13 +362,16 @@ def _selftest(args, report):
         return cases
 
     def additivity():
+        # relative_grading is a difference of potentials, so the sums are
+        # checked against the gradings of the corner solve and of D0 for (x, z).
         cases = 0
         for d, cls, x, y in _same_class_pairs(suite):
             for z in cls.members:
-                lhs = relative_grading(d, x, z)
                 rhs = relative_grading(d, x, y) + relative_grading(d, y, z)
                 m = cls.divisibility
-                assert (lhs - rhs) % m == 0 if m else lhs == rhs
+                for lhs in (_domain_grading(solve_domain(d, x, z)),
+                            _domain_grading(_domain_avoiding_z(d, x, z))):
+                    assert (lhs - rhs) % m == 0 if m else lhs == rhs
                 cases += 1
         return cases
 

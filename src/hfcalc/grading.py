@@ -16,16 +16,20 @@ push-offs to either side weighs each endpoint of a beta piece by one
 half (``spinc_partition``).  So the classes and H1 share one
 factorization of A, and so does every grading value at every b1: D0
 (``_domain_avoiding_z``) and the periodic domains behind the divisibility
-are integrated across the beta arcs.  The corner matrix M is factored
-only for ``solve_domain`` and ``homogeneous_lattice``: with U M V = S, a
-domain is zlattice's particular solution (U applied to r(y) - r(x),
-exact division by the invariant factors, one product with V), the same
-one ``solve_integer_system`` computes, and the lattice is a set of
-columns of V.  Transforms stay sparse (U by rows and by columns, V by
-columns), products run over nonzero entries, and both factorizations are
-certified.  The generators, the factorizations, the partition, the
-grading table and H1 are cached on the diagram itself, so each is
-computed once per diagram and lives as long as the diagram does.
+are integrated across the beta arcs.  Each generator g has a potential
+P(g), the grading of D0(g, a) for the anchor a of its class, and
+gr(x, y) = P(x) - P(y): gradings add when domains are juxtaposed, and a
+periodic class changes P by a multiple of d.  The corner matrix M is
+factored only for ``solve_domain`` and ``homogeneous_lattice``: with
+U M V = S, a domain is zlattice's particular solution (U applied to
+r(y) - r(x), exact division by the invariant factors, one product with
+V), the same one ``solve_integer_system`` computes, and the lattice is a
+set of columns of V.  Transforms stay sparse (U by rows and by columns,
+V by columns), products run over nonzero entries, and both
+factorizations are certified.  The generators, the factorizations, the
+partition, the periodic domains, the potentials, the grading table and
+H1 are cached on the diagram itself, so each is computed once per
+diagram and lives as long as the diagram does.
 
 All index quantities are computed exactly:
 
@@ -564,19 +568,26 @@ class SpincClass(NamedTuple):
     divisibility: int
 
 
+@_per_diagram
+def _periodic_domains(diagram: HeegaardDiagram) -> tuple[tuple[int, ...], ...]:
+    """D0 with base chain 0 and beta multiples n, for each n in the basis
+    of ker A: periodic domains with n_z = 0, none when b1 = 0."""
+    zero = [0] * diagram.n_arcs
+    return tuple(tuple(_integrate_beta(diagram, zero, n))
+                 for n in _kernel(_intersection_form(diagram)[0]))
+
+
 def divisibility(diagram: HeegaardDiagram, anchor: Generator) -> int:
     """gcd of mu(P) - 2 n_z(P) over the periodic lattice, evaluated at the
     anchor with x = y; 0 encodes an integer-valued relative grading.
 
     Four times it is the gcd of the quarter weights over a lattice basis.
-    Sigma contributes mu = 2 and n_z = 1, hence 0; the rest is D0 with base
-    chain 0 and beta multiples n in ker A, for a basis of ker A (so none,
-    and d = 0, when b1 = 0).
+    Sigma contributes mu = 2 and n_z = 1, hence 0; the rest is
+    ``_periodic_domains`` (so none, and d = 0, when b1 = 0).
     """
-    kernel = _kernel(_intersection_form(diagram)[0])
-    if not kernel:
+    periodic = _periodic_domains(diagram)
+    if not periodic:
         return 0
-    periodic = [_integrate_beta(diagram, [0] * diagram.n_arcs, n) for n in kernel]
     weights = _quarter_weights(diagram, anchor.vertices * 2, -2)
     return _whole(gcd_over_lattice(periodic, weights), "grading value gcd")
 
@@ -647,13 +658,40 @@ def relative_grading(diagram: HeegaardDiagram, x: Generator, y: Generator) -> in
     """gr(x, y) = mu(A) - 2 n_z(A) for any connecting A, reduced mod d.
 
     Independent of the choice of A: two choices differ by a periodic
-    class, whose grading value is a multiple of d by construction; this
-    grades D0.  Raises ``NoConnectingClassError`` when the classes differ.
+    class, whose grading value is a multiple of d by construction.  So it
+    is P(x) - P(y) for the potentials of ``_potential``, read once per
+    generator: D0(x, a) followed by D0(a, y) connects x to y, mu and n_z
+    add under juxtaposition, and D0(a, y) grades -P(y) up to the periodic
+    class D0(a, y) + D0(y, a).  Raises ``NoConnectingClassError`` when the
+    classes differ.
     """
-    if spinc_class_of(diagram, x).index != spinc_class_of(diagram, y).index:
+    cls = spinc_class_of(diagram, x)
+    if cls.index != spinc_class_of(diagram, y).index:
         raise NoConnectingClassError(
             f"{x.display(diagram)} and {y.display(diagram)} lie in different Spin^c classes")
-    return _domain_grading(_domain_avoiding_z(diagram, x, y))
+    value = _potential(diagram, x, cls.anchor) - _potential(diagram, y, cls.anchor)
+    return value % cls.divisibility if cls.divisibility else value
+
+
+@_per_diagram
+def _potentials(diagram: HeegaardDiagram) -> dict[Generator, int]:
+    """P(g) for each generator ``_potential`` has read so far."""
+    return {}
+
+
+def _potential(diagram: HeegaardDiagram, g: Generator, anchor: Generator) -> int:
+    """P(g), the grading of D0(g, anchor) for the anchor of g's class; 0 at it.
+
+    Built, and its D0 certified, the first time g is read, then kept in
+    the diagram's cache: at most one int per generator.
+    """
+    if g == anchor:
+        return 0
+    memo = _potentials(diagram)
+    value = memo.get(g)
+    if value is None:
+        value = memo[g] = _domain_grading(_domain_avoiding_z(diagram, g, anchor))
+    return value
 
 
 def _domain_grading(domain: Domain) -> int:
@@ -686,16 +724,15 @@ class GradingLabel(NamedTuple):
 def grading_table(diagram: HeegaardDiagram) -> tuple[tuple[Generator, GradingLabel], ...]:
     """Label every generator: (class id, grading offset relative to anchor).
 
-    The anchor of each class gets offset 0 with no domain solved; label
-    differences within a class realize the relative grading.  Another
-    member g gets the grading of D0(g, anchor).
+    The offset of g is its potential P(g), the grading of D0(g, anchor),
+    0 at the anchor with no domain built; ``relative_grading`` reads the
+    same potentials, so label differences within a class realize it.
     """
     rows = []
     for g in enumerate_generators(diagram):
         cls = spinc_class_of(diagram, g)
-        off = (0 if g == cls.anchor
-               else _domain_grading(_domain_avoiding_z(diagram, g, cls.anchor)))
-        rows.append((g, GradingLabel(cls.index, off, cls.divisibility)))
+        rows.append((g, GradingLabel(cls.index, _potential(diagram, g, cls.anchor),
+                                     cls.divisibility)))
     return tuple(rows)
 
 

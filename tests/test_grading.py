@@ -618,6 +618,11 @@ def test_grading_ambiguity_mod_d(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["s1s2", "two_finger", "d2_diagram"])
 def test_antisymmetry_and_additivity(fixture, request):
+    # relative_grading is a difference of potentials, so additivity among
+    # its own values would only restate it: the sums are checked against
+    # two pairwise gradings of (x, z), of the corner solve (M) and of D0.
+    import hfcalc.grading as grading
+
     d = request.getfixturevalue(fixture)
     for cls in spinc_partition(d):
         m = cls.divisibility
@@ -626,9 +631,42 @@ def test_antisymmetry_and_additivity(fixture, request):
                 s = relative_grading(d, x, y) + relative_grading(d, y, x)
                 assert s % m == 0 if m else s == 0
                 for z in cls.members:
-                    lhs = relative_grading(d, x, z)
                     rhs = relative_grading(d, x, y) + relative_grading(d, y, z)
-                    assert (lhs - rhs) % m == 0 if m else lhs == rhs
+                    for oracle in (grading._domain_grading(solve_domain(d, x, z)),
+                                   grading._domain_grading(grading._domain_avoiding_z(d, x, z))):
+                        assert (oracle - rhs) % m == 0 if m else oracle == rhs
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_annulus_open_book(6).diagram,
+    lambda: build_s1s2().diagram,
+    lambda: load_diagram(D2_TEXT),
+    lambda: load_diagram(TWO_FINGER_TEXT),
+], ids=["openbook6", "s1s2", "d2", "two_finger"])
+def test_relative_grading_builds_one_d0_per_generator(build, monkeypatch):
+    """Two passes over every same-class pair build D0 once per non-anchor
+    generator, from it to its anchor, and never for an anchor."""
+    import hfcalc.grading as grading
+
+    d = build()
+    real = grading._domain_avoiding_z
+    built = []
+
+    def counting(diagram, x, y):
+        built.append((x, y))
+        return real(diagram, x, y)
+
+    monkeypatch.setattr(grading, "_domain_avoiding_z", counting)
+    first = [relative_grading(d, x, y) for cls in spinc_partition(d)
+             for x in cls.members for y in cls.members]
+    assert built
+    second = [relative_grading(d, x, y) for cls in spinc_partition(d)
+              for x in cls.members for y in cls.members]
+    assert first == second
+    anchors = {cls.anchor for cls in spinc_partition(d)}
+    sources = [x for x, _ in built]
+    assert len(sources) == len(set(sources)) == len(enumerate_generators(d)) - len(anchors)
+    assert all(y == spinc_class_of(d, x).anchor != x for x, y in built)
 
 
 def test_label_differences_realize_relative_grading(rational_atlas, irrational_atlas):
@@ -1064,6 +1102,7 @@ def assert_domain_avoiding_z_is_the_corner_solve(d):
             d0 = grading._domain_avoiding_z(d, x, y)
             assert (d0.source, d0.target) == (x, y)
             assert d0.coefficients == tuple(c - n_z for c in solved)
+            assert relative_grading(d, x, y) == grading._domain_grading(d0)
 
 
 def test_domain_avoiding_z_is_the_corner_solve_minus_n_z_sigma(rational_atlas):
@@ -1169,6 +1208,7 @@ def assert_graded_from_a_alone(d):
             value = maslov_index(d, x, y, d0)
             assert (value - gr) % m == 0 if m else value == gr
             assert relative_grading(d, x, y) == (gr % m if m else gr)
+            assert relative_grading(d, x, y) == grading._domain_grading(d0)
 
 
 def test_graded_from_a_alone_at_positive_b1(irrational_atlas):
@@ -1193,6 +1233,10 @@ def test_a_wrong_curve_multiple_is_a_consistency_error(monkeypatch, tmp_path, ca
     monkeypatch.setattr(grading, "_particular", plus_one)
     with pytest.raises(ConsistencyError, match="corner system"):
         grading_table(build_annulus_open_book(2).diagram)
+    d = build_annulus_open_book(2).diagram
+    x, y = non_anchor_pair(d)
+    with pytest.raises(ConsistencyError, match="corner system"):
+        relative_grading(d, x, y)
     assert main(["--json", "grade", str(path)]) == 3
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["kind"] == "ConsistencyError" and "corner system" in error["message"]
@@ -1202,14 +1246,23 @@ def test_a_wrong_curve_multiple_is_a_consistency_error(monkeypatch, tmp_path, ca
 # Cached results live exactly as long as their diagram
 # ---------------------------------------------------------------------------
 
+def non_anchor_pair(d):
+    """A pair (x, anchor) in the first class with a member besides its anchor."""
+    cls = next(c for c in spinc_partition(d) if len(c.members) > 1)
+    return next(g for g in cls.members if g != cls.anchor), cls.anchor
+
+
 @pytest.mark.parametrize("query", [
     grading_table,
     homology_of_Y,
-    lambda d: relative_grading(d, enumerate_generators(d)[0], enumerate_generators(d)[0]),
+    lambda d: relative_grading(d, *non_anchor_pair(d)),
 ], ids=["grading_table", "homology_of_Y", "relative_grading"])
 def test_cached_results_do_not_retain_the_diagram(query):
+    import hfcalc.grading as grading
+
     d = build_annulus_open_book(3).diagram
     query(d)
+    assert query is homology_of_Y or grading._potentials(d)  # the memo is filled
     ref = weakref.ref(d)
     del d
     gc.collect()
