@@ -325,12 +325,12 @@ def _cmd_shift(args, report):
 # ---------------------------------------------------------------------------
 
 def _same_class_pairs(suite):
-    """Each (diagram, class, x, y) with x and y in one Spin^c class, in suite order."""
-    for d in suite:
+    """Each (name, diagram, class, x, y) with x and y in one Spin^c class, in suite order."""
+    for name, d in suite:
         for cls in spinc_partition(d):
             for x in cls.members:
                 for y in cls.members:
-                    yield d, cls, x, y
+                    yield name, d, cls, x, y
 
 
 def _grading_or_none(d, x, y):
@@ -340,44 +340,47 @@ def _grading_or_none(d, x, y):
         return None
 
 
-def _selftest(args, report):
-    rng = random.Random(args.seed)
-    suite = [atlas_mod.build_torus_diagram(3, 1).diagram,
-             atlas_mod.build_torus_diagram(4, 1).diagram,
-             atlas_mod.build_s1s2().diagram,
-             atlas_mod.build_annulus_open_book(0).diagram,
-             atlas_mod.build_annulus_open_book(2).diagram]
+def _case(name, d, *gens):
+    return {"diagram": name, "generators": [g.display(d) for g in gens]}
 
+
+def _selftest(args, report):
+    """Run each check's cases in order; a check stops at its first failing
+    case, which it names, and counts the cases that passed before it."""
+    rng = random.Random(args.seed)
+    suite = [(m.provenance, m.diagram) for m in (atlas_mod.build_torus_diagram(3, 1),
+                                                 atlas_mod.build_torus_diagram(4, 1),
+                                                 atlas_mod.build_s1s2(),
+                                                 atlas_mod.build_annulus_open_book(0),
+                                                 atlas_mod.build_annulus_open_book(2))]
+
+    # Each check yields (case, passed) per case.
     def grading_ambiguity():
-        cases = 0
-        for d, cls, x, y in _same_class_pairs(suite):
+        for name, d, cls, x, y in _same_class_pairs(suite):
             dom = solve_domain(d, x, y)
             base_val = _domain_grading(dom)
             for _ in range(8):
                 other = dom.translate([rng.randint(-3, 3) for _ in dom.lattice])
                 val = maslov_index(d, x, y, other) - 2 * basepoint_multiplicity(d, other)
                 diff = val - base_val
-                assert diff % cls.divisibility == 0 if cls.divisibility else diff == 0
-                cases += 1
-        return cases
+                yield (_case(name, d, x, y),
+                       diff % cls.divisibility == 0 if cls.divisibility else diff == 0)
 
     def additivity():
         # relative_grading is a difference of potentials, so the sums are
-        # checked against the gradings of the corner solve and of D0 for (x, z).
-        cases = 0
-        for d, cls, x, y in _same_class_pairs(suite):
+        # checked against the gradings of solve_domain and of D0 for (x, z).
+        for name, d, cls, x, y in _same_class_pairs(suite):
             for z in cls.members:
                 rhs = relative_grading(d, x, y) + relative_grading(d, y, z)
                 m = cls.divisibility
-                for lhs in (_domain_grading(solve_domain(d, x, z)),
-                            _domain_grading(_domain_avoiding_z(d, x, z))):
-                    assert (lhs - rhs) % m == 0 if m else lhs == rhs
-                cases += 1
-        return cases
+                yield _case(name, d, x, y, z), all(
+                    (lhs - rhs) % m == 0 if m else lhs == rhs
+                    for lhs in (_domain_grading(solve_domain(d, x, z)),
+                                _domain_grading(_domain_avoiding_z(d, x, z))))
 
     def layer_identities():
-        cases = 0
-        for d in suite:
+        # audit_index raises AuditError itself when an identity fails.
+        for name, d in suite:
             gens = enumerate_generators(d)
             for x in gens:
                 for y in gens:
@@ -390,44 +393,45 @@ def _selftest(args, report):
                         if any(c < 0 for c in cand.coefficients):
                             continue
                         audit_index(d, x, y, cand)
-                        cases += 1
-        return cases
+                        yield _case(name, d, x, y), True
 
     def stabilization():
-        cases = 0
-        for d in suite[:3]:
+        for name, d in suite[:3]:
             st, corr = atlas_mod.stabilize(d)
             for x in enumerate_generators(d):
                 for y in enumerate_generators(d):
-                    assert (_grading_or_none(d, x, y)
-                            == _grading_or_none(st.diagram, corr[x], corr[y]))
-                    cases += 1
-        return cases
+                    yield _case(name, d, x, y), (_grading_or_none(d, x, y)
+                                                 == _grading_or_none(st.diagram, corr[x], corr[y]))
 
     def reversal():
-        cases = 0
-        for d in suite[:3]:
+        for name, d in suite[:3]:
             for curve in d.input.curve_names():
                 rev = assemble_regions(reverse_curve(d.input, curve))
                 a = sorted((len(c.members), c.divisibility) for c in spinc_partition(d))
                 b = sorted((len(c.members), c.divisibility) for c in spinc_partition(rev))
-                assert a == b
-                cases += 1
-        return cases
+                yield {"diagram": name, "curve": curve}, a == b
 
-    checks = []
+    checks, lines = [], []
     for name, fn in [("grading-ambiguity", grading_ambiguity),
                      ("grading-additivity", additivity),
                      ("layer-identities", layer_identities),
                      ("stabilization-invariance", stabilization),
                      ("orientation-reversal", reversal)]:
-        try:
-            checks.append({"name": name, "cases": fn(), "passed": True})
-        except AssertionError:
-            checks.append({"name": name, "cases": 0, "passed": False})
+        check = {"name": name, "cases": 0, "passed": True}
+        for case, ok in fn():
+            if not ok:
+                check.update(passed=False, failure=case)
+                break
+            check["cases"] += 1
+        checks.append(check)
+        if check["passed"]:
+            lines.append(f"{name}: pass ({check['cases']} cases)")
+        else:
+            where = (f"curve {case['curve']}" if "curve" in case
+                     else "generators " + " -> ".join(case["generators"]))
+            lines.append(f"{name}: FAIL after {check['cases']} passed cases, "
+                         f"at {case['diagram']} {where}")
     all_passed = all(c["passed"] for c in checks)
-    lines = [f"{c['name']}: {'pass' if c['passed'] else 'FAIL'} ({c['cases']} cases)"
-             for c in checks]
     lines.append("all passed" if all_passed else "FAILURES PRESENT")
     if not all_passed:
         report.update(status="error", exit_status=1, error={"message": "selftest failures"})

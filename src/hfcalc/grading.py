@@ -19,16 +19,15 @@ factorization of A, and so does every grading value at every b1: D0
 are integrated across the beta arcs.  Each generator g has a potential
 P(g), the grading of D0(g, a) for the anchor a of its class, and
 gr(x, y) = P(x) - P(y): gradings add when domains are juxtaposed, and a
-periodic class changes P by a multiple of d.  The corner matrix M is
-factored only for ``solve_domain`` and ``homogeneous_lattice``: with
-U M V = S, a domain is zlattice's particular solution (U applied to
-r(y) - r(x), exact division by the invariant factors, one product with
-V), the same one ``solve_integer_system`` computes, and the lattice is a
-set of columns of V.  Transforms stay sparse (U by rows and by columns,
-V by columns), products run over nonzero entries, and both
-factorizations are certified.  The generators, the factorizations, the
-partition, the periodic domains, the potentials, the grading table and
-H1 are cached on the diagram itself, so each is computed once per
+periodic class changes P by a multiple of d.  The connecting domain of
+``solve_domain`` is D0(x, a) - D0(y, a), and the periodic lattice is
+Sigma plus those periodic domains, so A is the one matrix factored per
+diagram; its transforms stay sparse (U by rows and by columns, V by
+columns), and the factorization is certified.  The corner matrix M is
+never factored: it only certifies domains, through its sparse image.
+The generators, the factorization, the partition, the periodic domains,
+the potentials, the D0 vectors of ``solve_domain``, the grading table
+and H1 are cached on the diagram itself, so each is computed once per
 diagram and lives as long as the diagram does.
 
 All index quantities are computed exactly:
@@ -238,64 +237,20 @@ def build_corner_system(diagram: HeegaardDiagram, x: Generator, y: Generator
     return _corner_matrix(diagram), _corner_rhs(diagram, x, y)
 
 
-def _check_factorization(m_rows: Sequence[Sequence[tuple[int, int]]],
-                         smith: SmithDecomposition, name: str) -> None:
-    """Certificate: U (``name`` V) is the Smith form S, for M and for A.
-
-    The matrix comes as rows of (column, value) terms.  A row of M V is
-    read back from a dense accumulator only at the columns it touched.
-    """
-    v_rows = _transpose(smith.v_columns, len(smith.v_columns))
-    acc = [0] * len(smith.v_columns)
-    mv: list[list[tuple[int, int]]] = []
-    for row in m_rows:
-        touched: list[int] = []
-        for k, a in row:
-            touched += v_rows[k]
-            for j, x in v_rows[k].items():
-                acc[j] += a * x
-        mv.append([])
-        for j in touched:
-            if acc[j]:
-                mv[-1].append((j, acc[j]))
-                acc[j] = 0
-    for i, u_row in enumerate(smith.u_rows):
-        acc = [0] * len(smith.v_columns)
-        for k, a in u_row.items():
-            for j, x in mv[k]:
-                acc[j] += a * x
-        if i < len(smith.invariants):
-            acc[i] -= smith.invariants[i]
-        if any(acc):
-            raise ConsistencyError(f"U {name} V differs from the Smith form S in row {i}")
-
-
-@_per_diagram
-def _corners(diagram: HeegaardDiagram) -> tuple[SmithDecomposition, list[dict[int, int]]]:
-    """M factored once, U M V = S and certified, with the columns of U.
-
-    Its two callers, ``solve_domain`` and ``homogeneous_lattice``, stay on
-    M because ``domain`` prints V q and ``audit`` searches in V's basis
-    order.  The transforms stay sparse: U by rows and by columns, V by columns.
-    """
-    m_rows: list[list[tuple[int, int]]] = [[] for _ in range(2 * diagram.n_vertices)]
-    for row, plus, minus in _corner_terms(diagram):
-        m_rows[row] += ((plus, 1), (minus, -1))
-    smith = smith_normal_form(_corner_matrix(diagram))
-    _check_factorization(m_rows, smith, "M")
-    return smith, _transpose(smith.u_rows, 2 * diagram.n_vertices)
-
-
 @_per_diagram
 def homogeneous_lattice(diagram: HeegaardDiagram) -> tuple[tuple[int, ...], ...]:
     """Basis of the lattice of periodic classes (kernel of the corner system).
 
-    The kernel does not depend on the generator pair; the all-ones vector
-    (the class of the full surface) always belongs to it.  The basis is
-    the columns of V at the zero diagonal entries of S, read off once per
-    diagram, on M for the reason ``_corners`` gives.
+    The kernel does not depend on the generator pair.  The basis is Sigma
+    (the class of the full surface, all ones) first, then
+    ``_periodic_domains``.  It spans: a periodic P minus n_z(P) Sigma has
+    n_z = 0, and its boundary on the beta arcs is a cycle, so whole beta
+    curves n; integrating across the beta arcs from D(z) = 0 rebuilds it,
+    which is consistent only when A n = 0 (``_domain_avoiding_z`` with base
+    chain 0), and integration is linear in n.  It is a basis: Sigma is the
+    one vector with n_z != 0, and a nonzero n jumps across some beta arc.
     """
-    return _kernel(_corners(diagram)[0])
+    return ((1,) * diagram.n_regions,) + _periodic_domains(diagram)
 
 
 class Domain(NamedTuple):
@@ -334,24 +289,32 @@ def solve_domain(diagram: HeegaardDiagram, x: Generator, y: Generator) -> Domain
     """A connecting domain from x to y, or None when none exists.
 
     None means the generators lie in different Spin^c classes; it is a
-    valid mathematical answer, not an error.  Otherwise the domain is the
-    particular solution of M p = r(y) - r(x) from zlattice's
-    ``_particular``, on M factored once per diagram: U applied to the
-    right-hand side by U's columns, exact division, then V q.  It is
-    checked against the corner system before it is returned.  A pair in
-    one class with no integer solution raises ``ConsistencyError``.  The
-    returned domain carries access to the homogeneous lattice through
-    ``Domain.lattice``.  M is factored only for a pair that connects.
+    valid mathematical answer, not an error.  Otherwise the domain is
+    D0(x, a) - D0(y, a) for the anchor a of their class: D0(x, a) connects
+    x to a and -D0(y, a) connects a to y, so it has n_z = 0, and when
+    b1 = 0 it is D0(x, y), the one domain with n_z = 0.  Each D0(g, a) is
+    built once per diagram, and the difference is checked against the
+    corner system before it is returned.  A pair in one class without a
+    D0 raises ``ConsistencyError``.  The returned domain carries access to
+    the homogeneous lattice through ``Domain.lattice``.
     """
-    if spinc_class_of(diagram, x).index != spinc_class_of(diagram, y).index:
+    cls = spinc_class_of(diagram, x)
+    if cls.index != spinc_class_of(diagram, y).index:
         return None
-    smith, u_columns = _corners(diagram)
-    coeffs = _particular(smith, u_columns, _corner_rhs(diagram, x, y))
-    if coeffs is None:
-        raise ConsistencyError("the corner system has no integer solution for (x, y) "
-                               "in one Spin^c class")
+    memo = _anchor_domains(diagram)
+    for g in (x, y):
+        if g not in memo:
+            memo[g] = ((0,) * diagram.n_regions if g == cls.anchor
+                       else _domain_avoiding_z(diagram, g, cls.anchor).coefficients)
+    coeffs = tuple(a - b for a, b in zip(memo[x], memo[y]))
     _check_connecting(diagram, x, y, coeffs)
     return Domain(diagram, x, y, coeffs)
+
+
+@_per_diagram
+def _anchor_domains(diagram: HeegaardDiagram) -> dict[Generator, tuple[int, ...]]:
+    """D0(g, a) for each generator g that ``solve_domain`` has read so far."""
+    return {}
 
 
 @_per_diagram
@@ -438,19 +401,18 @@ def positive_representative(domain: Domain, radius: int = 8) -> Domain:
     succeeds; failure raises ``NoPositiveRepresentative`` with the radius.
     A negative radius raises ``ValueError``.
 
-    At rank 1 (b1 = 0) the basis is the primitive vector +-Sigma, so the
-    search's first hit is D + t Sigma with t = max(0, -min D), taken in
-    closed form: it lies in shell t, and no smaller shell has one.
+    At rank 1 (b1 = 0) the basis is Sigma alone, so the search's first hit
+    is D + t Sigma with t = max(0, -min D), taken in closed form: it lies
+    in shell t, and no smaller shell has one.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    basis = domain.lattice
-    rank = len(basis)
+    rank = len(domain.lattice)
     if rank == 1:
         t = max(0, -min(domain.coefficients))
         if t > radius:
             raise NoPositiveRepresentative(radius)
-        return domain.translate((t * basis[0][0],))
+        return domain.translate((t,))
     for shell in range(radius + 1):
         for combo in itertools.product(range(-shell, shell + 1), repeat=rank):
             if max(map(abs, combo), default=0) == shell:
@@ -826,6 +788,38 @@ class Homology(NamedTuple):
         return out
 
 
+def _check_factorization(a_rows: Sequence[Sequence[tuple[int, int]]],
+                         smith: SmithDecomposition) -> None:
+    """Certificate: U_A (A V_A) is the Smith form S_A.
+
+    A comes as rows of (column, value) terms.  A row of A V_A is read
+    back from a dense accumulator only at the columns it touched.
+    """
+    v_rows = _transpose(smith.v_columns, len(smith.v_columns))
+    acc = [0] * len(smith.v_columns)
+    av: list[list[tuple[int, int]]] = []
+    for row in a_rows:
+        touched: list[int] = []
+        for k, a in row:
+            touched += v_rows[k]
+            for j, x in v_rows[k].items():
+                acc[j] += a * x
+        av.append([])
+        for j in touched:
+            if acc[j]:
+                av[-1].append((j, acc[j]))
+                acc[j] = 0
+    for i, u_row in enumerate(smith.u_rows):
+        acc = [0] * len(smith.v_columns)
+        for k, a in u_row.items():
+            for j, x in av[k]:
+                acc[j] += a * x
+        if i < len(smith.invariants):
+            acc[i] -= smith.invariants[i]
+        if any(acc):
+            raise ConsistencyError(f"U A V differs from the Smith form S in row {i}")
+
+
 @_per_diagram
 def _intersection_form(diagram: HeegaardDiagram) -> tuple[SmithDecomposition, list]:
     """A_ij = alpha_i . beta_j (a sum of crossing signs) as U_A A V_A = S_A,
@@ -837,7 +831,7 @@ def _intersection_form(diagram: HeegaardDiagram) -> tuple[SmithDecomposition, li
         rows[i][j] += sign
         terms[i].append((j, sign))
     smith = smith_normal_form(IntMatrix(tuple(map(tuple, rows)), g))
-    _check_factorization(terms, smith, "A")
+    _check_factorization(terms, smith)
     return smith, _transpose(smith.u_rows, g)
 
 

@@ -1,19 +1,19 @@
 """Exact integer linear algebra: a Smith normal form with sparse transforms.
 
 Everything here runs over arbitrary-precision Python ints.  The matrices
-that occur in practice are sparse: a corner system is (2 * vertices) x
-(regions) with at most four nonzero entries per row, from tens by tens up
-to hundreds by hundreds, and the transforms of its Smith form stay sparse
-too (for torus(16, 3), 131 of the 1024 entries of U and 69 of the 256 of
-V are nonzero).  So the one classical Smith normal form,
-``smith_normal_form``, keeps U by rows and V by columns as
-``{index: value}`` dicts, following Dumas, Saunders and Villard, *On
-efficient sparse integer matrix Smith normal form computations*; its
-answer writes U, S and V out as dense matrices only when asked to.
-Solving M x = b is built on it once: ``_particular`` divides U b by the
-invariant factors and forms V q, and ``_kernel`` reads the kernel basis
-off V.  ``solve_integer_system`` and ``grading.solve_domain`` both use
-them; the latter factors M once per diagram and keeps U by columns.
+that occur in practice are sparse: the g x g intersection matrix A of a
+diagram has no more nonzero entries than the diagram has vertices, and a
+corner system is (2 * vertices) x (regions) with at most four nonzero
+entries per row.
+So the one classical Smith normal form, ``smith_normal_form``, keeps U
+by rows and V by columns as ``{index: value}`` dicts, following Dumas,
+Saunders and Villard, *On efficient sparse integer matrix Smith normal
+form computations*; its answer writes U, S and V out as dense matrices
+only when asked to.  Solving M x = b is built on it once: ``_particular``
+divides U b by the invariant factors and forms V q, and ``_kernel`` reads
+the kernel basis off V.  ``solve_integer_system`` uses both on its own
+matrix; ``grading`` uses both on A, factored once per diagram with U kept
+by columns, and factors no corner matrix.
 
 The public operations are:
 
@@ -132,7 +132,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     This is the one Smith form of the package: ``smith_invariants`` and
     ``solve_integer_system`` read their answers off it, and ``grading``
-    factors both the intersection matrix A and the corner matrix M with it.
+    factors the intersection matrix A with it, once per diagram.
 
     Classical pivoting algorithm: bring the smallest nonzero entry of the
     working submatrix to the pivot position, clear its row and column by

@@ -15,7 +15,7 @@ import pytest
 import hfcalc
 from hfcalc.cli import main
 from hfcalc.diagram import assemble_regions, load_diagram, reverse_curve, serialize
-from hfcalc.grading import enumerate_generators
+from hfcalc.grading import enumerate_generators, spinc_partition
 
 from conftest import L31_TEXT, S3_TEXT, s1s2_plus_pairs_text
 
@@ -285,6 +285,61 @@ def test_selftest(capsys):
     assert "all passed" in out
 
 
+def test_selftest_failure_names_its_case_and_counts_the_passes(capsys, monkeypatch):
+    """A grading that is off by one on b1 > 0 diagrams only: additivity
+    passes the 7 triples of torus(3,1) and torus(4,1) (one generator per
+    class), then fails on the first triple of S1 x S2."""
+    import hfcalc.cli as cli
+    from hfcalc.grading import homology_of_Y, relative_grading
+
+    def off_by_one(d, x, y):
+        return relative_grading(d, x, y) + (homology_of_Y(d).b1 > 0)
+
+    monkeypatch.setattr(cli, "relative_grading", off_by_one)
+    code, rep, _ = run_json(capsys, ["--seed", "1", "selftest"])
+    assert code == 1 and rep["status"] == "error"
+    additivity, = (c for c in rep["payload"]["checks"] if c["name"] == "grading-additivity")
+    assert additivity == {"name": "grading-additivity", "cases": 7, "passed": False,
+                          "failure": {"diagram": "s1s2()", "generators": ["x0", "x0", "x0"]}}
+    assert all(c["passed"] and c["cases"] > 0
+               for c in rep["payload"]["checks"] if c is not additivity)
+    assert main(["--seed", "1", "selftest"]) == 1
+    assert ("grading-additivity: FAIL after 7 passed cases, at s1s2() generators "
+            "x0 -> x0 -> x0") in capsys.readouterr().out.splitlines()
+
+
+def test_each_command_factors_one_g_by_g_matrix(capsys, monkeypatch, tmp_path):
+    """Every file command factors A once and nothing else, M included."""
+    import hfcalc.grading as grading
+
+    shapes = []
+
+    def recording(m):
+        shapes.append((m.rows, m.cols))
+        return real(m)
+
+    real = grading.smith_normal_form
+    monkeypatch.setattr(grading, "smith_normal_form", recording)
+    builders = [["torus", "3", "1"], ["s1s2"], ["openbook-annulus", "0"],
+                ["openbook-annulus", "2"], ["openbook-annulus", "-3"]]
+    runs = 0
+    for k, builder in enumerate(builders):
+        path = str(tmp_path / f"d{k}.hd")
+        assert main(["atlas"] + builder + ["-o", path]) == 0
+        d = load_diagram(Path(path).read_text(encoding="utf-8"))
+        largest = max(spinc_partition(d), key=lambda c: len(c.members)).members
+        x, y = largest[-1].display(d), largest[0].display(d)
+        for argv in (["validate", path], ["info", path], ["generators", path],
+                     ["spinc", path], ["grade", path], ["domain", path, x, y, "--positive"],
+                     ["audit", path, x, y]):
+            shapes.clear()
+            assert main(["--json"] + argv) == 0, argv
+            assert shapes == [(d.genus, d.genus)], argv
+            runs += 1
+    capsys.readouterr()
+    assert runs == 35
+
+
 def test_consistency_error_exit_code_3(capsys, monkeypatch, s1s2_file):
     # Break the certificate that checks every solved domain against the
     # corner system: the internal inconsistency must surface as exit code 3.
@@ -333,7 +388,7 @@ def test_readme_commands_succeed(capsys, monkeypatch, tmp_path):
 
 # sha256 of the --json stdout and exit code of every case of
 # ``golden_cases``; any byte of output that changes changes it.
-GOLDEN_JSON_DIGEST = "2264c1b313eaed77a533c62b986aca02a00d86f28dfcf2eba7ee73ffa631fdb4"
+GOLDEN_JSON_DIGEST = "c7358343df64a5f54132e58ce8c27c3c04c137a0f29b26832e97c1986f665a6b"
 
 
 def golden_cases(capsys):
@@ -389,7 +444,7 @@ def test_golden_json_digest(capsys, monkeypatch, tmp_path):
 # ``text_and_error_cases``, then of every diagram file the cases write;
 # argparse's own rejections contribute only their exit code, since its
 # wording changes between Python versions.
-TEXT_AND_ERROR_DIGEST = "e748d7294622d7ab70b6b95ea9c5d474166dd284c704c281bc71e97a4715dc28"
+TEXT_AND_ERROR_DIGEST = "e66c994e45b7d6575f140bbcfa06a31811635644dd3f1b50c55ba5c792dd3a2c"
 
 VALIDATION_ERROR_TEXT = S3_TEXT + "region r0: genus=1 circles=a0.0+\n"
 

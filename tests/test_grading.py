@@ -620,7 +620,8 @@ def test_grading_ambiguity_mod_d(fixture, request):
 def test_antisymmetry_and_additivity(fixture, request):
     # relative_grading is a difference of potentials, so additivity among
     # its own values would only restate it: the sums are checked against
-    # two pairwise gradings of (x, z), of the corner solve (M) and of D0.
+    # two pairwise gradings of (x, z), of the corner system solved for the
+    # pair (M) and of D0.
     import hfcalc.grading as grading
 
     d = request.getfixturevalue(fixture)
@@ -632,7 +633,8 @@ def test_antisymmetry_and_additivity(fixture, request):
                 assert s % m == 0 if m else s == 0
                 for z in cls.members:
                     rhs = relative_grading(d, x, y) + relative_grading(d, y, z)
-                    for oracle in (grading._domain_grading(solve_domain(d, x, z)),
+                    corner = solve_integer_system(*build_corner_system(d, x, z)).particular
+                    for oracle in (maslov_index(d, x, z, corner) - 2 * corner[d.basepoint_region],
                                    grading._domain_grading(grading._domain_avoiding_z(d, x, z))):
                         assert (oracle - rhs) % m == 0 if m else oracle == rhs
 
@@ -787,14 +789,37 @@ def pairwise_reference(d):
     return partition, domains, lattice, tuple((g, table[g]) for g in gens)
 
 
+def in_span(basis, vector):
+    """Whether ``vector`` is an integer combination of ``basis``."""
+    span = IntMatrix.from_rows(zip(*basis), len(basis))
+    return not solve_integer_system(span, vector).is_empty
+
+
+def assert_solves_like_the_corner_system(d, x, y, particular, kernel):
+    """``solve_domain(x, y)`` has n_z = 0 and differs from ``particular``, a
+    solution of the corner system, by an integer combination of ``kernel``,
+    M's kernel basis; when b1 = 0 it is D0(x, y), built pair by pair."""
+    import hfcalc.grading as grading
+
+    dom = solve_domain(d, x, y)
+    assert (dom.source, dom.target) == (x, y)
+    assert dom.coefficients[d.basepoint_region] == 0
+    assert in_span(kernel, [a - b for a, b in zip(dom.coefficients, particular)])
+    if not homology_of_Y(d).b1:
+        assert dom.coefficients == grading._domain_avoiding_z(d, x, y).coefficients
+
+
 def assert_matches_pairwise(d):
     partition, domains, lattice, table = pairwise_reference(d)
     assert [(c.index, c.members, c.anchor, c.divisibility)
             for c in spinc_partition(d)] == partition
     for (x, y), particular in domains.items():
-        dom = solve_domain(d, x, y)
-        assert (dom.coefficients if dom is not None else None) == particular
-    assert homogeneous_lattice(d) == lattice
+        if particular is None:
+            assert solve_domain(d, x, y) is None
+        else:
+            assert_solves_like_the_corner_system(d, x, y, particular, lattice)
+    for basis, other in ((homogeneous_lattice(d), lattice), (lattice, homogeneous_lattice(d))):
+        assert all(in_span(basis, v) for v in other)
     assert grading_table(d) == table
 
 
@@ -818,14 +843,11 @@ def test_factorization_certificate_detects_a_wrong_form(monkeypatch):
     import hfcalc.grading as grading
     from hfcalc.zlattice import smith_normal_form
 
-    def off_by_one(field, j, r, square):
-        """Corrupt entry r of vector j of ``field`` (U's rows or V's columns),
-        in the g x g factorization of A when ``square`` and in the corner
-        matrix's otherwise."""
+    def off_by_one(field, j, r):
+        """Corrupt entry r of vector j of ``field`` (U's rows or V's columns)
+        in the factorization of A, the one matrix grading factors."""
         def factor(m):
             dec = smith_normal_form(m)
-            if (m.rows == m.cols) != square:
-                return dec
             vecs = [dict(vec) for vec in getattr(dec, field)]
             jj, rr = j % len(vecs), r % len(vecs)
             x = vecs[jj].pop(rr, 0) + 1
@@ -834,20 +856,6 @@ def test_factorization_certificate_detects_a_wrong_form(monkeypatch):
             return dec._replace(**{field: tuple(vecs)})
         return factor
 
-    # openbook(2) has a class of three members, so solving a domain between
-    # two of them factors M.  Entry (0, 0) of V, and
-    # the last entry of its last column, a kernel column whose product with
-    # M lies off the diagonal of S; entry (0, 0) of U, and the last entry
-    # of its last row.
-    x, y = max(spinc_partition(build_annulus_open_book(2).diagram),
-               key=lambda c: len(c.members)).members[:2]
-    for field, j, r in (("v_columns", 0, 0), ("v_columns", -1, -1),
-                        ("u_rows", 0, 0), ("u_rows", -1, -1)):
-        d = build_annulus_open_book(2).diagram
-        monkeypatch.setattr(grading, "smith_normal_form", off_by_one(field, j, r, False))
-        with pytest.raises(ConsistencyError, match="U M V"):
-            solve_domain(d, x, y)
-        monkeypatch.undo()
     # Entry (0, 0) of V_A, for genus 1 and 3, and U_A's first and last rows
     # for genus 3: U_A A V_A = S_A fails.
     torus = build_torus_diagram(3, 1).diagram
@@ -855,7 +863,7 @@ def test_factorization_certificate_detects_a_wrong_form(monkeypatch):
     cases = [(torus, "v_columns", 0, 0), (genus3, "v_columns", 0, 0),
              (genus3, "u_rows", 0, 0), (genus3, "u_rows", -1, -1)]
     for d, field, j, r in cases:
-        monkeypatch.setattr(grading, "smith_normal_form", off_by_one(field, j, r, True))
+        monkeypatch.setattr(grading, "smith_normal_form", off_by_one(field, j, r))
         with pytest.raises(ConsistencyError, match="U A V"):
             spinc_partition(d)
         monkeypatch.undo()
@@ -896,6 +904,7 @@ def dense_domain(factors, v, images, x, y):
 
 
 def test_corners_match_the_dense_path():
+    """Classes, lattice and domains read off A against M factored densely."""
     import hfcalc.grading as grading
 
     diagrams = [build_torus_diagram(p, q).diagram
@@ -905,16 +914,17 @@ def test_corners_match_the_dense_path():
     pairs = 0
     for d in diagrams:
         factors, v, images, class_of = dense_corners(d)
-        smith, u_columns = grading._corners(d)
-        assert tuple(x for x in smith.invariants if x) == factors
-        assert homogeneous_lattice(d) == tuple(column(v, j) for j in range(len(factors), v.cols))
+        kernel = tuple(column(v, j) for j in range(len(factors), v.cols))
+        lattice = homogeneous_lattice(d)
+        assert lattice[0] == (1,) * d.n_regions
+        for basis, other in ((lattice, kernel), (kernel, lattice)):
+            assert all(in_span(basis, vec) for vec in other)
         assert {g: c.index for g, c in grading._class_of(d).items()} == class_of
-        assert all(x for col in u_columns for x in col.values())  # no stored zeros
         for cls in spinc_partition(d):
             for x in cls.members:
                 for y in cls.members:
                     want = dense_domain(factors, v, images, x, y)
-                    assert solve_domain(d, x, y).coefficients == want
+                    assert_solves_like_the_corner_system(d, x, y, want, kernel)
                     pairs += 1
     assert pairs > sum(len(enumerate_generators(d)) for d in diagrams)
 
@@ -938,12 +948,12 @@ def test_merged_classes_without_a_domain_are_a_consistency_error(monkeypatch, tm
         return classes
 
     monkeypatch.setattr(grading, "_class_of", merged)
-    with pytest.raises(ConsistencyError, match="no integer solution"):
+    with pytest.raises(ConsistencyError, match="no integral beta curve multiples"):
         solve_domain(d, x, y)
     path = tmp_path / "t.hd"
     path.write_text(serialize(d))
     assert main(["domain", str(path), x.display(d), y.display(d)]) == 3
-    assert "no integer solution" in capsys.readouterr().err
+    assert "no integral beta curve multiples" in capsys.readouterr().err
 
 
 def epsilon_classes(d, transpose=False):
@@ -1091,17 +1101,24 @@ def rational_atlas(l31):
 
 
 def assert_domain_avoiding_z_is_the_corner_solve(d):
-    """D0(x, y) = V q - n_z(V q) Sigma: the lattice is Z Sigma when b1 = 0."""
+    """D0(x, y) = V q - n_z(V q) Sigma for M factored densely, since the
+    lattice is Z Sigma when b1 = 0; ``solve_domain`` returns it too.  M is
+    factored only for a class of several members: D0(x, x) = 0."""
     import hfcalc.grading as grading
 
     assert homology_of_Y(d).b1 == 0
+    corners = None
     for cls in spinc_partition(d):
         for x, y in itertools.product(cls.members, repeat=2):
-            solved = solve_domain(d, x, y).coefficients
-            n_z = solved[d.basepoint_region]
+            want = (0,) * d.n_regions
+            if x != y:
+                corners = corners or dense_corners(d)
+                solved = dense_domain(*corners[:3], x, y)
+                want = tuple(c - solved[d.basepoint_region] for c in solved)
             d0 = grading._domain_avoiding_z(d, x, y)
             assert (d0.source, d0.target) == (x, y)
-            assert d0.coefficients == tuple(c - n_z for c in solved)
+            assert d0.coefficients == want
+            assert solve_domain(d, x, y).coefficients == want
             assert relative_grading(d, x, y) == grading._domain_grading(d0)
 
 
@@ -1166,16 +1183,19 @@ def irrational_atlas():
 
 
 def assert_graded_from_a_alone(d):
-    """The lattice, divisibilities and gradings read off A match M's.
+    """The lattice, divisibilities, domains and gradings read off A match M's.
 
     Sigma plus the periodic domains that ``divisibility`` takes its gcd
-    over spans ``homogeneous_lattice``, each basis solved in the other;
-    every divisibility is the gcd over M's lattice; and D0 has n_z = 0,
-    solves the corner system and grades like the corner solve mod d.
+    over is ``homogeneous_lattice`` and spans M's kernel, M factored
+    densely, each basis solved in the other; every divisibility is the gcd
+    over M's kernel; D0 has n_z = 0, solves the corner system and grades
+    like M's particular solution mod d; and ``solve_domain`` differs from
+    that solution by a vector of M's kernel.
     """
     import hfcalc.grading as grading
 
-    lattice = homogeneous_lattice(d)
+    factors, v, images, _ = dense_corners(d)
+    kernel = tuple(column(v, j) for j in range(len(factors), v.cols))
     sigma = (1,) * d.n_regions
     seen = []
 
@@ -1193,22 +1213,23 @@ def assert_graded_from_a_alone(d):
             assert p[d.basepoint_region] == 0
             grading._check_connecting(d, cls.anchor, cls.anchor, p)
         from_a = (sigma,) + periodic
-        for basis, other in ((from_a, lattice), (lattice, from_a)):
-            span = IntMatrix.from_rows(zip(*basis), len(basis))
-            assert all(not solve_integer_system(span, v).is_empty for v in other)
+        assert homogeneous_lattice(d) == from_a
+        for basis, other in ((from_a, kernel), (kernel, from_a)):
+            assert all(in_span(basis, vec) for vec in other)
         weights = grading._quarter_weights(d, cls.anchor.vertices * 2, -2)
-        assert cls.divisibility * 4 == gcd_over_lattice(lattice, weights)
+        assert cls.divisibility * 4 == gcd_over_lattice(kernel, weights)
         m = cls.divisibility
         for x, y in itertools.product(cls.members, repeat=2):
             d0 = grading._domain_avoiding_z(d, x, y)
             assert d0.coefficients[d.basepoint_region] == 0
             grading._check_connecting(d, x, y, d0.coefficients)
-            solved = solve_domain(d, x, y)
-            gr = maslov_index(d, x, y, solved) - 2 * basepoint_multiplicity(d, solved)
+            solved = dense_domain(factors, v, images, x, y)
+            gr = maslov_index(d, x, y, solved) - 2 * solved[d.basepoint_region]
             value = maslov_index(d, x, y, d0)
             assert (value - gr) % m == 0 if m else value == gr
             assert relative_grading(d, x, y) == (gr % m if m else gr)
             assert relative_grading(d, x, y) == grading._domain_grading(d0)
+            assert_solves_like_the_corner_system(d, x, y, solved, kernel)
 
 
 def test_graded_from_a_alone_at_positive_b1(irrational_atlas):

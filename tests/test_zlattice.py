@@ -272,7 +272,8 @@ def test_smith_form_matches_full_scan_random():
 
 
 def test_smith_form_matches_full_scan_on_atlas_matrices(monkeypatch):
-    """Every intersection and corner matrix factored for atlas diagrams."""
+    """Every intersection matrix factored for atlas diagrams, and the
+    corner matrices of those with a class of several members."""
     seen = []
 
     def recording(m):
@@ -285,6 +286,7 @@ def test_smith_form_matches_full_scan_on_atlas_matrices(monkeypatch):
     diagrams += [build_annulus_open_book(n).diagram for n in range(-5, 6)]
     diagrams.append(build_s1s2().diagram)
     diagrams += [stabilize(d)[0].diagram for d in diagrams[:8]]
+    corners = []
     for d in diagrams:
         grading.grading_table(d)
         grading.spinc_partition(d)
@@ -292,10 +294,13 @@ def test_smith_form_matches_full_scan_on_atlas_matrices(monkeypatch):
         largest = max(grading.spinc_partition(d), key=lambda c: len(c.members))
         if len(largest.members) > 1:
             grading.solve_domain(d, *largest.members[:2])
-    # One intersection matrix for each of the 38 diagrams, and a corner
-    # matrix for the 7 with a class of several members, factored by the
-    # domain between two of them: the open books 0..5 and s1s2.
+            corners.append(grading._corner_matrix(d))
+    # One intersection matrix for each of the 38 diagrams, and nothing
+    # else: solving a domain factors no corner matrix.  The 7 with a class
+    # of several members (the open books 0..5 and s1s2) give the corner
+    # matrices, factored here directly.
     assert len(diagrams) == 38
-    assert len(seen) == 38 + 7
-    for m in seen:
+    assert [(m.rows, m.cols) for m in seen] == [(d.genus, d.genus) for d in diagrams]
+    assert len(corners) == 7
+    for m in seen + corners:
         assert_matches_full_scan(m)
