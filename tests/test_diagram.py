@@ -1,5 +1,6 @@
 """Parsing, face tracing, assembly, and serialization tests."""
 
+import hashlib
 import random
 import sys
 from collections import Counter
@@ -13,6 +14,7 @@ from hfcalc.diagram import (ALPHA, BETA, DiagramError, ParseError, Region, Regio
                             ValidationError, _Graph, assemble_regions, load_diagram,
                             parse_diagram, quadrants_at, rename, reverse_curve, serialize,
                             trace_faces)
+from hfcalc.grading import spinc_partition
 
 from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
                       s1s2_sum_text)
@@ -353,6 +355,53 @@ def test_assembly_checks_match_the_vertex_union_find():
     assert outcomes["diagram is disconnected (graph plus regions)"]
     assert outcomes["cutting along the alpha curves disconnects the surface"]
     assert outcomes["cutting along the beta curves disconnects the surface"]
+
+
+# Every table that assembly builds, in the form a caller reads it.
+ASSEMBLY_TABLES = ("vertex_names", "signs", "alpha", "beta", "alpha_of", "beta_of", "arcs",
+                   "dart_names", "rotations", "face_of_dart", "faces", "face_names", "regions",
+                   "region_of_face", "basepoint_region", "corner_counts", "region_chi",
+                   "quadrants", "arc_sides")
+
+# sha256 over the inputs of ``assembly_inputs``: the repr of every table in
+# ASSEMBLY_TABLES plus, per Spin^c class, its members' vertex tuples, its
+# anchor and its divisibility, for each input that assembles, and the
+# ValidationError text for each input that does not.  The repr tells a list
+# from a tuple, so the digest pins the container types as well as circle and
+# region order.
+ASSEMBLY_DIGEST = "9fb790b9c1ac858332b7758e177ba1e9f3ca45d950581519da56233cdcc6d0d5"
+
+
+def assembly_inputs(atlas_suite):
+    """The atlas suite, each diagram also stabilized once and with each curve
+    reversed, then 1500 random curve systems."""
+    for d in atlas_suite:
+        yield d.input
+        yield stabilize(d)[0].diagram.input
+        for curve in d.input.curve_names():
+            yield reverse_curve(d.input, curve)
+    rng = random.Random(2024)
+    for _ in range(1500):
+        yield random_curve_system(rng)
+
+
+def test_assembly_digest(atlas_suite):
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for inp in assembly_inputs(atlas_suite):
+        try:
+            d = assemble_regions(inp)
+        except ValidationError as e:
+            digest.update(f"error: {e}\n".encode())
+            outcomes["rejected"] += 1
+            continue
+        tables = tuple(getattr(d, name) for name in ASSEMBLY_TABLES)
+        classes = tuple((tuple(g.vertices for g in cls.members), cls.anchor.vertices,
+                         cls.divisibility) for cls in spinc_partition(d))
+        digest.update(repr((tables, classes)).encode() + b"\n")
+        outcomes["assembled"] += 1
+    assert outcomes["assembled"] > 300 and outcomes["rejected"] > 300
+    assert digest.hexdigest() == ASSEMBLY_DIGEST
 
 
 def test_quadrants_s3(s3):
