@@ -21,6 +21,15 @@ assembled ``HeegaardDiagram`` is one object: the traced graph, its
 regions, and the answers cached for it.  It is read-only apart from that
 cache and safe to share between threads.
 
+Assembly builds each lookup table once: the vertex numbering with the
+sign and the alpha and beta curve of each vertex, the arcs with their
+dart names, each vertex's rotation, the traced faces with the face of
+each dart, the regions with the region of each face, each region's corner
+count and Euler characteristic, the regions at each vertex's four
+quadrants, the regions on each side of each arc, and the basepoint
+region.  The index from every dart name to its face is built only when a
+region directive lists circles.
+
 Dart conventions used throughout: every arc gets a forward dart ``2 * arc``
 (along the curve orientation) and a backward dart ``2 * arc + 1``; traced
 faces run counterclockwise, so the face containing a dart lies on the
@@ -274,74 +283,79 @@ class _Graph:
     def __init__(self, inp: CurveSystemInput):
         self.input = inp
         self.genus = inp.genus
-        names = [v for _, verts in inp.alpha for v in verts]
-        self.vertex_names = tuple(names)
-        self.vertex_index = {n: i for i, n in enumerate(names)}
-        self.signs = tuple(inp.signs[n] for n in names)
-
-        self.alpha = tuple((name, tuple(self.vertex_index[v] for v in verts))
-                           for name, verts in inp.alpha)
-        self.beta = tuple((name, tuple(self.vertex_index[v] for v in verts))
-                          for name, verts in inp.beta)
         # Vertices are numbered in alpha listing order.
-        self.alpha_of = tuple(i for i, (_, verts) in enumerate(inp.alpha) for _ in verts)
-        beta_of = [-1] * len(names)
-        for j, (_, verts) in enumerate(self.beta):
-            for v in verts:
-                beta_of[v] = j
-        self.beta_of = tuple(beta_of)
-
-        arcs: list[Arc] = []
-        for family, curves in ((ALPHA, self.alpha), (BETA, self.beta)):
-            for name, verts in curves:
-                n = len(verts)
-                for pos in range(n):
-                    arcs.append(Arc(len(arcs), family, name, pos,
-                                    verts[pos], verts[(pos + 1) % n]))
-        self.arcs = tuple(arcs)
-        self.dart_names = tuple(arc.name + d for arc in arcs for d in "+-")
-
+        names = [v for _, verts in inp.alpha for v in verts]
         nv = len(names)
-        a_out = [-1] * nv
-        a_in = [-1] * nv
-        b_out = [-1] * nv
-        b_in = [-1] * nv
-        for arc in arcs:
-            out, inn = (a_out, a_in) if arc.family == ALPHA else (b_out, b_in)
-            out[arc.tail] = 2 * arc.index
-            inn[arc.head] = 2 * arc.index + 1
+        self.vertex_names = tuple(names)
+        self.vertex_index = index = {n: i for i, n in enumerate(names)}
+        self.signs = signs = tuple(map(inp.signs.__getitem__, names))
+        self.alpha = tuple((name, tuple(map(index.__getitem__, verts)))
+                           for name, verts in inp.alpha)
+        self.beta = tuple((name, tuple(map(index.__getitem__, verts)))
+                          for name, verts in inp.beta)
+
+        # One walk along every curve builds the arcs, their dart names, the
+        # curve through each vertex and the darts leaving and entering it.
+        alpha_of: list[int] = []
+        beta_of = [-1] * nv
+        arcs: list[Arc] = []
+        dart_names: list[str] = []
+        a_out, a_in, b_out, b_in = [-1] * nv, [-1] * nv, [-1] * nv, [-1] * nv
+        for family, curves, out, inn in ((ALPHA, self.alpha, a_out, a_in),
+                                         (BETA, self.beta, b_out, b_in)):
+            for j, (name, verts) in enumerate(curves):
+                if family == ALPHA:
+                    alpha_of += [j] * len(verts)
+                else:
+                    for v in verts:
+                        beta_of[v] = j
+                for pos, (tail, head) in enumerate(zip(verts, verts[1:] + verts[:1])):
+                    arc = len(arcs)
+                    arcs.append(Arc(arc, family, name, pos, tail, head))
+                    arc_name = f"{name}.{pos}"
+                    dart_names += (arc_name + "+", arc_name + "-")
+                    out[tail] = 2 * arc
+                    inn[head] = 2 * arc + 1
+        self.alpha_of = tuple(alpha_of)
+        self.beta_of = tuple(beta_of)
+        self.arcs = tuple(arcs)
+        self.dart_names = tuple(dart_names)
+
+        # Faces on the left: the next dart of a face is sigma^-1 (the previous
+        # dart counterclockwise at the origin) of the reversal, so rotation
+        # (r0, r1, r2, r3) sends r1 ^ 1 to r0, r2 ^ 1 to r1, and so on.
         rotations = []
+        after = [-1] * len(dart_names)
         for v in range(nv):
-            if self.signs[v] > 0:
-                rotations.append((a_out[v], b_out[v], a_in[v], b_in[v]))
+            if signs[v] > 0:
+                rot = r0, r1, r2, r3 = a_out[v], b_out[v], a_in[v], b_in[v]
             else:
-                rotations.append((a_out[v], b_in[v], a_in[v], b_out[v]))
+                rot = r0, r1, r2, r3 = a_out[v], b_in[v], a_in[v], b_out[v]
+            rotations.append(rot)
+            after[r0 ^ 1], after[r1 ^ 1], after[r2 ^ 1], after[r3 ^ 1] = r3, r0, r1, r2
         self.rotations = tuple(rotations)
 
-        # sigma^-1 over darts: previous dart counterclockwise at the origin.
-        ndarts = 2 * len(arcs)
-        sigma_inv = [-1] * ndarts
-        for rot in rotations:
-            for i, d in enumerate(rot):
-                sigma_inv[d] = rot[(i - 1) % 4]
-        # Faces on the left: next dart of a face is sigma^-1 of the reversal.
         # Each face starts at its lexicographically smallest dart name.
-        face_of_dart = [-1] * ndarts
+        face_of_dart = [-1] * len(dart_names)
         faces: list[tuple[int, ...]] = []
-        for start in range(ndarts):
+        face_names: list[str] = []
+        for start in range(len(face_of_dart)):
             if face_of_dart[start] >= 0:
                 continue
+            f = len(faces)
             cycle = []
             d = start
             while face_of_dart[d] < 0:
-                face_of_dart[d] = len(faces)
+                face_of_dart[d] = f
                 cycle.append(d)
-                d = sigma_inv[d ^ 1]
-            k = cycle.index(min(cycle, key=self.dart_names.__getitem__))
+                d = after[d]
+            first = min(cycle, key=dart_names.__getitem__)
+            k = cycle.index(first)
             faces.append(tuple(cycle[k:] + cycle[:k]))
+            face_names.append(dart_names[first])
         self.face_of_dart = tuple(face_of_dart)
         self.faces = tuple(faces)
-        self.face_names = tuple(self.dart_names[c[0]] for c in faces)
+        self.face_names = tuple(face_names)
 
 
 def trace_faces(inp: CurveSystemInput) -> tuple[tuple[tuple[str, str], ...], ...]:
@@ -388,18 +402,24 @@ class Quadrant(NamedTuple):
 
 
 def _connected(n: int, edges) -> bool:
-    """Whether the edges, pairs of node ids in range(n), join all n nodes."""
+    """Whether the edges, pairs of node ids in range(n), join all n nodes.
+
+    A union-find that counts its merges: the nodes are joined exactly when
+    n - 1 edges merged two trees.
+    """
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    merges = 0
     for a, b in edges:
-        parent[find(a)] = find(b)
-    return len({find(x) for x in range(n)}) == 1
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return merges == n - 1
 
 
 class HeegaardDiagram(_Graph):
@@ -421,11 +441,16 @@ class HeegaardDiagram(_Graph):
 
     def __init__(self, inp: CurveSystemInput):
         super().__init__(inp)
-        # Circles may be referenced through any of their darts; the canonical
-        # id (the minimal dart) is what serialization emits.
-        face_index = dict(zip(self.dart_names, self.face_of_dart))
-        claimed: dict[int, str] = {}
+        faces, face_names = self.faces, self.face_names
+        region_of_face = [-1] * len(faces)
         regions: list[Region] = []
+        region_chi: list[int] = []
+        corner_counts: list[int] = []
+        # Circles may be referenced through any of their darts; the canonical
+        # id (the minimal dart) is what serialization emits.  Only directives
+        # that list circles read this index of every dart name.
+        face_index: dict[str, int] | None = None
+        claimed: dict[int, str] = {}
         auto_seen = False
         for d in inp.directives:
             if d.genus < 0:
@@ -437,45 +462,49 @@ class HeegaardDiagram(_Graph):
                     raise ValidationError("'circles=auto' regions must have genus 0")
                 auto_seen = True
                 continue
+            if face_index is None:
+                face_index = dict(zip(self.dart_names, self.face_of_dart))
             fids = []
             for cid in d.circles:
-                if cid not in face_index:
+                f = face_index.get(cid)
+                if f is None:
                     raise ValidationError(
                         f"region {d.label!r} references unknown circle {cid!r}; "
-                        f"known circles: {' '.join(self.face_names)}")
-                f = face_index[cid]
+                        f"known circles: {' '.join(face_names)}")
                 if f in claimed:
                     raise ValidationError(
                         f"circle {cid!r} claimed by both {claimed[f]!r} and {d.label!r}")
                 claimed[f] = d.label
                 fids.append(f)
-            regions.append(Region(len(regions), d.label, d.genus, tuple(sorted(fids))))
-
-        for f, name in sorted(enumerate(self.face_names), key=lambda p: p[1]):
+                region_of_face[f] = len(regions)
+            fids.sort()
+            regions.append(Region(len(regions), d.label, d.genus, tuple(fids)))
+            region_chi.append(regions[-1].chi)
+            corner_counts.append(sum(len(faces[f]) for f in fids))
+        for f in sorted(range(len(faces)), key=face_names.__getitem__):
             if f not in claimed:
-                regions.append(Region(len(regions), name, 0, (f,)))
-
-        region_of_face = [-1] * len(self.faces)
-        for r in regions:
-            for f in r.faces:
-                region_of_face[f] = r.index
+                region_of_face[f] = len(regions)
+                regions.append(Region(len(regions), face_names[f], 0, (f,)))
+                region_chi.append(1)  # a disk
+                corner_counts.append(len(faces[f]))
 
         nv = len(self.vertex_names)
         ne = len(self.arcs)
         assert ne == 2 * nv  # one alpha and one beta arc slot per vertex
-        chi = nv - ne + sum(r.chi for r in regions)
+        chi_regions = sum(region_chi)
+        chi = nv - ne + chi_regions
         if chi != 2 - 2 * inp.genus:
             raise ValidationError(
                 f"Euler characteristic mismatch: V - E + sum chi(region) = "
-                f"{nv} - {ne} + {sum(r.chi for r in regions)} = {chi}, "
+                f"{nv} - {ne} + {chi_regions} = {chi}, "
                 f"but genus {inp.genus} requires {2 - 2 * inp.genus}")
 
         # Every quadrant at a vertex borders the arcs there, so the graph plus
         # the regions is connected exactly when the regions are, across arcs.
         # Cutting along either family must keep them connected across the other
         # family's arcs (alpha arcs first); all arcs are tried for the message.
-        arc_sides = tuple((region_of_face[self.face_of_dart[2 * a]],
-                           region_of_face[self.face_of_dart[2 * a + 1]]) for a in range(ne))
+        region_of_dart = [region_of_face[f] for f in self.face_of_dart]
+        arc_sides = tuple(zip(region_of_dart[0::2], region_of_dart[1::2]))
         for sides, fam_name in ((arc_sides[nv:], ALPHA), (arc_sides[:nv], BETA)):
             if not _connected(len(regions), sides):
                 if not _connected(len(regions), arc_sides):
@@ -484,25 +513,31 @@ class HeegaardDiagram(_Graph):
                     f"cutting along the {fam_name} curves disconnects the surface; "
                     f"the {fam_name} family is not independent")
 
+        # The first arc leaving the basepoint vertex along the basepoint curve;
+        # the arcs of each curve are consecutive, in listing order.
         bp_curve, bp_vertex, side = inp.basepoint
         bp_arc = None
-        for arc in self.arcs:
-            if arc.curve == bp_curve and arc.tail == self.vertex_index[bp_vertex]:
-                bp_arc = arc.index
-                break
+        first = 0
+        for name, verts in self.alpha + self.beta:
+            if name == bp_curve:
+                tail = self.vertex_index[bp_vertex]
+                if tail in verts:
+                    bp_arc = first + verts.index(tail)
+                    break
+            first += len(verts)
         if bp_arc is None:
             raise ValidationError(
                 f"basepoint locator ({bp_curve}, {bp_vertex}) resolves to nothing")
-        dart = 2 * bp_arc if side == LEFT_AFTER else 2 * bp_arc + 1
 
         self.regions = tuple(regions)
         self.region_of_face = tuple(region_of_face)
-        self.basepoint_region = region_of_face[self.face_of_dart[dart]]
-        self.corner_counts = tuple(
-            sum(len(self.faces[f]) for f in r.faces) for r in regions)
-        self.region_chi = tuple(r.chi for r in regions)
-        self.quadrants = tuple(tuple(region_of_face[self.face_of_dart[d]] for d in rot)
-                               for rot in self.rotations)
+        self.basepoint_region = region_of_dart[2 * bp_arc if side == LEFT_AFTER
+                                               else 2 * bp_arc + 1]
+        self.corner_counts = tuple(corner_counts)
+        self.region_chi = tuple(region_chi)
+        self.quadrants = tuple((region_of_dart[r0], region_of_dart[r1],
+                                region_of_dart[r2], region_of_dart[r3])
+                               for r0, r1, r2, r3 in self.rotations)
         self.arc_sides = arc_sides
         self._cache: dict = {}
 

@@ -125,12 +125,18 @@ class Generator(NamedTuple):
 
     @classmethod
     def from_display(cls, diagram: HeegaardDiagram, text: str) -> "Generator":
-        names = [t.strip() for t in text.split(",") if t.strip()]
-        key = tuple(sorted(diagram.vertex_id(n) for n in names))
-        try:
-            return _generators_by_vertex_set(diagram)[key]
-        except KeyError:
-            raise _not_a_generator(repr(text)) from None
+        """The generator of comma-separated vertex names, in any order.
+
+        The names are checked directly, with nothing enumerated: one vertex
+        on each alpha curve, on pairwise distinct beta curves.
+        """
+        vertices = [diagram.vertex_id(t.strip()) for t in text.split(",") if t.strip()]
+        on_alpha = {diagram.alpha_of[v]: v for v in vertices}
+        genus = diagram.genus
+        if not (len(vertices) == len(on_alpha) == genus
+                and len({diagram.beta_of[v] for v in vertices}) == genus):
+            raise _not_a_generator(repr(text))
+        return cls(tuple(on_alpha[i] for i in range(genus)))
 
 
 @_per_diagram
@@ -164,11 +170,6 @@ def enumerate_generators(diagram: HeegaardDiagram) -> tuple[Generator, ...]:
             used_beta.add(beta_of[v])
             pending.append(iter(diagram.alpha[len(pending)][1]))
     return tuple(out)
-
-
-@_per_diagram
-def _generators_by_vertex_set(diagram: HeegaardDiagram) -> dict[tuple[int, ...], Generator]:
-    return {tuple(sorted(g.vertices)): g for g in enumerate_generators(diagram)}
 
 
 # ---------------------------------------------------------------------------
@@ -570,36 +571,40 @@ def spinc_partition(diagram: HeegaardDiagram) -> tuple[SpincClass, ...]:
     endpoint of a beta arc counts half, the push-off average of the eps
     loop, and 2 eps(x, y) = h(y) - h(x) up to whole beta curves, with h(g)
     summed over g.  So the class test is h(y) - h(x) in 2 (columns of A):
-    keys U_A h(g), entries i < rank reduced mod 2 d_i, are equal.  Classes
-    are numbered by first appearance in generator order, and members keep
-    that order.  Each class gets a deterministic anchor (lexicographically
-    minimal sorted vertex names) and its divisibility.
+    keys U_A h(g), entries i < rank reduced mod 2 d_i, are equal.  U_A h(v)
+    is kept per vertex as its (row, value) items, and the key of g is their
+    sum over the vertices of g in a dense list of length g, one entry per
+    alpha curve.  Classes are numbered by first appearance in generator
+    order, and members keep that order.  Each class gets a deterministic
+    anchor (lexicographically minimal sorted vertex names; a class of one
+    member is its own) and its divisibility.
     """
     smith, u_columns = _intersection_form(diagram)
     moduli = [2 * d for d in smith.invariants if d]
-    # U_A h(v) per vertex, sparse: c is kept as U_A c, so h is never formed.
-    uh: list[dict[int, int]] = [{} for _ in range(diagram.n_vertices)]
+    alpha_of, signs = diagram.alpha_of, diagram.signs
+    # c is kept as U_A c, so h is never formed.
+    uh: list[tuple[tuple[int, int], ...]] = [()] * diagram.n_vertices
     for _, verts in diagram.beta:
         uc: dict[int, int] = {}
         for v in verts:
-            column, sign = u_columns[diagram.alpha_of[v]].items(), diagram.signs[v]
+            column, sign = u_columns[alpha_of[v]].items(), signs[v]
             for r, a in column:
                 uc[r] = uc.get(r, 0) + sign * a
-            uh[v] = uc.copy()
+            uh[v] = tuple(uc.items())
             for r, a in column:
                 uc[r] += sign * a
     members: dict[tuple[int, ...], list[Generator]] = {}
     for g in enumerate_generators(diagram):
-        image: dict[int, int] = {}
+        image = [0] * diagram.genus
         for v in g.vertices:
-            for r, x in uh[v].items():
-                image[r] = image.get(r, 0) + x
-        key = (tuple(image.get(r, 0) % m for r, m in enumerate(moduli))
-               + tuple(image.get(r, 0) for r in range(len(moduli), diagram.genus)))
-        members.setdefault(key, []).append(g)
+            for r, x in uh[v]:
+                image[r] += x
+        for r, m in enumerate(moduli):
+            image[r] %= m
+        members.setdefault(tuple(image), []).append(g)
     classes = []
     for i, cls in enumerate(members.values()):
-        anchor = min(cls, key=lambda g: _anchor_key(diagram, g))
+        anchor = cls[0] if len(cls) == 1 else min(cls, key=lambda g: _anchor_key(diagram, g))
         classes.append(SpincClass(i, tuple(cls), anchor, divisibility(diagram, anchor)))
     return tuple(classes)
 
@@ -690,9 +695,10 @@ def grading_table(diagram: HeegaardDiagram) -> tuple[tuple[Generator, GradingLab
     0 at the anchor with no domain built; ``relative_grading`` reads the
     same potentials, so label differences within a class realize it.
     """
+    class_of = _class_of(diagram)
     rows = []
     for g in enumerate_generators(diagram):
-        cls = spinc_class_of(diagram, g)
+        cls = class_of[g]
         rows.append((g, GradingLabel(cls.index, _potential(diagram, g, cls.anchor),
                                      cls.divisibility)))
     return tuple(rows)
@@ -790,10 +796,13 @@ class Homology(NamedTuple):
 
 def _check_factorization(a_rows: Sequence[Sequence[tuple[int, int]]],
                          smith: SmithDecomposition) -> None:
-    """Certificate: U_A (A V_A) is the Smith form S_A.
+    """Certificate: U_A (A V_A) is the Smith form S_A (A is square).
 
-    A comes as rows of (column, value) terms.  A row of A V_A is read
-    back from a dense accumulator only at the columns it touched.
+    A comes as rows of (column, value) terms.  Each row of A V_A, and then
+    of U_A (A V_A) - S_A, is summed in one dense accumulator and read back
+    only at the columns it touched, so the check costs the nonzero terms,
+    not g^2.  A row of U_A (A V_A) - S_A passes when it is zero at those
+    columns, which leaves the accumulator zero for the next row.
     """
     v_rows = _transpose(smith.v_columns, len(smith.v_columns))
     acc = [0] * len(smith.v_columns)
@@ -810,13 +819,15 @@ def _check_factorization(a_rows: Sequence[Sequence[tuple[int, int]]],
                 av[-1].append((j, acc[j]))
                 acc[j] = 0
     for i, u_row in enumerate(smith.u_rows):
-        acc = [0] * len(smith.v_columns)
+        acc[i] -= smith.invariants[i]
         for k, a in u_row.items():
             for j, x in av[k]:
                 acc[j] += a * x
-        if i < len(smith.invariants):
-            acc[i] -= smith.invariants[i]
-        if any(acc):
+        zero = not acc[i]
+        for k in u_row:
+            for j, _ in av[k]:
+                zero = zero and not acc[j]
+        if not zero:
             raise ConsistencyError(f"U A V differs from the Smith form S in row {i}")
 
 

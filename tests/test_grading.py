@@ -87,6 +87,46 @@ def test_generator_display_round_trip(l31):
         assert Generator.from_display(l31, g.display(l31)) == g
 
 
+def test_from_display_agrees_with_the_enumerated_generators(atlas_suite):
+    # Every multiset of genus - 1 to genus + 1 vertices, listed in a random
+    # order, resolves exactly when its vertex set is a generator's.  Random
+    # curve systems have vertices on distinct alpha curves but one beta curve.
+    from test_diagram import random_curve_system
+
+    rng = random.Random(7)
+    diagrams = atlas_suite + [stabilize(d)[0].diagram for d in atlas_suite]
+    for _ in range(200):
+        try:
+            diagrams.append(assemble_regions(random_curve_system(rng)))
+        except ValidationError:
+            pass
+    for d in diagrams:
+        by_set = {tuple(sorted(g.vertices)): g for g in enumerate_generators(d)}
+        for size in (d.genus - 1, d.genus, d.genus + 1):
+            for vertices in itertools.combinations_with_replacement(range(d.n_vertices), size):
+                names = [d.vertex_names[v] for v in rng.sample(vertices, len(vertices))]
+                text = ",".join(names)
+                if vertices in by_set:
+                    assert Generator.from_display(d, text) == by_set[vertices]
+                else:
+                    with pytest.raises(KeyError, match="is not a generator"):
+                        Generator.from_display(d, text)
+
+
+def test_from_display_does_not_enumerate(monkeypatch):
+    import hfcalc.grading as grading
+
+    calls = []
+    enumerate_all = grading.enumerate_generators
+    monkeypatch.setattr(grading, "enumerate_generators",
+                        lambda d: calls.append(d) or enumerate_all(d))
+    d = load_diagram(s1s2_sum_text(20))  # 2^20 generators
+    names = [f"{'y' if i % 3 else 'x'}{i}" for i in range(20)]
+    g = Generator.from_display(d, ",".join(reversed(names)))
+    assert g.vertices == tuple(map(d.vertex_id, names))
+    assert calls == []
+
+
 def enumerate_recursive(diagram):
     """Reference: generator enumeration by recursive backtracking."""
     beta_of = [-1] * diagram.n_vertices
