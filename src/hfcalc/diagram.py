@@ -296,24 +296,19 @@ class _Graph:
 
         # One walk along every curve builds the arcs, their dart names, the
         # curve through each vertex and the darts leaving and entering it.
-        alpha_of: list[int] = []
-        beta_of = [-1] * nv
+        alpha_of, beta_of = [-1] * nv, [-1] * nv
         arcs: list[Arc] = []
         dart_names: list[str] = []
         a_out, a_in, b_out, b_in = [-1] * nv, [-1] * nv, [-1] * nv, [-1] * nv
-        for family, curves, out, inn in ((ALPHA, self.alpha, a_out, a_in),
-                                         (BETA, self.beta, b_out, b_in)):
+        for family, curves, curve_of, out, inn in ((ALPHA, self.alpha, alpha_of, a_out, a_in),
+                                                   (BETA, self.beta, beta_of, b_out, b_in)):
             for j, (name, verts) in enumerate(curves):
-                if family == ALPHA:
-                    alpha_of += [j] * len(verts)
-                else:
-                    for v in verts:
-                        beta_of[v] = j
                 for pos, (tail, head) in enumerate(zip(verts, verts[1:] + verts[:1])):
                     arc = len(arcs)
                     arcs.append(Arc(arc, family, name, pos, tail, head))
                     arc_name = f"{name}.{pos}"
                     dart_names += (arc_name + "+", arc_name + "-")
+                    curve_of[tail] = j
                     out[tail] = 2 * arc
                     inn[head] = 2 * arc + 1
         self.alpha_of = tuple(alpha_of)
