@@ -3,8 +3,8 @@
 A nonnegative domain is sliced into nested level surfaces; corners of
 each level are classified, and the audit checks exactly that the layer
 sum of e + n_x + n_y reproduces the Maslov index, that single clean
-layers satisfy chi(F) + concave = mu, and that the signed corner balance
-holds.
+layers satisfy chi(F) + concave = mu, and that n_x - n_y equals the
+intersection number of the domain's alpha and beta boundaries.
 """
 
 from hfcalc import (audit_index, build_s1s2, decompose_layers, enumerate_generators,
@@ -32,8 +32,8 @@ for layer in layers:
 report = audit_index(d, x, y, coeffs)
 print()
 print("layer sum", report.layer_sum, "= mu", report.maslov)
-print("balance: x-interior", report.x_interior, "+ positive", report.positive_vertices,
-      "= y-interior", report.y_interior, "+ negative", report.negative_vertices)
+print("n_x - n_y", report.n_x_minus_n_y,
+      "= d_alpha D . d_beta D", report.boundary_intersection)
 
 # The zero domain has no layers at all; the full surface alone is a
 # closed torus with a single interior degenerate corner.

@@ -217,10 +217,8 @@ def _audit_payload(report: AuditReport) -> dict:
         "maslov": report.maslov,
         "layer_sum": str(report.layer_sum),
         "basepoint_multiplicity": report.basepoint,
-        "x_interior": report.x_interior,
-        "y_interior": report.y_interior,
-        "positive_vertices": report.positive_vertices,
-        "negative_vertices": report.negative_vertices,
+        "n_x_minus_n_y": str(report.n_x_minus_n_y),
+        "boundary_intersection": str(report.boundary_intersection),
         "single_layer_identity": report.single_layer_identity,
         "layers": [{
             "level": l.level,
@@ -232,7 +230,8 @@ def _audit_payload(report: AuditReport) -> dict:
             "auxiliary_signed": l.auxiliary_signed,
             "index": str(l.index),
         } for l in report.layers],
-        "identities": {"layer_sum_equals_maslov": True, "corner_balance": True},
+        "identities": {"layer_sum_equals_maslov": True,
+                       "n_x_minus_n_y_equals_boundary_intersection": True},
     }
 
 
@@ -251,8 +250,8 @@ def _cmd_audit(diagram, args):
         lines.append(f"layer {l.level}: chi={l.chi} convex={l.convex} concave={l.concave} "
                      f"bdeg={l.boundary_degenerate} ideg={l.interior_degenerate} "
                      f"aux={l.auxiliary_signed:+d} index={l.index}")
-    lines.append(f"balance: x-interior {report.x_interior} + positive {report.positive_vertices} "
-                 f"= y-interior {report.y_interior} + negative {report.negative_vertices}")
+    lines.append(f"boundary: n_x - n_y = {report.n_x_minus_n_y} "
+                 f"= d_alpha D . d_beta D = {report.boundary_intersection}")
     return payload, lines
 
 

@@ -266,16 +266,13 @@ class Arc(NamedTuple):
     tail: int  # vertex id
     head: int  # vertex id
 
-    @property
-    def name(self) -> str:
-        return f"{self.curve}.{self.pos}"
-
 
 class _Graph:
     """Vertices, arcs, rotations, and traced faces of a curve system.
 
-    ``dart_names[d]`` is the circle id of dart ``d``: the arc's name
-    followed by ``+`` for the forward dart and ``-`` for the backward one.
+    ``dart_names[d]`` is the circle id of dart ``d``: the arc's curve and
+    position as ``curve.pos``, followed by ``+`` for the forward dart and
+    ``-`` for the backward one.
     ``alpha_of[v]`` and ``beta_of[v]`` are the indices of the alpha and
     the beta curve through vertex ``v``.
     """

@@ -31,32 +31,38 @@ Three exact identities are audited for every decomposition:
   region-linearly on the whole domain (hence equals the Maslov index);
 * for a single layer without degenerate or auxiliary corners,
   chi(F) + (number of concave corners) equals the index;
-* a signed corner balance, as follows.
+* n_x(D) - n_y(D) = d_alpha D . d_beta D (Lipshitz, *A cylindrical
+  reformulation of Heegaard Floer homology*; Sarkar, *Maslov index
+  formulas for Whitney n-gons*).
 
-At a vertex lying in neither generator (auxiliary) or in both
-(degenerate), the domain's boundary jumps a = m1 - m0 and b = m3 - m0
-(rotation indexing) force the corner clusters into min(|a|, |b|)
-convex/concave pairs.  A pair is of positive type when a*b > 0 (its
-convex member looks like a convex x-corner and its concave member like a
-concave y-corner) and of negative type otherwise.  Consecutive pairs at
-one vertex cancel, so a vertex contributes to the balance only when its
-pair count is odd, and only when the pair type agrees with the vertex's
-crossing sign; such vertices at positive crossings count as positive,
-at negative crossings as negative.  The balance then reads: interior
-occurrences of x-only vertices plus positive vertices equal interior
-occurrences of y-only vertices plus negative vertices.  (The type label
-alone, without the parity and crossing-sign filter, does not balance.)
+In the third, d_alpha D is the part of the boundary of D on the alpha
+curves: the 1-chain with coefficient J(a) = D(left) - D(right) on each
+alpha arc a (``arc_sides``), and d_beta D likewise on the beta arcs.  The
+two chains meet only at vertices, so their intersection number is taken
+with the averaged convention: each vertex v adds sign(v) times the mean
+of J over the two alpha arcs at v times the mean over the two beta arcs.
+Derivation: since D goes from x to y, d(d_alpha D) = y - x, so the
+jumps on the two alpha arcs at a vertex differ only at vertices of x
+and y, and likewise on the beta arcs.  Push a = d_alpha D off the alpha
+curves, to one side of them, and slide each end of the push-off a' to
+one side of the beta curve through it.  a' misses the alpha curves, so
+a'.b = a'.dD for b = d_beta D; and a'.dD = D(y') - D(x'), the change of
+D's multiplicity between the ends x' and y' of a'.  The four push-offs
+put each end in each quadrant of its vertex once, and cross b once on
+each side of each vertex, so their average reads D at the ends as the
+point measures n_x and n_y and the crossings as the mean jumps; with
+the orientations used here the sign comes out as stated.
 
-The balance is not invariant under reversing a curve, and fails on some
-correct domains of curve-reversed open books.  A reversal flips the
-crossing sign of every vertex on the curve but leaves a*b unchanged:
-reversing a beta curve keeps the rotation, and reversing an alpha curve
-shifts it by two slots, which negates both jumps.  So a vertex that
-counted stops counting.  Example: the annulus open book with n = 1 and
-b0 reversed, pair x2 -> x1, domain (2, 1, 0).  Vertex x0 has quadrant
-multiplicities (2, 1, 0, 1) before and after the reversal; at crossing
-sign +1 it counts as positive and the balance reads 0 + 1 = 1 + 0, at
--1 it does not count and 0 + 0 != 1 + 0 raises ``AuditError``.
+Both sides are counted in quarter units from the quadrant multiplicities
+m0..m3 of each vertex, in the vertex loop that feeds the layer runs.
+4 n_x is the sum of m0 + m1 + m2 + m3 over the vertices of x.  With the
+rotation conventions of ``diagram``, sign(v) times the sums of the jumps
+on the two alpha and on the two beta arcs at v is
+
+    (m0 + m1 - m2 - m3) (m1 + m2 - m0 - m3)
+
+at either crossing sign.  Reversing a curve negates its jumps and the
+sign of each vertex on it, so the identity is invariant under reversal.
 """
 
 from __future__ import annotations
@@ -125,10 +131,6 @@ def _clusters(included: Sequence[bool]) -> list[tuple[int, ...]]:
     return runs
 
 
-def _jumps(mults: Sequence[int]) -> tuple[int, int]:
-    return mults[1] - mults[0], mults[3] - mults[0]
-
-
 def _pair_sign(mults: Sequence[int]) -> int:
     """Type of the corner pairs at a vertex in neither or both generators.
 
@@ -137,28 +139,12 @@ def _pair_sign(mults: Sequence[int]) -> int:
     are nonzero, and the pairs behave like (convex x, concave y) exactly
     when the jumps have equal signs.
     """
-    a, b = _jumps(mults)
+    a, b = mults[1] - mults[0], mults[3] - mults[0]
     if a * b > 0:
         return 1
     if a * b < 0:
         return -1
     return 1  # unreachable for domains satisfying a corner system
-
-
-def _balance_weight(crossing_sign: int, mults: Sequence[int]) -> int:
-    """Net balance contribution of one auxiliary/degenerate vertex.
-
-    Pairs at one vertex cancel in consecutive pairs, so only the parity
-    of the pair count survives, and it registers only when the pair type
-    matches the crossing sign.
-    """
-    a, b = _jumps(mults)
-    if a == 0 or b == 0:
-        return 0
-    pairs = min(abs(a), abs(b))
-    if _pair_sign(mults) != crossing_sign:
-        return 0
-    return crossing_sign * (pairs % 2)
 
 
 # Shape of a cluster by its number of quadrants (four is an interior point).
@@ -321,20 +307,16 @@ class LayerReport(NamedTuple):
 class AuditReport(NamedTuple):
     """Per-layer corner statistics plus the audited identities.
 
-    ``positive_vertices`` and ``negative_vertices`` are the balance
-    counts described in the module docstring (auxiliary or degenerate
-    vertices with an odd number of corner pairs whose type matches the
-    crossing sign).
+    ``n_x_minus_n_y`` and ``boundary_intersection`` are the two sides of
+    n_x(D) - n_y(D) = d_alpha D . d_beta D (see the module docstring).
     """
 
     layers: tuple[LayerReport, ...]
     layer_sum: Fraction
     maslov: int
     basepoint: int
-    x_interior: int
-    y_interior: int
-    positive_vertices: int
-    negative_vertices: int
+    n_x_minus_n_y: Fraction
+    boundary_intersection: Fraction
     single_layer_identity: bool | None  # None when hypotheses do not apply
 
 
@@ -347,8 +329,6 @@ class _CornerCounts(NamedTuple):
     boundary_degenerate: int
     interior_degenerate: int
     auxiliary: int
-    x_interior: int
-    y_interior: int
     included: int  # included quadrants, once for each of x and y holding the vertex
 
 
@@ -371,12 +351,10 @@ def _corner_table() -> tuple[_CornerCounts, ...]:
         clusters = classify_corner(mults, 1, in_x, in_y)
         kinds = [c.kind for c in clusters]
         shapes = [c.shape for c in clusters]
-        roles = [c.role for c in clusters if c.kind == INTERIOR]
         rows.append(_CornerCounts(
             len(clusters), shapes.count(CONVEX), shapes.count(CONCAVE),
             kinds.count(BOUNDARY_DEGENERATE), kinds.count(INTERIOR_DEGENERATE),
-            kinds.count(AUXILIARY), roles.count("x"), roles.count("y"),
-            sum(mults) * (in_x + in_y)))
+            kinds.count(AUXILIARY), sum(mults) * (in_x + in_y)))
     return tuple(rows)
 
 
@@ -397,27 +375,26 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
 
     # Each vertex read once, as (max, mults, key): key is its membership,
     # plus 64 when its pair sign is negative.  Only a vertex in neither or
-    # both generators has auxiliary corners or a balance weight, and its
-    # pair sign and weight are 1 and 0 unless both of its jumps are nonzero.
+    # both generators has auxiliary corners, and its pair sign is 1 unless
+    # both of its jumps are nonzero.  The same read counts both sides of
+    # n_x - n_y = d_alpha D . d_beta D in quarter units (module docstring).
     xset, yset = set(x.vertices), set(y.vertices)
-    signs = diagram.signs
     vertices = []
-    pos_vertices = neg_vertices = 0
+    n_xy = boundary = 0
     for v, (q0, q1, q2, q3) in enumerate(diagram.quadrants):
         m0, m1, m2, m3 = mults = coeffs[q0], coeffs[q1], coeffs[q2], coeffs[q3]
         in_x, in_y = v in xset, v in yset
         key = 16 * (2 * in_x + in_y)
-        if in_x == in_y and m1 != m0 and m3 != m0:
+        if in_x != in_y:
+            n_xy += (in_x - in_y) * (m0 + m1 + m2 + m3)
+        elif m1 != m0 and m3 != m0:
             key |= 64 * (_pair_sign(mults) < 0)
-            w = _balance_weight(signs[v], mults)
-            pos_vertices += w > 0
-            neg_vertices += w < 0
+        boundary += (m0 + m1 - m2 - m3) * (m1 + m2 - m0 - m3)
         vertices.append((max(mults), mults, key))
 
     region_chi = diagram.region_chi
     reports = []
     quarters = 0
-    x_interior = y_interior = 0
     degenerate_present = False
     auxiliary_present = False
     for first, last, regions, arcs, present in _layer_runs(diagram, coeffs, vertices):
@@ -436,8 +413,6 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
             ideg += n * row.interior_degenerate
             auxiliary += n * row.auxiliary
             aux_signed += n * row.auxiliary * pair_sign
-            x_interior += n * row.x_interior * length
-            y_interior += n * row.y_interior * length
             included += n * row.included
         degenerate_present = degenerate_present or bool(bdeg or ideg)
         auxiliary_present = auxiliary_present or bool(auxiliary)
@@ -459,10 +434,10 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
         if not single:
             raise AuditError(f"single-layer identity failed: chi {chi} + q {q} != mu {mu}")
 
-    if x_interior + pos_vertices != y_interior + neg_vertices:
-        raise AuditError(
-            f"corner balance failed: x-interior {x_interior} + positive {pos_vertices} "
-            f"!= y-interior {y_interior} + negative {neg_vertices}")
+    if n_xy != boundary:
+        raise AuditError(f"n_x - n_y = {Fraction(n_xy, 4)} differs from "
+                         f"d_alpha D . d_beta D = {Fraction(boundary, 4)}")
 
+    side = Fraction(n_xy, 4)  # both sides, equal
     return AuditReport(tuple(reports), total, mu, basepoint_multiplicity(diagram, coeffs),
-                       x_interior, y_interior, pos_vertices, neg_vertices, single)
+                       side, side, single)

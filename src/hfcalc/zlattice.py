@@ -1,19 +1,19 @@
 """Exact integer linear algebra: a Smith normal form with sparse transforms.
 
-Everything here runs over arbitrary-precision Python ints.  The matrices
-that occur in practice are sparse: the g x g intersection matrix A of a
-diagram has no more nonzero entries than the diagram has vertices, and a
-corner system is (2 * vertices) x (regions) with at most four nonzero
-entries per row.
-So the one classical Smith normal form, ``smith_normal_form``, keeps U
-by rows and V by columns as ``{index: value}`` dicts, following Dumas,
-Saunders and Villard, *On efficient sparse integer matrix Smith normal
-form computations*; its answer writes U, S and V out as dense matrices
-only when asked to.  Solving M x = b is built on it once: ``_particular``
-divides U b by the invariant factors and forms V q, and ``_kernel`` reads
-the kernel basis off V.  ``solve_integer_system`` uses both on its own
-matrix; ``grading`` uses both on A, factored once per diagram with U kept
-by columns, and factors no corner matrix.
+Everything here runs over arbitrary-precision Python ints.  The one
+matrix that ``grading`` factors is the g x g intersection matrix A of a
+diagram, once per diagram; A has no more nonzero entries than the
+diagram has vertices.  So the one classical Smith normal form,
+``smith_normal_form``, keeps U by rows and V by columns as
+``{index: value}`` dicts, following Dumas, Saunders and Villard, *On
+efficient sparse integer matrix Smith normal form computations*; its
+answer writes U, S and V out as dense matrices only when asked to.
+Solving M x = b is built on it once: ``_particular`` divides U b by the
+invariant factors and forms V q, and ``_kernel`` reads the kernel basis
+off V.  ``grading`` uses both on A, with U kept by columns.
+``solve_integer_system`` uses both on a matrix of the caller's, such as
+the corner system of ``grading.build_corner_system``, and stays public
+API.
 
 The public operations are:
 

@@ -102,7 +102,9 @@ def test_criterion_4_layer_identity_suite():
             layers = decompose_layers(d, x, y, dom)
             layered = sum((layer_index(d, x, y, l) for l in layers), Fraction(0))
             assert layered == direct
-            report = audit_index(d, x, y, dom)  # also asserts both identities
+            report = audit_index(d, x, y, dom)  # raises AuditError if an identity fails
+            assert report.n_x_minus_n_y == (generator_measure(d, dom, x)
+                                            - generator_measure(d, dom, y))
             if report.single_layer_identity is not None:
                 assert report.single_layer_identity is True
                 chi = layer_euler(d, layers[0])

@@ -130,7 +130,9 @@ def test_audit_command(capsys, s1s2_file):
     p = rep["payload"]
     assert p["maslov"] == 1
     assert p["layer_sum"] == "1"
-    assert p["identities"] == {"layer_sum_equals_maslov": True, "corner_balance": True}
+    assert p["n_x_minus_n_y"] == p["boundary_intersection"]
+    assert p["identities"] == {"layer_sum_equals_maslov": True,
+                               "n_x_minus_n_y_equals_boundary_intersection": True}
 
 
 def test_atlas_and_stabilize_round_trip(capsys, tmp_path):
@@ -388,7 +390,7 @@ def test_readme_commands_succeed(capsys, monkeypatch, tmp_path):
 
 # sha256 of the --json stdout and exit code of every case of
 # ``golden_cases``; any byte of output that changes changes it.
-GOLDEN_JSON_DIGEST = "c7358343df64a5f54132e58ce8c27c3c04c137a0f29b26832e97c1986f665a6b"
+GOLDEN_JSON_DIGEST = "9620e551eaa8e3baaba50bf874845b2e01bcbf05e1c8169f8f0e475bf32406fd"
 
 
 def golden_cases(capsys):
@@ -444,7 +446,7 @@ def test_golden_json_digest(capsys, monkeypatch, tmp_path):
 # ``text_and_error_cases``, then of every diagram file the cases write;
 # argparse's own rejections contribute only their exit code, since its
 # wording changes between Python versions.
-TEXT_AND_ERROR_DIGEST = "e66c994e45b7d6575f140bbcfa06a31811635644dd3f1b50c55ba5c792dd3a2c"
+TEXT_AND_ERROR_DIGEST = "b7fad86e0dfca59483759233928dfc0f292c16a76204d6de3c7869519cf781b0"
 
 VALIDATION_ERROR_TEXT = S3_TEXT + "region r0: genus=1 circles=a0.0+\n"
 
@@ -573,8 +575,8 @@ def test_audit_in_a_child_process(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["status"] == "ok"
-    assert rep["payload"]["identities"] == {"layer_sum_equals_maslov": True,
-                                            "corner_balance": True}
+    assert rep["payload"]["identities"] == {
+        "layer_sum_equals_maslov": True, "n_x_minus_n_y_equals_boundary_intersection": True}
     assert rep["payload"]["layer_sum"] == str(rep["payload"]["maslov"])
 
 

@@ -18,6 +18,7 @@ from hfcalc.grading import spinc_partition
 
 from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
                       s1s2_sum_text)
+from strategies import random_curve_system
 
 
 def test_parse_s3_counts():
@@ -296,46 +297,6 @@ def assembly_verdict_by_vertices(inp):
             return (f"cutting along the {fam_name} curves disconnects the surface; "
                     f"the {fam_name} family is not independent")
     return None
-
-
-def random_curve_system(rng):
-    """A random genus 1-3 curve system plus random region directives.
-
-    Half of the time the directives merge circles so that the Euler count
-    can hold, so many inputs get as far as the connectivity checks.
-    """
-    g = rng.randint(1, 3)
-    names = [f"v{i}" for i in range(rng.randint(g, g + 5))]
-
-    def curves():
-        order = rng.sample(names, len(names))
-        cuts = [0] + sorted(rng.sample(range(1, len(names)), g - 1)) + [len(names)]
-        return [order[a:b] for a, b in zip(cuts, cuts[1:])]
-
-    alpha, beta = curves(), curves()
-    lines = ["heegaard v1", f"genus: {g}"]
-    lines += [f"alpha a{i}: " + " ".join(v + rng.choice("+-") for v in vs)
-              for i, vs in enumerate(alpha)]
-    lines += [f"beta b{i}: " + " ".join(vs) for i, vs in enumerate(beta)]
-    c = rng.randrange(g)
-    lines.append(f"basepoint: a{c} {rng.choice(alpha[c])} "
-                 f"{rng.choice(['left-after', 'right-after'])}")
-    circles = [[a + d for a, d in circle] for circle in trace_faces(parse_diagram(
-        "\n".join(lines) + "\n"))]
-    rng.shuffle(circles)
-    excess = len(circles) - len(names) - (2 - 2 * g)  # Euler excess with disks only
-    k = 0
-    while circles and rng.random() < 0.8:
-        take = rng.randint(1, min(4, len(circles)))
-        if rng.random() < 0.5 and excess > 0:
-            take = min(len(circles), excess // 2 + 1)
-        genus = rng.choice((0, 0, 0, 1))
-        excess -= 2 * (take - 1) + 2 * genus
-        group, circles = circles[:take], circles[take:]
-        lines.append(f"region r{k}: genus={genus} circles="
-                     + " ".join(rng.choice(circle) for circle in group))
-        k += 1
-    return parse_diagram("\n".join(lines) + "\n")
 
 
 def test_assembly_checks_match_the_vertex_union_find():

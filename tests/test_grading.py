@@ -34,7 +34,7 @@ from hfcalc.zlattice import (DimensionMismatch, IntMatrix, gcd_over_lattice, smi
 from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
                       s1s2_sum_text)
 from smith_oracle import column, full_scan_smith, mul_vec
-from strategies import transformed_diagrams
+from strategies import random_curve_system, transformed_diagrams
 
 
 def boundary_trace(diagram, coeffs):
@@ -91,8 +91,6 @@ def test_from_display_agrees_with_the_enumerated_generators(atlas_suite):
     # Every multiset of genus - 1 to genus + 1 vertices, listed in a random
     # order, resolves exactly when its vertex set is a generator's.  Random
     # curve systems have vertices on distinct alpha curves but one beta curve.
-    from test_diagram import random_curve_system
-
     rng = random.Random(7)
     diagrams = atlas_suite + [stabilize(d)[0].diagram for d in atlas_suite]
     for _ in range(200):
@@ -1181,8 +1179,6 @@ def test_domain_avoiding_z_is_the_corner_solve_transformed(d):
 
 def test_domain_avoiding_z_on_random_curve_systems():
     """Random curve systems cross alpha_i with any beta_j; atlas ones only with beta_i."""
-    from test_diagram import random_curve_system
-
     rng = random.Random(2024)
     rational = off_diagonal = irrational = 0
     for _ in range(3000):

@@ -53,11 +53,11 @@ RECORDS = [
      "shape='convex', quadrants=(2,), role='x', sign=None, vertex=None, level=None),))"),
     (LAYER, "LayerReport(level=1, chi=1, convex=1, concave=0, boundary_degenerate=0, "
             "interior_degenerate=0, auxiliary_signed=0, index=Fraction(3, 4))"),
-    (AuditReport((LAYER,), Fraction(3, 4), 1, 0, 0, 0, 0, 0, None),
+    (AuditReport((LAYER,), Fraction(3, 4), 1, 0, Fraction(1, 4), Fraction(1, 4), None),
      "AuditReport(layers=(LayerReport(level=1, chi=1, convex=1, concave=0, "
      "boundary_degenerate=0, interior_degenerate=0, auxiliary_signed=0, "
      "index=Fraction(3, 4)),), layer_sum=Fraction(3, 4), maslov=1, basepoint=0, "
-     "x_interior=0, y_interior=0, positive_vertices=0, negative_vertices=0, "
+     "n_x_minus_n_y=Fraction(1, 4), boundary_intersection=Fraction(1, 4), "
      "single_layer_identity=None)"),
 ]
 IDS = [type(r).__name__ for r, _ in RECORDS]
