@@ -1,13 +1,15 @@
 """Walkthrough: generators, connecting domains, and Spin^c classes.
 
 Generators pick one intersection point per curve pair; two generators
-lie in the same Spin^c class exactly when the integer corner system has
-a solution connecting them.
+x and y lie in the same Spin^c class exactly when eps(x, y), the loop
+along the alpha curves from x to y and back along the beta curves,
+vanishes in H1(Y).  Then a domain connects them: a 2-chain of regions
+that solves the corner system.
 """
 
-from hfcalc import (build_corner_system, build_s1s2, build_torus_diagram,
-                    enumerate_generators, homogeneous_lattice, homology_of_Y,
-                    positive_representative, solve_domain, spinc_partition)
+from hfcalc import (build_s1s2, build_torus_diagram, enumerate_generators,
+                    homogeneous_lattice, homology_of_Y, positive_representative,
+                    solve_domain, spinc_partition)
 
 # Lens spaces: every generator sits alone in its class.
 for p in (2, 3, 5):
@@ -20,9 +22,9 @@ for p in (2, 3, 5):
 # S1 x S2: one class of two generators joined by a bigon.
 d = build_s1s2().diagram
 x, y = enumerate_generators(d)
-m, rhs = build_corner_system(d, x, y)
 print()
-print("corner system for (x, y):", m.rows, "equations,", m.cols, "region unknowns")
+print("corner system for (x, y):", 2 * d.n_vertices, "equations,", d.n_regions,
+      "region unknowns")
 
 dom = solve_domain(d, x, y)
 print("particular solution:", dict(zip(map(d.canonical_region_name, range(d.n_regions)),

@@ -3,8 +3,9 @@
 The package works with combinatorial Heegaard diagrams given as oriented
 curve listings with crossing signs (a rotation system plus region
 directives for non-disk complement regions).  On top of that encoding it
-enumerates generators, solves the integer corner system for connecting
-domains, partitions generators into Spin^c classes, computes Euler and
+enumerates generators, partitions them into Spin^c classes, builds
+connecting domains on the factorization of the intersection matrix A and
+certifies every domain against the corner system, computes Euler and
 point measures, Maslov indices, relative gradings with their modulus,
 layer decompositions with corner audits, and the quarter-integer shift
 arithmetic of the absolute grading.  All arithmetic is exact: integers
@@ -37,13 +38,12 @@ from .zlattice import (AffineSolutionSet, IntMatrix, gcd_over_lattice,
                        smith_invariants, smith_normal_form, solve_integer_system)
 from .grading import (ConsistencyError, Domain, Generator, GradingLabel, Homology,
                       MixedLabelError, NoConnectingClassError, NoPositiveRepresentative,
-                      SpincClass, TwistedElement, basepoint_multiplicity,
-                      build_corner_system, divisibility, enumerate_generators,
-                      euler_measure, generator_measure, gr0_of_theta, grading_table,
-                      homogeneous_lattice, homology_of_Y, label_of, maslov_index,
-                      point_measure, positive_representative, relative_grading,
-                      shift_label, solve_domain, spinc_class_of, spinc_partition,
-                      theta_and_shift, twisted_label)
+                      SpincClass, TwistedElement, basepoint_multiplicity, divisibility,
+                      enumerate_generators, euler_measure, generator_measure,
+                      gr0_of_theta, grading_table, homogeneous_lattice, homology_of_Y,
+                      label_of, maslov_index, point_measure, positive_representative,
+                      relative_grading, shift_label, solve_domain, spinc_class_of,
+                      spinc_partition, theta_and_shift, twisted_label)
 from .layers import (AuditError, AuditReport, CornerClass, LayerSurface, audit_index,
                      classify_corner, decompose_layers, layer_euler, layer_index)
 from .atlas import (MarkedDiagram, build_annulus_open_book, build_s1s2,

@@ -553,10 +553,6 @@ class HeegaardDiagram(_Graph):
         except KeyError:
             raise KeyError(f"unknown vertex {name!r}") from None
 
-    def quadrant_region(self, vertex: int, position: int) -> int:
-        """Region owning the sector between rotation slots position, position+1."""
-        return self.quadrants[vertex][position]
-
     def canonical_region_name(self, index: int) -> str:
         """Lexicographically minimal circle id among the region's circles."""
         return min(self.face_names[f] for f in self.regions[index].faces)
@@ -569,7 +565,7 @@ def quadrants_at(diagram: HeegaardDiagram, vertex: str) -> tuple[Quadrant, ...]:
     unknown vertex name.
     """
     v = diagram.vertex_id(vertex)
-    return tuple(Quadrant(vertex, i, diagram.quadrant_region(v, i)) for i in range(4))
+    return tuple(Quadrant(vertex, i, r) for i, r in enumerate(diagram.quadrants[v]))
 
 
 def assemble_regions(inp: CurveSystemInput) -> HeegaardDiagram:

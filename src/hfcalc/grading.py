@@ -1,16 +1,13 @@
 """Generators, connecting domains, Spin^c classes, and gradings.
 
 A generator picks one intersection point on each alpha and each beta
-curve.  Two generators are connected exactly when the corner system --
-the integer linear system asking for a 2-chain of regions whose boundary
-runs along the alpha curves from the first generator to the second and
-back along the beta curves -- has an integer solution; solvability
-partitions the generators into Spin^c classes.
-
-By Ozsvath--Szabo, x and y are connected exactly when eps(x, y), the
-loop along the alpha curves from x to y and back along the beta curves,
-vanishes in H1(Y) = Z^g / (columns of A), A_ij = alpha_i . beta_j, in
-coordinates indexed by alpha (``homology_of_Y`` says why).  Pushed off
+curve.  By Ozsvath--Szabo, two generators x and y lie in one Spin^c
+class exactly when eps(x, y), the loop along the alpha curves from x to
+y and back along the beta curves, vanishes in H1(Y) = Z^g / (columns of
+A), A_ij = alpha_i . beta_j, in coordinates indexed by alpha
+(``homology_of_Y`` says why); then, and only then, a 2-chain of regions
+connects them, whose boundary runs along the alpha curves from x to y
+and back along the beta curves (the corner system).  Pushed off
 their curves, the alpha pieces cross no alpha curve, and averaging the
 push-offs to either side weighs each endpoint of a beta piece by one
 half (``spinc_partition``).  So the classes and H1 share one
@@ -178,11 +175,13 @@ def enumerate_generators(diagram: HeegaardDiagram) -> tuple[Generator, ...]:
 
 @_per_diagram
 def _corner_terms(diagram: HeegaardDiagram) -> tuple[tuple[int, int, int], ...]:
-    """The corner matrix, sparsely: (row, plus, minus) per arc endpoint.
+    """The corner matrix M, sparsely: (row, plus, minus) per arc endpoint.
 
-    Each term adds +1 in column ``plus`` and -1 in column ``minus`` of
-    the row; the boundary of an arc is head - tail applied to
-    (left-region multiplicity) - (right-region multiplicity).
+    M has an alpha row and a beta row per vertex and a column per region;
+    a domain from x to y solves M D = r(y) - r(x) (``_corner_rhs``).  Each
+    term adds +1 in column ``plus`` and -1 in column ``minus`` of the row;
+    the boundary of an arc is head - tail applied to (left-region
+    multiplicity) - (right-region multiplicity).
     """
     nv = diagram.n_vertices
     terms = []
@@ -191,15 +190,6 @@ def _corner_terms(diagram: HeegaardDiagram) -> tuple[tuple[int, int, int], ...]:
         terms.append((base + arc.head, left, right))
         terms.append((base + arc.tail, right, left))
     return tuple(terms)
-
-
-def _corner_matrix(diagram: HeegaardDiagram) -> IntMatrix:
-    rows = [[0] * diagram.n_regions for _ in range(2 * diagram.n_vertices)]
-    for row, plus, minus in _corner_terms(diagram):
-        rows[row][plus] += 1
-        rows[row][minus] -= 1
-    # Built from ints, so it skips from_rows's checks.
-    return IntMatrix(tuple(map(tuple, rows)), diagram.n_regions)
 
 
 def _corner_image(diagram: HeegaardDiagram, coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -222,20 +212,6 @@ def _corner_rhs(diagram: HeegaardDiagram, x: Generator, y: Generator) -> tuple[i
         rhs[v] += 1
         rhs[nv + v] -= 1
     return tuple(rhs)
-
-
-def build_corner_system(diagram: HeegaardDiagram, x: Generator, y: Generator
-                        ) -> tuple[IntMatrix, tuple[int, ...]]:
-    """Linear system for region multiplicities of a class connecting x to y.
-
-    Unknowns are the region coefficients.  For each vertex there is one
-    alpha row and one beta row: the boundary of (boundary of D restricted
-    to the alpha curves) must be y - x as a 0-chain, and x - y on the
-    beta side.  The coefficient of the boundary on an oriented arc is
-    (left-region multiplicity) - (right-region multiplicity).  The matrix
-    depends only on the diagram; x and y enter the right-hand side only.
-    """
-    return _corner_matrix(diagram), _corner_rhs(diagram, x, y)
 
 
 @_per_diagram

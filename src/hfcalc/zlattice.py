@@ -6,14 +6,12 @@ diagram, once per diagram; A has no more nonzero entries than the
 diagram has vertices.  So the one classical Smith normal form,
 ``smith_normal_form``, keeps U by rows and V by columns as
 ``{index: value}`` dicts, following Dumas, Saunders and Villard, *On
-efficient sparse integer matrix Smith normal form computations*; its
-answer writes U, S and V out as dense matrices only when asked to.
+efficient sparse integer matrix Smith normal form computations*.
 Solving M x = b is built on it once: ``_particular`` divides U b by the
 invariant factors and forms V q, and ``_kernel`` reads the kernel basis
 off V.  ``grading`` uses both on A, with U kept by columns.
-``solve_integer_system`` uses both on a matrix of the caller's, such as
-the corner system of ``grading.build_corner_system``, and stays public
-API.
+``solve_integer_system`` uses both on a matrix of the caller's; no
+command calls it, and it stays public API.
 
 The public operations are:
 
@@ -39,8 +37,8 @@ class DimensionMismatch(ValueError):
 class IntMatrix(NamedTuple):
     """Immutable dense integer matrix.
 
-    Entries are stored as a tuple of row tuples.  Zero-row or zero-column
-    matrices are allowed (they show up as degenerate corner systems).
+    Entries are stored as a tuple of row tuples, read as
+    ``m.entries[i][j]``.  Zero-row or zero-column matrices are allowed.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -64,10 +62,6 @@ class IntMatrix(NamedTuple):
     def rows(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        return self.entries[i][j]
-
 
 def _dense(vec: dict[int, int], n: int) -> tuple[int, ...]:
     return tuple(vec.get(k, 0) for k in range(n))
@@ -90,31 +84,11 @@ class SmithDecomposition(NamedTuple):
     ``invariants`` the diagonal of S, of length min(rows, cols); S has no
     other nonzero entry.  The diagonal is nonnegative, satisfies the
     divisibility chain d1 | d2 | ..., and has its zero entries last.
-    ``u``, ``s`` and ``v`` write the three matrices out densely.
     """
 
     u_rows: tuple[dict[int, int], ...]
     invariants: tuple[int, ...]
     v_columns: tuple[dict[int, int], ...]
-
-    # The dense matrices are built from ints, so they skip from_rows's checks.
-    @property
-    def u(self) -> IntMatrix:
-        n = len(self.u_rows)
-        return IntMatrix(tuple(_dense(row, n) for row in self.u_rows), n)
-
-    @property
-    def s(self) -> IntMatrix:
-        nrows, ncols = len(self.u_rows), len(self.v_columns)
-        s = [[0] * ncols for _ in range(nrows)]
-        for i, d in enumerate(self.invariants):
-            s[i][i] = d
-        return IntMatrix(tuple(map(tuple, s)), ncols)
-
-    @property
-    def v(self) -> IntMatrix:
-        n = len(self.v_columns)
-        return IntMatrix(tuple(zip(*(_dense(col, n) for col in self.v_columns))), n)
 
 
 def _add_multiple(dst: dict[int, int], src: dict[int, int], factor: int) -> None:
@@ -242,8 +216,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 def smith_invariants(m: IntMatrix) -> tuple[int, ...]:
     """Invariant factors of ``m``: d1 | d2 | ..., zeros last.
 
-    The returned tuple has length min(rows, cols).  It is the diagonal of
-    ``smith_normal_form``, so no dense transform is built.
+    The returned tuple has length min(rows, cols): the diagonal of
+    ``smith_normal_form``.
     """
     return smith_normal_form(m).invariants
 

@@ -1,15 +1,20 @@
-"""The dense Smith normal form, kept as a test oracle.
+"""Dense test oracles: the Smith normal form and the corner system.
 
-It stores U, S and V as dense lists and applies every row and column
-operation to whole rows and columns.  ``smith_normal_form``, which keeps
-U and V sparse, must return exactly its U, S and V: same pivots, same
-operations, same order.  ``column`` and ``mul_vec`` are the dense matrix
-reads the tests check answers with.
+``full_scan_smith`` stores U, S and V as dense lists and applies every
+row and column operation to whole rows and columns.
+``smith_normal_form``, which keeps U and V sparse, must return exactly
+its U, S and V (``dense_transforms``): same pivots, same operations,
+same order.  ``column`` and ``mul_vec`` are the dense matrix reads the
+tests check answers with.
+
+``corner_matrix`` builds the 2N x R corner matrix M from the traced
+face boundaries (``boundary_trace``), so it shares no code with
+``grading._corner_terms``, the sparse M that certifies every domain.
 """
 
 from typing import Sequence
 
-from hfcalc.zlattice import DimensionMismatch, IntMatrix
+from hfcalc.zlattice import DimensionMismatch, IntMatrix, SmithDecomposition
 
 
 def column(m: IntMatrix, j: int) -> tuple[int, ...]:
@@ -20,6 +25,64 @@ def mul_vec(m: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
     if len(vec) != m.cols:
         raise DimensionMismatch(f"vector of length {len(vec)} against {m.cols} columns")
     return tuple(sum(a * x for a, x in zip(row, vec)) for row in m.entries)
+
+
+def dense_transforms(dec: SmithDecomposition) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """U, S and V of a sparse ``SmithDecomposition``, written out densely."""
+    nrows, ncols = len(dec.u_rows), len(dec.v_columns)
+    u = [[row.get(k, 0) for k in range(nrows)] for row in dec.u_rows]
+    s = [[0] * ncols for _ in range(nrows)]
+    for i, d in enumerate(dec.invariants):
+        s[i][i] = d
+    v = [[col.get(k, 0) for col in dec.v_columns] for k in range(ncols)]
+    return (IntMatrix.from_rows(u, nrows), IntMatrix.from_rows(s, ncols),
+            IntMatrix.from_rows(v, ncols))
+
+
+def boundary_trace(diagram, coeffs):
+    """Retrace the domain boundary circle by circle.
+
+    Accumulates the signed arc content of every region's boundary circles
+    weighted by the region coefficient, then takes endpoints.  Returns the
+    alpha and beta 0-chains (vertex -> coefficient).
+    """
+    arc_coeff = [0] * diagram.n_arcs
+    for region, a in zip(diagram.regions, coeffs):
+        if not a:
+            continue
+        for f in region.faces:
+            for dart in diagram.faces[f]:
+                arc_coeff[dart // 2] += a if dart % 2 == 0 else -a
+    alpha_chain = [0] * diagram.n_vertices
+    beta_chain = [0] * diagram.n_vertices
+    for arc in diagram.arcs:
+        chain = alpha_chain if arc.family == "alpha" else beta_chain
+        chain[arc.head] += arc_coeff[arc.index]
+        chain[arc.tail] -= arc_coeff[arc.index]
+    return alpha_chain, beta_chain
+
+
+def corner_matrix(diagram) -> IntMatrix:
+    """M column by column: column j is ``boundary_trace`` of region j alone,
+    its alpha 0-chain on rows 0..N-1 and its beta 0-chain on rows N..2N-1."""
+    r = diagram.n_regions
+    columns = []
+    for j in range(r):
+        alpha_chain, beta_chain = boundary_trace(diagram, [int(i == j) for i in range(r)])
+        columns.append(alpha_chain + beta_chain)
+    return IntMatrix.from_rows(zip(*columns), r)
+
+
+def corner_system(diagram, x, y) -> tuple[IntMatrix, tuple[int, ...]]:
+    """M and r(y) - r(x), where r(g) is +1 on the alpha row and -1 on the
+    beta row of each vertex of g: a domain from x to y solves M D = r(y) - r(x)."""
+    nv = diagram.n_vertices
+    rhs = [0] * (2 * nv)
+    for sign, g in ((-1, x), (1, y)):
+        for v in g.vertices:
+            rhs[v] += sign
+            rhs[nv + v] -= sign
+    return corner_matrix(diagram), tuple(rhs)
 
 
 def full_scan_smith(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

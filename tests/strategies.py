@@ -5,8 +5,8 @@ from math import gcd
 from hypothesis import strategies as st
 
 from hfcalc.atlas import build_annulus_open_book, build_torus_diagram, stabilize
-from hfcalc.diagram import (assemble_regions, load_diagram, parse_diagram, rename, serialize,
-                            trace_faces)
+from hfcalc.diagram import (ValidationError, assemble_regions, load_diagram, parse_diagram,
+                            rename, serialize, trace_faces)
 
 
 @st.composite
@@ -72,3 +72,13 @@ def random_curve_system(rng):
                      + " ".join(rng.choice(circle) for circle in group))
         k += 1
     return parse_diagram("\n".join(lines) + "\n")
+
+
+def assembled_curve_systems(rng, draws):
+    """The diagrams that assemble among ``draws`` draws of ``random_curve_system``."""
+    for _ in range(draws):
+        try:
+            d = assemble_regions(random_curve_system(rng))
+        except ValidationError:
+            continue
+        yield d

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -610,7 +611,7 @@ PACKAGE_NAMES = [
     "smith_normal_form", "solve_integer_system",
     "ConsistencyError", "Domain", "Generator", "GradingLabel", "Homology",
     "MixedLabelError", "NoConnectingClassError", "NoPositiveRepresentative", "SpincClass",
-    "TwistedElement", "basepoint_multiplicity", "build_corner_system", "divisibility",
+    "TwistedElement", "basepoint_multiplicity", "divisibility",
     "enumerate_generators", "euler_measure", "generator_measure", "gr0_of_theta",
     "grading_table", "homogeneous_lattice", "homology_of_Y", "label_of", "maslov_index",
     "point_measure", "positive_representative", "relative_grading", "shift_label",
@@ -628,6 +629,11 @@ def test_package_exports():
         namespace = {}
         exec(f"from hfcalc import {name}", namespace)
         assert namespace[name] is getattr(hfcalc, name)
+    # Nothing else is exported: the submodules aside, hfcalc binds no other
+    # public name.
+    exported = {name for name, value in vars(hfcalc).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == set(PACKAGE_NAMES) - {"__version__"}
 
 
 def test_star_import_binds_every_export(tmp_path):

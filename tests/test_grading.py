@@ -16,16 +16,15 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+import hfcalc.grading as grading
 from hfcalc.atlas import build_annulus_open_book, build_s1s2, build_torus_diagram, stabilize
-from hfcalc.diagram import (ValidationError, assemble_regions, load_diagram, rename,
-                            reverse_curve, serialize)
+from hfcalc.diagram import assemble_regions, load_diagram, rename, reverse_curve, serialize
 from hfcalc.grading import (ConsistencyError, Generator, GradingLabel, MixedLabelError,
                             NoConnectingClassError, NoPositiveRepresentative,
-                            TwistedElement, basepoint_multiplicity,
-                            build_corner_system, divisibility, enumerate_generators,
-                            euler_measure, generator_measure, gr0_of_theta,
-                            grading_table, homogeneous_lattice, homology_of_Y,
-                            label_of, maslov_index, point_measure,
+                            TwistedElement, basepoint_multiplicity, divisibility,
+                            enumerate_generators, euler_measure, generator_measure,
+                            gr0_of_theta, grading_table, homogeneous_lattice,
+                            homology_of_Y, label_of, maslov_index, point_measure,
                             positive_representative, relative_grading, shift_label,
                             solve_domain, spinc_class_of, spinc_partition,
                             theta_and_shift, twisted_label)
@@ -33,31 +32,9 @@ from hfcalc.zlattice import (DimensionMismatch, IntMatrix, gcd_over_lattice, smi
                              solve_integer_system)
 from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
                       s1s2_sum_text)
-from smith_oracle import column, full_scan_smith, mul_vec
-from strategies import random_curve_system, transformed_diagrams
-
-
-def boundary_trace(diagram, coeffs):
-    """Independent oracle: retrace the domain boundary circle by circle.
-
-    Accumulates the signed arc content of every region's boundary circles
-    weighted by the region coefficient, then takes endpoints.  Returns the
-    alpha and beta 0-chains (vertex -> coefficient).
-    """
-    arc_coeff = [0] * diagram.n_arcs
-    for region, a in zip(diagram.regions, coeffs):
-        if not a:
-            continue
-        for f in region.faces:
-            for dart in diagram.faces[f]:
-                arc_coeff[dart // 2] += a if dart % 2 == 0 else -a
-    alpha_chain = [0] * diagram.n_vertices
-    beta_chain = [0] * diagram.n_vertices
-    for arc in diagram.arcs:
-        chain = alpha_chain if arc.family == "alpha" else beta_chain
-        chain[arc.head] += arc_coeff[arc.index]
-        chain[arc.tail] -= arc_coeff[arc.index]
-    return alpha_chain, beta_chain
+from smith_oracle import (boundary_trace, column, corner_matrix, corner_system,
+                          full_scan_smith, mul_vec)
+from strategies import assembled_curve_systems, transformed_diagrams
 
 
 def zero_chain(diagram, gen):
@@ -93,11 +70,7 @@ def test_from_display_agrees_with_the_enumerated_generators(atlas_suite):
     # curve systems have vertices on distinct alpha curves but one beta curve.
     rng = random.Random(7)
     diagrams = atlas_suite + [stabilize(d)[0].diagram for d in atlas_suite]
-    for _ in range(200):
-        try:
-            diagrams.append(assemble_regions(random_curve_system(rng)))
-        except ValidationError:
-            pass
+    diagrams += assembled_curve_systems(rng, 200)
     for d in diagrams:
         by_set = {tuple(sorted(g.vertices)): g for g in enumerate_generators(d)}
         for size in (d.genus - 1, d.genus, d.genus + 1):
@@ -112,8 +85,6 @@ def test_from_display_agrees_with_the_enumerated_generators(atlas_suite):
 
 
 def test_from_display_does_not_enumerate(monkeypatch):
-    import hfcalc.grading as grading
-
     calls = []
     enumerate_all = grading.enumerate_generators
     monkeypatch.setattr(grading, "enumerate_generators",
@@ -203,21 +174,22 @@ def test_enumerate_beyond_the_recursion_limit():
 
 def test_corner_system_zero_rhs_for_equal_generators(l31):
     g = enumerate_generators(l31)[0]
-    _, rhs = build_corner_system(l31, g, g)
+    _, rhs = corner_system(l31, g, g)
     assert all(v == 0 for v in rhs)
+    assert grading._corner_rhs(l31, g, g) == rhs
 
 
 @pytest.mark.parametrize("fixture", ["s3", "l31", "s1s2", "two_finger"])
 def test_full_surface_class_in_kernel(fixture, request):
     d = request.getfixturevalue(fixture)
     g = enumerate_generators(d)[0]
-    m, _ = build_corner_system(d, g, g)
+    m, _ = corner_system(d, g, g)
     assert mul_vec(m, [1] * d.n_regions) == tuple([0] * (2 * d.n_vertices))
 
 
 def test_bigon_solves_corner_system(s1s2):
     x, y = enumerate_generators(s1s2)
-    m, rhs = build_corner_system(s1s2, x, y)
+    m, rhs = corner_system(s1s2, x, y)
     bigon = [0] * s1s2.n_regions
     bigon[next(i for i in range(s1s2.n_regions)
                if s1s2.canonical_region_name(i) == "a0.0+")] = 1
@@ -243,6 +215,26 @@ def test_boundary_trace_oracle(fixture, request):
                 assert b_chain == [-w for w in want]
 
 
+def test_certificate_matches_the_traced_corner_matrix(atlas_suite):
+    """The certificate's sparse M (``grading._corner_image``) against M traced
+    from the face boundaries, on random integer vectors, and ``_corner_rhs``
+    against the oracle's right-hand side: the atlas, each diagram stabilized
+    once, each curve of both reversed, and the random curve systems that
+    assemble."""
+    diagrams = atlas_suite + [stabilize(d)[0].diagram for d in atlas_suite]
+    diagrams += [r for d in diagrams for r in curve_reversals(d)]
+    drawn = list(assembled_curve_systems(random.Random(2024), 1500))
+    assert len(drawn) == 412
+    rng = random.Random(21)
+    for d in diagrams + drawn:
+        m = corner_matrix(d)
+        for _ in range(5):
+            c = [rng.randint(-3, 3) for _ in range(d.n_regions)]
+            assert grading._corner_image(d, c) == mul_vec(m, c)
+        for x, y in itertools.product(enumerate_generators(d)[:3], repeat=2):
+            assert grading._corner_rhs(d, x, y) == corner_system(d, x, y)[1]
+
+
 def test_solve_distinct_lens_generators(l31):
     gens = enumerate_generators(l31)
     assert solve_domain(l31, gens[0], gens[1]) is None
@@ -252,7 +244,7 @@ def test_solve_zero_domain(l31):
     g = enumerate_generators(l31)[0]
     dom = solve_domain(l31, g, g)
     assert dom is not None
-    m, rhs = build_corner_system(l31, g, g)
+    m, rhs = corner_system(l31, g, g)
     assert mul_vec(m, dom.coefficients) == tuple(rhs)
 
 
@@ -660,8 +652,6 @@ def test_antisymmetry_and_additivity(fixture, request):
     # its own values would only restate it: the sums are checked against
     # two pairwise gradings of (x, z), of the corner system solved for the
     # pair (M) and of D0.
-    import hfcalc.grading as grading
-
     d = request.getfixturevalue(fixture)
     for cls in spinc_partition(d):
         m = cls.divisibility
@@ -671,7 +661,7 @@ def test_antisymmetry_and_additivity(fixture, request):
                 assert s % m == 0 if m else s == 0
                 for z in cls.members:
                     rhs = relative_grading(d, x, y) + relative_grading(d, y, z)
-                    corner = solve_integer_system(*build_corner_system(d, x, z)).particular
+                    corner = solve_integer_system(*corner_system(d, x, z)).particular
                     for oracle in (maslov_index(d, x, z, corner) - 2 * corner[d.basepoint_region],
                                    grading._domain_grading(grading._domain_avoiding_z(d, x, z))):
                         assert (oracle - rhs) % m == 0 if m else oracle == rhs
@@ -686,8 +676,6 @@ def test_antisymmetry_and_additivity(fixture, request):
 def test_relative_grading_builds_one_d0_per_generator(build, monkeypatch):
     """Two passes over every same-class pair build D0 once per non-anchor
     generator, from it to its anchor, and never for an anchor."""
-    import hfcalc.grading as grading
-
     d = build()
     real = grading._domain_avoiding_z
     built = []
@@ -712,8 +700,6 @@ def test_relative_grading_builds_one_d0_per_generator(build, monkeypatch):
 def test_label_differences_realize_relative_grading(rational_atlas, irrational_atlas):
     # The labels come from D0, at every b1; the reference grades the corner
     # solve instead.
-    import hfcalc.grading as grading
-
     for d in rational_atlas + irrational_atlas:
         table = dict(grading_table(d))
         for cls in spinc_partition(d):
@@ -777,7 +763,7 @@ def pairwise_reference(d):
     gens = enumerate_generators(d)
 
     def solve(x, y):
-        m, rhs = build_corner_system(d, x, y)
+        m, rhs = corner_system(d, x, y)
         return solve_integer_system(m, rhs)
 
     classes = []
@@ -837,8 +823,6 @@ def assert_solves_like_the_corner_system(d, x, y, particular, kernel):
     """``solve_domain(x, y)`` has n_z = 0 and differs from ``particular``, a
     solution of the corner system, by an integer combination of ``kernel``,
     M's kernel basis; when b1 = 0 it is D0(x, y), built pair by pair."""
-    import hfcalc.grading as grading
-
     dom = solve_domain(d, x, y)
     assert (dom.source, dom.target) == (x, y)
     assert dom.coefficients[d.basepoint_region] == 0
@@ -878,7 +862,6 @@ def test_factored_matches_pairwise_transformed(d):
 
 
 def test_factorization_certificate_detects_a_wrong_form(monkeypatch):
-    import hfcalc.grading as grading
     from hfcalc.zlattice import smith_normal_form
 
     def off_by_one(field, j, r):
@@ -914,10 +897,8 @@ def dense_corners(d):
     each generator g cut to the rank, and the classes that the keys of
     U r(g) (entries below the rank reduced mod d_i) give.
     """
-    import hfcalc.grading as grading
-
-    u, s, v = full_scan_smith(grading._corner_matrix(d))
-    factors = tuple(x for x in (s[i, i] for i in range(min(s.rows, s.cols))) if x)
+    u, s, v = full_scan_smith(corner_matrix(d))
+    factors = tuple(x for x in (s.entries[i][i] for i in range(min(s.rows, s.cols))) if x)
     rank = len(factors)
     nv = d.n_vertices
     u_cols = list(zip(*u.entries))
@@ -943,8 +924,6 @@ def dense_domain(factors, v, images, x, y):
 
 def test_corners_match_the_dense_path():
     """Classes, lattice and domains read off A against M factored densely."""
-    import hfcalc.grading as grading
-
     diagrams = [build_torus_diagram(p, q).diagram
                 for p in range(1, 12) for q in range(-p, p + 1) if q and gcd(p, q) == 1]
     diagrams += [build_annulus_open_book(n).diagram for n in range(-8, 9)]
@@ -971,7 +950,6 @@ def test_merged_classes_without_a_domain_are_a_consistency_error(monkeypatch, tm
                                                                   capsys):
     """Negative control: a pair that the classes call connected but that
     has no integer domain is a bug, not an answer of None."""
-    import hfcalc.grading as grading
     from hfcalc.cli import main
 
     d = build_torus_diagram(3, 1).diagram
@@ -1009,7 +987,7 @@ def epsilon_classes(d, transpose=False):
     if transpose:
         a = [list(col) for col in zip(*a)]
     u, s, _ = full_scan_smith(IntMatrix.from_rows(a, g))
-    moduli = [2 * x for x in (s[i, i] for i in range(g)) if x]
+    moduli = [2 * x for x in (s.entries[i][i] for i in range(g)) if x]
     h = [None] * d.n_vertices
     for _, verts in d.beta:
         c = [0] * g
@@ -1042,8 +1020,6 @@ def shuffled_copy(d, rng):
 
 
 def test_epsilon_partition_matches_the_corner_keys():
-    import hfcalc.grading as grading
-
     atlas = [build_torus_diagram(p, q).diagram
              for p in range(1, 6) for q in range(p) if gcd(p, q) == 1]
     atlas += [build_annulus_open_book(n).diagram for n in range(-4, 5)]
@@ -1071,7 +1047,6 @@ def test_epsilon_partition_matches_the_corner_keys():
 
 
 def test_single_member_classes_factor_once_and_solve_nothing(monkeypatch):
-    import hfcalc.grading as grading
     from hfcalc.zlattice import smith_normal_form
 
     factored, solved = [], []
@@ -1142,8 +1117,6 @@ def assert_domain_avoiding_z_is_the_corner_solve(d):
     """D0(x, y) = V q - n_z(V q) Sigma for M factored densely, since the
     lattice is Z Sigma when b1 = 0; ``solve_domain`` returns it too.  M is
     factored only for a class of several members: D0(x, x) = 0."""
-    import hfcalc.grading as grading
-
     assert homology_of_Y(d).b1 == 0
     corners = None
     for cls in spinc_partition(d):
@@ -1179,13 +1152,8 @@ def test_domain_avoiding_z_is_the_corner_solve_transformed(d):
 
 def test_domain_avoiding_z_on_random_curve_systems():
     """Random curve systems cross alpha_i with any beta_j; atlas ones only with beta_i."""
-    rng = random.Random(2024)
     rational = off_diagonal = irrational = 0
-    for _ in range(3000):
-        try:
-            d = assemble_regions(random_curve_system(rng))
-        except ValidationError:
-            continue
+    for d in assembled_curve_systems(random.Random(2024), 3000):
         if not homology_of_Y(d).b1:
             assert_domain_avoiding_z_is_the_corner_solve(d)
             rational += 1
@@ -1228,8 +1196,6 @@ def assert_graded_from_a_alone(d):
     like M's particular solution mod d; and ``solve_domain`` differs from
     that solution by a vector of M's kernel.
     """
-    import hfcalc.grading as grading
-
     factors, v, images, _ = dense_corners(d)
     kernel = tuple(column(v, j) for j in range(len(factors), v.cols))
     sigma = (1,) * d.n_regions
@@ -1277,7 +1243,6 @@ def test_graded_from_a_alone_at_positive_b1(irrational_atlas):
 
 def test_a_wrong_curve_multiple_is_a_consistency_error(monkeypatch, tmp_path, capsys):
     """Negative control: D0 with one more copy of a beta curve fails its certificate."""
-    import hfcalc.grading as grading
     from hfcalc.cli import main
 
     real = grading._particular
@@ -1315,8 +1280,6 @@ def non_anchor_pair(d):
     lambda d: relative_grading(d, *non_anchor_pair(d)),
 ], ids=["grading_table", "homology_of_Y", "relative_grading"])
 def test_cached_results_do_not_retain_the_diagram(query):
-    import hfcalc.grading as grading
-
     d = build_annulus_open_book(3).diagram
     query(d)
     assert query is homology_of_Y or grading._potentials(d)  # the memo is filled

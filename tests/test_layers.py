@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from hfcalc.atlas import build_annulus_open_book, build_torus_diagram
-from hfcalc.diagram import ALPHA, BETA, ValidationError, assemble_regions, reverse_curve
+from hfcalc.diagram import ALPHA, BETA, assemble_regions, reverse_curve
 from hfcalc.grading import (basepoint_multiplicity, enumerate_generators,
                             homogeneous_lattice, maslov_index, positive_representative,
                             solve_domain, spinc_partition)
@@ -17,7 +17,7 @@ from hfcalc.layers import (AUXILIARY, BOUNDARY_DEGENERATE, CONCAVE, CONVEX, EDGE
                            LayerReport, LayerSurface, _corner_table, _pair_sign, audit_index,
                            classify_corner, decompose_layers, layer_euler, layer_index)
 from hfcalc.zlattice import DimensionMismatch
-from strategies import random_curve_system, transformed_diagrams
+from strategies import assembled_curve_systems, transformed_diagrams
 
 
 def kinds(mults, level, in_x, in_y):
@@ -328,13 +328,8 @@ def test_audit_on_random_curve_systems():
     # with any signs, unlike the atlas families.  Every input that
     # assembles is audited, at every same-class pair among the first six
     # members of each class, plus 0 and 1 copies of the surface.
-    rng = random.Random(2024)
     assembled = audited = 0
-    for _ in range(1500):
-        try:
-            d = assemble_regions(random_curve_system(rng))
-        except ValidationError:
-            continue
+    for d in assembled_curve_systems(random.Random(2024), 1500):
         assembled += 1
         for cls in spinc_partition(d):
             for x in cls.members[:6]:
@@ -391,7 +386,7 @@ def fraction_layer_index(d, x, y, layer):
     total = Fraction(fraction_layer_euler(d, layer)) - Fraction(p, 4) + Fraction(q, 4)
     for gen in (x, y):
         for v in gen.vertices:
-            inc = sum(1 for i in range(4) if d.quadrant_region(v, i) in rset)
+            inc = sum(1 for r in d.quadrants[v] if r in rset)
             total += Fraction(inc, 4)
     return total
 
