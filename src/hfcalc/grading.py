@@ -7,7 +7,8 @@ y and back along the beta curves, vanishes in H1(Y) = Z^g / (columns of
 A), A_ij = alpha_i . beta_j, in coordinates indexed by alpha
 (``homology_of_Y`` says why); then, and only then, a 2-chain of regions
 connects them, whose boundary runs along the alpha curves from x to y
-and back along the beta curves (the corner system).  Pushed off
+and back along the beta curves (the corner system, one equation in the
+four quadrant multiplicities at each vertex).  Pushed off
 their curves, the alpha pieces cross no alpha curve, and averaging the
 push-offs to either side weighs each endpoint of a beta piece by one
 half (``spinc_partition``).  So the classes and H1 share one
@@ -20,8 +21,9 @@ periodic class changes P by a multiple of d.  The connecting domain of
 ``solve_domain`` is D0(x, a) - D0(y, a), and the periodic lattice is
 Sigma plus those periodic domains, so A is the one matrix factored per
 diagram; its transforms stay sparse (U by rows and by columns, V by
-columns), and the factorization is certified.  The corner matrix M is
-never factored: it only certifies domains, through its sparse image.
+columns), and the factorization is certified.  The corner system is
+never factored or built as a matrix: it only certifies domains, vertex
+by vertex (``_check_connecting``).
 The generators, the factorization, the partition, the periodic domains,
 the potentials, the D0 vectors of ``solve_domain``, the grading table
 and H1 are cached on the diagram itself, so each is computed once per
@@ -50,7 +52,7 @@ from fractions import Fraction
 from functools import wraps
 from typing import NamedTuple, Sequence
 
-from .diagram import ALPHA, HeegaardDiagram
+from .diagram import HeegaardDiagram
 from .zlattice import (DimensionMismatch, IntMatrix, SmithDecomposition, _kernel, _particular,
                        _transpose, gcd_over_lattice, smith_normal_form)
 
@@ -172,47 +174,6 @@ def enumerate_generators(diagram: HeegaardDiagram) -> tuple[Generator, ...]:
 # ---------------------------------------------------------------------------
 # Corner system and domains
 # ---------------------------------------------------------------------------
-
-@_per_diagram
-def _corner_terms(diagram: HeegaardDiagram) -> tuple[tuple[int, int, int], ...]:
-    """The corner matrix M, sparsely: (row, plus, minus) per arc endpoint.
-
-    M has an alpha row and a beta row per vertex and a column per region;
-    a domain from x to y solves M D = r(y) - r(x) (``_corner_rhs``).  Each
-    term adds +1 in column ``plus`` and -1 in column ``minus`` of the row;
-    the boundary of an arc is head - tail applied to (left-region
-    multiplicity) - (right-region multiplicity).
-    """
-    nv = diagram.n_vertices
-    terms = []
-    for arc, (left, right) in zip(diagram.arcs, diagram.arc_sides):
-        base = 0 if arc.family == ALPHA else nv
-        terms.append((base + arc.head, left, right))
-        terms.append((base + arc.tail, right, left))
-    return tuple(terms)
-
-
-def _corner_image(diagram: HeegaardDiagram, coeffs: Sequence[int]) -> tuple[int, ...]:
-    """M applied to region coefficients, using the sparsity of M."""
-    image = [0] * (2 * diagram.n_vertices)
-    for row, plus, minus in _corner_terms(diagram):
-        image[row] += coeffs[plus] - coeffs[minus]
-    return tuple(image)
-
-
-def _corner_rhs(diagram: HeegaardDiagram, x: Generator, y: Generator) -> tuple[int, ...]:
-    """r(y) - r(x), where r(g) is +1 on the alpha row and -1 on the beta
-    row of each vertex of g."""
-    nv = diagram.n_vertices
-    rhs = [0] * (2 * nv)
-    for v in x.vertices:
-        rhs[v] -= 1
-        rhs[nv + v] += 1
-    for v in y.vertices:
-        rhs[v] += 1
-        rhs[nv + v] -= 1
-    return tuple(rhs)
-
 
 @_per_diagram
 def homogeneous_lattice(diagram: HeegaardDiagram) -> tuple[tuple[int, ...], ...]:
@@ -480,8 +441,27 @@ def basepoint_multiplicity(diagram: HeegaardDiagram, domain) -> int:
 
 
 def _check_connecting(diagram: HeegaardDiagram, x: Generator, y: Generator, coeffs) -> None:
-    """Certificate: the coefficients solve the corner system for (x, y)."""
-    if _corner_image(diagram, coeffs) != _corner_rhs(diagram, x, y):
+    """Certificate: the coefficients solve the corner system for (x, y).
+
+    The corner system is M D = r(y) - r(x).  M has an alpha and a beta row
+    per vertex: the boundary, head minus tail, of the 1-chain with the jump
+    D(left) - D(right) on each alpha (beta) arc.  r(g) is +1 on the alpha
+    row and -1 on the beta row of each vertex of g.  Both rows of a vertex
+    v read only its quadrant multiplicities m0..m3: by the rotation
+    convention of ``diagram``, the jump is m0 - m3 on the alpha arc leaving
+    v and m1 - m2 on the alpha arc entering it, so the alpha row is
+    -(m0 - m1 + m2 - m3).  The beta arcs leave and enter in slots 1 and 3,
+    in either order by the sign of v, and the beta row is +(m0 - m1 + m2 -
+    m3) at either sign.  So the two rows of v are the one equation
+    m0 - m1 + m2 - m3 = [v in x] - [v in y], checked here at every vertex.
+    """
+    expected = [0] * diagram.n_vertices
+    for v in x.vertices:
+        expected[v] += 1
+    for v in y.vertices:
+        expected[v] -= 1
+    if [coeffs[q0] - coeffs[q1] + coeffs[q2] - coeffs[q3]
+            for q0, q1, q2, q3 in diagram.quadrants] != expected:
         raise ConsistencyError("domain does not satisfy the corner system for (x, y)")
 
 

@@ -14,12 +14,15 @@ c' < c hold the same regions, arcs and clusters.  A domain is therefore
 classified once per run of levels between distinct multiplicities, so the
 work grows with the number of distinct multiplicities, not with the
 largest one; ``decompose_layers`` and ``audit_index`` share that walk.
-``decompose_layers`` builds the clusters with ``classify_corner``.  The
-audit only counts them: which clusters a vertex has at a layer depends
-only on which of its quadrants the layer includes and on its membership
-in x and y, so it looks up each vertex's counts in a 64-row table
-indexed by membership | quadrant mask, built from ``classify_corner`` on
-0/1 multiplicities at the first audit.  Layer indices are counted in
+``decompose_layers`` builds the clusters with ``classify_corner`` and
+lists the arcs.  The audit only counts them: which clusters a vertex has
+at a layer depends only on which of its quadrants the layer includes and
+on its membership in x and y, so it looks up each vertex's counts in a
+64-row table indexed by membership | quadrant mask, built from
+``classify_corner`` on 0/1 multiplicities at the first audit.  The same
+row counts the arc ends its clusters touch, and the layer's arcs are half
+the sum of those ends, so the audit reads every count off the quadrants
+at each vertex and lists no arcs.  Layer indices are counted in
 integer quarter units and become a ``Fraction`` only when returned.
 They are counted on the layers, not from the region weights
 ``maslov_index`` uses, so the first identity below compares two
@@ -212,29 +215,24 @@ def _nonnegative(diagram: HeegaardDiagram, domain) -> Sequence[int]:
     return coeffs
 
 
-def _layer_runs(diagram: HeegaardDiagram, coeffs: Sequence[int],
-                vertices: list) -> Iterator[tuple[int, int, list, list, list]]:
+def _layer_runs(coeffs: Sequence[int], *items: list) -> Iterator[tuple]:
     """Each run of identical layers as (first level, last level, regions,
-    arcs, vertices).
+    *items present).
 
     Between consecutive distinct positive coefficients c' < c, the levels
     c' + 1, ..., c include exactly the regions, vertex quadrants and arcs
     of multiplicity >= c, so they share one set of regions, arcs and
-    clusters.  A region, arc (as (max, arc)) or vertex (any tuple whose
-    first entry is the vertex's largest multiplicity) whose largest
-    multiplicity is below a run is absent from it and from every run
-    above it.
+    clusters.  Each of ``items`` is a list of tuples whose first entry is
+    the item's largest multiplicity (an arc's larger side, a vertex's
+    largest quadrant); an item whose largest multiplicity is below a run
+    is absent from it and from every run above it.
     """
-    # A conditional, not max(): this runs once per arc on every audit.
-    arcs = [(coeffs[left] if coeffs[left] >= coeffs[right] else coeffs[right], a)
-            for a, (left, right) in enumerate(diagram.arc_sides)]
     regions = range(len(coeffs))
     first = 1
     for last in sorted(set(coeffs) - {0}):
         regions = [r for r in regions if coeffs[r] >= last]
-        vertices = [t for t in vertices if t[0] >= last]
-        arcs = [t for t in arcs if t[0] >= last]
-        yield first, last, regions, arcs, vertices
+        items = tuple([t for t in ts if t[0] >= last] for ts in items)
+        yield (first, last, regions) + items
         first = last + 1
 
 
@@ -252,12 +250,15 @@ def decompose_layers(diagram: HeegaardDiagram, x: Generator, y: Generator,
     for v, quadrants in enumerate(diagram.quadrants):
         mults = [coeffs[r] for r in quadrants]
         vertices.append((max(mults), mults, v in xset, v in yset, v))
+    arcs = [(max(coeffs[left], coeffs[right]), a)
+            for a, (left, right) in enumerate(diagram.arc_sides)]
     layers = []
-    for first, last, regions, arcs, present in _layer_runs(diagram, coeffs, vertices):
+    for first, last, regions, layer_arcs, present in _layer_runs(coeffs, arcs, vertices):
         clusters: list[CornerClass] = []
         for _, mults, in_x, in_y, v in present:
             clusters.extend(classify_corner(mults, first, in_x, in_y, v))
-        layer = LayerSurface(first, tuple(regions), tuple(a for _, a in arcs), tuple(clusters))
+        layer = LayerSurface(first, tuple(regions), tuple(a for _, a in layer_arcs),
+                             tuple(clusters))
         layers.append(layer)
         for level in range(first + 1, last + 1):
             layers.append(layer._replace(
@@ -324,6 +325,7 @@ class _CornerCounts(NamedTuple):
     """What ``audit_index`` counts of one vertex's clusters at one layer."""
 
     clusters: int
+    ends: int  # arc ends the clusters touch: k + 1 for k < 4 quadrants, 4 for all four
     convex: int
     concave: int
     boundary_degenerate: int
@@ -343,6 +345,14 @@ def _corner_table() -> tuple[_CornerCounts, ...]:
     ``classify_corner`` run on the 0/1 multiplicities of its mask at level
     1.  (The auxiliary corners' sign is the vertex's ``_pair_sign``, taken
     from its own multiplicities.)  Built on the first audit.
+
+    ``ends`` counts the layer's arc ends at the vertex.  An arc is in the
+    layer when one of its sides is, and near an end its sides are the two
+    quadrants on either side of that half-edge.  A cluster of k < 4
+    consecutive quadrants touches the k + 1 half-edges around it, a full
+    vertex touches all 4, and two clusters touch no half-edge in common,
+    since an excluded quadrant separates them.  Summed over the vertices,
+    the ends count each arc of the layer twice.
     """
     rows = []
     for index in range(64):
@@ -352,7 +362,8 @@ def _corner_table() -> tuple[_CornerCounts, ...]:
         kinds = [c.kind for c in clusters]
         shapes = [c.shape for c in clusters]
         rows.append(_CornerCounts(
-            len(clusters), shapes.count(CONVEX), shapes.count(CONCAVE),
+            len(clusters), sum(min(len(c.quadrants) + 1, 4) for c in clusters),
+            shapes.count(CONVEX), shapes.count(CONCAVE),
             kinds.count(BOUNDARY_DEGENERATE), kinds.count(INTERIOR_DEGENERATE),
             kinds.count(AUXILIARY), sum(mults) * (in_x + in_y)))
     return tuple(rows)
@@ -364,7 +375,9 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
 
     Statistics are taken once per run of identical layers (see
     ``decompose_layers``), by one ``_corner_table`` lookup per vertex
-    present, and counted once per level of the run; the report still
+    present, and counted once per level of the run.  chi(F_l) is the
+    number of clusters, minus half their arc ends, plus the regions' chi:
+    ``layer_euler`` with each arc counted by its two ends.  The report still
     holds one ``LayerReport`` per level.  Raises ``AuditError`` when an
     identity fails; a failure signals an implementation inconsistency,
     never bad user input.
@@ -397,16 +410,17 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
     quarters = 0
     degenerate_present = False
     auxiliary_present = False
-    for first, last, regions, arcs, present in _layer_runs(diagram, coeffs, vertices):
+    for first, last, regions, present in _layer_runs(coeffs, vertices):
         length = last - first + 1
         counts: dict[int, int] = {}
         for _, (m0, m1, m2, m3), key in present:
             key |= (m0 >= first) | (m1 >= first) << 1 | (m2 >= first) << 2 | (m3 >= first) << 3
             counts[key] = counts.get(key, 0) + 1
-        clusters = convex = concave = bdeg = ideg = auxiliary = aux_signed = included = 0
+        clusters = ends = convex = concave = bdeg = ideg = auxiliary = aux_signed = included = 0
         for key, n in counts.items():
             row, pair_sign = table[key & 63], -1 if key & 64 else 1
             clusters += n * row.clusters
+            ends += n * row.ends
             convex += n * row.convex
             concave += n * row.concave
             bdeg += n * row.boundary_degenerate
@@ -416,7 +430,7 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
             included += n * row.included
         degenerate_present = degenerate_present or bool(bdeg or ideg)
         auxiliary_present = auxiliary_present or bool(auxiliary)
-        chi = clusters - len(arcs) + sum(map(region_chi.__getitem__, regions))
+        chi = clusters - ends // 2 + sum(map(region_chi.__getitem__, regions))
         layer_quarters = 4 * chi - convex + concave + included
         quarters += layer_quarters * length
         index = Fraction(layer_quarters, 4)

@@ -9,7 +9,8 @@ tests check answers with.
 
 ``corner_matrix`` builds the 2N x R corner matrix M from the traced
 face boundaries (``boundary_trace``), so it shares no code with
-``grading._corner_terms``, the sparse M that certifies every domain.
+``grading._check_connecting``, which certifies every domain by one
+equation in the four quadrant multiplicities at each vertex.
 """
 
 from typing import Sequence

@@ -16,7 +16,7 @@ import pytest
 import hfcalc
 from hfcalc.cli import main
 from hfcalc.diagram import assemble_regions, load_diagram, reverse_curve, serialize
-from hfcalc.grading import enumerate_generators, spinc_partition
+from hfcalc.grading import Domain, enumerate_generators, spinc_partition
 
 from conftest import L31_TEXT, S3_TEXT, s1s2_plus_pairs_text
 
@@ -343,11 +343,18 @@ def test_each_command_factors_one_g_by_g_matrix(capsys, monkeypatch, tmp_path):
     assert runs == 35
 
 
+def zero_domain(d, x, y):
+    """A stand-in for ``grading._domain_avoiding_z`` that fails the corner
+    certificate for every pair of distinct generators."""
+    return Domain(d, x, y, (0,) * d.n_regions)
+
+
 def test_consistency_error_exit_code_3(capsys, monkeypatch, s1s2_file):
-    # Break the certificate that checks every solved domain against the
-    # corner system: the internal inconsistency must surface as exit code 3.
+    # Break the domain that the certificate checks: a D0 of zeros connects
+    # no two distinct generators, so the real certificate rejects it, and
+    # the internal inconsistency must surface as exit code 3.
     import hfcalc.grading as grading
-    monkeypatch.setattr(grading, "_corner_image", lambda d, coeffs: (1,) * (2 * d.n_vertices))
+    monkeypatch.setattr(grading, "_domain_avoiding_z", zero_domain)
     code, rep, _ = run_json(capsys, ["domain", s1s2_file, "x0", "x1"])
     assert code == 3
     assert rep["status"] == "error"
@@ -501,7 +508,7 @@ def text_and_error_cases(capsys, monkeypatch):
         yield run(argv)
         yield run(["--json"] + argv)
     with monkeypatch.context() as m:
-        m.setattr(grading, "_corner_image", lambda d, coeffs: (1,) * (2 * d.n_vertices))
+        m.setattr(grading, "_domain_avoiding_z", zero_domain)
         yield run(["domain", "s1s2.hd", "x0", "x1"])
         yield run(["--json", "domain", "s1s2.hd", "x0", "x1"])
     with monkeypatch.context() as m:

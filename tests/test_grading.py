@@ -172,11 +172,26 @@ def test_enumerate_beyond_the_recursion_limit():
 # Corner system and domains
 # ---------------------------------------------------------------------------
 
+def certificate_accepts(d, x, y, coeffs) -> bool:
+    try:
+        grading._check_connecting(d, x, y, coeffs)
+    except ConsistencyError:
+        return False
+    return True
+
+
 def test_corner_system_zero_rhs_for_equal_generators(l31):
-    g = enumerate_generators(l31)[0]
-    _, rhs = corner_system(l31, g, g)
-    assert all(v == 0 for v in rhs)
-    assert grading._corner_rhs(l31, g, g) == rhs
+    # For x = y the traced right-hand side vanishes, and the certificate
+    # accepts the full surface and each single region exactly when the
+    # traced M sends it to zero.
+    m = corner_matrix(l31)
+    for g in enumerate_generators(l31):
+        _, rhs = corner_system(l31, g, g)
+        assert all(v == 0 for v in rhs)
+        assert certificate_accepts(l31, g, g, [1] * l31.n_regions)
+        for j in range(l31.n_regions):
+            unit = [int(i == j) for i in range(l31.n_regions)]
+            assert certificate_accepts(l31, g, g, unit) == (mul_vec(m, unit) == rhs)
 
 
 @pytest.mark.parametrize("fixture", ["s3", "l31", "s1s2", "two_finger"])
@@ -216,23 +231,46 @@ def test_boundary_trace_oracle(fixture, request):
 
 
 def test_certificate_matches_the_traced_corner_matrix(atlas_suite):
-    """The certificate's sparse M (``grading._corner_image``) against M traced
-    from the face boundaries, on random integer vectors, and ``_corner_rhs``
-    against the oracle's right-hand side: the atlas, each diagram stabilized
-    once, each curve of both reversed, and the random curve systems that
-    assemble."""
+    """The per-vertex certificate against M traced from the face boundaries.
+
+    On random integer vectors, M's alpha row at v is -(m0 - m1 + m2 - m3)
+    and its beta row +(m0 - m1 + m2 - m3), m_i the multiplicity of
+    quadrant i.  ``grading._check_connecting`` accepts a vector exactly
+    when M sends it to r(y) - r(x): on random vectors, on each true domain,
+    and on each true domain with one region moved by +1 or -1.  Over the
+    atlas, each diagram stabilized once, each curve of both reversed, and
+    the random curve systems that assemble."""
     diagrams = atlas_suite + [stabilize(d)[0].diagram for d in atlas_suite]
     diagrams += [r for d in diagrams for r in curve_reversals(d)]
     drawn = list(assembled_curve_systems(random.Random(2024), 1500))
     assert len(drawn) == 412
     rng = random.Random(21)
+    domains = 0
     for d in diagrams + drawn:
         m = corner_matrix(d)
+        nv = d.n_vertices
+        pairs = itertools.product(enumerate_generators(d)[:3], repeat=2)
+        rhs_of = {(x, y): corner_system(d, x, y)[1] for x, y in pairs}
         for _ in range(5):
             c = [rng.randint(-3, 3) for _ in range(d.n_regions)]
-            assert grading._corner_image(d, c) == mul_vec(m, c)
-        for x, y in itertools.product(enumerate_generators(d)[:3], repeat=2):
-            assert grading._corner_rhs(d, x, y) == corner_system(d, x, y)[1]
+            alternating = [c[q0] - c[q1] + c[q2] - c[q3] for q0, q1, q2, q3 in d.quadrants]
+            image = mul_vec(m, c)
+            assert image[:nv] == tuple(-a for a in alternating)
+            assert image[nv:] == tuple(alternating)
+            for (x, y), rhs in rhs_of.items():
+                assert certificate_accepts(d, x, y, c) == (image == rhs)
+        for (x, y), rhs in rhs_of.items():
+            dom = solve_domain(d, x, y)
+            if dom is None:
+                continue
+            domains += 1
+            assert mul_vec(m, dom.coefficients) == rhs
+            assert certificate_accepts(d, x, y, dom.coefficients)
+            for j, step in itertools.product(range(d.n_regions), (1, -1)):
+                moved = list(dom.coefficients)
+                moved[j] += step
+                assert certificate_accepts(d, x, y, moved) == (mul_vec(m, moved) == rhs)
+    assert domains > 1000
 
 
 def test_solve_distinct_lens_generators(l31):

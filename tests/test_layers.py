@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from hfcalc.atlas import build_annulus_open_book, build_torus_diagram
+from hfcalc.atlas import build_annulus_open_book, build_torus_diagram, stabilize
 from hfcalc.diagram import ALPHA, BETA, assemble_regions, reverse_curve
-from hfcalc.grading import (basepoint_multiplicity, enumerate_generators,
+from hfcalc.grading import (Generator, basepoint_multiplicity, enumerate_generators,
                             homogeneous_lattice, maslov_index, positive_representative,
                             solve_domain, spinc_partition)
 from hfcalc.layers import (AUXILIARY, BOUNDARY_DEGENERATE, CONCAVE, CONVEX, EDGE_POINT,
@@ -241,7 +241,10 @@ def test_corner_table_matches_classify_corner():
     # Every multiplicity pattern in {0, ..., 3}^4 at levels 1-3, in each
     # membership: the row at membership | mask, with the auxiliary sign
     # taken as the row's count times the vertex's pair sign, counts what
-    # ``classify_corner`` returns on the multiplicities themselves.
+    # ``classify_corner`` returns on the multiplicities themselves.  The
+    # arc ends are counted half-edge by half-edge: the half-edge in
+    # rotation slot q lies between quadrants q - 1 and q, and its arc is
+    # in the layer when either of them is.
     table = _corner_table()
     assert len(table) == 64
     for mults in itertools.product(range(4), repeat=4):
@@ -252,13 +255,42 @@ def test_corner_table_matches_classify_corner():
                 out = classify_corner(mults, level, in_x, in_y)
                 kinds = [c.kind for c in out]
                 shapes = [c.shape for c in out]
+                ends = sum(mults[q - 1] >= level or mults[q] >= level for q in range(4))
                 expected = (
-                    len(out), shapes.count(CONVEX), shapes.count(CONCAVE),
+                    len(out), ends, shapes.count(CONVEX), shapes.count(CONCAVE),
                     kinds.count(BOUNDARY_DEGENERATE), kinds.count(INTERIOR_DEGENERATE),
                     kinds.count(AUXILIARY), sum(m >= level for m in mults) * (in_x + in_y))
                 assert tuple(row) == expected, (mults, level, in_x, in_y)
                 assert (row.auxiliary * _pair_sign(mults)
                         == sum(c.sign for c in out if c.kind == AUXILIARY))
+
+
+def test_layer_arcs_are_half_the_cluster_ends(atlas_suite):
+    # An arc is in a layer when one of its sides is, and near each end its
+    # sides are the quadrants on either side of that half-edge, so each end
+    # of an arc of the layer touches exactly one cluster.  A cluster of k < 4
+    # quadrants touches k + 1 ends and a full vertex 4, so a layer has half
+    # its clusters' ends as arcs.  On random nonnegative vectors: the atlas,
+    # each diagram stabilized (single-vertex curves) and with each curve
+    # reversed, and random curve systems.  Membership in x and y changes
+    # the clusters' kinds, not their count, so x and y are random vertex
+    # sets (some curve systems have no generator).
+    diagrams = atlas_suite + [stabilize(d)[0].diagram for d in atlas_suite]
+    diagrams += [assemble_regions(reverse_curve(d.input, c))
+                 for d in atlas_suite for c in d.input.curve_names()]
+    diagrams += assembled_curve_systems(random.Random(2024), 300)
+    rng = random.Random(17)
+    layers = 0
+    for d in diagrams:
+        for _ in range(3):
+            coeffs = [rng.randint(0, 3) for _ in range(d.n_regions)]
+            x, y = (Generator(tuple(v for v in range(d.n_vertices) if rng.random() < 0.5))
+                    for _ in "xy")
+            for layer in decompose_layers(d, x, y, coeffs):
+                ends = sum(min(len(c.quadrants) + 1, 4) for c in layer.clusters)
+                assert ends == 2 * len(layer.arcs), (d.input, coeffs, layer.level)
+                layers += 1
+    assert layers > 500
 
 
 def test_audit_interior_degenerate_full_surface(s3):
