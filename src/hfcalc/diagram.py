@@ -22,13 +22,13 @@ regions, and the answers cached for it.  It is read-only apart from that
 cache and safe to share between threads.
 
 Assembly builds each lookup table once: the vertex numbering with the
-sign and the alpha and beta curve of each vertex, the arcs with their
-dart names, each vertex's rotation, the traced faces with the face of
-each dart, the regions with the region of each face, each region's corner
-count and Euler characteristic, the regions at each vertex's four
-quadrants, the regions on each side of each arc, and the basepoint
-region.  The index from every dart name to its face is built only when a
-region directive lists circles.
+sign and the alpha and beta curve of each vertex, the dart names, each
+vertex's rotation, the traced faces with the face of each dart, the
+regions with the region of each face, each region's corner count and
+Euler characteristic, the regions at each vertex's four quadrants, the
+regions on each side of each arc, and the basepoint region.  No record
+is built per arc.  The index from every dart name to its face is built
+only when a region directive lists circles.
 
 Dart conventions used throughout: every arc gets a forward dart ``2 * arc``
 (along the curve orientation) and a backward dart ``2 * arc + 1``; traced
@@ -96,12 +96,6 @@ class CurveSystemInput(NamedTuple):
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _parse_alpha_token(tok: str, line: int) -> tuple[str, int]:
-    if len(tok) < 2 or tok[-1] not in "+-":
-        raise ParseError(f"alpha vertex {tok!r} needs a crossing sign (+ or -)", line)
-    return tok[:-1], (1 if tok[-1] == "+" else -1)
-
-
 def _parse_count(text: str, what: str, line: int) -> int:
     # isdecimal, not isdigit: int() rejects superscripts such as '²'.
     if not text.isdecimal():
@@ -137,8 +131,7 @@ def parse_diagram(text: str) -> CurveSystemInput:
     basepoint: tuple[str, str, str] | None = None
     directives: list[RegionDirective] = []
     seen_curves: set[str] = set()
-    seen_alpha: dict[str, int] = {}
-    seen_beta: dict[str, int] = {}
+    seen_beta: set[str] = set()  # ``signs`` holds the vertices seen on alpha curves
     header_seen = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -172,23 +165,27 @@ def parse_diagram(text: str) -> CurveSystemInput:
             if not toks:
                 raise ParseError(f"curve {name!r} lists no vertices; every curve "
                                  "must cross the other family at least once", lineno)
-            verts: list[str] = []
-            for tok in toks:
-                if keyword == ALPHA:
-                    vname, sign = _parse_alpha_token(tok, lineno)
-                    if vname in seen_alpha:
+            if keyword == ALPHA:
+                verts: list[str] = []
+                for tok in toks:
+                    sign = tok[-1]
+                    if len(tok) < 2 or sign not in "+-":
+                        raise ParseError(f"alpha vertex {tok!r} needs a crossing sign (+ or -)",
+                                         lineno)
+                    vname = tok[:-1]
+                    if vname in signs:
                         raise ParseError(f"vertex {vname!r} listed twice on alpha curves", lineno)
-                    seen_alpha[vname] = lineno
-                    signs[vname] = sign
-                else:
+                    signs[vname] = 1 if sign == "+" else -1
+                    verts.append(vname)
+                alpha.append((name, tuple(verts)))
+            else:
+                for tok in toks:
                     if tok[-1] in "+-":
                         raise ParseError(f"beta vertex {tok!r} must not carry a sign", lineno)
-                    vname = tok
-                    if vname in seen_beta:
-                        raise ParseError(f"vertex {vname!r} listed twice on beta curves", lineno)
-                    seen_beta[vname] = lineno
-                verts.append(vname)
-            (alpha if keyword == ALPHA else beta).append((name, tuple(verts)))
+                    if tok in seen_beta:
+                        raise ParseError(f"vertex {tok!r} listed twice on beta curves", lineno)
+                    seen_beta.add(tok)
+                beta.append((name, tuple(toks)))
         elif keyword == "basepoint:":
             if basepoint is not None:
                 raise ParseError("duplicate basepoint line", lineno)
@@ -234,8 +231,8 @@ def parse_diagram(text: str) -> CurveSystemInput:
         raise ParseError(
             f"genus {genus} requires {genus} alpha and {genus} beta curves, "
             f"got {len(alpha)} and {len(beta)}")
-    if set(seen_alpha) != set(seen_beta):
-        missing = set(seen_alpha) ^ set(seen_beta)
+    if signs.keys() != seen_beta:
+        missing = signs.keys() ^ seen_beta
         raise ParseError(
             "vertex sets of the two families differ: " + " ".join(sorted(missing)))
 
@@ -256,23 +253,14 @@ def parse_diagram(text: str) -> CurveSystemInput:
 # Graph structure and face tracing
 # ---------------------------------------------------------------------------
 
-class Arc(NamedTuple):
-    """Oriented edge between consecutive vertices along one curve."""
-
-    index: int
-    family: str  # ALPHA or BETA
-    curve: str
-    pos: int  # position along the curve listing
-    tail: int  # vertex id
-    head: int  # vertex id
-
-
 class _Graph:
-    """Vertices, arcs, rotations, and traced faces of a curve system.
+    """Vertices, rotations, and traced faces of a curve system.
 
-    ``dart_names[d]`` is the circle id of dart ``d``: the arc's curve and
-    position as ``curve.pos``, followed by ``+`` for the forward dart and
-    ``-`` for the backward one.
+    The arcs are numbered along the curves, alpha curves first, each curve
+    in listing order: arc ``pos`` of a curve runs from its vertex ``pos``
+    to the next one.  ``dart_names[d]`` is the circle id of dart ``d``:
+    the arc's curve and position as ``curve.pos``, followed by ``+`` for
+    the forward dart and ``-`` for the backward one.
     ``alpha_of[v]`` and ``beta_of[v]`` are the indices of the alpha and
     the beta curve through vertex ``v``.
     """
@@ -291,26 +279,23 @@ class _Graph:
         self.beta = tuple((name, tuple(map(index.__getitem__, verts)))
                           for name, verts in inp.beta)
 
-        # One walk along every curve builds the arcs, their dart names, the
-        # curve through each vertex and the darts leaving and entering it.
+        # One walk along every curve builds the dart names, the curve through
+        # each vertex and the darts leaving and entering it.
         alpha_of, beta_of = [-1] * nv, [-1] * nv
-        arcs: list[Arc] = []
         dart_names: list[str] = []
         a_out, a_in, b_out, b_in = [-1] * nv, [-1] * nv, [-1] * nv, [-1] * nv
-        for family, curves, curve_of, out, inn in ((ALPHA, self.alpha, alpha_of, a_out, a_in),
-                                                   (BETA, self.beta, beta_of, b_out, b_in)):
+        for curves, curve_of, out, inn in ((self.alpha, alpha_of, a_out, a_in),
+                                           (self.beta, beta_of, b_out, b_in)):
             for j, (name, verts) in enumerate(curves):
                 for pos, (tail, head) in enumerate(zip(verts, verts[1:] + verts[:1])):
-                    arc = len(arcs)
-                    arcs.append(Arc(arc, family, name, pos, tail, head))
+                    dart = len(dart_names)
                     arc_name = f"{name}.{pos}"
                     dart_names += (arc_name + "+", arc_name + "-")
                     curve_of[tail] = j
-                    out[tail] = 2 * arc
-                    inn[head] = 2 * arc + 1
+                    out[tail] = dart
+                    inn[head] = dart + 1
         self.alpha_of = tuple(alpha_of)
         self.beta_of = tuple(beta_of)
-        self.arcs = tuple(arcs)
         self.dart_names = tuple(dart_names)
 
         # Faces on the left: the next dart of a face is sigma^-1 (the previous
@@ -341,10 +326,11 @@ class _Graph:
                 face_of_dart[d] = f
                 cycle.append(d)
                 d = after[d]
-            first = min(cycle, key=dart_names.__getitem__)
-            k = cycle.index(first)
+            names = [dart_names[d] for d in cycle]
+            first = min(names)
+            k = names.index(first)
             faces.append(tuple(cycle[k:] + cycle[:k]))
-            face_names.append(dart_names[first])
+            face_names.append(first)
         self.face_of_dart = tuple(face_of_dart)
         self.faces = tuple(faces)
         self.face_names = tuple(face_names)
@@ -481,8 +467,7 @@ class HeegaardDiagram(_Graph):
                 corner_counts.append(len(faces[f]))
 
         nv = len(self.vertex_names)
-        ne = len(self.arcs)
-        assert ne == 2 * nv  # one alpha and one beta arc slot per vertex
+        ne = self.n_arcs
         chi_regions = sum(region_chi)
         chi = nv - ne + chi_regions
         if chi != 2 - 2 * inp.genus:
@@ -541,7 +526,7 @@ class HeegaardDiagram(_Graph):
 
     @property
     def n_arcs(self) -> int:
-        return len(self.arcs)
+        return 2 * len(self.vertex_names)  # one alpha and one beta arc leave each vertex
 
     @property
     def n_regions(self) -> int:
@@ -621,9 +606,9 @@ def serialize(diagram: HeegaardDiagram) -> str:
     curve_len = {name: len(verts) for name, verts in inp.alpha + inp.beta}
 
     def new_dart_name(dart: int) -> str:
-        arc = diagram.arcs[dart // 2]
-        pos = (arc.pos - offsets[arc.curve]) % curve_len[arc.curve]
-        return f"{arc.curve}.{pos}" + ("+" if dart % 2 == 0 else "-")
+        name = diagram.dart_names[dart]
+        curve, pos = name[:-1].rsplit(".", 1)
+        return f"{curve}.{(int(pos) - offsets[curve]) % curve_len[curve]}{name[-1]}"
 
     special = [r for r in diagram.regions if r.genus > 0 or len(r.faces) > 1]
     entries = []

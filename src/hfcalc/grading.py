@@ -85,19 +85,22 @@ class MixedLabelError(GradingError):
 # Per-diagram state
 # ---------------------------------------------------------------------------
 
+_MISSING = object()
+
+
 def _per_diagram(fn):
     """Memoize ``fn(diagram)`` in the diagram's own cache.
 
     The cache is a dict on the diagram, so a cached value lives exactly as
-    long as its diagram does.
+    long as its diagram does.  A miss is a sentinel, not an exception, and
+    a falsy value such as ``()`` is cached like any other.
     """
     @wraps(fn)
     def cached(diagram: HeegaardDiagram):
-        try:
-            return diagram._cache[fn]
-        except KeyError:
+        value = diagram._cache.get(fn, _MISSING)
+        if value is _MISSING:
             value = diagram._cache[fn] = fn(diagram)
-            return value
+        return value
 
     return cached
 
@@ -259,22 +262,28 @@ def _anchor_domains(diagram: HeegaardDiagram) -> dict[Generator, tuple[int, ...]
 def _beta_walk(diagram: HeegaardDiagram):
     """Breadth-first from the basepoint region across the beta arcs (they reach
     every region: assembly checks it), as (region, parent, arc, j, sign) with
-    D(region) = D(parent) + sign (value on this arc of beta_j); and beta-out per vertex."""
-    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in range(diagram.n_regions)]
-    for arc in range(diagram.n_vertices, diagram.n_arcs):
-        left, right = diagram.arc_sides[arc]
-        adjacent[right].append((left, arc, 1))
-        adjacent[left].append((right, arc, -1))
+    D(region) = D(parent) + sign (value on this arc of beta_j); and, per vertex,
+    the beta arc leaving it and the next vertex along its beta curve."""
+    nv = diagram.n_vertices
+    arc_sides = diagram.arc_sides
+    adjacent: list[list[tuple[int, int, int, int]]] = [[] for _ in range(diagram.n_regions)]
+    beta_out, beta_next = [0] * nv, [0] * nv
+    arc = nv  # the beta arcs follow the alpha arcs, each curve in listing order
+    for j, (_, verts) in enumerate(diagram.beta):
+        for tail, head in zip(verts, verts[1:] + verts[:1]):
+            beta_out[tail], beta_next[tail] = arc, head
+            left, right = arc_sides[arc]
+            adjacent[right].append((left, arc, j, 1))
+            adjacent[left].append((right, arc, j, -1))
+            arc += 1
     reached, queue, order = {diagram.basepoint_region}, [diagram.basepoint_region], []
     for parent in queue:
-        for region, arc, sign in adjacent[parent]:
+        for region, arc, j, sign in adjacent[parent]:
             if region not in reached:
                 reached.add(region)
                 queue.append(region)
-                order.append((region, parent, arc,
-                              diagram.beta_of[diagram.arcs[arc].tail], sign))
-    return order, [rot[1 if s > 0 else 3] // 2
-                   for rot, s in zip(diagram.rotations, diagram.signs)]
+                order.append((region, parent, arc, j, sign))
+    return order, beta_out, beta_next
 
 
 def _integrate_beta(diagram: HeegaardDiagram, base: Sequence[int],
@@ -310,14 +319,14 @@ def _domain_avoiding_z(diagram: HeegaardDiagram, x: Generator, y: Generator) -> 
     of many, all grading alike mod d.  A non-integral n, or a failed corner
     certificate, raises ``ConsistencyError``.
     """
-    beta_out = _beta_walk(diagram)[1]
+    _, beta_out, beta_next = _beta_walk(diagram)
     x_on_beta = {diagram.beta_of[v]: v for v in x.vertices}
     base = [0] * diagram.n_arcs
     for v in y.vertices:
         end = x_on_beta[diagram.beta_of[v]]
         while v != end:
             base[beta_out[v]] = 1
-            v = diagram.arcs[beta_out[v]].head
+            v = beta_next[v]
     r = [0] * diagram.genus
     for rot, i, sign in zip(diagram.rotations, diagram.alpha_of, diagram.signs):
         r[i] -= sign * base[rot[1] // 2]
@@ -558,10 +567,12 @@ def spinc_partition(diagram: HeegaardDiagram) -> tuple[SpincClass, ...]:
         for r, m in enumerate(moduli):
             image[r] %= m
         members.setdefault(tuple(image), []).append(g)
+    periodic = _periodic_domains(diagram)  # none when b1 = 0, and then every d is 0
     classes = []
     for i, cls in enumerate(members.values()):
         anchor = cls[0] if len(cls) == 1 else min(cls, key=lambda g: _anchor_key(diagram, g))
-        classes.append(SpincClass(i, tuple(cls), anchor, divisibility(diagram, anchor)))
+        classes.append(SpincClass(i, tuple(cls), anchor,
+                                  divisibility(diagram, anchor) if periodic else 0))
     return tuple(classes)
 
 
@@ -650,14 +661,15 @@ def grading_table(diagram: HeegaardDiagram) -> tuple[tuple[Generator, GradingLab
     The offset of g is its potential P(g), the grading of D0(g, anchor),
     0 at the anchor with no domain built; ``relative_grading`` reads the
     same potentials, so label differences within a class realize it.
+    The labels are made class by class; the rows are in generator order.
     """
-    class_of = _class_of(diagram)
-    rows = []
-    for g in enumerate_generators(diagram):
-        cls = class_of[g]
-        rows.append((g, GradingLabel(cls.index, _potential(diagram, g, cls.anchor),
-                                     cls.divisibility)))
-    return tuple(rows)
+    labels = {}
+    for cls in spinc_partition(diagram):
+        anchor, d = cls.anchor, cls.divisibility
+        for g in cls.members:
+            labels[g] = GradingLabel(cls.index, 0 if g == anchor else
+                                     _potential(diagram, g, anchor), d)
+    return tuple((g, labels[g]) for g in enumerate_generators(diagram))
 
 
 @_per_diagram

@@ -1,4 +1,4 @@
-"""Dense test oracles: the Smith normal form and the corner system.
+"""Test oracles: the Smith normal form, the corner system, the arcs and the intersection signs.
 
 ``full_scan_smith`` stores U, S and V as dense lists and applies every
 row and column operation to whole rows and columns.
@@ -11,9 +11,17 @@ tests check answers with.
 face boundaries (``boundary_trace``), so it shares no code with
 ``grading._check_connecting``, which certifies every domain by one
 equation in the four quadrant multiplicities at each vertex.
+
+``arc_table`` lists the arcs from the curve listings alone, the
+(index, family, curve, pos, tail, head) of each: the diagram keeps no
+record per arc.
+
+``generator_sign`` is the intersection sign of a generator, read off the
+parsed listings with no linear algebra: the oracle for the parity of the
+grading labels and for the Euler characteristic of each Spin^c class.
 """
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from hfcalc.zlattice import DimensionMismatch, IntMatrix, SmithDecomposition
 
@@ -40,6 +48,45 @@ def dense_transforms(dec: SmithDecomposition) -> tuple[IntMatrix, IntMatrix, Int
             IntMatrix.from_rows(v, ncols))
 
 
+class ArcRow(NamedTuple):
+    index: int
+    family: str  # "alpha" or "beta"
+    curve: str
+    pos: int  # position along the curve listing
+    tail: int  # vertex id
+    head: int  # vertex id
+
+
+def arc_table(diagram) -> list[ArcRow]:
+    """Every arc of the diagram: alpha curves first, each curve in listing
+    order, arc ``pos`` from vertex ``pos`` of the listing to the next one,
+    so arc a has the darts 2a (forward) and 2a + 1 (backward)."""
+    rows: list[ArcRow] = []
+    for family, curves in (("alpha", diagram.alpha), ("beta", diagram.beta)):
+        for name, verts in curves:
+            for pos, tail in enumerate(verts):
+                rows.append(ArcRow(len(rows), family, name, pos, tail,
+                                   verts[(pos + 1) % len(verts)]))
+    return rows
+
+
+def generator_sign(diagram, g) -> int:
+    """The sign of the permutation i -> beta curve of g's vertex on alpha_i,
+    times the crossing signs of g's vertices, from ``diagram.input``."""
+    names = [diagram.vertex_names[v] for v in g.vertices]
+    alpha_of, beta_of = ({v: j for j, (_, verts) in enumerate(curves) for v in verts}
+                         for curves in (diagram.input.alpha, diagram.input.beta))
+    perm = [beta_of[v] for v in sorted(names, key=alpha_of.__getitem__)]
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    for v in names:
+        sign *= diagram.input.signs[v]
+    return sign
+
+
 def boundary_trace(diagram, coeffs):
     """Retrace the domain boundary circle by circle.
 
@@ -47,7 +94,8 @@ def boundary_trace(diagram, coeffs):
     weighted by the region coefficient, then takes endpoints.  Returns the
     alpha and beta 0-chains (vertex -> coefficient).
     """
-    arc_coeff = [0] * diagram.n_arcs
+    arcs = arc_table(diagram)
+    arc_coeff = [0] * len(arcs)
     for region, a in zip(diagram.regions, coeffs):
         if not a:
             continue
@@ -56,7 +104,7 @@ def boundary_trace(diagram, coeffs):
                 arc_coeff[dart // 2] += a if dart % 2 == 0 else -a
     alpha_chain = [0] * diagram.n_vertices
     beta_chain = [0] * diagram.n_vertices
-    for arc in diagram.arcs:
+    for arc in arcs:
         chain = alpha_chain if arc.family == "alpha" else beta_chain
         chain[arc.head] += arc_coeff[arc.index]
         chain[arc.tail] -= arc_coeff[arc.index]

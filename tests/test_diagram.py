@@ -18,6 +18,7 @@ from hfcalc.grading import spinc_partition
 
 from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
                       s1s2_sum_text)
+from smith_oracle import arc_table
 from strategies import random_curve_system
 
 
@@ -207,10 +208,11 @@ def assembly_verdict_by_vertices(inp):
     region), and a region union-find per cut family.
     """
     graph = _Graph(inp)
+    arcs = arc_table(graph)
     directives = inp.directives
 
     def origin(dart):
-        arc = graph.arcs[dart // 2]
+        arc = arcs[dart // 2]
         return arc.tail if dart % 2 == 0 else arc.head
 
     face_index = {}
@@ -252,7 +254,7 @@ def assembly_verdict_by_vertices(inp):
             region_of_face[f] = r.index
 
     nv = len(graph.vertex_names)
-    ne = len(graph.arcs)
+    ne = len(arcs)
     chi = nv - ne + sum(r.chi for r in regions)
     if chi != 2 - 2 * inp.genus:
         return (f"Euler characteristic mismatch: V - E + sum chi(region) = "
@@ -270,7 +272,7 @@ def assembly_verdict_by_vertices(inp):
     def union(x, y):
         parent[find(x)] = find(y)
 
-    for arc in graph.arcs:
+    for arc in arcs:
         union(arc.tail, arc.head)
     for r in regions:
         anchor = origin(graph.faces[r.faces[0]][0])
@@ -288,7 +290,7 @@ def assembly_verdict_by_vertices(inp):
                 x = rparent[x]
             return x
 
-        for arc in graph.arcs:
+        for arc in arcs:
             if arc.family == family:
                 l = region_of_face[graph.face_of_dart[2 * arc.index]]
                 r_ = region_of_face[graph.face_of_dart[2 * arc.index + 1]]
@@ -319,7 +321,7 @@ def test_assembly_checks_match_the_vertex_union_find():
 
 
 # Every table that assembly builds, in the form a caller reads it.
-ASSEMBLY_TABLES = ("vertex_names", "signs", "alpha", "beta", "alpha_of", "beta_of", "arcs",
+ASSEMBLY_TABLES = ("vertex_names", "signs", "alpha", "beta", "alpha_of", "beta_of",
                    "dart_names", "rotations", "face_of_dart", "faces", "face_names", "regions",
                    "region_of_face", "basepoint_region", "corner_counts", "region_chi",
                    "quadrants", "arc_sides")
@@ -329,8 +331,10 @@ ASSEMBLY_TABLES = ("vertex_names", "signs", "alpha", "beta", "alpha_of", "beta_o
 # anchor and its divisibility, for each input that assembles, and the
 # ValidationError text for each input that does not.  The repr tells a list
 # from a tuple, so the digest pins the container types as well as circle and
-# region order.
-ASSEMBLY_DIGEST = "9fb790b9c1ac858332b7758e177ba1e9f3ca45d950581519da56233cdcc6d0d5"
+# region order.  Recorded on the code that still kept a record per arc,
+# with that table left out of ASSEMBLY_TABLES, so every other table is
+# pinned byte for byte across its removal.
+ASSEMBLY_DIGEST = "d730f97ec2d17393accb02c28481c9c751deeedd93bd0a7e3f3aefa9245bff5b"
 
 
 def assembly_inputs(atlas_suite):
@@ -406,6 +410,20 @@ def test_lookup_tables_match_the_face_lookups(atlas_suite):
         assert d.arc_sides == tuple((region_of_dart(2 * a), region_of_dart(2 * a + 1))
                                     for a in range(d.n_arcs))
         assert d.region_chi == tuple(r.chi for r in d.regions)
+
+
+def test_arcs_are_numbered_along_the_listings(atlas_suite):
+    """Arc a of the curve listings, alpha curves first, has the darts 2a and
+    2a + 1, named after it, and leaves its tail in the rotation slot of its
+    family (beta: slot 1 at a positive vertex, slot 3 at a negative one)."""
+    for d in atlas_suite + [stabilize(d)[0].diagram for d in atlas_suite]:
+        arcs = arc_table(d)
+        assert len(arcs) == d.n_arcs
+        for arc in arcs:
+            name = f"{arc.curve}.{arc.pos}"
+            assert d.dart_names[2 * arc.index:2 * arc.index + 2] == (name + "+", name + "-")
+            slot = 0 if arc.family == ALPHA else (1 if d.signs[arc.tail] > 0 else 3)
+            assert d.rotations[arc.tail][slot] == 2 * arc.index
 
 
 @pytest.mark.parametrize("text", [S3_TEXT, L31_TEXT, D2_TEXT, TWO_FINGER_TEXT])

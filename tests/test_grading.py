@@ -32,8 +32,8 @@ from hfcalc.zlattice import (DimensionMismatch, IntMatrix, gcd_over_lattice, smi
                              solve_integer_system)
 from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
                       s1s2_sum_text)
-from smith_oracle import (boundary_trace, column, corner_matrix, corner_system,
-                          full_scan_smith, mul_vec)
+from smith_oracle import (arc_table, boundary_trace, column, corner_matrix, corner_system,
+                          full_scan_smith, generator_sign, mul_vec)
 from strategies import assembled_curve_systems, transformed_diagrams
 
 
@@ -562,12 +562,13 @@ def homology_spanning_forest(diagram):
             a = parent[a]
         return a
 
-    edges: list[tuple[int, int]] = [(a.tail, a.head) for a in diagram.arcs]
-    arc_edge = list(range(len(diagram.arcs)))
+    arcs = arc_table(diagram)
+    edges: list[tuple[int, int]] = [(a.tail, a.head) for a in arcs]
+    arc_edge = list(range(len(arcs)))
 
     def circle_anchor(face: int) -> int:
         d = diagram.faces[face][0]
-        arc = diagram.arcs[d // 2]
+        arc = arcs[d // 2]
         return arc.tail if d % 2 == 0 else arc.head
 
     for r in diagram.regions:
@@ -605,7 +606,7 @@ def homology_spanning_forest(diagram):
         rows.append(acc)
     for curves in (diagram.alpha, diagram.beta):
         for name, _ in curves:
-            darts = [2 * a.index for a in diagram.arcs if a.curve == name]
+            darts = [2 * a.index for a in arcs if a.curve == name]
             rows.append(walk_row(darts))
 
     inv = smith_invariants(IntMatrix.from_rows(rows, ncols))
@@ -747,6 +748,73 @@ def test_label_differences_realize_relative_grading(rational_atlas, irrational_a
                     diff = table[x].offset - table[y].offset
                     gr = grading._domain_grading(solve_domain(d, x, y))
                     assert (diff - gr) % m == 0 if m else diff == gr
+
+
+def assert_sign_identities(d):
+    """The intersection-sign oracle on ``grading_table``: in each class an
+    offset is even exactly when sign(g) = sign(anchor) (the moduli are even,
+    so parity is defined), sum sign(g) is +-1 at b1 = 0 and 0 at b1 > 0, and
+    at b1 = 0 there are |H1| classes.  Returns b1."""
+    rows: dict[int, list] = {}
+    for g, label in grading_table(d):
+        assert label.modulus % 2 == 0
+        rows.setdefault(label.spinc, []).append((g, label))
+    anchors = {cls.index: cls.anchor for cls in spinc_partition(d)}
+    h = homology_of_Y(d)
+    for index, members in rows.items():
+        anchor_sign = generator_sign(d, anchors[index])
+        signs = [generator_sign(d, g) for g, _ in members]
+        for (g, label), sign in zip(members, signs):
+            assert (label.offset % 2 == 0) == (sign == anchor_sign), (d.input, g)
+        assert abs(sum(signs)) == 1 if h.b1 == 0 else sum(signs) == 0, (d.input, index)
+    if h.b1 == 0:
+        assert len(rows) == h.order
+    return h.b1
+
+
+def assert_sign_oracle_holds(diagrams, rational, irrational, several):
+    """``assert_sign_identities`` on each diagram; then, so that no check is
+    vacuous, at least the given numbers of diagrams at b1 = 0, at b1 > 0 and
+    with a class of several members."""
+    b1s = [assert_sign_identities(d) for d in diagrams]
+    assert b1s.count(0) >= rational and len(b1s) - b1s.count(0) >= irrational
+    assert sum(len(enumerate_generators(d)) > len(spinc_partition(d))
+               for d in diagrams) >= several
+
+
+def test_intersection_signs_are_an_oracle_on_the_atlas(atlas_suite):
+    """Each atlas diagram as built, stabilized once and with each curve reversed."""
+    diagrams = list(atlas_suite) + [stabilize(d)[0].diagram for d in atlas_suite]
+    diagrams += [r for d in atlas_suite for r in curve_reversals(d)]
+    assert_sign_oracle_holds(diagrams, rational=30, irrational=5, several=10)
+
+
+def test_intersection_signs_are_an_oracle_on_random_curve_systems():
+    drawn = list(assembled_curve_systems(random.Random(2024), 1500))
+    assert len(drawn) == 412
+    assert_sign_oracle_holds(drawn, rational=350, irrational=10, several=30)
+
+
+def test_falsy_cached_values_are_computed_once(monkeypatch):
+    """At b1 = 0 ``_periodic_domains`` is (), and the cache keeps it: ker A is
+    read once per diagram, however often the table, the partition and the
+    divisibility ask for it."""
+    real = grading._kernel
+    calls = []
+
+    def counting(smith):
+        calls.append(smith)
+        return real(smith)
+
+    monkeypatch.setattr(grading, "_kernel", counting)
+    for d in (load_diagram(L31_TEXT), build_annulus_open_book(5).diagram):
+        calls.clear()
+        for _ in range(3):
+            grading_table(d)
+            for cls in spinc_partition(d):
+                assert divisibility(d, cls.anchor) == 0
+        assert grading._periodic_domains(d) == ()
+        assert len(calls) == 1
 
 
 def _grading_fingerprint(d):

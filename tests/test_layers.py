@@ -17,6 +17,7 @@ from hfcalc.layers import (AUXILIARY, BOUNDARY_DEGENERATE, CONCAVE, CONVEX, EDGE
                            LayerReport, LayerSurface, _corner_table, _pair_sign, audit_index,
                            classify_corner, decompose_layers, layer_euler, layer_index)
 from hfcalc.zlattice import DimensionMismatch
+from smith_oracle import arc_table
 from strategies import assembled_curve_systems, transformed_diagrams
 
 
@@ -480,7 +481,7 @@ def boundary_identity_sides(d, x, y, coeffs):
                     for v in gen.vertices for dart in d.rotations[v]), Fraction(0))
 
     jumps = {ALPHA: [0] * d.n_vertices, BETA: [0] * d.n_vertices}
-    for arc in d.arcs:
+    for arc in arc_table(d):
         jump = coeffs[region_of_dart(2 * arc.index)] - coeffs[region_of_dart(2 * arc.index + 1)]
         jumps[arc.family][arc.tail] += jump
         jumps[arc.family][arc.head] += jump

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hfcalc.atlas import MarkedDiagram
-from hfcalc.diagram import Arc, CurveSystemInput, Quadrant, Region, RegionDirective
+from hfcalc.diagram import CurveSystemInput, Quadrant, Region, RegionDirective
 from hfcalc.grading import (Domain, Generator, GradingLabel, Homology, SpincClass,
                             TwistedElement, enumerate_generators, solve_domain)
 from hfcalc.layers import AuditReport, CornerClass, LayerReport, LayerSurface
@@ -23,8 +23,6 @@ RECORDS = [
                       ("a0", "x0", "left-after"), ()),
      "CurveSystemInput(genus=1, alpha=(('a0', ('x0',)),), beta=(('b0', ('x0',)),), "
      "signs={'x0': 1}, basepoint=('a0', 'x0', 'left-after'), directives=())"),
-    (Arc(0, "alpha", "a0", 0, 0, 1),
-     "Arc(index=0, family='alpha', curve='a0', pos=0, tail=0, head=1)"),
     (Region(0, "r0", 0, (0, 1)), "Region(index=0, label='r0', genus=0, faces=(0, 1))"),
     (Quadrant("x0", 2, 1), "Quadrant(vertex='x0', position=2, region=1)"),
     (IntMatrix(((1, 2), (3, 4)), 2), "IntMatrix(entries=((1, 2), (3, 4)), cols=2)"),
