@@ -7,30 +7,35 @@ layers satisfy chi(F) + concave = mu, and that n_x - n_y equals the
 intersection number of the domain's alpha and beta boundaries.
 """
 
-from hfcalc import (audit_index, build_s1s2, decompose_layers, enumerate_generators,
-                    layer_euler, layer_index, maslov_index, positive_representative,
-                    solve_domain)
+from hfcalc import (audit_index, build_s1s2, classify_corner, enumerate_generators,
+                    maslov_index, positive_representative, solve_domain)
 
 d = build_s1s2().diagram
 x, y = enumerate_generators(d)
 bigon = positive_representative(solve_domain(d, x, y))
 
-# Stack the full surface on top of the bigon: multiplicities (2,1,1).
+# Stack the full surface on top of the bigon: multiplicities (1,2,1).
 coeffs = tuple(c + 1 for c in bigon.coefficients)
 print("domain coefficients:", coeffs, " mu =", maslov_index(d, x, y, coeffs))
 
-layers = decompose_layers(d, x, y, coeffs)
-for layer in layers:
-    print(f"level {layer.level}: regions {layer.regions} "
-          f"chi = {layer_euler(d, layer)} "
-          f"index = {layer_index(d, x, y, layer)}")
-    for c in layer.clusters:
-        print(f"   vertex {d.vertex_names[c.vertex]}: {c.kind} ({c.shape})"
-              + (f" role {c.role}" if c.role else "")
-              + (f" sign {c.sign:+d}" if c.sign is not None else ""))
+# The clusters of each level, classified vertex by vertex from the
+# multiplicities of the four quadrants around it.
+for level in range(1, max(coeffs) + 1):
+    print(f"level {level}: regions {tuple(r for r, c in enumerate(coeffs) if c >= level)}")
+    for v, quadrants in enumerate(d.quadrants):
+        mults = [coeffs[r] for r in quadrants]
+        for c in classify_corner(mults, level, v in x.vertices, v in y.vertices, v):
+            print(f"   vertex {d.vertex_names[c.vertex]}: {c.kind} ({c.shape})"
+                  + (f" role {c.role}" if c.role else "")
+                  + (f" sign {c.sign:+d}" if c.sign is not None else ""))
 
+# The audit counts the same clusters level by level and checks the
+# identities.
 report = audit_index(d, x, y, coeffs)
 print()
+for l in report.layers:
+    print(f"level {l.level}: chi = {l.chi} convex = {l.convex} concave = {l.concave} "
+          f"index = {l.index}")
 print("layer sum", report.layer_sum, "= mu", report.maslov)
 print("n_x - n_y", report.n_x_minus_n_y,
       "= d_alpha D . d_beta D", report.boundary_intersection)

@@ -25,7 +25,7 @@ Modules
 ``diagram``   parsing, face tracing, assembly, canonical serialization
 ``zlattice``  exact integer linear algebra (Smith form, lattice solving)
 ``grading``   generators, domains, Spin^c classes, gradings, homology
-``layers``    layer decomposition and corner-classification audits
+``layers``    corner classification and the layer-by-layer index audit
 ``atlas``     builders for benchmark diagrams and stabilization
 ``cli``       the ``hfcalc`` command-line front end
 """
@@ -44,8 +44,7 @@ from .grading import (ConsistencyError, Domain, Generator, GradingLabel, Homolog
                       label_of, maslov_index, point_measure, positive_representative,
                       relative_grading, shift_label, solve_domain, spinc_class_of,
                       spinc_partition, theta_and_shift, twisted_label)
-from .layers import (AuditError, AuditReport, CornerClass, LayerSurface, audit_index,
-                     classify_corner, decompose_layers, layer_euler, layer_index)
+from .layers import AuditError, AuditReport, CornerClass, audit_index, classify_corner
 from .atlas import (MarkedDiagram, build_annulus_open_book, build_s1s2,
                     build_torus_diagram, stabilize)
 

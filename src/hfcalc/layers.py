@@ -13,19 +13,17 @@ of levels c' + 1, ..., c between two consecutive distinct multiplicities
 c' < c hold the same regions, arcs and clusters.  A domain is therefore
 classified once per run of levels between distinct multiplicities, so the
 work grows with the number of distinct multiplicities, not with the
-largest one; ``decompose_layers`` and ``audit_index`` share that walk.
-``decompose_layers`` builds the clusters with ``classify_corner`` and
-lists the arcs.  The audit only counts them: which clusters a vertex has
-at a layer depends only on which of its quadrants the layer includes and
-on its membership in x and y, so it looks up each vertex's counts in a
-64-row table indexed by membership | quadrant mask, built from
-``classify_corner`` on 0/1 multiplicities at the first audit.  The same
-row counts the arc ends its clusters touch, and the layer's arcs are half
-the sum of those ends, so the audit reads every count off the quadrants
-at each vertex and lists no arcs.  Layer indices are counted in
-integer quarter units and become a ``Fraction`` only when returned.
-They are counted on the layers, not from the region weights
-``maslov_index`` uses, so the first identity below compares two
+largest one.  ``audit_index`` builds no clusters; it counts them.  Which
+clusters a vertex has at a layer depends only on which of its quadrants
+the layer includes and on its membership in x and y, so the audit looks
+up each vertex's counts in a 64-row table indexed by membership |
+quadrant mask, built from ``classify_corner`` on 0/1 multiplicities at
+the first audit.  The same row counts the arc ends its clusters touch,
+and the layer's arcs are half the sum of those ends, so the audit reads
+every count off the quadrants at each vertex and lists no arcs.  Layer
+indices are counted in integer quarter units and become a ``Fraction``
+only when returned.  They are counted on the layers, not from the region
+weights ``maslov_index`` uses, so the first identity below compares two
 independent computations.
 
 Three exact identities are audited for every decomposition:
@@ -190,108 +188,24 @@ def classify_corner(mults: Sequence[int], level: int, in_x: bool, in_y: bool,
     return tuple(out)
 
 
-class LayerSurface(NamedTuple):
-    """One level set of a nonnegative domain.
-
-    ``regions`` are the regions of multiplicity >= level, ``arcs`` the
-    arcs with at least one adjacent region included, and ``clusters`` the
-    vertex clusters with their corner classification.
-    """
-
-    level: int
-    regions: tuple[int, ...]
-    arcs: tuple[int, ...]
-    clusters: tuple[CornerClass, ...]
-
-
-_Vertex = tuple[int, list[int], bool, bool, int]  # (max, mults, in x, in y, index)
-
-
-def _nonnegative(diagram: HeegaardDiagram, domain) -> Sequence[int]:
-    """A domain's coefficients, checked to be one per region and nonnegative."""
-    coeffs = _coeffs(diagram, domain)
-    if any(c < 0 for c in coeffs):
-        raise ValueError("layer decomposition needs a nonnegative domain")
-    return coeffs
-
-
-def _layer_runs(coeffs: Sequence[int], *items: list) -> Iterator[tuple]:
+def _layer_runs(coeffs: Sequence[int], vertices: list) -> Iterator[tuple]:
     """Each run of identical layers as (first level, last level, regions,
-    *items present).
+    vertices present).
 
     Between consecutive distinct positive coefficients c' < c, the levels
-    c' + 1, ..., c include exactly the regions, vertex quadrants and arcs
-    of multiplicity >= c, so they share one set of regions, arcs and
-    clusters.  Each of ``items`` is a list of tuples whose first entry is
-    the item's largest multiplicity (an arc's larger side, a vertex's
-    largest quadrant); an item whose largest multiplicity is below a run
-    is absent from it and from every run above it.
+    c' + 1, ..., c include exactly the regions and vertex quadrants of
+    multiplicity >= c, so they share one set of regions and clusters.
+    ``vertices`` is the audit's list of (largest quadrant multiplicity,
+    mults, key) tuples; a vertex whose largest quadrant is below a run is
+    absent from it and from every run above it.
     """
     regions = range(len(coeffs))
     first = 1
     for last in sorted(set(coeffs) - {0}):
         regions = [r for r in regions if coeffs[r] >= last]
-        items = tuple([t for t in ts if t[0] >= last] for ts in items)
-        yield (first, last, regions) + items
+        vertices = [t for t in vertices if t[0] >= last]
+        yield first, last, regions, vertices
         first = last + 1
-
-
-def decompose_layers(diagram: HeegaardDiagram, x: Generator, y: Generator,
-                     domain) -> tuple[LayerSurface, ...]:
-    """Split a nonnegative domain into its max-multiplicity many layers.
-
-    One ``LayerSurface`` per level 1, ..., max; every cluster carries its
-    layer's level.  The layers are classified once per run of levels
-    between distinct multiplicities and copied across the run.
-    """
-    coeffs = _nonnegative(diagram, domain)
-    xset, yset = set(x.vertices), set(y.vertices)
-    vertices: list[_Vertex] = []
-    for v, quadrants in enumerate(diagram.quadrants):
-        mults = [coeffs[r] for r in quadrants]
-        vertices.append((max(mults), mults, v in xset, v in yset, v))
-    arcs = [(max(coeffs[left], coeffs[right]), a)
-            for a, (left, right) in enumerate(diagram.arc_sides)]
-    layers = []
-    for first, last, regions, layer_arcs, present in _layer_runs(coeffs, arcs, vertices):
-        clusters: list[CornerClass] = []
-        for _, mults, in_x, in_y, v in present:
-            clusters.extend(classify_corner(mults, first, in_x, in_y, v))
-        layer = LayerSurface(first, tuple(regions), tuple(a for _, a in layer_arcs),
-                             tuple(clusters))
-        layers.append(layer)
-        for level in range(first + 1, last + 1):
-            layers.append(layer._replace(
-                level=level, clusters=tuple(c._replace(level=level) for c in clusters)))
-    return tuple(layers)
-
-
-def layer_euler(diagram: HeegaardDiagram, layer: LayerSurface) -> int:
-    """chi of the layer: clusters - included arcs + sum of region chi."""
-    chi = diagram.region_chi
-    return len(layer.clusters) - len(layer.arcs) + sum(chi[r] for r in layer.regions)
-
-
-def layer_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
-                layer: LayerSurface) -> Fraction:
-    """e(F_l) + n_x(F_l) + n_y(F_l) with corners counted on the layer.
-
-    The layer's Euler measure uses chi(F_l) - p/4 + q/4 where p and q
-    count convex and concave boundary corners of the layer, auxiliary and
-    degenerate ones included; the point measures use the layer's 0/1
-    multiplicity function.  The sum is counted in integer quarter units,
-    4 chi(F_l) - p + q + (included quadrants at x and y), and returned as
-    a ``Fraction``.  It is taken on the layer itself, not from the
-    region weights of ``maslov_index``, so the audit compares two
-    independent computations.
-    """
-    shapes = [c.shape for c in layer.clusters]
-    rset = set(layer.regions)
-    quadrants = diagram.quadrants
-    included = sum(r in rset for v in x.vertices + y.vertices for r in quadrants[v])
-    quarters = (4 * layer_euler(diagram, layer) - shapes.count(CONVEX) + shapes.count(CONCAVE)
-                + included)
-    return Fraction(quarters, 4)
 
 
 class LayerReport(NamedTuple):
@@ -374,15 +288,17 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
     """Decompose, classify, and verify the exact layer identities.
 
     Statistics are taken once per run of identical layers (see
-    ``decompose_layers``), by one ``_corner_table`` lookup per vertex
-    present, and counted once per level of the run.  chi(F_l) is the
-    number of clusters, minus half their arc ends, plus the regions' chi:
-    ``layer_euler`` with each arc counted by its two ends.  The report still
-    holds one ``LayerReport`` per level.  Raises ``AuditError`` when an
-    identity fails; a failure signals an implementation inconsistency,
-    never bad user input.
+    ``_layer_runs``), by one ``_corner_table`` lookup per vertex present,
+    and counted once per level of the run.  chi(F_l) is the number of
+    clusters, minus the layer's arcs (half the clusters' arc ends), plus
+    the regions' chi.  The report still holds one ``LayerReport`` per
+    level.  Raises ``ValueError`` on a negative domain, and ``AuditError``
+    when an identity fails; a failed identity signals an implementation
+    inconsistency, never bad user input.
     """
-    coeffs = _nonnegative(diagram, domain)
+    coeffs = _coeffs(diagram, domain)
+    if any(c < 0 for c in coeffs):
+        raise ValueError("layer decomposition needs a nonnegative domain")
     mu = maslov_index(diagram, x, y, coeffs)
     table = _corner_table()
 

@@ -74,11 +74,27 @@ def random_curve_system(rng):
     return parse_diagram("\n".join(lines) + "\n")
 
 
+def _assembled_or_none(rng):
+    try:
+        return assemble_regions(random_curve_system(rng))
+    except ValidationError:
+        return None
+
+
 def assembled_curve_systems(rng, draws):
     """The diagrams that assemble among ``draws`` draws of ``random_curve_system``."""
     for _ in range(draws):
-        try:
-            d = assemble_regions(random_curve_system(rng))
-        except ValidationError:
-            continue
-        yield d
+        d = _assembled_or_none(rng)
+        if d is not None:
+            yield d
+
+
+def curve_systems():
+    """``random_curve_system`` driven by hypothesis, kept when it assembles.
+
+    ``st.randoms(use_true_random=False)`` makes every draw of the generator
+    a choice that hypothesis records, so a failing diagram shrinks with its
+    draws: the genus and the vertex count toward their least values.
+    """
+    return (st.randoms(use_true_random=False).map(_assembled_or_none)
+            .filter(lambda d: d is not None))

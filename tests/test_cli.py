@@ -624,8 +624,7 @@ PACKAGE_NAMES = [
     "point_measure", "positive_representative", "relative_grading", "shift_label",
     "solve_domain", "spinc_class_of", "spinc_partition", "theta_and_shift",
     "twisted_label",
-    "AuditError", "AuditReport", "CornerClass", "LayerSurface", "audit_index",
-    "classify_corner", "decompose_layers", "layer_euler", "layer_index",
+    "AuditError", "AuditReport", "CornerClass", "audit_index", "classify_corner",
     "MarkedDiagram", "build_annulus_open_book", "build_s1s2", "build_torus_diagram",
     "stabilize", "__version__",
 ]

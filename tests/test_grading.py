@@ -34,7 +34,7 @@ from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pai
                       s1s2_sum_text)
 from smith_oracle import (arc_table, boundary_trace, column, corner_matrix, corner_system,
                           full_scan_smith, generator_sign, mul_vec)
-from strategies import assembled_curve_systems, transformed_diagrams
+from strategies import assembled_curve_systems, curve_systems, transformed_diagrams
 
 
 def zero_chain(diagram, gen):
@@ -793,6 +793,21 @@ def test_intersection_signs_are_an_oracle_on_random_curve_systems():
     drawn = list(assembled_curve_systems(random.Random(2024), 1500))
     assert len(drawn) == 412
     assert_sign_oracle_holds(drawn, rational=350, irrational=10, several=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(curve_systems())
+def test_intersection_signs_are_an_oracle_on_drawn_curve_systems(d):
+    assert_sign_identities(d)
+
+
+def test_intersection_signs_are_an_oracle_at_scale():
+    """openbook(640), torus(640, 1), #^12 S1 x S2 (4,096 generators) and
+    S1 x S2 plus 1,100 curve pairs (genus 1,101): sizes no other oracle of
+    the partition and the labels reaches."""
+    diagrams = [build_annulus_open_book(640).diagram, build_torus_diagram(640, 1).diagram,
+                load_diagram(s1s2_sum_text(12)), load_diagram(s1s2_plus_pairs_text(1100))]
+    assert [assert_sign_identities(d) for d in diagrams] == [0, 0, 12, 1]
 
 
 def test_falsy_cached_values_are_computed_once(monkeypatch):

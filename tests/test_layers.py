@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 
 from hfcalc.atlas import build_annulus_open_book, build_torus_diagram, stabilize
-from hfcalc.diagram import ALPHA, BETA, assemble_regions, reverse_curve
-from hfcalc.grading import (Generator, basepoint_multiplicity, enumerate_generators,
-                            homogeneous_lattice, maslov_index, positive_representative,
-                            solve_domain, spinc_partition)
+from hfcalc.diagram import assemble_regions, reverse_curve
+from hfcalc.grading import (Generator, enumerate_generators, homogeneous_lattice,
+                            maslov_index, positive_representative, solve_domain,
+                            spinc_partition)
 from hfcalc.layers import (AUXILIARY, BOUNDARY_DEGENERATE, CONCAVE, CONVEX, EDGE_POINT,
-                           INTERIOR, INTERIOR_DEGENERATE, AuditError, AuditReport,
-                           LayerReport, LayerSurface, _corner_table, _pair_sign, audit_index,
-                           classify_corner, decompose_layers, layer_euler, layer_index)
+                           INTERIOR, INTERIOR_DEGENERATE, AuditError, _corner_table,
+                           _pair_sign, audit_index, classify_corner)
 from hfcalc.zlattice import DimensionMismatch
-from smith_oracle import arc_table
+from layer_oracle import (fraction_audit, fraction_layer_euler, fraction_layer_index,
+                          per_level_decompose)
 from strategies import assembled_curve_systems, transformed_diagrams
 
 
@@ -81,30 +81,30 @@ def test_classify_interior_role():
 
 
 # ---------------------------------------------------------------------------
-# decompose_layers / layer_euler / layer_index
+# Single layers: the audit's report on connecting domains, the oracle's
+# level surfaces elsewhere
 # ---------------------------------------------------------------------------
 
 def test_decompose_zero_domain(s1s2):
     x, y = enumerate_generators(s1s2)
-    assert decompose_layers(s1s2, x, x, [0] * s1s2.n_regions) == ()
+    assert audit_index(s1s2, x, x, [0] * s1s2.n_regions).layers == ()
 
 
 def test_decompose_single_layer(s1s2):
     x, y = enumerate_generators(s1s2)
-    layers = decompose_layers(s1s2, x, y, [0, 1, 0])
-    assert len(layers) == 1
+    assert len(audit_index(s1s2, x, y, [0, 1, 0]).layers) == 1
 
 
 def test_decompose_rejects_negative(s1s2):
     x, y = enumerate_generators(s1s2)
     with pytest.raises(ValueError):
-        decompose_layers(s1s2, x, y, [-1, 1, 0])
+        audit_index(s1s2, x, y, [-1, 1, 0])
 
 
 def test_decompose_nesting(s1s2):
     x, y = enumerate_generators(s1s2)
     coeffs = [2, 1, 1]
-    layers = decompose_layers(s1s2, x, y, coeffs)
+    layers = per_level_decompose(s1s2, x, y, coeffs)
     assert len(layers) == 2
     assert set(layers[1].regions) <= set(layers[0].regions)
     assert layers[0].regions == (0, 1, 2)
@@ -116,8 +116,8 @@ def test_layer_euler_square():
     # counted as 4 clusters - 4 arcs + 1.
     d = build_torus_diagram(2, 1).diagram
     x, y = enumerate_generators(d)
-    (layer,) = decompose_layers(d, x, y, [1, 0])
-    assert layer_euler(d, layer) == 1
+    (layer,) = per_level_decompose(d, x, y, [1, 0])
+    assert fraction_layer_euler(d, layer) == 1
     assert len(layer.clusters) == 4
     assert len(layer.arcs) == 4
 
@@ -128,24 +128,24 @@ def test_layer_euler_annulus():
     d = build_torus_diagram(3, 1).diagram
     gens = enumerate_generators(d)
     coeffs = [1, 1, 0]
-    (layer,) = decompose_layers(d, gens[0], gens[0], coeffs)
-    assert layer_euler(d, layer) == 0
+    (layer,) = per_level_decompose(d, gens[0], gens[0], coeffs)
+    assert fraction_layer_euler(d, layer) == 0
 
 
 def test_layer_euler_full_torus(s3):
     (g,) = enumerate_generators(s3)
-    (layer,) = decompose_layers(s3, g, g, [1])
+    (layer,) = per_level_decompose(s3, g, g, [1])
     # one interior cluster, two arcs, one region of chi 1
-    assert layer_euler(s3, layer) == 0
+    assert fraction_layer_euler(s3, layer) == 0
 
 
 def test_layer_index_bigon(s1s2):
     x, y = enumerate_generators(s1s2)
     bigon = [1 if s1s2.canonical_region_name(i) == "a0.0+" else 0
              for i in range(s1s2.n_regions)]
-    (layer,) = decompose_layers(s1s2, x, y, bigon)
-    assert layer_index(s1s2, x, y, layer) == 1
-    assert layer_index(s1s2, x, y, layer) == maslov_index(s1s2, x, y, bigon)
+    (layer,) = audit_index(s1s2, x, y, bigon).layers
+    assert layer.chi == 1
+    assert layer.index == 1 == maslov_index(s1s2, x, y, bigon)
 
 
 def test_layer_index_rectangle_with_two_x_two_y_corners():
@@ -154,14 +154,14 @@ def test_layer_index_rectangle_with_two_x_two_y_corners():
     # two opposite convex clusters, so chi - p/4 + n_x + n_y = 1.
     d = build_torus_diagram(2, 1).diagram
     x, y = enumerate_generators(d)
-    (layer,) = decompose_layers(d, x, y, [1, 0])
-    assert layer_index(d, x, y, layer) == 1
+    (layer,) = per_level_decompose(d, x, y, [1, 0])
+    assert fraction_layer_index(d, x, y, layer) == 1
 
 
 def test_layer_index_zero_domain_sum(s1s2):
     x, _ = enumerate_generators(s1s2)
-    layers = decompose_layers(s1s2, x, x, [0] * s1s2.n_regions)
-    assert sum((layer_index(s1s2, x, x, l) for l in layers), Fraction(0)) == 0
+    report = audit_index(s1s2, x, x, [0] * s1s2.n_regions)
+    assert sum((l.index for l in report.layers), Fraction(0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +201,9 @@ def test_audit_bigon_plus_full_surface(s1s2):
 
 def test_each_run_of_identical_layers_is_classified_once(s1s2, monkeypatch):
     # The audit classifies by lookups in ``_corner_table``, at most one per
-    # vertex present in a run; ``decompose_layers`` calls ``classify_corner``
-    # once per vertex present in a run.  Both are counted through patched
-    # module globals, so the test does not depend on what ran before it.
+    # vertex present in a run, and never calls ``classify_corner``.  Both
+    # are counted through patched module globals, so the test does not
+    # depend on what ran before it.
     lookups, calls = [], []
 
     class CountingTable(tuple):
@@ -230,12 +230,6 @@ def test_each_run_of_identical_layers_is_classified_once(s1s2, monkeypatch):
     assert calls == []
     assert [r.level for r in report.layers] == list(range(1, 52))
     assert report.maslov == report.layer_sum == 101
-
-    surfaces = decompose_layers(s1s2, x, y, coeffs)
-    assert 0 < len(calls) <= distinct * s1s2.n_vertices
-    assert [s.level for s in surfaces] == list(range(1, 52))
-    for s in surfaces:
-        assert s.clusters and all(c.level == s.level for c in s.clusters)
 
 
 def test_corner_table_matches_classify_corner():
@@ -287,7 +281,7 @@ def test_layer_arcs_are_half_the_cluster_ends(atlas_suite):
             coeffs = [rng.randint(0, 3) for _ in range(d.n_regions)]
             x, y = (Generator(tuple(v for v in range(d.n_vertices) if rng.random() < 0.5))
                     for _ in "xy")
-            for layer in decompose_layers(d, x, y, coeffs):
+            for layer in per_level_decompose(d, x, y, coeffs):
                 ends = sum(min(len(c.quadrants) + 1, 4) for c in layer.clusters)
                 assert ends == 2 * len(layer.arcs), (d.input, coeffs, layer.level)
                 layers += 1
@@ -313,8 +307,8 @@ def test_audit_exercises_auxiliary_corners(two_finger):
         if any(c < 0 for c in cand.coefficients):
             continue
         audit_index(two_finger, x, y, cand)  # raises AuditError on failure
-        seen_aux = seen_aux or any(c.kind == AUXILIARY for layer in decompose_layers(
-            two_finger, x, y, cand) for c in layer.clusters)
+        seen_aux = seen_aux or any(c.kind == AUXILIARY for layer in per_level_decompose(
+            two_finger, x, y, cand.coefficients) for c in layer.clusters)
     assert seen_aux
 
 
@@ -360,7 +354,8 @@ def test_audit_on_random_curve_systems():
     # Random curve systems cross alpha_i with any beta_j, in any order and
     # with any signs, unlike the atlas families.  Every input that
     # assembles is audited, at every same-class pair among the first six
-    # members of each class, plus 0 and 1 copies of the surface.
+    # members of each class, plus 0 and 1 copies of the surface, and each
+    # report is the per-level oracle's, reprs included.
     assembled = audited = 0
     for d in assembled_curve_systems(random.Random(2024), 1500):
         assembled += 1
@@ -369,12 +364,15 @@ def test_audit_on_random_curve_systems():
                 for y in cls.members[:6]:
                     pos = positive_representative(solve_domain(d, x, y), radius=4)
                     for k in (0, 1):
-                        audit_index(d, x, y, [c + k for c in pos.coefficients])
+                        coeffs = [c + k for c in pos.coefficients]
+                        oracle = fraction_audit(d, x, y, coeffs,
+                                                per_level_decompose(d, x, y, coeffs))
+                        assert repr(audit_index(d, x, y, coeffs)) == repr(oracle)
                         audited += 1
     assert (assembled, audited) == (412, 1750)
 
 
-@pytest.mark.parametrize("entry", [decompose_layers, audit_index])
+@pytest.mark.parametrize("entry", [audit_index])
 @pytest.mark.parametrize("coeffs", [[], [1, 1], [1, 1, 1, 1]])
 def test_domains_of_the_wrong_length_are_rejected(entry, coeffs, s1s2):
     x, y = enumerate_generators(s1s2)
@@ -386,110 +384,6 @@ def test_domains_of_the_wrong_length_are_rejected(entry, coeffs, s1s2):
 # Oracle: the one-pass audit against the per-level Fraction computation
 # ---------------------------------------------------------------------------
 
-def per_level_decompose(d, x, y, coeffs):
-    """Every layer recomputed from the raw face lookups, level by level."""
-    def region_of_dart(dart):
-        return d.region_of_face[d.face_of_dart[dart]]
-
-    xset, yset = set(x.vertices), set(y.vertices)
-    sides = [(region_of_dart(2 * a), region_of_dart(2 * a + 1)) for a in range(d.n_arcs)]
-    mults = [[coeffs[region_of_dart(dart)] for dart in d.rotations[v]]
-             for v in range(d.n_vertices)]
-    layers = []
-    for level in range(1, max(coeffs, default=0) + 1):
-        regions = tuple(i for i, c in enumerate(coeffs) if c >= level)
-        rset = set(regions)
-        arcs = tuple(a for a, (left, right) in enumerate(sides)
-                     if left in rset or right in rset)
-        clusters = []
-        for v in range(d.n_vertices):
-            clusters.extend(classify_corner(mults[v], level, v in xset, v in yset, v))
-        layers.append(LayerSurface(level, regions, arcs, tuple(clusters)))
-    return tuple(layers)
-
-
-def fraction_layer_euler(d, layer):
-    return len(layer.clusters) - len(layer.arcs) + sum(d.regions[r].chi for r in layer.regions)
-
-
-def fraction_layer_index(d, x, y, layer):
-    p = sum(1 for c in layer.clusters if c.shape == CONVEX)
-    q = sum(1 for c in layer.clusters if c.shape == CONCAVE)
-    rset = set(layer.regions)
-    total = Fraction(fraction_layer_euler(d, layer)) - Fraction(p, 4) + Fraction(q, 4)
-    for gen in (x, y):
-        for v in gen.vertices:
-            inc = sum(1 for r in d.quadrants[v] if r in rset)
-            total += Fraction(inc, 4)
-    return total
-
-
-def fraction_audit(d, x, y, coeffs, layers):
-    """The audit of ``per_level_decompose``'s layers with every statistic
-    recounted per use, in Fractions; a failed identity raises ``AuditError``
-    with the audit's message."""
-    mu = maslov_index(d, x, y, coeffs)
-    reports = []
-    total = Fraction(0)
-    degenerate_present = auxiliary_present = False
-    for layer in layers:
-        idx = fraction_layer_index(d, x, y, layer)
-        total += idx
-        aux_signed = bdeg = ideg = 0
-        for c in layer.clusters:
-            if c.kind == INTERIOR_DEGENERATE:
-                ideg += 1
-                degenerate_present = True
-            elif c.kind == BOUNDARY_DEGENERATE:
-                bdeg += 1
-                degenerate_present = True
-            elif c.kind == AUXILIARY:
-                auxiliary_present = True
-                aux_signed += c.sign or 0
-        reports.append(LayerReport(
-            layer.level, fraction_layer_euler(d, layer),
-            sum(1 for c in layer.clusters if c.shape == CONVEX),
-            sum(1 for c in layer.clusters if c.shape == CONCAVE),
-            bdeg, ideg, aux_signed, idx))
-    if total != mu:
-        raise AuditError(f"layer index sum {total} differs from Maslov index {mu}")
-    single = None
-    if len(layers) == 1 and not degenerate_present and not auxiliary_present:
-        chi = fraction_layer_euler(d, layers[0])
-        q = sum(1 for c in layers[0].clusters if c.shape == CONCAVE)
-        single = chi + q == mu
-        if not single:
-            raise AuditError(f"single-layer identity failed: chi {chi} + q {q} != mu {mu}")
-    n_x_minus_n_y, intersection = boundary_identity_sides(d, x, y, coeffs)
-    if n_x_minus_n_y != intersection:
-        raise AuditError(f"n_x - n_y = {n_x_minus_n_y} differs from "
-                         f"d_alpha D . d_beta D = {intersection}")
-    return AuditReport(tuple(reports), total, mu, basepoint_multiplicity(d, coeffs),
-                       n_x_minus_n_y, intersection, single)
-
-
-def boundary_identity_sides(d, x, y, coeffs):
-    """n_x - n_y and d_alpha D . d_beta D, in Fractions, from the raw face
-    lookups.  The right side is in arc form: J(a) = D(left) - D(right) on
-    each arc, summed over the two alpha and the two beta arcs at each
-    vertex, and sum over v of sign(v) J_alpha(v) J_beta(v) / 4."""
-    def region_of_dart(dart):
-        return d.region_of_face[d.face_of_dart[dart]]
-
-    def n(gen):
-        return sum((Fraction(coeffs[region_of_dart(dart)], 4)
-                    for v in gen.vertices for dart in d.rotations[v]), Fraction(0))
-
-    jumps = {ALPHA: [0] * d.n_vertices, BETA: [0] * d.n_vertices}
-    for arc in arc_table(d):
-        jump = coeffs[region_of_dart(2 * arc.index)] - coeffs[region_of_dart(2 * arc.index + 1)]
-        jumps[arc.family][arc.tail] += jump
-        jumps[arc.family][arc.head] += jump
-    intersection = sum((Fraction(d.signs[v] * jumps[ALPHA][v] * jumps[BETA][v], 4)
-                        for v in range(d.n_vertices)), Fraction(0))
-    return n(x) - n(y), intersection
-
-
 # (c, k): the positive representative D(x, y), plus c - 1 copies of the
 # nonnegative periodic domain D(x, y) + D(y, x), plus k copies of the full
 # surface; that is c D(x, y) + (c - 1) D(y, x) + k, still a domain from x to
@@ -499,11 +393,11 @@ SCALED_DOMAINS = [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 16), (3, 0), (3, 1
 
 
 def assert_audit_matches_oracle(d):
-    """For every same-class pair and (c, k) in ``SCALED_DOMAINS``: layers,
-    layer indices and reports agree with the per-level oracle, reprs
-    included (so a Fraction stays a Fraction), and where the oracle raises
-    ``AuditError``, the audit raises it with the same message.  Returns the
-    (x, y, c, k) inputs on which both raised."""
+    """For every same-class pair and (c, k) in ``SCALED_DOMAINS``: the
+    report agrees with the per-level oracle, reprs included (so a Fraction
+    stays a Fraction), and where the oracle raises ``AuditError``, the
+    audit raises it with the same message.  Returns the (x, y, c, k)
+    inputs on which both raised."""
     audited, failed = 0, []
     for cls in spinc_partition(d):
         for x in cls.members:
@@ -513,19 +407,16 @@ def assert_audit_matches_oracle(d):
                 for scale, k in SCALED_DOMAINS:
                     coeffs = tuple(scale * a + (scale - 1) * b + k
                                    for a, b in zip(there, back))
-                    layers = per_level_decompose(d, x, y, coeffs)
-                    assert decompose_layers(d, x, y, coeffs) == layers
                     audited += 1
                     try:
-                        oracle = fraction_audit(d, x, y, coeffs, layers)
+                        oracle = fraction_audit(d, x, y, coeffs,
+                                                per_level_decompose(d, x, y, coeffs))
                     except AuditError as e:
                         with pytest.raises(AuditError) as err:
                             audit_index(d, x, y, coeffs)
                         assert err.value.args == e.args
                         failed.append((x, y, scale, k))
                         continue
-                    assert ([repr(layer_index(d, x, y, l)) for l in layers]
-                            == [repr(r.index) for r in oracle.layers])
                     assert repr(audit_index(d, x, y, coeffs)) == repr(oracle)
     assert audited
     return failed

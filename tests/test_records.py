@@ -8,7 +8,7 @@ from hfcalc.atlas import MarkedDiagram
 from hfcalc.diagram import CurveSystemInput, Quadrant, Region, RegionDirective
 from hfcalc.grading import (Domain, Generator, GradingLabel, Homology, SpincClass,
                             TwistedElement, enumerate_generators, solve_domain)
-from hfcalc.layers import AuditReport, CornerClass, LayerReport, LayerSurface
+from hfcalc.layers import AuditReport, CornerClass, LayerReport
 from hfcalc.zlattice import AffineSolutionSet, IntMatrix, SmithDecomposition
 
 G0, G1 = Generator((0,)), Generator((1,))
@@ -46,9 +46,6 @@ RECORDS = [
      "provenance='s1s2()')"),
     (CORNER, "CornerClass(kind='convex', shape='convex', quadrants=(2,), role='x', "
              "sign=None, vertex=None, level=None)"),
-    (LayerSurface(1, (0,), (1, 2), (CORNER,)),
-     "LayerSurface(level=1, regions=(0,), arcs=(1, 2), clusters=(CornerClass(kind='convex', "
-     "shape='convex', quadrants=(2,), role='x', sign=None, vertex=None, level=None),))"),
     (LAYER, "LayerReport(level=1, chi=1, convex=1, concave=0, boundary_degenerate=0, "
             "interior_degenerate=0, auxiliary_signed=0, index=Fraction(3, 4))"),
     (AuditReport((LAYER,), Fraction(3, 4), 1, 0, Fraction(1, 4), Fraction(1, 4), None),
