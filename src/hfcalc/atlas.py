@@ -55,14 +55,10 @@ def build_s1s2() -> MarkedDiagram:
     and an annulus (one region with two boundary circles, supplied by a
     region directive).  The basepoint sits in the annulus, outside the
     bigon, so the bigon realizes relative grading 1 between the two
-    generators.
+    generators.  It is the annulus open book with no twists, without its
+    marked contact generator.
     """
-    text = ("heegaard v1\ngenus: 1\n"
-            "alpha a0: x0+ x1-\n"
-            "beta  b0: x0 x1\n"
-            "basepoint: a0 x1 left-after\n"
-            "region r0: genus=0 circles=a0.0- a0.1+\n")
-    return MarkedDiagram(load_diagram(text), None, "s1s2()")
+    return MarkedDiagram(build_annulus_open_book(0).diagram, None, "s1s2()")
 
 
 def _fresh(prefix: str, taken: set[str]) -> str:
@@ -92,9 +88,8 @@ def stabilize(diagram: HeegaardDiagram) -> tuple[MarkedDiagram, dict[Generator, 
 
     bp_region = diagram.regions[diagram.basepoint_region]
     bp_circles = [diagram.face_names[f] for f in bp_region.faces]
-    directive_labels = {d.label for d in inp.directives}
-    merged_label = (bp_region.label if bp_region.label in directive_labels
-                    else _fresh("r", directive_labels))
+    labels = {d.label for d in inp.directives}
+    merged_label = bp_region.label if bp_region.label in labels else _fresh("r", labels)
     directives = tuple(d for d in inp.directives if d.label != merged_label)
     directives += (RegionDirective(
         merged_label, bp_region.genus, tuple(bp_circles) + (f"{na}.0+",)),)

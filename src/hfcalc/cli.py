@@ -45,11 +45,11 @@ from . import atlas as atlas_mod
 from .diagram import (DiagramError, HeegaardDiagram, ParseError, assemble_regions,
                       load_diagram, reverse_curve, serialize)
 from .grading import (ConsistencyError, Generator, NoConnectingClassError,
-                      NoPositiveRepresentative, _domain_avoiding_z, _domain_grading,
-                      basepoint_multiplicity, enumerate_generators, euler_measure,
-                      generator_measure, gr0_of_theta, grading_table, homology_of_Y,
-                      maslov_index, positive_representative, relative_grading,
-                      solve_domain, spinc_partition, theta_and_shift)
+                      NoPositiveRepresentative, _domain_avoiding_z, basepoint_multiplicity,
+                      enumerate_generators, euler_measure, generator_measure, gr0_of_theta,
+                      grading_table, homology_of_Y, maslov_index, positive_representative,
+                      relative_grading, solve_domain, spinc_class_of, spinc_partition,
+                      theta_and_shift)
 from .layers import AuditReport, audit_index
 
 
@@ -198,7 +198,10 @@ def _cmd_domain(diagram, args):
         return _no_connecting_class()
     payload = {"connecting": True, "lattice_rank": len(dom.lattice)}
     payload.update(_domain_measurements(diagram, x, y, dom))
-    payload["relative_grading"] = _domain_grading(dom)
+    # gr(x, y) is mu - 2 n_z of this domain, mod the class divisibility m.
+    m = spinc_class_of(diagram, x).divisibility
+    grading = payload["maslov"] - 2 * payload["n_z"]
+    payload["relative_grading"] = grading % m if m else grading
     lines = [f"coefficients: {payload['coefficients']}",
              f"e = {payload['euler_measure']}, n_x = {payload['n_x']}, "
              f"n_y = {payload['n_y']}, n_z = {payload['n_z']}",
@@ -339,6 +342,12 @@ def _grading_or_none(d, x, y):
         return None
 
 
+def _graded(d, dom):
+    """mu - 2 n_z of a domain, through the public measures."""
+    return (maslov_index(d, dom.source, dom.target, dom)
+            - 2 * basepoint_multiplicity(d, dom))
+
+
 def _case(name, d, *gens):
     return {"diagram": name, "generators": [g.display(d) for g in gens]}
 
@@ -357,11 +366,10 @@ def _selftest(args, report):
     def grading_ambiguity():
         for name, d, cls, x, y in _same_class_pairs(suite):
             dom = solve_domain(d, x, y)
-            base_val = _domain_grading(dom)
+            base_val = _graded(d, dom)
             for _ in range(8):
                 other = dom.translate([rng.randint(-3, 3) for _ in dom.lattice])
-                val = maslov_index(d, x, y, other) - 2 * basepoint_multiplicity(d, other)
-                diff = val - base_val
+                diff = _graded(d, other) - base_val
                 yield (_case(name, d, x, y),
                        diff % cls.divisibility == 0 if cls.divisibility else diff == 0)
 
@@ -374,8 +382,8 @@ def _selftest(args, report):
                 m = cls.divisibility
                 yield _case(name, d, x, y, z), all(
                     (lhs - rhs) % m == 0 if m else lhs == rhs
-                    for lhs in (_domain_grading(solve_domain(d, x, z)),
-                                _domain_grading(_domain_avoiding_z(d, x, z))))
+                    for lhs in (_graded(d, solve_domain(d, x, z)),
+                                _graded(d, _domain_avoiding_z(d, x, z))))
 
     def layer_identities():
         # audit_index raises AuditError itself when an identity fails.

@@ -273,11 +273,17 @@ class _Graph:
         nv = len(names)
         self.vertex_names = tuple(names)
         self.vertex_index = index = {n: i for i, n in enumerate(names)}
-        self.signs = signs = tuple(map(inp.signs.__getitem__, names))
+        try:
+            self.signs = signs = tuple(map(inp.signs.__getitem__, names))
+        except KeyError as e:
+            raise ValidationError(f"vertex {e.args[0]!r} has no crossing sign") from None
         self.alpha = tuple((name, tuple(map(index.__getitem__, verts)))
                            for name, verts in inp.alpha)
-        self.beta = tuple((name, tuple(map(index.__getitem__, verts)))
-                          for name, verts in inp.beta)
+        try:
+            self.beta = tuple((name, tuple(map(index.__getitem__, verts)))
+                              for name, verts in inp.beta)
+        except KeyError as e:
+            raise ValidationError(f"beta vertex {e.args[0]!r} is on no alpha curve") from None
 
         # One walk along every curve builds the dart names, the curve through
         # each vertex and the darts leaving and entering it.
@@ -490,26 +496,21 @@ class HeegaardDiagram(_Graph):
                     f"cutting along the {fam_name} curves disconnects the surface; "
                     f"the {fam_name} family is not independent")
 
-        # The first arc leaving the basepoint vertex along the basepoint curve;
-        # the arcs of each curve are consecutive, in listing order.
+        # The basepoint lies beside the dart leaving its vertex along its curve:
+        # rotation slot 0 on alpha, and slot 1 or 3 (by the sign) on beta.
         bp_curve, bp_vertex, side = inp.basepoint
-        bp_arc = None
-        first = 0
-        for name, verts in self.alpha + self.beta:
-            if name == bp_curve:
-                tail = self.vertex_index[bp_vertex]
-                if tail in verts:
-                    bp_arc = first + verts.index(tail)
-                    break
-            first += len(verts)
-        if bp_arc is None:
+        v = self.vertex_index.get(bp_vertex)
+        if v is not None and self.alpha[self.alpha_of[v]][0] == bp_curve:
+            bp_dart = self.rotations[v][0]
+        elif v is not None and self.beta[self.beta_of[v]][0] == bp_curve:
+            bp_dart = self.rotations[v][1 if self.signs[v] > 0 else 3]
+        else:
             raise ValidationError(
                 f"basepoint locator ({bp_curve}, {bp_vertex}) resolves to nothing")
 
         self.regions = tuple(regions)
         self.region_of_face = tuple(region_of_face)
-        self.basepoint_region = region_of_dart[2 * bp_arc if side == LEFT_AFTER
-                                               else 2 * bp_arc + 1]
+        self.basepoint_region = region_of_dart[bp_dart if side == LEFT_AFTER else bp_dart ^ 1]
         self.corner_counts = tuple(corner_counts)
         self.region_chi = tuple(region_chi)
         self.quadrants = tuple((region_of_dart[r0], region_of_dart[r1],

@@ -603,7 +603,7 @@ def relative_grading(diagram: HeegaardDiagram, x: Generator, y: Generator) -> in
     if cls.index != spinc_class_of(diagram, y).index:
         raise NoConnectingClassError(
             f"{x.display(diagram)} and {y.display(diagram)} lie in different Spin^c classes")
-    value = _potential(diagram, x, cls.anchor) - _potential(diagram, y, cls.anchor)
+    value = _potential(diagram, x, cls) - _potential(diagram, y, cls)
     return value % cls.divisibility if cls.divisibility else value
 
 
@@ -613,28 +613,25 @@ def _potentials(diagram: HeegaardDiagram) -> dict[Generator, int]:
     return {}
 
 
-def _potential(diagram: HeegaardDiagram, g: Generator, anchor: Generator) -> int:
-    """P(g), the grading of D0(g, anchor) for the anchor of g's class; 0 at it.
+def _potential(diagram: HeegaardDiagram, g: Generator, cls: SpincClass) -> int:
+    """P(g), the grading mu - 2 n_z of D0(g, a) for the anchor a of g's class
+    ``cls``, reduced mod its divisibility; 0 at the anchor.
 
     Built, and its D0 certified, the first time g is read, then kept in
     the diagram's cache: at most one int per generator.
     """
-    if g == anchor:
+    if g == cls.anchor:
         return 0
     memo = _potentials(diagram)
     value = memo.get(g)
     if value is None:
-        value = memo[g] = _domain_grading(_domain_avoiding_z(diagram, g, anchor))
+        coeffs = _domain_avoiding_z(diagram, g, cls.anchor).coefficients
+        weights = _quarter_weights(diagram, g.vertices + cls.anchor.vertices, -2)
+        value = _whole(_dot(weights, coeffs), "grading value")
+        if cls.divisibility:
+            value %= cls.divisibility
+        memo[g] = value
     return value
-
-
-def _domain_grading(domain: Domain) -> int:
-    """``relative_grading`` of a domain's endpoints, read off the solved domain."""
-    diagram, x, y = domain.diagram, domain.source, domain.target
-    weights = _quarter_weights(diagram, x.vertices + y.vertices, -2)
-    value = _whole(_dot(weights, domain.coefficients), "grading value")
-    d = spinc_class_of(diagram, x).divisibility
-    return value % d if d else value
 
 
 # ---------------------------------------------------------------------------
@@ -665,23 +662,15 @@ def grading_table(diagram: HeegaardDiagram) -> tuple[tuple[Generator, GradingLab
     """
     labels = {}
     for cls in spinc_partition(diagram):
-        anchor, d = cls.anchor, cls.divisibility
         for g in cls.members:
-            labels[g] = GradingLabel(cls.index, 0 if g == anchor else
-                                     _potential(diagram, g, anchor), d)
+            labels[g] = GradingLabel(cls.index, _potential(diagram, g, cls), cls.divisibility)
     return tuple((g, labels[g]) for g in enumerate_generators(diagram))
 
 
-@_per_diagram
-def _labels(diagram: HeegaardDiagram) -> dict[Generator, GradingLabel]:
-    return dict(grading_table(diagram))
-
-
 def label_of(diagram: HeegaardDiagram, g: Generator) -> GradingLabel:
-    try:
-        return _labels(diagram)[g]
-    except KeyError:
-        raise _not_a_generator(g) from None
+    """The row of ``grading_table`` for g, with at most one D0 built."""
+    cls = spinc_class_of(diagram, g)
+    return GradingLabel(cls.index, _potential(diagram, g, cls), cls.divisibility)
 
 
 def shift_label(label: GradingLabel, i: int) -> GradingLabel:

@@ -79,6 +79,13 @@ def test_builders_reproducible():
     assert a == b
 
 
+def test_s1s2_is_the_untwisted_open_book_without_its_contact_generator():
+    s1s2 = build_s1s2()
+    assert serialize(s1s2.diagram) == serialize(build_annulus_open_book(0).diagram)
+    assert s1s2.provenance == "s1s2()"
+    assert s1s2.contact_generator is None
+
+
 @pytest.mark.parametrize("builder", [
     lambda: build_torus_diagram(1, 0),
     lambda: build_torus_diagram(3, 1),

@@ -163,6 +163,25 @@ def test_assemble_unknown_circle():
     assert "unknown circle" in str(err.value)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"basepoint": ("a0", "nope", "left-after")},
+     "basepoint locator (a0, nope) resolves to nothing"),
+    ({"signs": {"x0": 1, "x1": 1}}, "vertex 'x2' has no crossing sign"),
+    ({"beta": (("b0", ("x0", "x9", "x1")),)}, "beta vertex 'x9' is on no alpha curve"),
+], ids=["basepoint-vertex", "unsigned-vertex", "unknown-beta-vertex"])
+def test_malformed_programmatic_inputs_are_validation_errors(change, message):
+    """Inputs the parser refuses, built directly: each names a vertex that
+    assembly cannot look up, and fails with ValidationError, not KeyError."""
+    inp = parse_diagram(L31_TEXT)._replace(**change)
+    with pytest.raises(ValidationError) as err:
+        assemble_regions(inp)
+    assert str(err.value) == message
+    if "basepoint" not in change:  # tracing reads no basepoint
+        with pytest.raises(ValidationError) as err:
+            trace_faces(inp)
+        assert str(err.value) == message
+
+
 def test_load_builds_the_face_graph_once(monkeypatch):
     import hfcalc.diagram as diagram_mod
 

@@ -37,6 +37,16 @@ from smith_oracle import (arc_table, boundary_trace, column, corner_matrix, corn
 from strategies import assembled_curve_systems, curve_systems, transformed_diagrams
 
 
+def graded(domain):
+    """mu - 2 n_z of a domain through the public measures, reduced mod the
+    divisibility of its endpoints' class: the grading oracle for D0 and for
+    ``solve_domain``."""
+    d, x, y = domain.diagram, domain.source, domain.target
+    value = maslov_index(d, x, y, domain) - 2 * basepoint_multiplicity(d, domain)
+    m = spinc_class_of(d, x).divisibility
+    return value % m if m else value
+
+
 def zero_chain(diagram, gen):
     out = [0] * diagram.n_vertices
     for v in gen.vertices:
@@ -702,8 +712,21 @@ def test_antisymmetry_and_additivity(fixture, request):
                     rhs = relative_grading(d, x, y) + relative_grading(d, y, z)
                     corner = solve_integer_system(*corner_system(d, x, z)).particular
                     for oracle in (maslov_index(d, x, z, corner) - 2 * corner[d.basepoint_region],
-                                   grading._domain_grading(grading._domain_avoiding_z(d, x, z))):
+                                   graded(grading._domain_avoiding_z(d, x, z))):
                         assert (oracle - rhs) % m == 0 if m else oracle == rhs
+
+
+def record_d0_builds(monkeypatch):
+    """The list that each later D0(x, y) build appends its (x, y) to."""
+    real = grading._domain_avoiding_z
+    built = []
+
+    def counting(diagram, x, y):
+        built.append((x, y))
+        return real(diagram, x, y)
+
+    monkeypatch.setattr(grading, "_domain_avoiding_z", counting)
+    return built
 
 
 @pytest.mark.parametrize("build", [
@@ -716,14 +739,7 @@ def test_relative_grading_builds_one_d0_per_generator(build, monkeypatch):
     """Two passes over every same-class pair build D0 once per non-anchor
     generator, from it to its anchor, and never for an anchor."""
     d = build()
-    real = grading._domain_avoiding_z
-    built = []
-
-    def counting(diagram, x, y):
-        built.append((x, y))
-        return real(diagram, x, y)
-
-    monkeypatch.setattr(grading, "_domain_avoiding_z", counting)
+    built = record_d0_builds(monkeypatch)
     first = [relative_grading(d, x, y) for cls in spinc_partition(d)
              for x in cls.members for y in cls.members]
     assert built
@@ -736,6 +752,22 @@ def test_relative_grading_builds_one_d0_per_generator(build, monkeypatch):
     assert all(y == spinc_class_of(d, x).anchor != x for x, y in built)
 
 
+def test_label_of_builds_at_most_one_d0(monkeypatch):
+    """On a fresh #^4 S1 x S2, a non-anchor label builds one D0, from it to
+    its anchor, and the anchor's label builds none; the whole table would
+    build one per non-anchor generator, 15."""
+    d = load_diagram(s1s2_sum_text(4))
+    built = record_d0_builds(monkeypatch)
+    cls = next(c for c in spinc_partition(d) if len(c.members) > 1)
+    x = next(g for g in cls.members if g != cls.anchor)
+    assert label_of(d, cls.anchor) == GradingLabel(cls.index, 0, cls.divisibility)
+    assert built == []
+    label = label_of(d, x)
+    assert built == [(x, cls.anchor)]
+    assert label_of(d, x) == label and len(built) == 1
+    assert dict(grading_table(d))[x] == label
+
+
 def test_label_differences_realize_relative_grading(rational_atlas, irrational_atlas):
     # The labels come from D0, at every b1; the reference grades the corner
     # solve instead.
@@ -746,7 +778,7 @@ def test_label_differences_realize_relative_grading(rational_atlas, irrational_a
             for x in cls.members:
                 for y in cls.members:
                     diff = table[x].offset - table[y].offset
-                    gr = grading._domain_grading(solve_domain(d, x, y))
+                    gr = graded(solve_domain(d, x, y))
                     assert (diff - gr) % m == 0 if m else diff == gr
 
 
@@ -1251,7 +1283,7 @@ def assert_domain_avoiding_z_is_the_corner_solve(d):
             assert (d0.source, d0.target) == (x, y)
             assert d0.coefficients == want
             assert solve_domain(d, x, y).coefficients == want
-            assert relative_grading(d, x, y) == grading._domain_grading(d0)
+            assert relative_grading(d, x, y) == graded(d0)
 
 
 def test_domain_avoiding_z_is_the_corner_solve_minus_n_z_sigma(rational_atlas):
@@ -1351,7 +1383,7 @@ def assert_graded_from_a_alone(d):
             value = maslov_index(d, x, y, d0)
             assert (value - gr) % m == 0 if m else value == gr
             assert relative_grading(d, x, y) == (gr % m if m else gr)
-            assert relative_grading(d, x, y) == grading._domain_grading(d0)
+            assert relative_grading(d, x, y) == graded(d0)
             assert_solves_like_the_corner_system(d, x, y, solved, kernel)
 
 
