@@ -5,11 +5,10 @@ as Fractions, the index of a genuine connecting domain is an integer,
 and the relative grading lives in Z or Z/d depending on the class.
 """
 
-from hfcalc import (GradingLabel, TwistedElement, build_s1s2, enumerate_generators,
-                    euler_measure, generator_measure, gr0_of_theta, grading_table,
-                    label_of, load_diagram, maslov_index, positive_representative,
-                    relative_grading, shift_label, solve_domain, spinc_partition,
-                    theta_and_shift, twisted_label)
+from hfcalc import (build_s1s2, enumerate_generators, euler_measure, generator_measure,
+                    gr0_of_theta, grading_table, load_diagram, maslov_index,
+                    positive_representative, relative_grading, solve_domain,
+                    spinc_partition, theta_and_shift)
 
 d = build_s1s2().diagram
 x, y = enumerate_generators(d)
@@ -42,17 +41,6 @@ cls = spinc_partition(d2)[0]
 print()
 print("same curves, other pairing: divisibility", cls.divisibility,
       "-> gradings live in Z/2")
-
-# The level action shifts a label by 2i (mod d when d > 0).
-label = GradingLabel(0, 0, 0)
-print()
-print("level shifts:", label, "->", shift_label(label, 1), "->",
-      shift_label(shift_label(label, 1), 2))
-print("mod-3 wraparound:", shift_label(GradingLabel(0, 2, 3), 2))
-
-# Twisted elements: group-ring coefficients are ignored by the grading.
-el = TwistedElement((((1, 0), x), ((0, -2), x)))
-print("twisted label of e^a x + e^b x:", twisted_label(d, el), "=", label_of(d, x))
 
 # Quarter-integer shift arithmetic for the absolute grading.
 theta, shift = theta_and_shift(0, 2, 0)

@@ -11,14 +11,17 @@ layer decompositions with corner audits, and the quarter-integer shift
 arithmetic of the absolute grading.  All arithmetic is exact: integers
 are arbitrary precision, index quantities are computed as integers in
 quarter units, and the public functions that return a quarter-integer
-(Euler and point measures, the grading shift) return a
-``fractions.Fraction``.
+(Euler and point measures, the audit's layer indices, the grading shift)
+return a ``fractions.Fraction``.  ``fractions`` is imported when the first
+one is made, so of the commands only ``domain``, ``audit``, ``shift`` and
+``selftest`` load it; and a command-line run builds the argument parser
+of its own command only.
 
 Every record, the audit's reports included, is a ``typing.NamedTuple``:
 immutable, updated with ``_replace``, iterated, ordered and compared as
-tuples (a ``Domain`` is equal only to itself).  Every module, ``layers``
-included, is imported with the package, and a diagram's lookup tables
-are built when it is assembled.
+tuples (a ``Domain`` is equal only to itself).  Every module of hfcalc,
+``layers`` included, is imported with the package, and a diagram's lookup
+tables are built when it is assembled.
 
 Modules
 -------
@@ -37,13 +40,12 @@ from .diagram import (CurveSystemInput, DiagramError, HeegaardDiagram, ParseErro
 from .zlattice import (AffineSolutionSet, IntMatrix, gcd_over_lattice,
                        smith_invariants, smith_normal_form, solve_integer_system)
 from .grading import (ConsistencyError, Domain, Generator, GradingLabel, Homology,
-                      MixedLabelError, NoConnectingClassError, NoPositiveRepresentative,
-                      SpincClass, TwistedElement, basepoint_multiplicity, divisibility,
-                      enumerate_generators, euler_measure, generator_measure,
-                      gr0_of_theta, grading_table, homogeneous_lattice, homology_of_Y,
-                      label_of, maslov_index, point_measure, positive_representative,
-                      relative_grading, shift_label, solve_domain, spinc_class_of,
-                      spinc_partition, theta_and_shift, twisted_label)
+                      NoConnectingClassError, NoPositiveRepresentative, SpincClass,
+                      basepoint_multiplicity, divisibility, enumerate_generators,
+                      euler_measure, generator_measure, gr0_of_theta, grading_table,
+                      homogeneous_lattice, homology_of_Y, label_of, maslov_index,
+                      point_measure, positive_representative, relative_grading,
+                      solve_domain, spinc_class_of, spinc_partition, theta_and_shift)
 from .layers import AuditError, AuditReport, CornerClass, audit_index, classify_corner
 from .atlas import (MarkedDiagram, build_annulus_open_book, build_s1s2,
                     build_torus_diagram, stabilize)

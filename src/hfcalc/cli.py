@@ -39,17 +39,16 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import atlas as atlas_mod
 from .diagram import (DiagramError, HeegaardDiagram, ParseError, assemble_regions,
                       load_diagram, reverse_curve, serialize)
 from .grading import (ConsistencyError, Generator, NoConnectingClassError,
-                      NoPositiveRepresentative, _domain_avoiding_z, basepoint_multiplicity,
-                      enumerate_generators, euler_measure, generator_measure, gr0_of_theta,
-                      grading_table, homology_of_Y, maslov_index, positive_representative,
-                      relative_grading, solve_domain, spinc_class_of, spinc_partition,
-                      theta_and_shift)
+                      NoPositiveRepresentative, _domain_avoiding_z, _fraction,
+                      basepoint_multiplicity, enumerate_generators, euler_measure,
+                      generator_measure, gr0_of_theta, grading_table, homology_of_Y,
+                      maslov_index, positive_representative, relative_grading,
+                      solve_domain, spinc_class_of, spinc_partition, theta_and_shift)
 from .layers import AuditReport, audit_index
 
 
@@ -301,7 +300,7 @@ def _cmd_shift(args, report):
         raise _UsageError(f"--c1sq takes an integer or a rational like 3/4, "
                           f"not exponent notation: {args.c1sq!r}")
     try:
-        theta, shift = theta_and_shift(Fraction(args.c1sq), args.chi, args.sigma)
+        theta, shift = theta_and_shift(_fraction()(args.c1sq), args.chi, args.sigma)
     except (ValueError, ZeroDivisionError) as exc:
         # Fraction parses the literal first, then converts its digits, so a
         # well-formed number past the interpreter's limit on integer-from-string
@@ -449,9 +448,45 @@ def _selftest(args, report):
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _add_command(sub, name: str) -> None:
+    """Add the subparser of command ``name``, with its arguments, to ``sub``."""
+    p = sub.add_parser(name)
+    if name in ("domain", "audit"):
+        for arg in ("file", "x", "y"):
+            p.add_argument(arg)
+        if name == "domain":
+            p.add_argument("--positive", action="store_true",
+                           help="also compute a nonnegative representative")
+    elif name == "atlas":
+        asub = p.add_subparsers(dest="builder", required=True)
+        t = asub.add_parser("torus")
+        t.add_argument("p", type=int)
+        t.add_argument("q", type=int)
+        t.add_argument("-o", "--output", required=True)
+        s = asub.add_parser("s1s2")
+        s.add_argument("-o", "--output", required=True)
+        o = asub.add_parser("openbook-annulus")
+        o.add_argument("n", type=int)
+        o.add_argument("-o", "--output", required=True)
+    elif name == "shift":
+        p.add_argument("--c1sq", required=True,
+                       help="self-pairing of PD c1 (integer or rational like 3/4)")
+        p.add_argument("--chi", type=int, required=True)
+        p.add_argument("--sigma", type=int, required=True)
+    elif name != "selftest":
+        p.add_argument("file")
+        if name == "stabilize":
+            p.add_argument("-o", "--output", required=True)
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process on first use."""
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use.
+
+    It has the subparser of ``command`` only, or every subparser when
+    ``command`` is None.  The one-subparser build names every command in
+    its metavar, so its usage lines and messages read as the full build's.
+    """
     ap = argparse.ArgumentParser(prog="hfcalc",
                                  description="Exact calculator for gradings of "
                                              "Heegaard-diagram generators")
@@ -459,38 +494,25 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--radius", type=int, default=8,
                     help="search radius for positive representatives (default 8)")
     ap.add_argument("--seed", type=int, default=0, help="selftest RNG seed")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    for name in ("validate", "info", "generators", "spinc", "grade"):
-        p = sub.add_parser(name)
-        p.add_argument("file")
-    domain, audit = sub.add_parser("domain"), sub.add_parser("audit")
-    for p in (domain, audit):
-        for name in ("file", "x", "y"):
-            p.add_argument(name)
-    domain.add_argument("--positive", action="store_true",
-                        help="also compute a nonnegative representative")
-    p = sub.add_parser("stabilize")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p = sub.add_parser("atlas")
-    asub = p.add_subparsers(dest="builder", required=True)
-    t = asub.add_parser("torus")
-    t.add_argument("p", type=int)
-    t.add_argument("q", type=int)
-    t.add_argument("-o", "--output", required=True)
-    s = asub.add_parser("s1s2")
-    s.add_argument("-o", "--output", required=True)
-    o = asub.add_parser("openbook-annulus")
-    o.add_argument("n", type=int)
-    o.add_argument("-o", "--output", required=True)
-    p = sub.add_parser("shift")
-    p.add_argument("--c1sq", required=True,
-                   help="self-pairing of PD c1 (integer or rational like 3/4)")
-    p.add_argument("--chi", type=int, required=True)
-    p.add_argument("--sigma", type=int, required=True)
-    sub.add_parser("selftest")
+    if command is None:
+        sub = ap.add_subparsers(dest="command", required=True)
+        for name in _COMMANDS:
+            _add_command(sub, name)
+    else:
+        sub = ap.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}")
+        _add_command(sub, command)
     return ap
+
+
+def _command_of(argv) -> str | None:
+    """The first token of ``argv`` that is ``--`` or does not start with
+    ``-``, when it names a command, else None.  The top-level options take
+    integers, so a command name taken as an option's value fails either way."""
+    for token in argv:
+        if token == "--" or not token.startswith("-"):
+            return token if token in _COMMANDS else None
+    return None
 
 
 def _on_file(command):
@@ -548,7 +570,7 @@ def _fail(args, report: dict, code: int, error: dict, text: str) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(_command_of(argv)).parse_args(argv)
     report = {"command": list(argv), "diagram": None, "payload": None,
               "status": "ok", "exit_status": 0}
     try:

@@ -253,6 +253,18 @@ def parse_diagram(text: str) -> CurveSystemInput:
 # Graph structure and face tracing
 # ---------------------------------------------------------------------------
 
+def _raise_listed_twice(curves, family: str):
+    """Raise for the first vertex listed a second time on the ``family``
+    curves, which list more entries than they have vertices."""
+    seen = set()
+    for name, verts in curves:
+        for v in verts:
+            if v in seen:
+                raise ValidationError(f"vertex {v!r} listed twice on {family} curves, "
+                                      f"again on {name!r}")
+            seen.add(v)
+
+
 class _Graph:
     """Vertices, rotations, and traced faces of a curve system.
 
@@ -273,6 +285,8 @@ class _Graph:
         nv = len(names)
         self.vertex_names = tuple(names)
         self.vertex_index = index = {n: i for i, n in enumerate(names)}
+        if len(index) != nv:
+            _raise_listed_twice(inp.alpha, "alpha")
         try:
             self.signs = signs = tuple(map(inp.signs.__getitem__, names))
         except KeyError as e:
@@ -300,6 +314,14 @@ class _Graph:
                     curve_of[tail] = j
                     out[tail] = dart
                     inn[head] = dart + 1
+        # Each alpha vertex is listed once on alpha; once on beta too exactly
+        # when none is missing there and the beta listings have nv entries.
+        if -1 in b_out:
+            v = b_out.index(-1)
+            raise ValidationError(f"vertex {names[v]!r} of alpha curve "
+                                  f"{inp.alpha[alpha_of[v]][0]!r} is on no beta curve")
+        if len(dart_names) != 4 * nv:
+            _raise_listed_twice(inp.beta, "beta")
         self.alpha_of = tuple(alpha_of)
         self.beta_of = tuple(beta_of)
         self.dart_names = tuple(dart_names)

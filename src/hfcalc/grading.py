@@ -48,13 +48,15 @@ is not a multiple of 4 is an internal inconsistency and raises.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from functools import wraps
-from typing import NamedTuple, Sequence
+from functools import cache, wraps
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .diagram import HeegaardDiagram
 from .zlattice import (DimensionMismatch, IntMatrix, SmithDecomposition, _kernel, _particular,
                        _transpose, gcd_over_lattice, smith_normal_form)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class GradingError(Exception):
@@ -75,10 +77,6 @@ class NoPositiveRepresentative(GradingError):
 
 class ConsistencyError(GradingError):
     """An exact identity failed; indicates a bug, not a user error."""
-
-
-class MixedLabelError(GradingError):
-    """A twisted element mixes generators of different grading labels."""
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +101,14 @@ def _per_diagram(fn):
         return value
 
     return cached
+
+
+@cache
+def _fraction() -> type[Fraction]:
+    """``fractions.Fraction``, imported on first use: a process that makes
+    no Fraction (``hfcalc grade``, for one) never loads ``fractions``."""
+    from fractions import Fraction
+    return Fraction
 
 
 def _not_a_generator(g) -> KeyError:
@@ -412,7 +418,7 @@ def _whole(quarters: int, what: str) -> int:
     """An index given in quarter units, as an integer (checked)."""
     value, rest = divmod(quarters, 4)
     if rest:
-        raise ConsistencyError(f"non-integral {what} {Fraction(quarters, 4)}")
+        raise ConsistencyError(f"non-integral {what} {_fraction()(quarters, 4)}")
     return value
 
 
@@ -422,7 +428,7 @@ def euler_measure(diagram: HeegaardDiagram, domain) -> Fraction:
     Every corner of an elementary region is convex, so the concave term
     vanishes region by region.
     """
-    return Fraction(_dot(_base_weights(diagram), _coeffs(diagram, domain)), 4)
+    return _fraction()(_dot(_base_weights(diagram), _coeffs(diagram, domain)), 4)
 
 
 def point_measure(diagram: HeegaardDiagram, domain, vertex: str | int) -> Fraction:
@@ -436,12 +442,22 @@ def point_measure(diagram: HeegaardDiagram, domain, vertex: str | int) -> Fracti
     elif not 0 <= vertex < diagram.n_vertices:
         raise KeyError(f"unknown vertex {vertex!r}")
     coeffs = _coeffs(diagram, domain)
-    return Fraction(sum(coeffs[r] for r in diagram.quadrants[vertex]), 4)
+    return _fraction()(sum(coeffs[r] for r in diagram.quadrants[vertex]), 4)
 
 
 def generator_measure(diagram: HeegaardDiagram, domain, gen: Generator) -> Fraction:
-    """n_x(D): sum of the point measures at the generator's vertices."""
-    return sum((point_measure(diagram, domain, v) for v in gen.vertices), Fraction(0))
+    """n_x(D): sum of the point measures at the generator's vertices, one
+    quarter of the multiplicities of all their quadrants.
+
+    Raises ``KeyError`` for a vertex outside ``range(diagram.n_vertices)``.
+    """
+    coeffs, quadrants = _coeffs(diagram, domain), diagram.quadrants
+    quarters = 0
+    for v in gen.vertices:
+        if not 0 <= v < diagram.n_vertices:
+            raise KeyError(f"unknown vertex {v!r}")
+        quarters += sum(coeffs[r] for r in quadrants[v])
+    return _fraction()(quarters, 4)
 
 
 def basepoint_multiplicity(diagram: HeegaardDiagram, domain) -> int:
@@ -642,13 +658,12 @@ class GradingLabel(NamedTuple):
     """Affine grading coordinate: offset relative to the class anchor.
 
     ``modulus`` 0 means integer-valued; otherwise the offset is a residue
-    in [0, modulus).  ``level`` records the accumulated [x, i] shifts.
+    in [0, modulus).
     """
 
     spinc: int
     offset: int
     modulus: int
-    level: int = 0
 
 
 @_per_diagram
@@ -673,45 +688,6 @@ def label_of(diagram: HeegaardDiagram, g: Generator) -> GradingLabel:
     return GradingLabel(cls.index, _potential(diagram, g, cls), cls.divisibility)
 
 
-def shift_label(label: GradingLabel, i: int) -> GradingLabel:
-    """The [x, i] action: the grading moves by 2 i (mod d when d > 0)."""
-    off = label.offset + 2 * i
-    if label.modulus:
-        off %= label.modulus
-    return label._replace(offset=off, level=label.level + i)
-
-
-class _TwistedElement(NamedTuple):
-    summands: tuple[tuple[tuple[int, ...], Generator], ...]
-
-
-class TwistedElement(_TwistedElement):
-    """Formal sum of group-ring multiples of generators.
-
-    Each summand pairs an exponent vector over a fixed H^1 basis with a
-    generator; the exponent is ignored by the grading.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, summands):
-        if not summands:
-            raise ValueError("twisted element must have at least one summand")
-        return super().__new__(cls, summands)
-
-
-def twisted_label(diagram: HeegaardDiagram, element: TwistedElement) -> GradingLabel:
-    """Grading of a twisted element: the common label of its generators.
-
-    The twisting exponents are ignored.  Raises ``MixedLabelError`` when
-    the summands are not homogeneous.
-    """
-    labels = {label_of(diagram, g) for _, g in element.summands}
-    if len(labels) != 1:
-        raise MixedLabelError(f"summands carry {len(labels)} distinct labels")
-    return labels.pop()
-
-
 # ---------------------------------------------------------------------------
 # Q-grading shift arithmetic
 # ---------------------------------------------------------------------------
@@ -723,13 +699,13 @@ def theta_and_shift(c1_squared, chi: int, sigma: int) -> tuple[Fraction, Fractio
     Chern class of the almost-complex 4-manifold; chi and sigma are its
     Euler characteristic and signature.
     """
-    theta = Fraction(c1_squared) - 2 * chi - 3 * sigma
+    theta = _fraction()(c1_squared) - 2 * chi - 3 * sigma
     return theta, theta / 4
 
 
 def gr0_of_theta(theta) -> Fraction:
     """Absolute Q-grading coordinate (2 + theta) / 4 of a torsion class."""
-    return (2 + Fraction(theta)) / 4
+    return (2 + _fraction()(theta)) / 4
 
 
 # ---------------------------------------------------------------------------

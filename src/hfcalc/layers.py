@@ -69,12 +69,14 @@ sign of each vertex on it, so the identity is invariant under reversal.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .grading import (ConsistencyError, Generator, basepoint_multiplicity, maslov_index,
-                      _coeffs)
+                      _coeffs, _fraction)
 from .diagram import HeegaardDiagram
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class AuditError(ConsistencyError):
@@ -301,6 +303,7 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
         raise ValueError("layer decomposition needs a nonnegative domain")
     mu = maslov_index(diagram, x, y, coeffs)
     table = _corner_table()
+    Fraction = _fraction()
 
     # Each vertex read once, as (max, mults, key): key is its membership,
     # plus 64 when its pair sign is negative.  Only a vertex in neither or

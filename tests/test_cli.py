@@ -536,6 +536,41 @@ def test_text_and_error_digest(capsys, monkeypatch, tmp_path):
     assert digest.hexdigest() == TEXT_AND_ERROR_DIGEST
 
 
+def parse_outcome(parser, argv, capsys):
+    """The namespace ``parser`` makes of ``argv``, or its exit code, stdout and stderr."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+def test_one_subparser_parses_as_the_full_parser(capsys, monkeypatch, tmp_path):
+    """A run builds only its command's subparser; every argv parses, fails
+    and prints help as with every subparser built."""
+    import hfcalc.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    commands = list(cli._COMMANDS)
+    argvs = [["--json"] + argv for argv, _, _ in golden_cases(capsys)]
+    argvs += [argv for argv, _, _, _ in text_and_error_cases(capsys, monkeypatch)]
+    argvs += [["-h"], ["atlas", "torus", "-h"]] + [[c, "-h"] for c in commands]
+    argvs += [["frobnicate", "grade", "f"], ["--", "grade", "f"],
+              ["--radius", "grade", "grade", "f"], ["--radius=-1", "audit", "f", "x", "y"],
+              ["--rad", "3", "validate", "f"],
+              ["--j", "shift", "--c1sq", "1", "--chi", "2", "--sigma", "0"],
+              ["grade", "f", "extra"], [], ["--json"]]
+    full = cli._build_parser(None)
+    for argv in argvs:
+        command = cli._command_of(argv)
+        assert parse_outcome(cli._build_parser(command), argv, capsys) == \
+            parse_outcome(full, argv, capsys), argv
+    for command in commands:
+        parser = cli._build_parser(command)
+        chosen = next(a.choices for a in parser._actions if a.dest == "command")
+        assert list(chosen) == [command]
+
+
 def test_generators_beyond_the_recursion_limit(capsys, tmp_path):
     path = tmp_path / "g1101.hd"
     path.write_text(s1s2_plus_pairs_text(1100))
@@ -573,6 +608,21 @@ def test_audit_loads_no_dataclasses(tmp_path, s1s2_file):
     proc = run_python(["-c", script], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False", "False"]
+
+
+def test_most_commands_never_load_fractions(tmp_path):
+    """Only domain, audit, shift and selftest make a Fraction."""
+    runs = [["atlas", "openbook-annulus", "2", "-o", "ob.hd"], ["validate", "ob.hd"],
+            ["info", "ob.hd"], ["generators", "ob.hd"], ["spinc", "ob.hd"],
+            ["grade", "ob.hd"], ["stabilize", "ob.hd", "-o", "st.hd"]]
+    script = ("import contextlib, io, sys\n"
+              "import hfcalc.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [hfcalc.cli.main(['--json', *argv]) for argv in {runs!r}]\n"
+              "print(codes, sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
+    proc = run_python(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"{[0] * len(runs)} []"
 
 
 def test_audit_in_a_child_process(tmp_path):
@@ -617,13 +667,12 @@ PACKAGE_NAMES = [
     "AffineSolutionSet", "IntMatrix", "gcd_over_lattice", "smith_invariants",
     "smith_normal_form", "solve_integer_system",
     "ConsistencyError", "Domain", "Generator", "GradingLabel", "Homology",
-    "MixedLabelError", "NoConnectingClassError", "NoPositiveRepresentative", "SpincClass",
-    "TwistedElement", "basepoint_multiplicity", "divisibility",
+    "NoConnectingClassError", "NoPositiveRepresentative", "SpincClass",
+    "basepoint_multiplicity", "divisibility",
     "enumerate_generators", "euler_measure", "generator_measure", "gr0_of_theta",
     "grading_table", "homogeneous_lattice", "homology_of_Y", "label_of", "maslov_index",
-    "point_measure", "positive_representative", "relative_grading", "shift_label",
+    "point_measure", "positive_representative", "relative_grading",
     "solve_domain", "spinc_class_of", "spinc_partition", "theta_and_shift",
-    "twisted_label",
     "AuditError", "AuditReport", "CornerClass", "audit_index", "classify_corner",
     "MarkedDiagram", "build_annulus_open_book", "build_s1s2", "build_torus_diagram",
     "stabilize", "__version__",

@@ -168,10 +168,18 @@ def test_assemble_unknown_circle():
      "basepoint locator (a0, nope) resolves to nothing"),
     ({"signs": {"x0": 1, "x1": 1}}, "vertex 'x2' has no crossing sign"),
     ({"beta": (("b0", ("x0", "x9", "x1")),)}, "beta vertex 'x9' is on no alpha curve"),
-], ids=["basepoint-vertex", "unsigned-vertex", "unknown-beta-vertex"])
+    ({"beta": (("b0", ("x0", "x1")),)}, "vertex 'x2' of alpha curve 'a0' is on no beta curve"),
+    ({"beta": (("b0", ("x0", "x2", "x1", "x0")),)},
+     "vertex 'x0' listed twice on beta curves, again on 'b0'"),
+    ({"alpha": (("a0", ("x0", "x1", "x2", "x1")),)},
+     "vertex 'x1' listed twice on alpha curves, again on 'a0'"),
+], ids=["basepoint-vertex", "unsigned-vertex", "unknown-beta-vertex", "beta-misses-vertex",
+        "beta-repeats-vertex", "alpha-repeats-vertex"])
 def test_malformed_programmatic_inputs_are_validation_errors(change, message):
     """Inputs the parser refuses, built directly: each names a vertex that
-    assembly cannot look up, and fails with ValidationError, not KeyError."""
+    assembly cannot look up, or that a curve family lists twice or not at
+    all, and fails with a ValidationError naming it, not with a KeyError or
+    traced garbage."""
     inp = parse_diagram(L31_TEXT)._replace(**change)
     with pytest.raises(ValidationError) as err:
         assemble_regions(inp)

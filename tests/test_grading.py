@@ -19,15 +19,15 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 import hfcalc.grading as grading
 from hfcalc.atlas import build_annulus_open_book, build_s1s2, build_torus_diagram, stabilize
 from hfcalc.diagram import assemble_regions, load_diagram, rename, reverse_curve, serialize
-from hfcalc.grading import (ConsistencyError, Generator, GradingLabel, MixedLabelError,
+from hfcalc.grading import (ConsistencyError, Generator, GradingLabel,
                             NoConnectingClassError, NoPositiveRepresentative,
-                            TwistedElement, basepoint_multiplicity, divisibility,
+                            basepoint_multiplicity, divisibility,
                             enumerate_generators, euler_measure, generator_measure,
                             gr0_of_theta, grading_table, homogeneous_lattice,
                             homology_of_Y, label_of, maslov_index, point_measure,
-                            positive_representative, relative_grading, shift_label,
+                            positive_representative, relative_grading,
                             solve_domain, spinc_class_of, spinc_partition,
-                            theta_and_shift, twisted_label)
+                            theta_and_shift)
 from hfcalc.zlattice import (DimensionMismatch, IntMatrix, gcd_over_lattice, smith_invariants,
                              solve_integer_system)
 from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
@@ -430,6 +430,9 @@ def test_point_measures(s3, s1s2):
 def test_point_measure_unknown_vertex(s1s2, vertex):
     with pytest.raises(KeyError, match=f"unknown vertex {vertex!r}"):
         point_measure(s1s2, [0] * s1s2.n_regions, vertex)
+    if isinstance(vertex, int):  # a generator holds vertex indices
+        with pytest.raises(KeyError, match=f"unknown vertex {vertex!r}"):
+            generator_measure(s1s2, [0] * s1s2.n_regions, Generator((vertex,)))
 
 
 def test_maslov_zero_and_bigon(s1s2):
@@ -526,24 +529,6 @@ def test_grading_tables(s3, l31, s1s2):
     anchors = [l.offset for g, l in table
                if g == spinc_partition(s1s2)[0].anchor]
     assert anchors == [0]
-
-
-def test_shift_label():
-    assert shift_label(GradingLabel(0, 0, 0), 1) == GradingLabel(0, 2, 0, 1)
-    assert shift_label(GradingLabel(0, 5, 0), 0) == GradingLabel(0, 5, 0, 0)
-    assert shift_label(GradingLabel(0, 2, 3), 2) == GradingLabel(0, 0, 3, 2)
-
-
-def test_twisted_label(s1s2):
-    x, y = enumerate_generators(s1s2)
-    assert twisted_label(s1s2, TwistedElement((((1, 0), x),))) == label_of(s1s2, x)
-    same = TwistedElement((((1, 0), x), ((0, 3), x)))
-    assert twisted_label(s1s2, same) == label_of(s1s2, x)
-    mixed = TwistedElement((((0, 0), x), ((0, 0), y)))
-    with pytest.raises(MixedLabelError):
-        twisted_label(s1s2, mixed)
-    with pytest.raises(ValueError):
-        TwistedElement(())
 
 
 def test_theta_and_shift():

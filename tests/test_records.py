@@ -7,7 +7,7 @@ import pytest
 from hfcalc.atlas import MarkedDiagram
 from hfcalc.diagram import CurveSystemInput, Quadrant, Region, RegionDirective
 from hfcalc.grading import (Domain, Generator, GradingLabel, Homology, SpincClass,
-                            TwistedElement, enumerate_generators, solve_domain)
+                            enumerate_generators, solve_domain)
 from hfcalc.layers import AuditReport, CornerClass, LayerReport
 from hfcalc.zlattice import AffineSolutionSet, IntMatrix, SmithDecomposition
 
@@ -37,9 +37,7 @@ RECORDS = [
     (SpincClass(0, (G0,), G0, 2),
      "SpincClass(index=0, members=(Generator(vertices=(0,)),), "
      "anchor=Generator(vertices=(0,)), divisibility=2)"),
-    (GradingLabel(0, 1, 2), "GradingLabel(spinc=0, offset=1, modulus=2, level=0)"),
-    (TwistedElement((((1, 0), G0),)),
-     "TwistedElement(summands=(((1, 0), Generator(vertices=(0,))),))"),
+    (GradingLabel(0, 1, 2), "GradingLabel(spinc=0, offset=1, modulus=2)"),
     (Homology(1, (2, 3)), "Homology(b1=1, torsion=(2, 3))"),
     (MarkedDiagram(None, G0, "s1s2()"),
      "MarkedDiagram(diagram=None, contact_generator=Generator(vertices=(0,)), "
@@ -89,7 +87,6 @@ def test_fields_cannot_be_assigned(record):
 def test_records_compare_as_tuples():
     assert Generator((0, 2)) == ((0, 2),)
     assert hash(Generator((0, 2))) == hash(((0, 2),))
-    assert GradingLabel(0, 1, 2)._replace(level=3) == GradingLabel(0, 1, 2, 3)
     assert sorted([G1, G0]) == [G0, G1]
 
 
@@ -101,10 +98,4 @@ def test_domains_compare_by_identity(s1s2):
     assert not a == b
     assert a == a
     assert len({a, b}) == 2
-
-
-def test_twisted_element_needs_a_summand():
-    with pytest.raises(ValueError):
-        TwistedElement(())
-    assert TwistedElement((((0,), G0),)).summands == (((0,), G0),)
 
