@@ -507,11 +507,16 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
 
 def _command_of(argv) -> str | None:
     """The first token of ``argv`` that is ``--`` or does not start with
-    ``-``, when it names a command, else None.  The top-level options take
-    integers, so a command name taken as an option's value fails either way."""
-    for token in argv:
+    ``-``, when it names a command, else None.  The token after ``--radius``,
+    ``--seed`` or an abbreviation of either is that option's value and is
+    skipped (the ``=`` forms hold their value).  Both options take integers,
+    so a command name taken as an option's value fails either way."""
+    tokens = iter(argv)
+    for token in tokens:
         if token == "--" or not token.startswith("-"):
             return token if token in _COMMANDS else None
+        if len(token) > 2 and ("--radius".startswith(token) or "--seed".startswith(token)):
+            next(tokens, None)
     return None
 
 

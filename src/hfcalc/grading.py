@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache, wraps
+from operator import sub
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .diagram import HeegaardDiagram
@@ -224,11 +225,10 @@ class Domain(NamedTuple):
         basis = self.lattice
         if len(steps) != len(basis):
             raise ValueError(f"expected {len(basis)} lattice steps")
-        coeffs = list(self.coefficients)
+        coeffs = self.coefficients
         for s, vec in zip(steps, basis):
             if s:
-                for i, v in enumerate(vec):
-                    coeffs[i] += s * v
+                coeffs = [c + s * v for c, v in zip(coeffs, vec)]
         return Domain(self.diagram, self.source, self.target, tuple(coeffs))
 
 
@@ -253,7 +253,7 @@ def solve_domain(diagram: HeegaardDiagram, x: Generator, y: Generator) -> Domain
         if g not in memo:
             memo[g] = ((0,) * diagram.n_regions if g == cls.anchor
                        else _domain_avoiding_z(diagram, g, cls.anchor).coefficients)
-    coeffs = tuple(a - b for a, b in zip(memo[x], memo[y]))
+    coeffs = tuple(map(sub, memo[x], memo[y]))
     _check_connecting(diagram, x, y, coeffs)
     return Domain(diagram, x, y, coeffs)
 

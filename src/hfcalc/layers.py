@@ -20,11 +20,21 @@ up each vertex's counts in a 64-row table indexed by membership |
 quadrant mask, built from ``classify_corner`` on 0/1 multiplicities at
 the first audit.  The same row counts the arc ends its clusters touch,
 and the layer's arcs are half the sum of those ends, so the audit reads
-every count off the quadrants at each vertex and lists no arcs.  Layer
-indices are counted in integer quarter units and become a ``Fraction``
-only when returned.  They are counted on the layers, not from the region
-weights ``maslov_index`` uses, so the first identity below compares two
-independent computations.
+every count off the quadrants at each vertex and lists no arcs.
+
+The audit reads each vertex's four quadrant multiplicities once.  One
+pass over the vertices forms each vertex's key (its membership and, for
+a vertex in neither or both generators, the sign of its corner pairs),
+counts both sides of the third identity below, and counts the first
+run's table keys directly: at the levels 1, ..., c of the least positive
+multiplicity c, a layer holds exactly the quadrants of positive
+multiplicity.  The pass keeps for the later runs only the vertices with
+a quadrant above c; the other vertices are absent from every layer above
+c.  Layer indices are counted in integer quarter units and become a
+``Fraction`` only when returned, and their sum is compared with four
+times the Maslov index as integers.  They are counted on the layers, not
+from the region weights ``maslov_index`` uses, so the first identity
+below compares two independent computations.
 
 Three exact identities are audited for every decomposition:
 
@@ -55,24 +65,25 @@ point measures n_x and n_y and the crossings as the mean jumps; with
 the orientations used here the sign comes out as stated.
 
 Both sides are counted in quarter units from the quadrant multiplicities
-m0..m3 of each vertex, in the vertex loop that feeds the layer runs.
+m0..m3 of each vertex, in the one vertex pass of the audit.
 4 n_x is the sum of m0 + m1 + m2 + m3 over the vertices of x.  With the
 rotation conventions of ``diagram``, sign(v) times the sums of the jumps
 on the two alpha and on the two beta arcs at v is
 
-    (m0 + m1 - m2 - m3) (m1 + m2 - m0 - m3)
+    (m0 + m1 - m2 - m3) (m1 + m2 - m0 - m3) = (m1 - m3)^2 - (m0 - m2)^2
 
-at either crossing sign.  Reversing a curve negates its jumps and the
-sign of each vertex on it, so the identity is invariant under reversal.
+at either crossing sign; the audit sums the right-hand form.  Reversing
+a curve negates its jumps and the sign of each vertex on it, so the
+identity is invariant under reversal.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from itertools import compress
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .grading import (ConsistencyError, Generator, basepoint_multiplicity, maslov_index,
-                      _coeffs, _fraction)
+from .grading import ConsistencyError, Generator, maslov_index, _coeffs, _fraction
 from .diagram import HeegaardDiagram
 
 if TYPE_CHECKING:
@@ -190,26 +201,6 @@ def classify_corner(mults: Sequence[int], level: int, in_x: bool, in_y: bool,
     return tuple(out)
 
 
-def _layer_runs(coeffs: Sequence[int], vertices: list) -> Iterator[tuple]:
-    """Each run of identical layers as (first level, last level, regions,
-    vertices present).
-
-    Between consecutive distinct positive coefficients c' < c, the levels
-    c' + 1, ..., c include exactly the regions and vertex quadrants of
-    multiplicity >= c, so they share one set of regions and clusters.
-    ``vertices`` is the audit's list of (largest quadrant multiplicity,
-    mults, key) tuples; a vertex whose largest quadrant is below a run is
-    absent from it and from every run above it.
-    """
-    regions = range(len(coeffs))
-    first = 1
-    for last in sorted(set(coeffs) - {0}):
-        regions = [r for r in regions if coeffs[r] >= last]
-        vertices = [t for t in vertices if t[0] >= last]
-        yield first, last, regions, vertices
-        first = last + 1
-
-
 class LayerReport(NamedTuple):
     level: int
     chi: int
@@ -289,52 +280,74 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
                 domain) -> AuditReport:
     """Decompose, classify, and verify the exact layer identities.
 
-    Statistics are taken once per run of identical layers (see
-    ``_layer_runs``), by one ``_corner_table`` lookup per vertex present,
-    and counted once per level of the run.  chi(F_l) is the number of
-    clusters, minus the layer's arcs (half the clusters' arc ends), plus
-    the regions' chi.  The report still holds one ``LayerReport`` per
-    level.  Raises ``ValueError`` on a negative domain, and ``AuditError``
-    when an identity fails; a failed identity signals an implementation
-    inconsistency, never bad user input.
+    Statistics are taken once per run of identical layers, by counting
+    ``_corner_table`` keys of the vertices present, and counted once per
+    level of the run.  One pass over the vertices reads each vertex's
+    quadrant multiplicities once: it forms the vertex's key, counts both
+    sides of n_x - n_y = d_alpha D . d_beta D, and counts the first run's
+    keys directly, since at the levels 1, ..., c of the least positive
+    coefficient c quadrant q is in the layer exactly when m_q > 0.  It
+    keeps for the later runs only the vertices whose largest quadrant is
+    above c; each later run keeps those whose largest quadrant reaches its
+    last level, and masks them by m_q >= its first level.  chi(F_l) is the
+    number of clusters, minus the layer's arcs (half the clusters' arc
+    ends), plus the regions' chi.  The report still holds one
+    ``LayerReport`` per level.  Raises ``ValueError`` on a negative domain,
+    and ``AuditError`` when an identity fails; a failed identity signals
+    an implementation inconsistency, never bad user input.
     """
     coeffs = _coeffs(diagram, domain)
-    if any(c < 0 for c in coeffs):
+    if min(coeffs, default=0) < 0:
         raise ValueError("layer decomposition needs a nonnegative domain")
     mu = maslov_index(diagram, x, y, coeffs)
     table = _corner_table()
     Fraction = _fraction()
+    levels = sorted(set(coeffs) - {0})
+    least = levels[0] if levels else 0
 
-    # Each vertex read once, as (max, mults, key): key is its membership,
-    # plus 64 when its pair sign is negative.  Only a vertex in neither or
-    # both generators has auxiliary corners, and its pair sign is 1 unless
-    # both of its jumps are nonzero.  The same read counts both sides of
-    # n_x - n_y = d_alpha D . d_beta D in quarter units (module docstring).
-    xset, yset = set(x.vertices), set(y.vertices)
-    vertices = []
+    # The one read of each vertex.  Its key is its membership (32 for x, 16
+    # for y), plus 64 when its pair sign is negative: only a vertex in
+    # neither or both generators has auxiliary corners, and its pair sign
+    # is -1 exactly when its two jumps m1 - m0 and m3 - m0 have opposite
+    # signs.  The same read counts both sides of n_x - n_y = d_alpha D .
+    # d_beta D in quarter units (module docstring), and the key with its
+    # mask at the first run.
+    membership = [0] * diagram.n_vertices
+    for v in x.vertices:
+        membership[v] = 32
+    for v in y.vertices:
+        membership[v] |= 16
+    counts: dict[int, int] = {}
+    later = []
     n_xy = boundary = 0
-    for v, (q0, q1, q2, q3) in enumerate(diagram.quadrants):
-        m0, m1, m2, m3 = mults = coeffs[q0], coeffs[q1], coeffs[q2], coeffs[q3]
-        in_x, in_y = v in xset, v in yset
-        key = 16 * (2 * in_x + in_y)
-        if in_x != in_y:
-            n_xy += (in_x - in_y) * (m0 + m1 + m2 + m3)
-        elif m1 != m0 and m3 != m0:
-            key |= 64 * (_pair_sign(mults) < 0)
-        boundary += (m0 + m1 - m2 - m3) * (m1 + m2 - m0 - m3)
-        vertices.append((max(mults), mults, key))
+    for key, (q0, q1, q2, q3) in zip(membership, diagram.quadrants):
+        m0, m1, m2, m3 = coeffs[q0], coeffs[q1], coeffs[q2], coeffs[q3]
+        if key == 32:
+            n_xy += m0 + m1 + m2 + m3
+        elif key == 16:
+            n_xy -= m0 + m1 + m2 + m3
+        elif (m1 - m0) * (m3 - m0) < 0:
+            key |= 64
+        a, b = m0 - m2, m1 - m3
+        boundary += b * b - a * a
+        mask = (m0 > 0) | (m1 > 0) << 1 | (m2 > 0) << 2 | (m3 > 0) << 3
+        if mask:
+            counts[key | mask] = counts.get(key | mask, 0) + 1
+            if m0 > least or m1 > least or m2 > least or m3 > least:
+                later.append((max(m0, m1, m2, m3), (m0, m1, m2, m3), key))
 
-    region_chi = diagram.region_chi
     reports = []
     quarters = 0
     degenerate_present = False
     auxiliary_present = False
-    for first, last, regions, present in _layer_runs(coeffs, vertices):
-        length = last - first + 1
-        counts: dict[int, int] = {}
-        for _, (m0, m1, m2, m3), key in present:
-            key |= (m0 >= first) | (m1 >= first) << 1 | (m2 >= first) << 2 | (m3 >= first) << 3
-            counts[key] = counts.get(key, 0) + 1
+    first = 1
+    for last in levels:
+        if first > 1:
+            later = [t for t in later if t[0] >= last]
+            counts = {}
+            for _, (m0, m1, m2, m3), key in later:
+                key |= (m0 >= first) | (m1 >= first) << 1 | (m2 >= first) << 2 | (m3 >= first) << 3
+                counts[key] = counts.get(key, 0) + 1
         clusters = ends = convex = concave = bdeg = ideg = auxiliary = aux_signed = included = 0
         for key, n in counts.items():
             row, pair_sign = table[key & 63], -1 if key & 64 else 1
@@ -349,16 +362,19 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
             included += n * row.included
         degenerate_present = degenerate_present or bool(bdeg or ideg)
         auxiliary_present = auxiliary_present or bool(auxiliary)
-        chi = clusters - ends // 2 + sum(map(region_chi.__getitem__, regions))
+        # The run's regions are those of multiplicity >= last.
+        chi = clusters - ends // 2 + sum(compress(diagram.region_chi, map(last.__le__, coeffs)))
         layer_quarters = 4 * chi - convex + concave + included
-        quarters += layer_quarters * length
-        index = Fraction(layer_quarters, 4)
-        reports += [LayerReport(level, chi, convex, concave, bdeg, ideg, aux_signed, index)
+        quarters += layer_quarters * (last - first + 1)
+        # One report per level, made by tuple.__new__ as namedtuple's _make
+        # does: LayerReport's own __new__ would parse its arguments each time.
+        report = (chi, convex, concave, bdeg, ideg, aux_signed, Fraction(layer_quarters, 4))
+        reports += [tuple.__new__(LayerReport, (level, *report))
                     for level in range(first, last + 1)]
+        first = last + 1
 
-    total = Fraction(quarters, 4)
-    if total != mu:
-        raise AuditError(f"layer index sum {total} differs from Maslov index {mu}")
+    if quarters != 4 * mu:
+        raise AuditError(f"layer index sum {Fraction(quarters, 4)} differs from Maslov index {mu}")
 
     single = None
     if len(reports) == 1 and not degenerate_present and not auxiliary_present:
@@ -372,5 +388,5 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
                          f"d_alpha D . d_beta D = {Fraction(boundary, 4)}")
 
     side = Fraction(n_xy, 4)  # both sides, equal
-    return AuditReport(tuple(reports), total, mu, basepoint_multiplicity(diagram, coeffs),
+    return AuditReport(tuple(reports), Fraction(mu), mu, coeffs[diagram.basepoint_region],
                        side, side, single)

@@ -556,15 +556,25 @@ def test_one_subparser_parses_as_the_full_parser(capsys, monkeypatch, tmp_path):
     argvs += [argv for argv, _, _, _ in text_and_error_cases(capsys, monkeypatch)]
     argvs += [["-h"], ["atlas", "torus", "-h"]] + [[c, "-h"] for c in commands]
     argvs += [["frobnicate", "grade", "f"], ["--", "grade", "f"],
-              ["--radius", "grade", "grade", "f"], ["--radius=-1", "audit", "f", "x", "y"],
-              ["--rad", "3", "validate", "f"],
+              ["--radius=-1", "audit", "f", "x", "y"],
               ["--j", "shift", "--c1sq", "1", "--chi", "2", "--sigma", "0"],
               ["grade", "f", "extra"], [], ["--json"]]
+    # A valued top-level option before the command: its value is skipped,
+    # and the run still builds only its command's subparser.
+    valued = {("--seed", "1", "selftest"): "selftest", ("--se", "2", "selftest"): "selftest",
+              ("--radius", "3", "audit", "s.hd", "x0", "x1"): "audit",
+              ("--json", "--radius", "3", "audit", "s.hd", "x0", "x1"): "audit",
+              ("--radius", "-1", "info", "s.hd"): "info", ("--s", "grade", "grade", "f"): "grade",
+              ("--radius", "grade", "grade", "f"): "grade",
+              ("--rad", "3", "validate", "f"): "validate"}
+    argvs += [list(argv) for argv in valued]
     full = cli._build_parser(None)
     for argv in argvs:
         command = cli._command_of(argv)
         assert parse_outcome(cli._build_parser(command), argv, capsys) == \
             parse_outcome(full, argv, capsys), argv
+    for argv, command in valued.items():
+        assert cli._command_of(list(argv)) == command, argv
     for command in commands:
         parser = cli._build_parser(command)
         chosen = next(a.choices for a in parser._actions if a.dest == "command")

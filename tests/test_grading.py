@@ -330,6 +330,29 @@ def test_positive_representative_rejects_a_negative_radius(s1s2):
     assert positive_representative(zero, radius=0).coefficients == zero.coefficients
 
 
+def test_translate_adds_the_explicit_combination(atlas_suite):
+    """``Domain.translate`` adds steps[i] times basis vector i for every i,
+    checked against the sum written out region by region: zero, negative
+    and mixed steps, at rank 1 and rank 2, on a solved domain of each
+    class.  Steps of the wrong length are rejected."""
+    ranks = set()
+    for d in atlas_suite + [build_s1s2().diagram]:
+        basis = homogeneous_lattice(d)
+        ranks.add(len(basis))
+        for cls in spinc_partition(d):
+            dom = solve_domain(d, cls.members[0], cls.members[-1])
+            for steps in itertools.product((-2, 0, 3), repeat=len(basis)):
+                moved = dom.translate(steps)
+                expected = tuple(dom.coefficients[i]
+                                 + sum(s * vec[i] for s, vec in zip(steps, basis))
+                                 for i in range(d.n_regions))
+                assert moved.coefficients == expected
+                assert (moved.diagram, moved.source, moved.target) == (d, dom.source, dom.target)
+            with pytest.raises(ValueError, match=f"expected {len(basis)} lattice steps"):
+                dom.translate((1,) * (len(basis) + 1))
+    assert ranks == {1, 2}
+
+
 def search_oracle(domain, radius):
     """The positive-representative search with its own lattice-combination
     loop, verbatim, as an oracle for the one built on ``Domain.translate``."""

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from hfcalc.atlas import build_annulus_open_book, build_torus_diagram, stabilize
-from hfcalc.diagram import assemble_regions, reverse_curve
-from hfcalc.grading import (Generator, enumerate_generators, homogeneous_lattice,
+from hfcalc.atlas import build_annulus_open_book, build_s1s2, build_torus_diagram, stabilize
+from hfcalc.diagram import assemble_regions, load_diagram, reverse_curve
+from hfcalc.grading import (ConsistencyError, Generator, enumerate_generators, homogeneous_lattice,
                             maslov_index, positive_representative, solve_domain,
                             spinc_partition)
 from hfcalc.layers import (AUXILIARY, BOUNDARY_DEGENERATE, CONCAVE, CONVEX, EDGE_POINT,
@@ -18,6 +18,7 @@ from hfcalc.layers import (AUXILIARY, BOUNDARY_DEGENERATE, CONCAVE, CONVEX, EDGE
 from hfcalc.zlattice import DimensionMismatch
 from layer_oracle import (fraction_audit, fraction_layer_euler, fraction_layer_index,
                           per_level_decompose)
+from conftest import s1s2_sum_text
 from strategies import assembled_curve_systems, transformed_diagrams
 
 
@@ -372,6 +373,63 @@ def test_audit_on_random_curve_systems():
     assert (assembled, audited) == (412, 1750)
 
 
+def test_audit_error_paths(s1s2, atlas_suite, two_finger, monkeypatch):
+    # The audit's own checks, reached through its inputs with no audit code
+    # replaced.  A nonnegative domain off the corner system fails in
+    # ``maslov_index``, before any identity is audited; a negative domain
+    # fails before that.  A corner table with one quadrant too many puts a
+    # layer a quarter off per vertex, and a corner pair more breaks the
+    # single-layer identity; one vertex's quadrants turned by one slot, at a
+    # vertex in neither or both generators, keep the corner system and the
+    # layers but negate that vertex's boundary term.
+    x, y = enumerate_generators(s1s2)
+    pos = list(positive_representative(solve_domain(s1s2, x, y)).coefficients)
+    off = pos[:]
+    off[0] += 1
+    with pytest.raises(ConsistencyError, match="corner system") as err:
+        audit_index(s1s2, x, y, off)
+    assert type(err.value) is ConsistencyError
+    negative = off[:]
+    negative[1] = -1
+    with pytest.raises(ValueError, match="nonnegative"):
+        audit_index(s1s2, x, y, negative)
+
+    # Every vertex of the bigon's one layer (its two corners) counted with
+    # one quadrant too many, or with one convex and one concave corner more.
+    table = _corner_table()
+    assert audit_index(s1s2, x, y, pos).single_layer_identity is True
+    for change, message in [
+            ({"included": 1}, "layer index sum 3/2 differs from Maslov index 1"),
+            ({"convex": 1, "concave": 1}, "single-layer identity failed: chi 1 + q 2 != mu 1")]:
+        def perturbed():
+            return tuple(row._replace(**{f: getattr(row, f) + n for f, n in change.items()})
+                         if i & 15 else row for i, row in enumerate(table))
+        with monkeypatch.context() as m:
+            m.setattr("hfcalc.layers._corner_table", perturbed)
+            with pytest.raises(AuditError) as err:
+                audit_index(s1s2, x, y, pos)
+        assert err.value.args == (message,)
+
+    turned = 0
+    for d in atlas_suite + [two_finger]:
+        for x, y in ((x, y) for cls in spinc_partition(d)
+                     for x in cls.members for y in cls.members):
+            coeffs = positive_representative(solve_domain(d, x, y)).coefficients
+            for v, (q0, q1, q2, q3) in enumerate(d.quadrants):
+                m0, m1, m2, m3 = (coeffs[q] for q in (q0, q1, q2, q3))
+                if (v in x.vertices) != (v in y.vertices) or \
+                        (m0 + m1 - m2 - m3) * (m1 + m2 - m0 - m3) == 0:
+                    continue
+                quadrants = list(d.quadrants)
+                quadrants[v] = (q1, q2, q3, q0)
+                with monkeypatch.context() as m:
+                    m.setattr(d, "quadrants", quadrants)
+                    with pytest.raises(AuditError, match="differs from d_alpha D . d_beta D"):
+                        audit_index(d, x, y, coeffs)
+                turned += 1
+    assert turned >= 10
+
+
 @pytest.mark.parametrize("entry", [audit_index])
 @pytest.mark.parametrize("coeffs", [[], [1, 1], [1, 1, 1, 1]])
 def test_domains_of_the_wrong_length_are_rejected(entry, coeffs, s1s2):
@@ -443,3 +501,45 @@ def test_one_pass_audit_matches_oracle_reversed_open_books(n, curve):
 @given(transformed_diagrams())
 def test_one_pass_audit_matches_oracle_transformed(d):
     assert assert_audit_matches_oracle(d) == []
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_audit_matches_oracle_on_the_atlas_plus_copies_of_the_surface(atlas_suite, k):
+    # Every same-class pair of the atlas suite at its positive representative
+    # plus k copies of the surface: with k > 0 every vertex is in the first
+    # run, and every vertex above it goes on to the later runs.
+    for d in atlas_suite:
+        for cls in spinc_partition(d):
+            for x in cls.members:
+                for y in cls.members:
+                    pos = positive_representative(solve_domain(d, x, y))
+                    coeffs = [c + k for c in pos.coefficients]
+                    oracle = fraction_audit(d, x, y, coeffs, per_level_decompose(d, x, y, coeffs))
+                    assert repr(audit_index(d, x, y, coeffs)) == repr(oracle)
+
+
+def test_audit_matches_oracle_where_vertices_leave_later_runs():
+    # b1 > 0: the positive representative, plus the surface, plus a
+    # combination of the periodic domains made nonnegative by copies of the
+    # surface.  Many have three or more distinct positive coefficients and
+    # a vertex of the first layer that is absent from the top layer.
+    dropped = 0
+    for d in [build_s1s2().diagram, build_annulus_open_book(0).diagram,
+              load_diagram(s1s2_sum_text(2)), load_diagram(s1s2_sum_text(3))]:
+        periodic = homogeneous_lattice(d)[1:]
+        assert periodic
+        for cls in spinc_partition(d):
+            for x in cls.members:
+                for y in cls.members:
+                    pos = positive_representative(solve_domain(d, x, y)).coefficients
+                    for steps in itertools.product(range(3), repeat=len(periodic)):
+                        p = [sum(s * vec[i] for s, vec in zip(steps, periodic))
+                             for i in range(d.n_regions)]
+                        coeffs = [a + 1 + b - min(p) for a, b in zip(pos, p)]
+                        layers = per_level_decompose(d, x, y, coeffs)
+                        bottom, top = ({c.vertex for c in layer.clusters}
+                                       for layer in (layers[0], layers[-1]))
+                        dropped += len(set(coeffs)) >= 3 and bool(bottom - top)
+                        oracle = fraction_audit(d, x, y, coeffs, layers)
+                        assert repr(audit_index(d, x, y, coeffs)) == repr(oracle)
+    assert dropped > 1000
