@@ -5,7 +5,7 @@ signs on the alpha listing fix the rotation system, and face tracing
 recovers the complement regions.  Run with ``python demos/01_diagrams_and_faces.py``.
 """
 
-from hfcalc import load_diagram, parse_diagram, quadrants_at, serialize, trace_faces
+from hfcalc import load_diagram, parse_diagram, serialize, trace_faces
 
 # The standard genus-1 picture of the three-sphere: one crossing, whose
 # complement is a single square region.
@@ -25,7 +25,9 @@ print("-> one circle of length four: the square, every arc side used once")
 
 d = load_diagram(S3)
 print("regions:", [(r.label, r.genus, len(r.faces)) for r in d.regions])
-print("quadrants at x0:", quadrants_at(d, "x0"))
+# The regions of the four quadrants at x0, in rotation order: all four
+# are the one square.
+print("quadrants at x0:", d.quadrants[d.vertex_id("x0")])
 
 # A lens-space diagram: three crossings, all positive, three squares.
 L31 = """heegaard v1

@@ -1,14 +1,15 @@
 """Walkthrough: layer decomposition and the corner audit.
 
-A nonnegative domain is sliced into nested level surfaces; corners of
-each level are classified, and the audit checks exactly that the layer
-sum of e + n_x + n_y reproduces the Maslov index, that single clean
-layers satisfy chi(F) + concave = mu, and that n_x - n_y equals the
-intersection number of the domain's alpha and beta boundaries.
+A nonnegative domain is sliced into nested level surfaces; the corners
+of each level are counted from the quadrants around each vertex, and the
+audit checks exactly that the layer sum of e + n_x + n_y reproduces the
+Maslov index, that single clean layers satisfy chi(F) + concave = mu,
+and that n_x - n_y equals the intersection number of the domain's alpha
+and beta boundaries.
 """
 
-from hfcalc import (audit_index, build_s1s2, classify_corner, enumerate_generators,
-                    maslov_index, positive_representative, solve_domain)
+from hfcalc import (audit_index, build_s1s2, enumerate_generators, maslov_index,
+                    positive_representative, solve_domain)
 
 d = build_s1s2().diagram
 x, y = enumerate_generators(d)
@@ -18,24 +19,15 @@ bigon = positive_representative(solve_domain(d, x, y))
 coeffs = tuple(c + 1 for c in bigon.coefficients)
 print("domain coefficients:", coeffs, " mu =", maslov_index(d, x, y, coeffs))
 
-# The clusters of each level, classified vertex by vertex from the
-# multiplicities of the four quadrants around it.
-for level in range(1, max(coeffs) + 1):
-    print(f"level {level}: regions {tuple(r for r, c in enumerate(coeffs) if c >= level)}")
-    for v, quadrants in enumerate(d.quadrants):
-        mults = [coeffs[r] for r in quadrants]
-        for c in classify_corner(mults, level, v in x.vertices, v in y.vertices, v):
-            print(f"   vertex {d.vertex_names[c.vertex]}: {c.kind} ({c.shape})"
-                  + (f" role {c.role}" if c.role else "")
-                  + (f" sign {c.sign:+d}" if c.sign is not None else ""))
-
-# The audit counts the same clusters level by level and checks the
-# identities.
+# The audit counts the corners of each level from the multiplicities of
+# the four quadrants around each vertex, and checks the identities.
 report = audit_index(d, x, y, coeffs)
-print()
 for l in report.layers:
-    print(f"level {l.level}: chi = {l.chi} convex = {l.convex} concave = {l.concave} "
-          f"index = {l.index}")
+    print(f"level {l.level}: regions {tuple(r for r, c in enumerate(coeffs) if c >= l.level)}")
+    print(f"   chi = {l.chi} convex = {l.convex} concave = {l.concave} "
+          f"boundary degenerate = {l.boundary_degenerate} "
+          f"interior degenerate = {l.interior_degenerate} "
+          f"auxiliary (signed) = {l.auxiliary_signed} index = {l.index}")
 print("layer sum", report.layer_sum, "= mu", report.maslov)
 print("n_x - n_y", report.n_x_minus_n_y,
       "= d_alpha D . d_beta D", report.boundary_intersection)

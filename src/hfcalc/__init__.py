@@ -28,15 +28,14 @@ Modules
 ``diagram``   parsing, face tracing, assembly, canonical serialization
 ``zlattice``  exact integer linear algebra (Smith form, lattice solving)
 ``grading``   generators, domains, Spin^c classes, gradings, homology
-``layers``    corner classification and the layer-by-layer index audit
+``layers``    the layer-by-layer index audit and its corner counts
 ``atlas``     builders for benchmark diagrams and stabilization
 ``cli``       the ``hfcalc`` command-line front end
 """
 
 from .diagram import (CurveSystemInput, DiagramError, HeegaardDiagram, ParseError,
-                      Quadrant, RegionDirective, ValidationError, assemble_regions,
-                      load_diagram, parse_diagram, quadrants_at, rename,
-                      reverse_curve, serialize, trace_faces)
+                      RegionDirective, ValidationError, assemble_regions, load_diagram,
+                      parse_diagram, rename, reverse_curve, serialize, trace_faces)
 from .zlattice import (AffineSolutionSet, IntMatrix, gcd_over_lattice,
                        smith_invariants, smith_normal_form, solve_integer_system)
 from .grading import (ConsistencyError, Domain, Generator, GradingLabel, Homology,
@@ -46,7 +45,7 @@ from .grading import (ConsistencyError, Domain, Generator, GradingLabel, Homolog
                       homogeneous_lattice, homology_of_Y, label_of, maslov_index,
                       point_measure, positive_representative, relative_grading,
                       solve_domain, spinc_class_of, spinc_partition, theta_and_shift)
-from .layers import AuditError, AuditReport, CornerClass, audit_index, classify_corner
+from .layers import AuditError, AuditReport, audit_index
 from .atlas import (MarkedDiagram, build_annulus_open_book, build_s1s2,
                     build_torus_diagram, stabilize)
 

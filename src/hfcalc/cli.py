@@ -17,7 +17,10 @@ Subcommands::
     hfcalc selftest
 
 Global flags: ``--json`` (emit one JSON document on stdout), ``--radius``
-(positive-representative search bound), ``--seed`` (selftest RNG).
+(positive-representative search bound), ``--seed`` (selftest RNG).  They
+belong to the top-level parser, so they go before the command:
+``hfcalc --json --radius 3 audit FILE X Y``.  After the command they are
+usage errors.
 
 Generators are named on the command line by comma-joined vertex names
 (order-insensitive; output order follows the alpha-curve index).  Exit

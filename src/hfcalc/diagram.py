@@ -401,12 +401,6 @@ class Region(NamedTuple):
         return 2 - 2 * self.genus - len(self.faces)
 
 
-class Quadrant(NamedTuple):
-    vertex: str
-    position: int  # 0..3 between rotation slots position and position + 1
-    region: int
-
-
 def _connected(n: int, edges) -> bool:
     """Whether the edges, pairs of node ids in range(n), join all n nodes.
 
@@ -450,8 +444,6 @@ class HeegaardDiagram(_Graph):
         faces, face_names = self.faces, self.face_names
         region_of_face = [-1] * len(faces)
         regions: list[Region] = []
-        region_chi: list[int] = []
-        corner_counts: list[int] = []
         # Circles may be referenced through any of their darts; the canonical
         # id (the minimal dart) is what serialization emits.  Only directives
         # that list circles read this index of every dart name.
@@ -485,14 +477,14 @@ class HeegaardDiagram(_Graph):
                 region_of_face[f] = len(regions)
             fids.sort()
             regions.append(Region(len(regions), d.label, d.genus, tuple(fids)))
-            region_chi.append(regions[-1].chi)
-            corner_counts.append(sum(len(faces[f]) for f in fids))
         for f in sorted(range(len(faces)), key=face_names.__getitem__):
             if f not in claimed:
                 region_of_face[f] = len(regions)
                 regions.append(Region(len(regions), face_names[f], 0, (f,)))
-                region_chi.append(1)  # a disk
-                corner_counts.append(len(faces[f]))
+        region_chi = [r.chi for r in regions]
+        corner_counts = [0] * len(regions)
+        for face, r in zip(faces, region_of_face):
+            corner_counts[r] += len(face)
 
         nv = len(self.vertex_names)
         ne = self.n_arcs
@@ -564,16 +556,6 @@ class HeegaardDiagram(_Graph):
     def canonical_region_name(self, index: int) -> str:
         """Lexicographically minimal circle id among the region's circles."""
         return min(self.face_names[f] for f in self.regions[index].faces)
-
-
-def quadrants_at(diagram: HeegaardDiagram, vertex: str) -> tuple[Quadrant, ...]:
-    """The four quadrants at a vertex, in rotation order.
-
-    The owning regions need not be distinct.  Raises ``KeyError`` for an
-    unknown vertex name.
-    """
-    v = diagram.vertex_id(vertex)
-    return tuple(Quadrant(vertex, i, r) for i, r in enumerate(diagram.quadrants[v]))
 
 
 def assemble_regions(inp: CurveSystemInput) -> HeegaardDiagram:

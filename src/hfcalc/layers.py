@@ -3,10 +3,13 @@
 A nonnegative domain decomposes into nested level surfaces: the l-th
 layer consists of one copy of every region with multiplicity at least l.
 At a vertex, the included quadrants split into maximal cyclic runs
-("clusters"); each cluster is an interior point, a point on a boundary
-edge, or a convex/concave corner of the layer, and the vertex's
-membership in the source and target generators refines the corner into
-x-, y-, degenerate, or auxiliary type.
+("clusters"); a cluster of 1, 2, 3 or 4 quadrants is a convex corner, a
+point on a boundary edge, a concave corner or an interior point of the
+layer.  The vertex's membership in the source and target generators
+refines the corners: at a vertex in exactly one of x and y they are x-
+or y-corners, at a vertex in both every cluster is degenerate (boundary
+degenerate, or interior degenerate when it is the full vertex), and at a
+vertex in neither the corners are auxiliary.
 
 A layer changes only where the domain's multiplicities do: the layers
 of levels c' + 1, ..., c between two consecutive distinct multiplicities
@@ -17,8 +20,8 @@ largest one.  ``audit_index`` builds no clusters; it counts them.  Which
 clusters a vertex has at a layer depends only on which of its quadrants
 the layer includes and on its membership in x and y, so the audit looks
 up each vertex's counts in a 64-row table indexed by membership |
-quadrant mask, built from ``classify_corner`` on 0/1 multiplicities at
-the first audit.  The same row counts the arc ends its clusters touch,
+quadrant mask, built from the run lengths of each mask at the first
+audit.  The same row counts the arc ends its clusters touch,
 and the layer's arcs are half the sum of those ends, so the audit reads
 every count off the quadrants at each vertex and lists no arcs.
 
@@ -81,7 +84,7 @@ from __future__ import annotations
 
 import functools
 from itertools import compress
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from .grading import ConsistencyError, Generator, maslov_index, _coeffs, _fraction
 from .diagram import HeegaardDiagram
@@ -92,113 +95,6 @@ if TYPE_CHECKING:
 
 class AuditError(ConsistencyError):
     """An audited identity failed; this is an implementation bug."""
-
-
-INTERIOR = "interior"
-EDGE_POINT = "edge-point"
-CONVEX = "convex"
-CONCAVE = "concave"
-BOUNDARY_DEGENERATE = "boundary-degenerate"
-INTERIOR_DEGENERATE = "interior-degenerate"
-AUXILIARY = "auxiliary"
-
-
-class CornerClass(NamedTuple):
-    """Classification of one quadrant cluster of a layer at a vertex.
-
-    ``shape`` records the local geometry (interior, edge, convex,
-    concave); ``kind`` additionally takes the vertex's generator
-    membership into account.  ``sign`` is set for corner-shaped clusters
-    at vertices in neither or both generators (auxiliary and degenerate
-    corners pair up convex/concave with a common sign).
-    """
-
-    kind: str
-    shape: str
-    quadrants: tuple[int, ...]
-    role: str | None = None  # 'x' or 'y' for vertices in exactly one generator
-    sign: int | None = None
-    vertex: int | None = None
-    level: int | None = None
-
-
-def _clusters(included: Sequence[bool]) -> list[tuple[int, ...]]:
-    """Maximal cyclic runs of included quadrant positions."""
-    if all(included):
-        return [(0, 1, 2, 3)]
-    if not any(included):
-        return []
-    runs = []
-    # Start scanning right after an excluded position so runs never wrap.
-    start = next(i for i in range(4) if not included[i])
-    run: list[int] = []
-    for k in range(1, 5):
-        i = (start + k) % 4
-        if included[i]:
-            run.append(i)
-        elif run:
-            runs.append(tuple(run))
-            run = []
-    if run:
-        runs.append(tuple(run))
-    runs.sort(key=lambda r: r[0])
-    return runs
-
-
-def _pair_sign(mults: Sequence[int]) -> int:
-    """Type of the corner pairs at a vertex in neither or both generators.
-
-    a and b are the multiplicity jumps across the two half-edge pairs in
-    rotation indexing; corner-shaped clusters exist only when both jumps
-    are nonzero, and the pairs behave like (convex x, concave y) exactly
-    when the jumps have equal signs.
-    """
-    a, b = mults[1] - mults[0], mults[3] - mults[0]
-    if a * b > 0:
-        return 1
-    if a * b < 0:
-        return -1
-    return 1  # unreachable for domains satisfying a corner system
-
-
-# Shape of a cluster by its number of quadrants (four is an interior point).
-_CLUSTER_SHAPE = {1: CONVEX, 2: EDGE_POINT, 3: CONCAVE}
-
-
-def classify_corner(mults: Sequence[int], level: int, in_x: bool, in_y: bool,
-                    vertex: int | None = None) -> tuple[CornerClass, ...]:
-    """Classify the quadrant clusters of one vertex at one layer level.
-
-    ``mults`` are the four quadrant multiplicities in rotation order.
-    Returns one ``CornerClass`` per cluster (none when the vertex is
-    absent from the layer).  Total on all inputs; patterns with two
-    opposite quadrants (impossible for solved domains) yield two convex
-    clusters.
-    """
-    included = [m >= level for m in mults]
-    role = "x" if (in_x and not in_y) else ("y" if (in_y and not in_x) else None)
-    degenerate = in_x and in_y
-    count = sum(included)
-    if count == 0:
-        return ()
-    if count == 4:
-        kind = INTERIOR_DEGENERATE if degenerate else INTERIOR
-        return (CornerClass(kind, INTERIOR, (0, 1, 2, 3), role, None, vertex, level),)
-
-    out = []
-    for run in _clusters(included):
-        shape = _CLUSTER_SHAPE[len(run)]
-        if shape == EDGE_POINT:
-            kind = BOUNDARY_DEGENERATE if degenerate else EDGE_POINT
-            sign = None
-        elif degenerate:
-            kind, sign = BOUNDARY_DEGENERATE, _pair_sign(mults)
-        elif role is not None:
-            kind, sign = shape, None
-        else:
-            kind, sign = AUXILIARY, _pair_sign(mults)
-        out.append(CornerClass(kind, shape, run, role, sign, vertex, level))
-    return tuple(out)
 
 
 class LayerReport(NamedTuple):
@@ -243,15 +139,18 @@ class _CornerCounts(NamedTuple):
 
 @functools.cache
 def _corner_table() -> tuple[_CornerCounts, ...]:
-    """``classify_corner``'s counts for every vertex and layer, indexed by
-    membership | mask.
+    """The corner counts of every vertex and layer, indexed by membership |
+    mask.
 
     membership is 16 (2 in_x + in_y), and bit q of mask is set when
-    quadrant q is in the layer, that is m_q >= level.  The clusters'
-    kinds and shapes depend on nothing else, so each row is
-    ``classify_corner`` run on the 0/1 multiplicities of its mask at level
-    1.  (The auxiliary corners' sign is the vertex's ``_pair_sign``, taken
-    from its own multiplicities.)  Built on the first audit.
+    quadrant q is in the layer, that is m_q >= level.  The clusters are
+    the cyclic runs of set bits (mask 15 is one run of 4), and each row
+    counts them by length: runs of 1 are convex and runs of 3 concave;
+    at a vertex in both x and y the runs shorter than 4 are boundary
+    degenerate and a run of 4 interior degenerate; at a vertex in neither,
+    the convex and concave runs are auxiliary.  (The auxiliary corners'
+    sign is the vertex's pair sign, taken from its own multiplicities.)
+    Built on the first audit.
 
     ``ends`` counts the layer's arc ends at the vertex.  An arc is in the
     layer when one of its sides is, and near an end its sides are the two
@@ -263,16 +162,17 @@ def _corner_table() -> tuple[_CornerCounts, ...]:
     """
     rows = []
     for index in range(64):
-        in_x, in_y = bool(index & 32), bool(index & 16)
-        mults = [(index >> q) & 1 for q in range(4)]
-        clusters = classify_corner(mults, 1, in_x, in_y)
-        kinds = [c.kind for c in clusters]
-        shapes = [c.shape for c in clusters]
+        in_x, in_y = index >> 5 & 1, index >> 4 & 1
+        bits = "".join("1" if index >> q & 1 else "0" for q in range(4))
+        # Rotated to start after an excluded quadrant, the runs do not wrap.
+        cut = bits.find("0") + 1
+        runs = [len(run) for run in (bits[cut:] + bits[:cut]).split("0") if run]
+        convex, concave, full = runs.count(1), runs.count(3), runs.count(4)
+        both, neither = in_x & in_y, not (in_x or in_y)
         rows.append(_CornerCounts(
-            len(clusters), sum(min(len(c.quadrants) + 1, 4) for c in clusters),
-            shapes.count(CONVEX), shapes.count(CONCAVE),
-            kinds.count(BOUNDARY_DEGENERATE), kinds.count(INTERIOR_DEGENERATE),
-            kinds.count(AUXILIARY), sum(mults) * (in_x + in_y)))
+            len(runs), sum(min(k + 1, 4) for k in runs), convex, concave,
+            (len(runs) - full) * both, full * both, (convex + concave) * neither,
+            bits.count("1") * (in_x + in_y)))
     return tuple(rows)
 
 

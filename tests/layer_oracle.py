@@ -1,8 +1,10 @@
 """Test oracle for the layer audit: every layer rebuilt level by level.
 
-``per_level_decompose`` builds each level surface of a nonnegative domain
-from the raw face lookups, with its regions, its arcs and the clusters
-``classify_corner`` finds at every vertex.  ``fraction_layer_euler`` and
+``classify_corner`` classifies the quadrant clusters of one vertex at one
+level, one ``CornerClass`` record per cluster.  ``per_level_decompose``
+builds each level surface of a nonnegative domain from the raw face
+lookups, with its regions, its arcs and the clusters ``classify_corner``
+finds at every vertex.  ``fraction_layer_euler`` and
 ``fraction_layer_index`` take chi and e + n_x + n_y of one layer in
 Fractions, and ``fraction_audit`` recounts every statistic of
 ``audit_index``'s report from those layers.  ``boundary_identity_sides``
@@ -11,14 +13,119 @@ it reads the audit's corner table or its run walk.
 """
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from hfcalc.diagram import ALPHA, BETA
 from hfcalc.grading import basepoint_multiplicity, maslov_index
-from hfcalc.layers import (AUXILIARY, BOUNDARY_DEGENERATE, CONCAVE, CONVEX,
-                           INTERIOR_DEGENERATE, AuditError, AuditReport, CornerClass,
-                           LayerReport, classify_corner)
+from hfcalc.layers import AuditError, AuditReport, LayerReport
 from smith_oracle import arc_table
+
+
+INTERIOR = "interior"
+EDGE_POINT = "edge-point"
+CONVEX = "convex"
+CONCAVE = "concave"
+BOUNDARY_DEGENERATE = "boundary-degenerate"
+INTERIOR_DEGENERATE = "interior-degenerate"
+AUXILIARY = "auxiliary"
+
+
+class CornerClass(NamedTuple):
+    """Classification of one quadrant cluster of a layer at a vertex.
+
+    ``shape`` records the local geometry (interior, edge, convex,
+    concave); ``kind`` additionally takes the vertex's generator
+    membership into account.  ``sign`` is set for corner-shaped clusters
+    at vertices in neither or both generators (auxiliary and degenerate
+    corners pair up convex/concave with a common sign).
+    """
+
+    kind: str
+    shape: str
+    quadrants: tuple[int, ...]
+    role: str | None = None  # 'x' or 'y' for vertices in exactly one generator
+    sign: int | None = None
+    vertex: int | None = None
+    level: int | None = None
+
+
+def _clusters(included: Sequence[bool]) -> list[tuple[int, ...]]:
+    """Maximal cyclic runs of included quadrant positions."""
+    if all(included):
+        return [(0, 1, 2, 3)]
+    if not any(included):
+        return []
+    runs = []
+    # Start scanning right after an excluded position so runs never wrap.
+    start = next(i for i in range(4) if not included[i])
+    run: list[int] = []
+    for k in range(1, 5):
+        i = (start + k) % 4
+        if included[i]:
+            run.append(i)
+        elif run:
+            runs.append(tuple(run))
+            run = []
+    if run:
+        runs.append(tuple(run))
+    runs.sort(key=lambda r: r[0])
+    return runs
+
+
+def _pair_sign(mults: Sequence[int]) -> int:
+    """Type of the corner pairs at a vertex in neither or both generators.
+
+    a and b are the multiplicity jumps across the two half-edge pairs in
+    rotation indexing; corner-shaped clusters exist only when both jumps
+    are nonzero, and the pairs behave like (convex x, concave y) exactly
+    when the jumps have equal signs.
+    """
+    a, b = mults[1] - mults[0], mults[3] - mults[0]
+    if a * b > 0:
+        return 1
+    if a * b < 0:
+        return -1
+    return 1  # unreachable for domains satisfying a corner system
+
+
+# Shape of a cluster by its number of quadrants (four is an interior point).
+_CLUSTER_SHAPE = {1: CONVEX, 2: EDGE_POINT, 3: CONCAVE}
+
+
+def classify_corner(mults: Sequence[int], level: int, in_x: bool, in_y: bool,
+                    vertex: int | None = None) -> tuple[CornerClass, ...]:
+    """Classify the quadrant clusters of one vertex at one layer level.
+
+    ``mults`` are the four quadrant multiplicities in rotation order.
+    Returns one ``CornerClass`` per cluster (none when the vertex is
+    absent from the layer).  Total on all inputs; patterns with two
+    opposite quadrants (impossible for solved domains) yield two convex
+    clusters.
+    """
+    included = [m >= level for m in mults]
+    role = "x" if (in_x and not in_y) else ("y" if (in_y and not in_x) else None)
+    degenerate = in_x and in_y
+    count = sum(included)
+    if count == 0:
+        return ()
+    if count == 4:
+        kind = INTERIOR_DEGENERATE if degenerate else INTERIOR
+        return (CornerClass(kind, INTERIOR, (0, 1, 2, 3), role, None, vertex, level),)
+
+    out = []
+    for run in _clusters(included):
+        shape = _CLUSTER_SHAPE[len(run)]
+        if shape == EDGE_POINT:
+            kind = BOUNDARY_DEGENERATE if degenerate else EDGE_POINT
+            sign = None
+        elif degenerate:
+            kind, sign = BOUNDARY_DEGENERATE, _pair_sign(mults)
+        elif role is not None:
+            kind, sign = shape, None
+        else:
+            kind, sign = AUXILIARY, _pair_sign(mults)
+        out.append(CornerClass(kind, shape, run, role, sign, vertex, level))
+    return tuple(out)
 
 
 class LayerSurface(NamedTuple):

@@ -19,10 +19,11 @@ from hfcalc.grading import (NoConnectingClassError, basepoint_multiplicity,
                             gr0_of_theta, grading_table, homogeneous_lattice,
                             homology_of_Y, maslov_index, relative_grading,
                             solve_domain, spinc_partition, theta_and_shift)
-from hfcalc.layers import CONCAVE, audit_index
+from hfcalc.layers import audit_index
 
 from conftest import D2_TEXT, TWO_FINGER_TEXT
-from layer_oracle import fraction_layer_euler, fraction_layer_index, per_level_decompose
+from layer_oracle import (CONCAVE, fraction_layer_euler, fraction_layer_index,
+                          per_level_decompose)
 
 
 def check(criterion, description):

@@ -264,6 +264,18 @@ def test_unknown_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_top_level_options_go_before_the_command(capsys, s1s2_file):
+    # --json, --radius and --seed belong to the top-level parser, so after
+    # the command the run is a usage error that names the option.
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", "audit", "--radius", "3", s1s2_file, "x0", "x1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hfcalc ")
+    assert "hfcalc: error: unrecognized arguments: --radius" in captured.err
+
+
 def test_json_round_trip_fixed_point(capsys, l31_file):
     code, rep, raw = run_json(capsys, ["grade", l31_file])
     assert json.dumps(rep, sort_keys=True, indent=2) + "\n" == raw
@@ -671,9 +683,9 @@ def test_a_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, flags):
 
 
 PACKAGE_NAMES = [
-    "CurveSystemInput", "DiagramError", "HeegaardDiagram", "ParseError", "Quadrant",
+    "CurveSystemInput", "DiagramError", "HeegaardDiagram", "ParseError",
     "RegionDirective", "ValidationError", "assemble_regions", "load_diagram",
-    "parse_diagram", "quadrants_at", "rename", "reverse_curve", "serialize", "trace_faces",
+    "parse_diagram", "rename", "reverse_curve", "serialize", "trace_faces",
     "AffineSolutionSet", "IntMatrix", "gcd_over_lattice", "smith_invariants",
     "smith_normal_form", "solve_integer_system",
     "ConsistencyError", "Domain", "Generator", "GradingLabel", "Homology",
@@ -683,7 +695,7 @@ PACKAGE_NAMES = [
     "grading_table", "homogeneous_lattice", "homology_of_Y", "label_of", "maslov_index",
     "point_measure", "positive_representative", "relative_grading",
     "solve_domain", "spinc_class_of", "spinc_partition", "theta_and_shift",
-    "AuditError", "AuditReport", "CornerClass", "audit_index", "classify_corner",
+    "AuditError", "AuditReport", "audit_index",
     "MarkedDiagram", "build_annulus_open_book", "build_s1s2", "build_torus_diagram",
     "stabilize", "__version__",
 ]

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from hfcalc.atlas import build_annulus_open_book, build_s1s2, build_torus_diagram, stabilize
 from hfcalc.diagram import (ALPHA, BETA, DiagramError, ParseError, Region, RegionDirective,
                             ValidationError, _Graph, assemble_regions, load_diagram,
-                            parse_diagram, quadrants_at, rename, reverse_curve, serialize,
-                            trace_faces)
+                            parse_diagram, rename, reverse_curve, serialize, trace_faces)
 from hfcalc.grading import spinc_partition
 
 from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
@@ -397,17 +396,16 @@ def test_assembly_digest(atlas_suite):
 
 
 def test_quadrants_s3(s3):
-    quads = quadrants_at(s3, "x0")
+    quads = s3.quadrants[s3.vertex_id("x0")]
     assert len(quads) == 4
-    assert [q.position for q in quads] == [0, 1, 2, 3]
-    assert {q.region for q in quads} == {0}
+    assert set(quads) == {0}
 
 
 def test_quadrants_l31(l31):
     # Three regions cannot own four distinct quadrants: each vertex sees
     # three distinct regions, one of them twice in opposite positions.
     for v in l31.vertex_names:
-        regions = [q.region for q in quadrants_at(l31, v)]
+        regions = l31.quadrants[l31.vertex_id(v)]
         assert len(set(regions)) == 3
         assert regions[0] == regions[2] or regions[1] == regions[3]
 
@@ -418,13 +416,13 @@ def test_quadrants_l52_distinct():
     from hfcalc.atlas import build_torus_diagram
     d = build_torus_diagram(5, 2).diagram
     for v in d.vertex_names:
-        regions = [q.region for q in quadrants_at(d, v)]
+        regions = d.quadrants[d.vertex_id(v)]
         assert len(set(regions)) == 4
 
 
 def test_quadrants_unknown_vertex(s3):
-    with pytest.raises(KeyError):
-        quadrants_at(s3, "nope")
+    with pytest.raises(KeyError, match="unknown vertex 'nope'"):
+        s3.quadrants[s3.vertex_id("nope")]
 
 
 def test_lookup_tables_match_the_face_lookups(atlas_suite):

@@ -12,11 +12,11 @@ from hfcalc.diagram import assemble_regions, load_diagram, reverse_curve
 from hfcalc.grading import (ConsistencyError, Generator, enumerate_generators, homogeneous_lattice,
                             maslov_index, positive_representative, solve_domain,
                             spinc_partition)
-from hfcalc.layers import (AUXILIARY, BOUNDARY_DEGENERATE, CONCAVE, CONVEX, EDGE_POINT,
-                           INTERIOR, INTERIOR_DEGENERATE, AuditError, _corner_table,
-                           _pair_sign, audit_index, classify_corner)
+from hfcalc.layers import AuditError, _corner_table, audit_index
 from hfcalc.zlattice import DimensionMismatch
-from layer_oracle import (fraction_audit, fraction_layer_euler, fraction_layer_index,
+from layer_oracle import (AUXILIARY, BOUNDARY_DEGENERATE, CONCAVE, CONVEX, EDGE_POINT,
+                          INTERIOR, INTERIOR_DEGENERATE, _pair_sign, classify_corner,
+                          fraction_audit, fraction_layer_euler, fraction_layer_index,
                           per_level_decompose)
 from conftest import s1s2_sum_text
 from strategies import assembled_curve_systems, transformed_diagrams
@@ -202,23 +202,17 @@ def test_audit_bigon_plus_full_surface(s1s2):
 
 def test_each_run_of_identical_layers_is_classified_once(s1s2, monkeypatch):
     # The audit classifies by lookups in ``_corner_table``, at most one per
-    # vertex present in a run, and never calls ``classify_corner``.  Both
-    # are counted through patched module globals, so the test does not
-    # depend on what ran before it.
-    lookups, calls = [], []
+    # vertex present in a run.  They are counted through a patched module
+    # global, so the test does not depend on what ran before it.
+    lookups = []
 
     class CountingTable(tuple):
         def __getitem__(self, index):
             lookups.append(index)
             return tuple.__getitem__(self, index)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return classify_corner(*args, **kwargs)
-
     table = _corner_table()
     monkeypatch.setattr("hfcalc.layers._corner_table", lambda: CountingTable(table))
-    monkeypatch.setattr("hfcalc.layers.classify_corner", counting)
     x, y = enumerate_generators(s1s2)
     bigon = [1 if s1s2.canonical_region_name(i) == "a0.0+" else 0
              for i in range(s1s2.n_regions)]
@@ -228,7 +222,6 @@ def test_each_run_of_identical_layers_is_classified_once(s1s2, monkeypatch):
 
     report = audit_index(s1s2, x, y, coeffs)
     assert 0 < len(lookups) <= distinct * s1s2.n_vertices
-    assert calls == []
     assert [r.level for r in report.layers] == list(range(1, 52))
     assert report.maslov == report.layer_sum == 101
 

@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 
 from hfcalc.atlas import MarkedDiagram
-from hfcalc.diagram import CurveSystemInput, Quadrant, Region, RegionDirective
+from hfcalc.diagram import CurveSystemInput, Region, RegionDirective
 from hfcalc.grading import (Domain, Generator, GradingLabel, Homology, SpincClass,
                             enumerate_generators, solve_domain)
-from hfcalc.layers import AuditReport, CornerClass, LayerReport
+from hfcalc.layers import AuditReport, LayerReport
 from hfcalc.zlattice import AffineSolutionSet, IntMatrix, SmithDecomposition
 
 G0, G1 = Generator((0,)), Generator((1,))
-CORNER = CornerClass("convex", "convex", (2,), "x")
 LAYER = LayerReport(1, 1, 1, 0, 0, 0, 0, Fraction(3, 4))
 
 # One instance of every record type with the repr it must keep.
@@ -24,7 +23,6 @@ RECORDS = [
      "CurveSystemInput(genus=1, alpha=(('a0', ('x0',)),), beta=(('b0', ('x0',)),), "
      "signs={'x0': 1}, basepoint=('a0', 'x0', 'left-after'), directives=())"),
     (Region(0, "r0", 0, (0, 1)), "Region(index=0, label='r0', genus=0, faces=(0, 1))"),
-    (Quadrant("x0", 2, 1), "Quadrant(vertex='x0', position=2, region=1)"),
     (IntMatrix(((1, 2), (3, 4)), 2), "IntMatrix(entries=((1, 2), (3, 4)), cols=2)"),
     (SmithDecomposition(({0: 1},), (2,), ({0: -1},)),
      "SmithDecomposition(u_rows=({0: 1},), invariants=(2,), v_columns=({0: -1},))"),
@@ -42,8 +40,6 @@ RECORDS = [
     (MarkedDiagram(None, G0, "s1s2()"),
      "MarkedDiagram(diagram=None, contact_generator=Generator(vertices=(0,)), "
      "provenance='s1s2()')"),
-    (CORNER, "CornerClass(kind='convex', shape='convex', quadrants=(2,), role='x', "
-             "sign=None, vertex=None, level=None)"),
     (LAYER, "LayerReport(level=1, chi=1, convex=1, concave=0, boundary_degenerate=0, "
             "interior_degenerate=0, auxiliary_signed=0, index=Fraction(3, 4))"),
     (AuditReport((LAYER,), Fraction(3, 4), 1, 0, Fraction(1, 4), Fraction(1, 4), None),
