@@ -280,6 +280,10 @@ class _Graph:
     def __init__(self, inp: CurveSystemInput):
         self.input = inp
         self.genus = inp.genus
+        for name, verts in inp.alpha + inp.beta:
+            if not verts:
+                raise ValidationError(f"curve {name!r} lists no vertices; every curve "
+                                      "must cross the other family at least once")
         # Vertices are numbered in alpha listing order.
         names = [v for _, verts in inp.alpha for v in verts]
         nv = len(names)

@@ -23,7 +23,8 @@ Sigma plus those periodic domains, so A is the one matrix factored per
 diagram; its transforms stay sparse (U by rows and by columns, V by
 columns), and the factorization is certified.  The corner system is
 never factored or built as a matrix: it only certifies domains, vertex
-by vertex (``_check_connecting``).
+by vertex (``_check_connecting``, and the audit's one vertex pass in
+``layers``).
 The generators, the factorization, the partition, the periodic domains,
 the potentials, the D0 vectors of ``solve_domain``, the grading table
 and H1 are cached on the diagram itself, so each is computed once per
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache, wraps
-from operator import sub
+from operator import mul, sub
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .diagram import HeegaardDiagram
@@ -114,6 +115,10 @@ def _fraction() -> type[Fraction]:
 
 def _not_a_generator(g) -> KeyError:
     return KeyError(f"{g} is not a generator of this diagram")
+
+
+def _off_the_corner_system() -> ConsistencyError:
+    return ConsistencyError("domain does not satisfy the corner system for (x, y)")
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +230,17 @@ class Domain(NamedTuple):
         basis = self.lattice
         if len(steps) != len(basis):
             raise ValueError(f"expected {len(basis)} lattice steps")
-        coeffs = self.coefficients
-        for s, vec in zip(steps, basis):
-            if s:
-                coeffs = [c + s * v for c, v in zip(coeffs, vec)]
+        coeffs = _combine(self.coefficients, basis, steps)
         return Domain(self.diagram, self.source, self.target, tuple(coeffs))
+
+
+def _combine(coeffs: Sequence[int], basis: Sequence[Sequence[int]],
+             steps: Sequence[int]) -> Sequence[int]:
+    """coeffs plus sum of steps[i] basis[i]: the one combination step."""
+    for s, vec in zip(steps, basis):
+        if s:
+            coeffs = [c + s * v for c, v in zip(coeffs, vec)]
+    return coeffs
 
 
 def solve_domain(diagram: HeegaardDiagram, x: Generator, y: Generator) -> Domain | None:
@@ -360,18 +371,20 @@ def positive_representative(domain: Domain, radius: int = 8) -> Domain:
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    rank = len(domain.lattice)
+    basis, coeffs = domain.lattice, domain.coefficients
+    rank = len(basis)
     if rank == 1:
-        t = max(0, -min(domain.coefficients))
+        t = max(0, -min(coeffs))
         if t > radius:
             raise NoPositiveRepresentative(radius)
         return domain.translate((t,))
+    # Only the hit becomes a Domain; a rejected candidate is a list.
     for shell in range(radius + 1):
         for combo in itertools.product(range(-shell, shell + 1), repeat=rank):
             if max(map(abs, combo), default=0) == shell:
-                candidate = domain.translate(combo)
-                if all(c >= 0 for c in candidate.coefficients):
-                    return candidate
+                candidate = _combine(coeffs, basis, combo)
+                if min(candidate) >= 0:
+                    return domain._replace(coefficients=tuple(candidate))
     raise NoPositiveRepresentative(radius)
 
 
@@ -411,7 +424,7 @@ def _quarter_weights(diagram: HeegaardDiagram, vertices: Sequence[int],
 
 
 def _dot(weights: Sequence[int], coeffs: Sequence[int]) -> int:
-    return sum(w * a for w, a in zip(weights, coeffs) if a)
+    return sum(map(mul, weights, coeffs))
 
 
 def _whole(quarters: int, what: str) -> int:
@@ -487,7 +500,7 @@ def _check_connecting(diagram: HeegaardDiagram, x: Generator, y: Generator, coef
         expected[v] -= 1
     if [coeffs[q0] - coeffs[q1] + coeffs[q2] - coeffs[q3]
             for q0, q1, q2, q3 in diagram.quadrants] != expected:
-        raise ConsistencyError("domain does not satisfy the corner system for (x, y)")
+        raise _off_the_corner_system()
 
 
 def maslov_index(diagram: HeegaardDiagram, x: Generator, y: Generator, domain) -> int:

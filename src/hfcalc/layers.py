@@ -28,6 +28,9 @@ every count off the quadrants at each vertex and lists no arcs.
 The audit reads each vertex's four quadrant multiplicities once.  One
 pass over the vertices forms each vertex's key (its membership and, for
 a vertex in neither or both generators, the sign of its corner pairs),
+checks the corner system m0 - m1 + m2 - m3 = [v in x] - [v in y] there
+(the certificate of ``grading._check_connecting``), sums the quadrant
+multiplicities at the vertices of x and of y for the Maslov index,
 counts both sides of the third identity below, and counts the first
 run's table keys directly: at the levels 1, ..., c of the least positive
 multiplicity c, a layer holds exactly the quadrants of positive
@@ -35,9 +38,11 @@ multiplicity.  The pass keeps for the later runs only the vertices with
 a quadrant above c; the other vertices are absent from every layer above
 c.  Layer indices are counted in integer quarter units and become a
 ``Fraction`` only when returned, and their sum is compared with four
-times the Maslov index as integers.  They are counted on the layers, not
-from the region weights ``maslov_index`` uses, so the first identity
-below compares two independent computations.
+times the Maslov index as integers.  The index is formed region-linearly,
+as ``maslov_index`` forms it: 4 mu = 4 e(D), from the region weights, plus
+4 n_x + 4 n_y from the pass.  The layer indices are counted on the layers,
+not from those weights, so the first identity below still compares two
+independent computations.
 
 Three exact identities are audited for every decomposition:
 
@@ -86,7 +91,8 @@ import functools
 from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
 
-from .grading import ConsistencyError, Generator, maslov_index, _coeffs, _fraction
+from .grading import (ConsistencyError, Generator, _base_weights, _coeffs, _dot, _fraction,
+                      _off_the_corner_system, _whole)
 from .diagram import HeegaardDiagram
 
 if TYPE_CHECKING:
@@ -176,6 +182,14 @@ def _corner_table() -> tuple[_CornerCounts, ...]:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=1024)
+def _quarters(n: int) -> Fraction:
+    """n / 4 as a ``Fraction``.  Fractions are immutable, so reports share
+    them: the audits of one diagram make the same few values again and
+    again, and a Fraction costs more to make than to look up."""
+    return _fraction()(n, 4)
+
+
 def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
                 domain) -> AuditReport:
     """Decompose, classify, and verify the exact layer identities.
@@ -186,22 +200,26 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
     quadrant multiplicities once: it forms the vertex's key, counts both
     sides of n_x - n_y = d_alpha D . d_beta D, and counts the first run's
     keys directly, since at the levels 1, ..., c of the least positive
-    coefficient c quadrant q is in the layer exactly when m_q > 0.  It
+    coefficient c quadrant q is in the layer exactly when m_q > 0.  The
+    same pass checks the corner system at the vertex and adds its quadrant
+    multiplicities to 4 (n_x + n_y), twice at a vertex of both x and y;
+    with 4 e(D) from the region weights that is 4 mu, computed
+    region-linearly and so independently of the layer counts.  It
     keeps for the later runs only the vertices whose largest quadrant is
     above c; each later run keeps those whose largest quadrant reaches its
     last level, and masks them by m_q >= its first level.  chi(F_l) is the
     number of clusters, minus the layer's arcs (half the clusters' arc
     ends), plus the regions' chi.  The report still holds one
     ``LayerReport`` per level.  Raises ``ValueError`` on a negative domain,
-    and ``AuditError`` when an identity fails; a failed identity signals
+    then ``ConsistencyError`` when the domain is off the corner system for
+    (x, y) or its index is not an integer, as ``maslov_index`` does, and
+    ``AuditError`` when an identity fails; a failed identity signals
     an implementation inconsistency, never bad user input.
     """
     coeffs = _coeffs(diagram, domain)
     if min(coeffs, default=0) < 0:
         raise ValueError("layer decomposition needs a nonnegative domain")
-    mu = maslov_index(diagram, x, y, coeffs)
     table = _corner_table()
-    Fraction = _fraction()
     levels = sorted(set(coeffs) - {0})
     least = levels[0] if levels else 0
 
@@ -209,9 +227,11 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
     # for y), plus 64 when its pair sign is negative: only a vertex in
     # neither or both generators has auxiliary corners, and its pair sign
     # is -1 exactly when its two jumps m1 - m0 and m3 - m0 have opposite
-    # signs.  The same read counts both sides of n_x - n_y = d_alpha D .
-    # d_beta D in quarter units (module docstring), and the key with its
-    # mask at the first run.
+    # signs.  The same read checks the corner system, m0 - m1 + m2 - m3 is
+    # 1 at x, -1 at y and 0 elsewhere, and counts in quarter units 4 n_x +
+    # 4 n_y for the Maslov index and both sides of n_x - n_y = d_alpha D .
+    # d_beta D (module docstring), and the key with its mask at the first
+    # run.
     membership = [0] * diagram.n_vertices
     for v in x.vertices:
         membership[v] = 32
@@ -219,15 +239,29 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
         membership[v] |= 16
     counts: dict[int, int] = {}
     later = []
-    n_xy = boundary = 0
+    n_x_plus_n_y = n_xy = boundary = 0
     for key, (q0, q1, q2, q3) in zip(membership, diagram.quadrants):
         m0, m1, m2, m3 = coeffs[q0], coeffs[q1], coeffs[q2], coeffs[q3]
+        corner = m0 - m1 + m2 - m3
         if key == 32:
-            n_xy += m0 + m1 + m2 + m3
+            if corner != 1:
+                raise _off_the_corner_system()
+            total = m0 + m1 + m2 + m3
+            n_x_plus_n_y += total
+            n_xy += total
         elif key == 16:
-            n_xy -= m0 + m1 + m2 + m3
-        elif (m1 - m0) * (m3 - m0) < 0:
-            key |= 64
+            if corner != -1:
+                raise _off_the_corner_system()
+            total = m0 + m1 + m2 + m3
+            n_x_plus_n_y += total
+            n_xy -= total
+        else:
+            if corner:
+                raise _off_the_corner_system()
+            if key:  # in both x and y, so counted for each
+                n_x_plus_n_y += 2 * (m0 + m1 + m2 + m3)
+            if (m1 - m0) * (m3 - m0) < 0:
+                key |= 64
         a, b = m0 - m2, m1 - m3
         boundary += b * b - a * a
         mask = (m0 > 0) | (m1 > 0) << 1 | (m2 > 0) << 2 | (m3 > 0) << 3
@@ -235,6 +269,8 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
             counts[key | mask] = counts.get(key | mask, 0) + 1
             if m0 > least or m1 > least or m2 > least or m3 > least:
                 later.append((max(m0, m1, m2, m3), (m0, m1, m2, m3), key))
+
+    mu = _whole(_dot(_base_weights(diagram), coeffs) + n_x_plus_n_y, "Maslov index")
 
     reports = []
     quarters = 0
@@ -268,13 +304,13 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
         quarters += layer_quarters * (last - first + 1)
         # One report per level, made by tuple.__new__ as namedtuple's _make
         # does: LayerReport's own __new__ would parse its arguments each time.
-        report = (chi, convex, concave, bdeg, ideg, aux_signed, Fraction(layer_quarters, 4))
+        report = (chi, convex, concave, bdeg, ideg, aux_signed, _quarters(layer_quarters))
         reports += [tuple.__new__(LayerReport, (level, *report))
                     for level in range(first, last + 1)]
         first = last + 1
 
     if quarters != 4 * mu:
-        raise AuditError(f"layer index sum {Fraction(quarters, 4)} differs from Maslov index {mu}")
+        raise AuditError(f"layer index sum {_quarters(quarters)} differs from Maslov index {mu}")
 
     single = None
     if len(reports) == 1 and not degenerate_present and not auxiliary_present:
@@ -284,9 +320,9 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
             raise AuditError(f"single-layer identity failed: chi {chi} + q {q} != mu {mu}")
 
     if n_xy != boundary:
-        raise AuditError(f"n_x - n_y = {Fraction(n_xy, 4)} differs from "
-                         f"d_alpha D . d_beta D = {Fraction(boundary, 4)}")
+        raise AuditError(f"n_x - n_y = {_quarters(n_xy)} differs from "
+                         f"d_alpha D . d_beta D = {_quarters(boundary)}")
 
-    side = Fraction(n_xy, 4)  # both sides, equal
-    return AuditReport(tuple(reports), Fraction(mu), mu, coeffs[diagram.basepoint_region],
+    side = _quarters(n_xy)  # both sides, equal
+    return AuditReport(tuple(reports), _quarters(4 * mu), mu, coeffs[diagram.basepoint_region],
                        side, side, single)

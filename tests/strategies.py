@@ -1,12 +1,13 @@
 """Inputs shared by the test modules: hypothesis strategies and seeded random curve systems."""
 
+from collections import Counter
 from math import gcd
 
 from hypothesis import strategies as st
 
 from hfcalc.atlas import build_annulus_open_book, build_torus_diagram, stabilize
-from hfcalc.diagram import (ValidationError, assemble_regions, load_diagram, parse_diagram,
-                            rename, serialize, trace_faces)
+from hfcalc.diagram import (SIDES, RegionDirective, ValidationError, assemble_regions,
+                            load_diagram, parse_diagram, rename, serialize, trace_faces)
 
 
 @st.composite
@@ -98,3 +99,77 @@ def curve_systems():
     """
     return (st.randoms(use_true_random=False).map(_assembled_or_none)
             .filter(lambda d: d is not None))
+
+
+MUTATIONS = ("drop", "repeat", "move", "shuffle", "flip", "basepoint", "directive")
+
+
+def _listed(draw, curves, past_the_end=0):
+    """A drawn (curve index, position) in the listings ``curves``; with
+    ``past_the_end`` the position may also be the listing's length."""
+    j = draw(st.integers(min_value=0, max_value=len(curves) - 1))
+    last = max(len(curves[j][1]) - 1 + past_the_end, 0)
+    return j, draw(st.integers(min_value=0, max_value=last))
+
+
+def _with_listing(curves, j, verts):
+    return curves[:j] + ((curves[j][0], tuple(verts)),) + curves[j + 1:]
+
+
+@st.composite
+def mutated_inputs(draw, bases):
+    """An assembled input from ``bases`` (a strategy of ``CurveSystemInput``s)
+    after one to three structural mutations.
+
+    A vertex is dropped from one listing, repeated in a listing of its
+    family, or moved within its family; a listing is shuffled; a crossing
+    sign is flipped; the basepoint locator is redrawn from the input's
+    names; or a region directive gets an unknown or another circle id, a
+    new genus, or ``auto`` (one is added when the input has none).
+    """
+    inp = draw(bases)
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+        if kind in ("drop", "repeat", "move", "shuffle"):
+            family = draw(st.sampled_from(("alpha", "beta")))
+            curves = getattr(inp, family)
+            j, pos = _listed(draw, curves)
+            verts = list(curves[j][1])
+            if not verts:
+                continue
+            if kind == "shuffle":
+                curves = _with_listing(curves, j, draw(st.permutations(verts)))
+            else:
+                v = verts[pos] if kind == "repeat" else verts.pop(pos)
+                curves = _with_listing(curves, j, verts)
+                if kind != "drop":
+                    k, at = _listed(draw, curves, past_the_end=1)
+                    curves = _with_listing(curves, k, curves[k][1][:at] + (v,) + curves[k][1][at:])
+            inp = inp._replace(**{family: curves})
+        elif kind == "flip":
+            v = draw(st.sampled_from(sorted(inp.signs)))
+            inp = inp._replace(signs={**inp.signs, v: -inp.signs[v]})
+        elif kind == "basepoint":
+            inp = inp._replace(basepoint=(draw(st.sampled_from(inp.curve_names())),
+                                          draw(st.sampled_from(sorted(inp.signs))),
+                                          draw(st.sampled_from(SIDES))))
+        else:
+            directives = list(inp.directives) or [RegionDirective("r0", 0, ())]
+            i = draw(st.integers(min_value=0, max_value=len(directives) - 1))
+            d = directives[i]
+            cid = draw(st.sampled_from(inp.curve_names())) + "." + str(
+                draw(st.integers(min_value=0, max_value=4))) + draw(st.sampled_from("+-"))
+            directives[i] = draw(st.sampled_from([
+                d._replace(circles=(d.circles or ()) + (cid,)),
+                d._replace(circles=(cid,) + (d.circles or ())[1:]),
+                d._replace(genus=draw(st.integers(min_value=-1, max_value=2))),
+                d._replace(circles=None)]))
+            inp = inp._replace(directives=tuple(directives))
+    return inp
+
+
+def lists_each_vertex_once(inp) -> bool:
+    """Whether the alpha listings name each of their vertices once and the
+    beta listings name exactly those vertices, each once."""
+    on_alpha = Counter(v for _, verts in inp.alpha for v in verts)
+    on_beta = Counter(v for _, verts in inp.beta for v in verts)
+    return set(on_alpha.values()) <= {1} and on_beta == on_alpha

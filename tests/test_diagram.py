@@ -13,12 +13,13 @@ from hfcalc.atlas import build_annulus_open_book, build_s1s2, build_torus_diagra
 from hfcalc.diagram import (ALPHA, BETA, DiagramError, ParseError, Region, RegionDirective,
                             ValidationError, _Graph, assemble_regions, load_diagram,
                             parse_diagram, rename, reverse_curve, serialize, trace_faces)
-from hfcalc.grading import spinc_partition
+from hfcalc.grading import homology_of_Y, spinc_partition
 
 from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
                       s1s2_sum_text)
 from smith_oracle import arc_table
-from strategies import random_curve_system
+from strategies import (curve_systems, lists_each_vertex_once, mutated_inputs,
+                        random_curve_system)
 
 
 def test_parse_s3_counts():
@@ -172,13 +173,16 @@ def test_assemble_unknown_circle():
      "vertex 'x0' listed twice on beta curves, again on 'b0'"),
     ({"alpha": (("a0", ("x0", "x1", "x2", "x1")),)},
      "vertex 'x1' listed twice on alpha curves, again on 'a0'"),
+    ({"alpha": (("a0", ("x0", "x1", "x2")), ("a1", ())), "beta": (("b0", ("x0", "x2", "x1")),
+                                                                 ("b1", ()))},
+     "curve 'a1' lists no vertices; every curve must cross the other family at least once"),
 ], ids=["basepoint-vertex", "unsigned-vertex", "unknown-beta-vertex", "beta-misses-vertex",
-        "beta-repeats-vertex", "alpha-repeats-vertex"])
+        "beta-repeats-vertex", "alpha-repeats-vertex", "empty-curve"])
 def test_malformed_programmatic_inputs_are_validation_errors(change, message):
     """Inputs the parser refuses, built directly: each names a vertex that
     assembly cannot look up, or that a curve family lists twice or not at
-    all, and fails with a ValidationError naming it, not with a KeyError or
-    traced garbage."""
+    all, or a curve that lists no vertex, and fails with a ValidationError
+    naming it, not with a KeyError or traced garbage."""
     inp = parse_diagram(L31_TEXT)._replace(**change)
     with pytest.raises(ValidationError) as err:
         assemble_regions(inp)
@@ -551,3 +555,39 @@ def test_mutated_atlas_texts_fail_only_with_diagram_errors(text):
         load_diagram(text)
     except DiagramError:
         pass
+
+
+MUTATION_BASES = [m.diagram.input for m in (
+    build_torus_diagram(2, 1), build_torus_diagram(3, 1), build_torus_diagram(5, 1),
+    build_annulus_open_book(-2), build_annulus_open_book(1), build_annulus_open_book(3))]
+MUTATION_BASES += [parse_diagram(s1s2_sum_text(2)), parse_diagram(s1s2_plus_pairs_text(2))]
+
+
+def _classes_by_name(d):
+    return {frozenset(frozenset(d.vertex_names[v] for v in g.vertices) for g in cls.members)
+            for cls in spinc_partition(d)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_inputs(st.one_of(st.sampled_from(MUTATION_BASES),
+                                curve_systems().map(lambda d: d.input))))
+def test_mutated_inputs_assemble_to_what_reloads_or_fail_with_diagram_errors(inp):
+    """A structurally mutated input either fails assembly with a
+    ``DiagramError`` or assembles to a diagram whose serialized text
+    reloads with the same genus, vertex names, region count, H1 and Spin^c
+    classes.  An input whose listings drop or repeat a vertex is refused
+    by the face tracing itself, with a ``ValidationError``."""
+    if not lists_each_vertex_once(inp):
+        with pytest.raises(ValidationError):
+            trace_faces(inp)
+    try:
+        d = assemble_regions(inp)
+    except DiagramError:
+        return
+    assert lists_each_vertex_once(inp)
+    reloaded = load_diagram(serialize(d))
+    assert reloaded.genus == d.genus
+    assert sorted(reloaded.vertex_names) == sorted(d.vertex_names)
+    assert reloaded.n_regions == d.n_regions
+    assert homology_of_Y(reloaded) == homology_of_Y(d)
+    assert _classes_by_name(reloaded) == _classes_by_name(d)

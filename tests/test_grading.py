@@ -355,7 +355,7 @@ def test_translate_adds_the_explicit_combination(atlas_suite):
 
 def search_oracle(domain, radius):
     """The positive-representative search with its own lattice-combination
-    loop, verbatim, as an oracle for the one built on ``Domain.translate``."""
+    loop, verbatim, as an oracle for the one built on ``grading._combine``."""
     basis = domain.lattice
     base = domain.coefficients
     if not basis:
@@ -416,6 +416,27 @@ def test_positive_search_matches_the_oracle(atlas_suite):
 @given(transformed_diagrams(), st.randoms(use_true_random=False))
 def test_positive_search_matches_the_oracle_transformed(d, rng):
     assert_search_matches_oracle(d, rng, pairs=3)
+
+
+def test_positive_search_builds_one_domain(monkeypatch):
+    # At rank >= 2 the shell search combines the basis itself: it reads the
+    # lattice once and translates no candidate into a Domain.  #^3 S1 x S2
+    # pushed down by two copies of the surface rejects 562 candidates
+    # before its hit.
+    d = load_diagram(s1s2_sum_text(3))
+    x, y = enumerate_generators(d)[:2]
+    dom = solve_domain(d, x, y)
+    low = dom._replace(coefficients=tuple(c - 2 for c in dom.coefficients))
+    expected = search_oracle(low, 8).coefficients
+    reads, tried, translated = [], [], []
+    monkeypatch.setattr(grading, "homogeneous_lattice",
+                        lambda diagram, _read=grading.homogeneous_lattice:
+                        reads.append(1) or _read(diagram))
+    monkeypatch.setattr(grading, "_combine", lambda *args, _combine=grading._combine:
+                        tried.append(1) or _combine(*args))
+    monkeypatch.setattr(grading.Domain, "translate", lambda *args: translated.append(args))
+    assert positive_representative(low).coefficients == expected
+    assert (len(reads), len(translated)) == (1, 0) and len(tried) > 500
 
 
 # ---------------------------------------------------------------------------

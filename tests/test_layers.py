@@ -368,8 +368,8 @@ def test_audit_on_random_curve_systems():
 
 def test_audit_error_paths(s1s2, atlas_suite, two_finger, monkeypatch):
     # The audit's own checks, reached through its inputs with no audit code
-    # replaced.  A nonnegative domain off the corner system fails in
-    # ``maslov_index``, before any identity is audited; a negative domain
+    # replaced.  A nonnegative domain off the corner system fails in the
+    # audit's vertex pass, before any identity is audited; a negative domain
     # fails before that.  A corner table with one quadrant too many puts a
     # layer a quarter off per vertex, and a corner pair more breaks the
     # single-layer identity; one vertex's quadrants turned by one slot, at a
@@ -421,6 +421,87 @@ def test_audit_error_paths(s1s2, atlas_suite, two_finger, monkeypatch):
                         audit_index(d, x, y, coeffs)
                 turned += 1
     assert turned >= 10
+
+
+def test_audit_reads_the_vertices_in_one_pass(s1s2, two_finger, atlas_suite, monkeypatch):
+    # The audit checks the corner system and forms mu in its own vertex
+    # pass: it calls none of the second-pass helpers, on a domain that
+    # passes or off the corner system.  The domains are solved first, and
+    # the audits' calls counted through wrappers in ``grading`` (and in
+    # ``layers``, should it import them).
+    import hfcalc.grading as grading
+    import hfcalc.layers as layers
+
+    cases = []
+    for d in atlas_suite + [two_finger]:
+        for cls in spinc_partition(d):
+            for x in cls.members:
+                for y in cls.members:
+                    coeffs = list(positive_representative(solve_domain(d, x, y)).coefficients)
+                    off = coeffs[:]
+                    off[0] += 1
+                    cases += [(d, x, y, coeffs), (d, x, y, off)]
+    calls = {}
+    for name in ("maslov_index", "_check_connecting", "_quarter_weights"):
+        def counting(*args, _name=name, _fn=getattr(grading, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        calls[name] = 0
+        for module in (grading, layers):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    raised = 0
+    for case in cases:
+        try:
+            audit_index(*case)
+        except ConsistencyError:
+            raised += 1
+    assert calls == {"maslov_index": 0, "_check_connecting": 0, "_quarter_weights": 0}
+    assert (len(cases), raised) == (138, 68)  # S^3's one region + 1 is Sigma
+    # The wrappers count: maslov_index reaches the other two through them.
+    x, y = enumerate_generators(s1s2)
+    grading.maslov_index(s1s2, x, y, [0, 1, 0])
+    assert calls == {"maslov_index": 1, "_check_connecting": 1, "_quarter_weights": 1}
+
+
+def _maslov_or_error(f, *args):
+    try:
+        return f(*args), None
+    except ConsistencyError as e:
+        return None, (type(e), e.args)
+
+
+def test_audit_maslov_is_maslov_index(atlas_suite, two_finger):
+    # The audit's mu, formed in its vertex pass, against ``maslov_index``:
+    # every same-class pair's positive representative plus k copies of the
+    # surface, and each of its one-region +1 and -1 changes that stays
+    # nonnegative.  The audit succeeds exactly when ``maslov_index`` does,
+    # with the same mu, and otherwise both raise the same ConsistencyError.
+    diagrams = atlas_suite + [two_finger]
+    diagrams += assembled_curve_systems(random.Random(2024), 200)
+    agreed = failed = 0
+    for d in diagrams:
+        for cls in spinc_partition(d):
+            for x in cls.members[:6]:
+                for y in cls.members[:6]:
+                    pos = positive_representative(solve_domain(d, x, y), radius=4).coefficients
+                    for k in (0, 2):
+                        base = [c + k for c in pos]
+                        cases = [base]
+                        for r in range(d.n_regions):
+                            for delta in (1, -1):
+                                if base[r] + delta >= 0:
+                                    cases.append(base[:r] + [base[r] + delta] + base[r + 1:])
+                        for coeffs in cases:
+                            mu, error = _maslov_or_error(maslov_index, d, x, y, coeffs)
+                            report, audit_error = _maslov_or_error(audit_index, d, x, y, coeffs)
+                            assert audit_error == error, (d.input, x, y, coeffs)
+                            if error is None:
+                                assert report.maslov == mu
+                                agreed += 1
+                            else:
+                                failed += 1
+    assert (agreed, failed) == (473, 2215)
 
 
 @pytest.mark.parametrize("entry", [audit_index])
