@@ -106,7 +106,9 @@ def stabilize(diagram: HeegaardDiagram) -> tuple[MarkedDiagram, dict[Generator, 
     )
     new_diagram = assemble_regions(new_input)
     w_id = new_diagram.vertex_id(w)
-    correspondence = {g: Generator(g.vertices + (w_id,))
+    # Each image is made by tuple.__new__ as namedtuple's _make does:
+    # Generator's own __new__ would parse its arguments each time.
+    correspondence = {g: tuple.__new__(Generator, (g.vertices + (w_id,),))
                       for g in enumerate_generators(diagram)}
     return (MarkedDiagram(new_diagram, None, f"stabilize(genus={inp.genus})"),
             correspondence)

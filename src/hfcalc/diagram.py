@@ -31,7 +31,9 @@ is built per arc.  The index from every dart name to its face is built
 only when a region directive lists circles.
 
 Dart conventions used throughout: every arc gets a forward dart ``2 * arc``
-(along the curve orientation) and a backward dart ``2 * arc + 1``; traced
+(along the curve orientation) and a backward dart ``2 * arc + 1``; the
+vertices are numbered along the alpha listings, so alpha arc ``v`` leaves
+vertex ``v``, and the beta arcs follow from arc ``nv`` on; traced
 faces run counterclockwise, so the face containing a dart lies on the
 dart's left; quadrant ``i`` at a vertex is the sector between rotation
 slots ``i`` and ``i + 1`` and is owned by the face containing the dart in
@@ -270,7 +272,9 @@ class _Graph:
 
     The arcs are numbered along the curves, alpha curves first, each curve
     in listing order: arc ``pos`` of a curve runs from its vertex ``pos``
-    to the next one.  ``dart_names[d]`` is the circle id of dart ``d``:
+    to the next one.  The vertices are numbered along the alpha listings
+    too, so alpha arc ``v`` leaves vertex ``v``, and the beta arcs follow
+    from arc ``nv`` on.  ``dart_names[d]`` is the circle id of dart ``d``:
     the arc's curve and position as ``curve.pos``, followed by ``+`` for
     the forward dart and ``-`` for the backward one.
     ``alpha_of[v]`` and ``beta_of[v]`` are the indices of the alpha and
@@ -288,36 +292,52 @@ class _Graph:
         names = [v for _, verts in inp.alpha for v in verts]
         nv = len(names)
         self.vertex_names = tuple(names)
-        self.vertex_index = index = {n: i for i, n in enumerate(names)}
+        self.vertex_index = index = dict(zip(names, range(nv)))
         if len(index) != nv:
             _raise_listed_twice(inp.alpha, "alpha")
         try:
             self.signs = signs = tuple(map(inp.signs.__getitem__, names))
         except KeyError as e:
             raise ValidationError(f"vertex {e.args[0]!r} has no crossing sign") from None
-        self.alpha = tuple((name, tuple(map(index.__getitem__, verts)))
-                           for name, verts in inp.alpha)
+
+        # Alpha arc v leaves vertex v, so its forward dart is 2v, and the alpha
+        # dart entering v is 2v - 1, or 2 * end - 1 (the backward dart of the
+        # curve's last arc) at the curve's first vertex.
+        alpha, alpha_of, a_in, dart_names = [], [], [], []
+        start = 0
+        for j, (name, verts) in enumerate(inp.alpha):
+            n = len(verts)
+            end = start + n
+            alpha.append((name, tuple(range(start, end))))
+            alpha_of += [j] * n
+            a_in.append(2 * end - 1)
+            a_in += range(2 * start + 1, 2 * end - 1, 2)
+            for pos in range(n):
+                arc_name = f"{name}.{pos}"
+                dart_names += (arc_name + "+", arc_name + "-")
+            start = end
+        self.alpha = tuple(alpha)
         try:
             self.beta = tuple((name, tuple(map(index.__getitem__, verts)))
                               for name, verts in inp.beta)
         except KeyError as e:
             raise ValidationError(f"beta vertex {e.args[0]!r} is on no alpha curve") from None
 
-        # One walk along every curve builds the dart names, the curve through
-        # each vertex and the darts leaving and entering it.
-        alpha_of, beta_of = [-1] * nv, [-1] * nv
-        dart_names: list[str] = []
-        a_out, a_in, b_out, b_in = [-1] * nv, [-1] * nv, [-1] * nv, [-1] * nv
-        for curves, curve_of, out, inn in ((self.alpha, alpha_of, a_out, a_in),
-                                           (self.beta, beta_of, b_out, b_in)):
-            for j, (name, verts) in enumerate(curves):
-                for pos, (tail, head) in enumerate(zip(verts, verts[1:] + verts[:1])):
-                    dart = len(dart_names)
-                    arc_name = f"{name}.{pos}"
-                    dart_names += (arc_name + "+", arc_name + "-")
-                    curve_of[tail] = j
-                    out[tail] = dart
-                    inn[head] = dart + 1
+        # The beta arcs follow from arc nv on; one walk along each beta curve
+        # names its darts and sets the beta curve and darts at each vertex.  As
+        # on alpha, the dart entering a vertex is the backward dart of the arc
+        # before, or of the curve's last arc at its first vertex.
+        beta_of, b_out, b_in = [-1] * nv, [-1] * nv, [-1] * nv
+        for j, (name, verts) in enumerate(self.beta):
+            dart = len(dart_names)
+            for pos, tail in enumerate(verts):
+                arc_name = f"{name}.{pos}"
+                dart_names += (arc_name + "+", arc_name + "-")
+                beta_of[tail] = j
+                b_out[tail] = dart
+                b_in[tail] = dart - 1
+                dart += 2
+            b_in[verts[0]] = dart - 1
         # Each alpha vertex is listed once on alpha; once on beta too exactly
         # when none is missing there and the beta listings have nv entries.
         if -1 in b_out:
@@ -335,11 +355,8 @@ class _Graph:
         # (r0, r1, r2, r3) sends r1 ^ 1 to r0, r2 ^ 1 to r1, and so on.
         rotations = []
         after = [-1] * len(dart_names)
-        for v in range(nv):
-            if signs[v] > 0:
-                rot = r0, r1, r2, r3 = a_out[v], b_out[v], a_in[v], b_in[v]
-            else:
-                rot = r0, r1, r2, r3 = a_out[v], b_in[v], a_in[v], b_out[v]
+        for v, sign, bo, ai, bi in zip(range(nv), signs, b_out, a_in, b_in):
+            rot = r0, r1, r2, r3 = (2 * v, bo, ai, bi) if sign > 0 else (2 * v, bi, ai, bo)
             rotations.append(rot)
             after[r0 ^ 1], after[r1 ^ 1], after[r2 ^ 1], after[r3 ^ 1] = r3, r0, r1, r2
         self.rotations = tuple(rotations)
@@ -358,11 +375,12 @@ class _Graph:
                 face_of_dart[d] = f
                 cycle.append(d)
                 d = after[d]
-            names = [dart_names[d] for d in cycle]
-            first = min(names)
-            k = names.index(first)
-            faces.append(tuple(cycle[k:] + cycle[:k]))
-            face_names.append(first)
+            first = min(cycle, key=dart_names.__getitem__)
+            if first != start:
+                k = cycle.index(first)
+                cycle = cycle[k:] + cycle[:k]
+            faces.append(tuple(cycle))
+            face_names.append(dart_names[first])
         self.face_of_dart = tuple(face_of_dart)
         self.faces = tuple(faces)
         self.face_names = tuple(face_names)
@@ -448,6 +466,8 @@ class HeegaardDiagram(_Graph):
         faces, face_names = self.faces, self.face_names
         region_of_face = [-1] * len(faces)
         regions: list[Region] = []
+        region_chi: list[int] = []
+        corner_counts: list[int] = []
         # Circles may be referenced through any of their darts; the canonical
         # id (the minimal dart) is what serialization emits.  Only directives
         # that list circles read this index of every dart name.
@@ -481,17 +501,21 @@ class HeegaardDiagram(_Graph):
                 region_of_face[f] = len(regions)
             fids.sort()
             regions.append(Region(len(regions), d.label, d.genus, tuple(fids)))
+            region_chi.append(regions[-1].chi)
+            corner_counts.append(sum(len(faces[f]) for f in fids))
+        # Each unclaimed circle is a disk: chi 1, one corner per dart.  Its
+        # record is made by tuple.__new__ as namedtuple's _make does: Region's
+        # own __new__ would parse its arguments each time.
         for f in sorted(range(len(faces)), key=face_names.__getitem__):
             if f not in claimed:
-                region_of_face[f] = len(regions)
-                regions.append(Region(len(regions), face_names[f], 0, (f,)))
-        region_chi = [r.chi for r in regions]
-        corner_counts = [0] * len(regions)
-        for face, r in zip(faces, region_of_face):
-            corner_counts[r] += len(face)
+                r = len(regions)
+                region_of_face[f] = r
+                regions.append(tuple.__new__(Region, (r, face_names[f], 0, (f,))))
+                corner_counts.append(len(faces[f]))
+        region_chi += [1] * (len(regions) - len(region_chi))
 
         nv = len(self.vertex_names)
-        ne = self.n_arcs
+        ne = 2 * nv
         chi_regions = sum(region_chi)
         chi = nv - ne + chi_regions
         if chi != 2 - 2 * inp.genus:
@@ -504,7 +528,7 @@ class HeegaardDiagram(_Graph):
         # the regions is connected exactly when the regions are, across arcs.
         # Cutting along either family must keep them connected across the other
         # family's arcs (alpha arcs first); all arcs are tried for the message.
-        region_of_dart = [region_of_face[f] for f in self.face_of_dart]
+        region_of_dart = list(map(region_of_face.__getitem__, self.face_of_dart))
         arc_sides = tuple(zip(region_of_dart[0::2], region_of_dart[1::2]))
         for sides, fam_name in ((arc_sides[nv:], ALPHA), (arc_sides[:nv], BETA)):
             if not _connected(len(regions), sides):
@@ -531,9 +555,9 @@ class HeegaardDiagram(_Graph):
         self.basepoint_region = region_of_dart[bp_dart if side == LEFT_AFTER else bp_dart ^ 1]
         self.corner_counts = tuple(corner_counts)
         self.region_chi = tuple(region_chi)
-        self.quadrants = tuple((region_of_dart[r0], region_of_dart[r1],
-                                region_of_dart[r2], region_of_dart[r3])
-                               for r0, r1, r2, r3 in self.rotations)
+        self.quadrants = tuple([(region_of_dart[r0], region_of_dart[r1],
+                                 region_of_dart[r2], region_of_dart[r3])
+                                for r0, r1, r2, r3 in self.rotations])
         self.arc_sides = arc_sides
         self._cache: dict = {}
 
@@ -598,7 +622,7 @@ def serialize(diagram: HeegaardDiagram) -> str:
 
     def emit(family: str, curves) -> None:
         for name, verts in sorted(curves, key=lambda c: c[0]):
-            k = min(range(len(verts)), key=lambda i: verts[i])
+            k = verts.index(min(verts))
             offsets[name] = k
             rotated = verts[k:] + verts[:k]
             if family == ALPHA:
@@ -693,22 +717,21 @@ def rename(inp: CurveSystemInput,
     """
     vmap = dict(vertex_map or {})
     cmap = dict(curve_map or {})
-
-    def v(name: str) -> str:
-        return vmap.get(name, name)
-
-    def c(name: str) -> str:
-        return cmap.get(name, name)
+    # Each name maps to itself unless the map lists it: map(v, names, names).
+    v, c = vmap.get, cmap.get
 
     def do(curves):
-        return tuple((c(n), tuple(v(x) for x in verts)) for n, verts in curves)
+        return tuple((c(n, n), tuple(map(v, verts, verts))) for n, verts in curves)
 
-    directives = _map_circle_ids(inp.directives, lambda curve, pos, d: (c(curve), pos, d))
-    bp = (c(inp.basepoint[0]), v(inp.basepoint[1]), inp.basepoint[2])
-    # Curve and vertex names live in separate namespaces.
-    for new_names in ([c(n) for n, _ in inp.alpha + inp.beta], [v(x) for x in inp.signs]):
-        if len(set(new_names)) != len(new_names):
-            raise ValueError("rename maps collide")
-    return inp._replace(alpha=do(inp.alpha), beta=do(inp.beta),
-                        signs={v(k): s for k, s in inp.signs.items()},
+    directives = _map_circle_ids(inp.directives, lambda curve, pos, d: (c(curve, curve), pos, d))
+    bp_curve, bp_vertex, side = inp.basepoint
+    bp = (c(bp_curve, bp_curve), v(bp_vertex, bp_vertex), side)
+    # Curve and vertex names live in separate namespaces; the maps collide
+    # exactly when the renamed signs or curve names have fewer distinct keys.
+    signs = dict(zip(map(v, inp.signs, inp.signs), inp.signs.values()))
+    curve_names = inp.curve_names()
+    if (len(signs) != len(inp.signs)
+            or len(set(map(c, curve_names, curve_names))) != len(curve_names)):
+        raise ValueError("rename maps collide")
+    return inp._replace(alpha=do(inp.alpha), beta=do(inp.beta), signs=signs,
                         basepoint=bp, directives=directives)

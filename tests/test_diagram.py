@@ -429,8 +429,20 @@ def test_quadrants_unknown_vertex(s3):
         s3.quadrants[s3.vertex_id("nope")]
 
 
+def dotted_diagrams():
+    """torus(12, 5) with its curves named ``a.1`` and ``b.1``, stabilized once,
+    and with each curve reversed.  The names hold a dot, and at 12 vertices
+    a curve's arc ``10`` sorts before its arc ``2``, so a circle's first dart
+    by name is not its first by index."""
+    inp = rename(build_torus_diagram(12, 5).diagram.input,
+                 curve_map={"a0": "a.1", "b0": "b.1"})
+    d = assemble_regions(inp)
+    return [d, stabilize(d)[0].diagram] + [assemble_regions(reverse_curve(inp, curve))
+                                           for curve in inp.curve_names()]
+
+
 def test_lookup_tables_match_the_face_lookups(atlas_suite):
-    for d in atlas_suite:
+    for d in atlas_suite + dotted_diagrams():
         def region_of_dart(dart):
             return d.region_of_face[d.face_of_dart[dart]]
 
@@ -439,13 +451,22 @@ def test_lookup_tables_match_the_face_lookups(atlas_suite):
         assert d.arc_sides == tuple((region_of_dart(2 * a), region_of_dart(2 * a + 1))
                                     for a in range(d.n_arcs))
         assert d.region_chi == tuple(r.chi for r in d.regions)
+        for f, face in enumerate(d.faces):
+            assert d.face_names[f] == min(d.dart_names[dart] for dart in face)
+            assert d.dart_names[face[0]] == d.face_names[f]
+            assert all(d.face_of_dart[dart] == f for dart in face)
+        for r in d.regions:
+            assert d.corner_counts[r.index] == sum(len(d.faces[f]) for f in r.faces)
 
 
 def test_arcs_are_numbered_along_the_listings(atlas_suite):
     """Arc a of the curve listings, alpha curves first, has the darts 2a and
     2a + 1, named after it, and leaves its tail in the rotation slot of its
-    family (beta: slot 1 at a positive vertex, slot 3 at a negative one)."""
-    for d in atlas_suite + [stabilize(d)[0].diagram for d in atlas_suite]:
+    family (beta: slot 1 at a positive vertex, slot 3 at a negative one).
+    The vertices are numbered along the alpha listings, so alpha arc v
+    leaves vertex v."""
+    diagrams = atlas_suite + [stabilize(d)[0].diagram for d in atlas_suite]
+    for d in diagrams + dotted_diagrams():
         arcs = arc_table(d)
         assert len(arcs) == d.n_arcs
         for arc in arcs:
@@ -453,6 +474,25 @@ def test_arcs_are_numbered_along_the_listings(atlas_suite):
             assert d.dart_names[2 * arc.index:2 * arc.index + 2] == (name + "+", name + "-")
             slot = 0 if arc.family == ALPHA else (1 if d.signs[arc.tail] > 0 else 3)
             assert d.rotations[arc.tail][slot] == 2 * arc.index
+        assert all(d.rotations[v][0] == 2 * v for v in range(d.n_vertices))
+
+
+def test_dotted_names_round_trip():
+    """Serializing and reloading keeps H1 and the Spin^c classes (as sets of
+    vertex names, with their divisibility) on curve names with a dot."""
+    def classes(d):
+        return {(frozenset(frozenset(d.vertex_names[v] for v in g.vertices)
+                           for g in cls.members), cls.divisibility)
+                for cls in spinc_partition(d)}
+
+    dotted = dotted_diagrams()
+    for d in dotted:
+        text = serialize(d)
+        again = load_diagram(text)
+        assert serialize(again) == text
+        assert homology_of_Y(again) == homology_of_Y(d) == (0, (12,))
+        assert classes(again) == classes(d)
+    assert "region r0: genus=0 circles=a.1.0- a1.0+\n" in serialize(dotted[1])
 
 
 @pytest.mark.parametrize("text", [S3_TEXT, L31_TEXT, D2_TEXT, TWO_FINGER_TEXT])
@@ -509,8 +549,17 @@ def test_rename_keeps_curve_and_vertex_names_apart():
 
 def test_rename_collision():
     d = load_diagram(L31_TEXT)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rename maps collide"):
         rename(d.input, vertex_map={"x0": "x1"})
+    with pytest.raises(ValueError, match="rename maps collide"):
+        rename(d.input, curve_map={"a0": "b0"})
+    with pytest.raises(ValueError, match="rename maps collide"):
+        rename(d.input, vertex_map={"x0": "y", "x1": "y"})
+    # A swap renames both names and leaves them distinct.
+    swapped = rename(d.input, vertex_map={"x0": "x1", "x1": "x0"})
+    assert assemble_regions(swapped).n_regions == d.n_regions
+    # Curve and vertex names live in separate namespaces.
+    assert rename(d.input, vertex_map={"x0": "a0"}).signs.keys() == {"a0", "x1", "x2"}
 
 
 ATLAS_TEXTS = [serialize(m.diagram) for m in (
