@@ -656,12 +656,21 @@ def serialize(diagram: HeegaardDiagram) -> str:
 def _map_circle_ids(directives: tuple[RegionDirective, ...],
                     dart: Callable[[str, str, str], tuple]) -> tuple[RegionDirective, ...]:
     """The directives with each circle id ``CURVE.POS`` + direction rewritten
-    as the (curve, position, direction) that ``dart`` maps its parts to."""
-    def rewrite(cid: str) -> str:
-        curve, pos = cid[:-1].rsplit(".", 1)
+    as the (curve, position, direction) that ``dart`` maps its parts to.
+
+    POS is decimal digits and the direction ``+`` or ``-``; any other id
+    raises ``ValidationError`` naming it and its directive's line.
+    """
+    def rewrite(d: RegionDirective, cid: str) -> str:
+        curve, _, pos = cid[:-1].rpartition(".")
+        if not (curve and pos.isascii() and pos.isdigit() and cid[-1] in "+-"):
+            where = f"line {d.line}: " if d.line is not None else ""
+            raise ValidationError(f"{where}region {d.label!r}: malformed circle id {cid!r}; "
+                                  "expected CURVE.POS+ or CURVE.POS-")
         return "{}.{}{}".format(*dart(curve, pos, cid[-1]))
 
-    return tuple(d if d.circles is None else d._replace(circles=tuple(map(rewrite, d.circles)))
+    return tuple(d if d.circles is None
+                 else d._replace(circles=tuple([rewrite(d, cid) for cid in d.circles]))
                  for d in directives)
 
 

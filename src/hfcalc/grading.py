@@ -18,7 +18,9 @@ are integrated across the beta arcs.  Each generator g has a potential
 P(g), the grading of D0(g, a) for the anchor a of its class, and
 gr(x, y) = P(x) - P(y): gradings add when domains are juxtaposed, and a
 periodic class changes P by a multiple of d.  The connecting domain of
-``solve_domain`` is D0(x, a) - D0(y, a), and the periodic lattice is
+``solve_domain`` is D0(x, a) - D0(y, a), certified by linearity: each D0
+is certified when it is built, and the corner system is linear, so the
+difference solves it for (x, y).  The periodic lattice is
 Sigma plus those periodic domains, so A is the one matrix factored per
 diagram; its transforms stay sparse (U by rows and by columns, V by
 columns), and the factorization is certified.  The corner system is
@@ -26,9 +28,9 @@ never factored or built as a matrix: it only certifies domains, vertex
 by vertex (``_check_connecting``, and the audit's one vertex pass in
 ``layers``).
 The generators, the factorization, the partition, the periodic domains,
-the potentials, the D0 vectors of ``solve_domain``, the grading table
-and H1 are cached on the diagram itself, so each is computed once per
-diagram and lives as long as the diagram does.
+the potentials, the (D0, potential) records of the pair queries, the
+grading table and H1 are cached on the diagram itself, so each is
+computed once per diagram and lives as long as the diagram does.
 
 All index quantities are computed exactly:
 
@@ -251,28 +253,51 @@ def solve_domain(diagram: HeegaardDiagram, x: Generator, y: Generator) -> Domain
     D0(x, a) - D0(y, a) for the anchor a of their class: D0(x, a) connects
     x to a and -D0(y, a) connects a to y, so it has n_z = 0, and when
     b1 = 0 it is D0(x, y), the one domain with n_z = 0.  Each D0(g, a) is
-    built once per diagram, and the difference is checked against the
-    corner system before it is returned.  A pair in one class without a
-    D0 raises ``ConsistencyError``.  The returned domain carries access to
-    the homogeneous lattice through ``Domain.lattice``.
+    built, and certified, once per diagram (``_pair_records``), and the
+    difference needs no certificate of its own: the corner system
+    M D = r(y) - r(x) is linear, M D0(x, a) = r(a) - r(x) and M D0(y, a) =
+    r(a) - r(y), so M (D0(x, a) - D0(y, a)) = r(y) - r(x), the system for
+    (x, y).  A pair in one class without a D0 raises ``ConsistencyError``.
+    The returned domain carries access to the homogeneous lattice through
+    ``Domain.lattice``.
     """
-    cls = spinc_class_of(diagram, x)
-    if cls.index != spinc_class_of(diagram, y).index:
+    cls, other = _classes_of_pair(diagram, x, y)
+    if cls.index != other.index:
         return None
-    memo = _anchor_domains(diagram)
-    for g in (x, y):
-        if g not in memo:
-            memo[g] = ((0,) * diagram.n_regions if g == cls.anchor
-                       else _domain_avoiding_z(diagram, g, cls.anchor).coefficients)
-    coeffs = tuple(map(sub, memo[x], memo[y]))
-    _check_connecting(diagram, x, y, coeffs)
-    return Domain(diagram, x, y, coeffs)
+    memo, a = _pair_records(diagram), cls.anchor
+    dx = (memo.get(x) or memo.setdefault(x, _anchor_record(diagram, x, a)))[0]
+    dy = (memo.get(y) or memo.setdefault(y, _anchor_record(diagram, y, a)))[0]
+    # Made by tuple.__new__, as namedtuple's _make does: Domain's own
+    # __new__ would parse its arguments each time.
+    return tuple.__new__(Domain, (diagram, x, y, tuple(map(sub, dx, dy))))
+
+
+def _classes_of_pair(diagram: HeegaardDiagram, x: Generator,
+                     y: Generator) -> tuple[SpincClass, SpincClass]:
+    """The classes of x and y, from one read of ``_class_of``."""
+    class_of = _class_of(diagram)
+    try:
+        return class_of[x], class_of[y]
+    except KeyError as e:
+        raise _not_a_generator(e.args[0]) from None
 
 
 @_per_diagram
-def _anchor_domains(diagram: HeegaardDiagram) -> dict[Generator, tuple[int, ...]]:
-    """D0(g, a) for each generator g that ``solve_domain`` has read so far."""
+def _pair_records(diagram: HeegaardDiagram) -> dict[Generator, tuple[tuple[int, ...], int]]:
+    """(D0(g, a), P(g)) for each generator g that ``solve_domain`` or
+    ``relative_grading`` has read so far, a the anchor of g's class."""
     return {}
+
+
+def _anchor_record(diagram: HeegaardDiagram, g: Generator,
+                   anchor: Generator) -> tuple[tuple[int, ...], int]:
+    """D0(g, a), certified when it is built, and the potential P(g), the
+    grading mu - 2 n_z of D0 (unreduced); the zero vector and 0 at a."""
+    if g == anchor:
+        return (0,) * diagram.n_regions, 0
+    coeffs = _domain_avoiding_z(diagram, g, anchor).coefficients
+    weights = _quarter_weights(diagram, g.vertices + anchor.vertices, -2)
+    return coeffs, _whole(_dot(weights, coeffs), "grading value")
 
 
 @_per_diagram
@@ -377,15 +402,21 @@ def positive_representative(domain: Domain, radius: int = 8) -> Domain:
         t = max(0, -min(coeffs))
         if t > radius:
             raise NoPositiveRepresentative(radius)
-        return domain.translate((t,))
+        return _with_coefficients(domain, tuple([c + t for c in coeffs]) if t else tuple(coeffs))
     # Only the hit becomes a Domain; a rejected candidate is a list.
     for shell in range(radius + 1):
         for combo in itertools.product(range(-shell, shell + 1), repeat=rank):
             if max(map(abs, combo), default=0) == shell:
                 candidate = _combine(coeffs, basis, combo)
                 if min(candidate) >= 0:
-                    return domain._replace(coefficients=tuple(candidate))
+                    return _with_coefficients(domain, tuple(candidate))
     raise NoPositiveRepresentative(radius)
+
+
+def _with_coefficients(domain: Domain, coeffs: tuple[int, ...]) -> Domain:
+    """The domain with the same ends and ``coeffs``, made by tuple.__new__
+    (``_replace`` is a Python-level ``_make``)."""
+    return tuple.__new__(Domain, (domain.diagram, domain.source, domain.target, coeffs))
 
 
 def _coeffs(diagram: HeegaardDiagram, domain) -> Sequence[int]:
@@ -622,17 +653,20 @@ def relative_grading(diagram: HeegaardDiagram, x: Generator, y: Generator) -> in
 
     Independent of the choice of A: two choices differ by a periodic
     class, whose grading value is a multiple of d by construction.  So it
-    is P(x) - P(y) for the potentials of ``_potential``, read once per
-    generator: D0(x, a) followed by D0(a, y) connects x to y, mu and n_z
-    add under juxtaposition, and D0(a, y) grades -P(y) up to the periodic
-    class D0(a, y) + D0(y, a).  Raises ``NoConnectingClassError`` when the
+    is P(x) - P(y) for the potentials that ``solve_domain``'s records
+    (``_pair_records``) keep beside their D0, built once per generator:
+    D0(x, a) followed by D0(a, y) connects x to y, mu and n_z add under
+    juxtaposition, and D0(a, y) grades -P(y) up to the periodic class
+    D0(a, y) + D0(y, a).  Raises ``NoConnectingClassError`` when the
     classes differ.
     """
-    cls = spinc_class_of(diagram, x)
-    if cls.index != spinc_class_of(diagram, y).index:
+    cls, other = _classes_of_pair(diagram, x, y)
+    if cls.index != other.index:
         raise NoConnectingClassError(
             f"{x.display(diagram)} and {y.display(diagram)} lie in different Spin^c classes")
-    value = _potential(diagram, x, cls) - _potential(diagram, y, cls)
+    memo, a = _pair_records(diagram), cls.anchor
+    value = ((memo.get(x) or memo.setdefault(x, _anchor_record(diagram, x, a)))[1]
+             - (memo.get(y) or memo.setdefault(y, _anchor_record(diagram, y, a)))[1])
     return value % cls.divisibility if cls.divisibility else value
 
 
@@ -647,16 +681,14 @@ def _potential(diagram: HeegaardDiagram, g: Generator, cls: SpincClass) -> int:
     ``cls``, reduced mod its divisibility; 0 at the anchor.
 
     Built, and its D0 certified, the first time g is read, then kept in
-    the diagram's cache: at most one int per generator.
+    the diagram's cache: at most one int per generator, and no D0.
     """
     if g == cls.anchor:
         return 0
     memo = _potentials(diagram)
     value = memo.get(g)
     if value is None:
-        coeffs = _domain_avoiding_z(diagram, g, cls.anchor).coefficients
-        weights = _quarter_weights(diagram, g.vertices + cls.anchor.vertices, -2)
-        value = _whole(_dot(weights, coeffs), "grading value")
+        value = _anchor_record(diagram, g, cls.anchor)[1]
         if cls.divisibility:
             value %= cls.divisibility
         memo[g] = value

@@ -217,10 +217,12 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
     an implementation inconsistency, never bad user input.
     """
     coeffs = _coeffs(diagram, domain)
-    if min(coeffs, default=0) < 0:
-        raise ValueError("layer decomposition needs a nonnegative domain")
+    levels = sorted(set(coeffs))  # the sign check reads the least level
+    if levels and levels[0] <= 0:
+        if levels[0]:
+            raise ValueError("layer decomposition needs a nonnegative domain")
+        del levels[0]
     table = _corner_table()
-    levels = sorted(set(coeffs) - {0})
     least = levels[0] if levels else 0
 
     # The one read of each vertex.  Its key is its membership (32 for x, 16

@@ -103,6 +103,9 @@ def curve_systems():
 
 MUTATIONS = ("drop", "repeat", "move", "shuffle", "flip", "basepoint", "directive")
 
+# Circle ids that do not read CURVE.POS+ or CURVE.POS- with a decimal POS.
+MALFORMED_CIRCLE_IDS = ("foo", "a0.x+")
+
 
 def _listed(draw, curves, past_the_end=0):
     """A drawn (curve index, position) in the listings ``curves``; with
@@ -124,8 +127,9 @@ def mutated_inputs(draw, bases):
     A vertex is dropped from one listing, repeated in a listing of its
     family, or moved within its family; a listing is shuffled; a crossing
     sign is flipped; the basepoint locator is redrawn from the input's
-    names; or a region directive gets an unknown or another circle id, a
-    new genus, or ``auto`` (one is added when the input has none).
+    names; or a region directive gets an unknown, another or a malformed
+    (``MALFORMED_CIRCLE_IDS``) circle id, a new genus, or ``auto`` (one is
+    added when the input has none).
     """
     inp = draw(bases)
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
@@ -158,6 +162,7 @@ def mutated_inputs(draw, bases):
             d = directives[i]
             cid = draw(st.sampled_from(inp.curve_names())) + "." + str(
                 draw(st.integers(min_value=0, max_value=4))) + draw(st.sampled_from("+-"))
+            cid = draw(st.sampled_from((cid,) + MALFORMED_CIRCLE_IDS))
             directives[i] = draw(st.sampled_from([
                 d._replace(circles=(d.circles or ()) + (cid,)),
                 d._replace(circles=(cid,) + (d.circles or ())[1:]),

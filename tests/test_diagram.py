@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import sys
 from collections import Counter
 
@@ -18,8 +19,8 @@ from hfcalc.grading import homology_of_Y, spinc_partition
 from conftest import (D2_TEXT, L31_TEXT, S3_TEXT, TWO_FINGER_TEXT, s1s2_plus_pairs_text,
                       s1s2_sum_text)
 from smith_oracle import arc_table
-from strategies import (curve_systems, lists_each_vertex_once, mutated_inputs,
-                        random_curve_system)
+from strategies import (MALFORMED_CIRCLE_IDS, curve_systems, lists_each_vertex_once,
+                        mutated_inputs, random_curve_system)
 
 
 def test_parse_s3_counts():
@@ -610,6 +611,36 @@ MUTATION_BASES = [m.diagram.input for m in (
     build_torus_diagram(2, 1), build_torus_diagram(3, 1), build_torus_diagram(5, 1),
     build_annulus_open_book(-2), build_annulus_open_book(1), build_annulus_open_book(3))]
 MUTATION_BASES += [parse_diagram(s1s2_sum_text(2)), parse_diagram(s1s2_plus_pairs_text(2))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_inputs(st.sampled_from(MUTATION_BASES)))
+def test_circle_id_rewrites_refuse_malformed_ids(inp):
+    """``rename`` and ``reverse_curve`` rewrite each circle id of the region
+    directives; the first malformed one, in directive order, raises a
+    ``DiagramError`` that names it, from either function."""
+    bad = [cid for d in inp.directives for cid in d.circles or () if cid in MALFORMED_CIRCLE_IDS]
+    curve = inp.curve_names()[0]
+    if not bad:
+        rename(inp, curve_map={curve: curve + "r"})
+        return
+    for rewrite in (lambda: rename(inp, curve_map={curve: curve + "r"}),
+                    lambda: reverse_curve(inp, curve)):
+        with pytest.raises(DiagramError, match=re.escape(f"malformed circle id {bad[0]!r}")):
+            rewrite()
+
+
+@pytest.mark.parametrize("cid", MALFORMED_CIRCLE_IDS)
+def test_malformed_circle_id_names_its_line(cid):
+    """A parsed region directive with a malformed circle id: the error
+    names the id and the directive's line, and is a ``ValidationError``."""
+    text = serialize(build_torus_diagram(1, 0).diagram) + f"region r0: genus=0 circles={cid}\n"
+    inp = parse_diagram(text)
+    line = text.splitlines().index(f"region r0: genus=0 circles={cid}") + 1
+    message = f"^line {line}: .*" + re.escape(f"malformed circle id {cid!r}")
+    for rewrite in (lambda: rename(inp, vertex_map={"x0": "y0"}), lambda: reverse_curve(inp, "a0")):
+        with pytest.raises(ValidationError, match=message):
+            rewrite()
 
 
 def _classes_by_name(d):

@@ -766,19 +766,91 @@ def record_d0_builds(monkeypatch):
 ], ids=["openbook6", "s1s2", "d2", "two_finger"])
 def test_relative_grading_builds_one_d0_per_generator(build, monkeypatch):
     """Two passes over every same-class pair build D0 once per non-anchor
-    generator, from it to its anchor, and never for an anchor."""
-    d = build()
+    generator, from it to its anchor, and never for an anchor; so do the
+    same passes after ``solve_domain`` has read every pair, since both read
+    one record per generator."""
     built = record_d0_builds(monkeypatch)
-    first = [relative_grading(d, x, y) for cls in spinc_partition(d)
-             for x in cls.members for y in cls.members]
-    assert built
-    second = [relative_grading(d, x, y) for cls in spinc_partition(d)
-              for x in cls.members for y in cls.members]
-    assert first == second
-    anchors = {cls.anchor for cls in spinc_partition(d)}
-    sources = [x for x, _ in built]
-    assert len(sources) == len(set(sources)) == len(enumerate_generators(d)) - len(anchors)
-    assert all(y == spinc_class_of(d, x).anchor != x for x, y in built)
+    gradings = []
+    for solve_first in (False, True):
+        d = build()
+        built.clear()
+        pairs = [(x, y) for cls in spinc_partition(d) for x in cls.members for y in cls.members]
+        if solve_first:
+            assert all(solve_domain(d, x, y) for x, y in pairs)
+        first = [relative_grading(d, x, y) for x, y in pairs]
+        assert built
+        second = [relative_grading(d, x, y) for x, y in pairs]
+        assert first == second
+        gradings.append(first)
+        anchors = {cls.anchor for cls in spinc_partition(d)}
+        sources = [x for x, _ in built]
+        assert len(sources) == len(set(sources)) == len(enumerate_generators(d)) - len(anchors)
+        assert all(y == spinc_class_of(d, x).anchor != x for x, y in built)
+    assert gradings[0] == gradings[1]
+
+
+def record_certificates(monkeypatch):
+    """The list that each later ``_check_connecting(d, x, y, ...)`` call
+    appends its (x, y) to."""
+    real = grading._check_connecting
+    checked = []
+
+    def counting(diagram, x, y, coeffs):
+        checked.append((x, y))
+        return real(diagram, x, y, coeffs)
+
+    monkeypatch.setattr(grading, "_check_connecting", counting)
+    return checked
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_annulus_open_book(3).diagram,
+    lambda: build_s1s2().diagram,
+], ids=["openbook3", "s1s2"])
+def test_solve_domain_certifies_each_d0_once(build, monkeypatch):
+    """A cold ``solve_domain`` certifies each non-anchor D0 it builds, once,
+    and nothing else; a warm one certifies nothing, since its difference of
+    two certified D0 solves the linear corner system for (x, y)."""
+    d = build()
+    pairs = [(x, y) for cls in spinc_partition(d) for x in cls.members for y in cls.members]
+    built = record_d0_builds(monkeypatch)
+    checked = record_certificates(monkeypatch)
+    domains = []
+    for x, y in pairs:
+        before = len(built)
+        domains.append(solve_domain(d, x, y))
+        assert checked == built and len(built) - before <= 2
+    assert built and len(built) == len(enumerate_generators(d)) - len(spinc_partition(d))
+    checked.clear()
+    for x, y in pairs:
+        solve_domain(d, x, y)
+    assert checked == []
+    assert len(built) == len(enumerate_generators(d)) - len(spinc_partition(d))
+    monkeypatch.undo()
+    assert all(certificate_accepts(d, x, y, dom.coefficients)
+               for (x, y), dom in zip(pairs, domains))
+
+
+def test_a_corrupted_pair_record_is_caught_downstream():
+    """Negative control for the uncertified difference: one coefficient of
+    a non-anchor D0 in the pair records, moved by 1, comes back from
+    ``solve_domain`` off the corner system, and ``maslov_index`` on it and
+    ``audit_index`` on its positive translate raise."""
+    from hfcalc.layers import audit_index
+
+    d = build_annulus_open_book(3).diagram
+    x, anchor = non_anchor_pair(d)
+    assert certificate_accepts(d, x, anchor, solve_domain(d, x, anchor).coefficients)
+    records = grading._pair_records(d)
+    coeffs, potential = records[x]
+    records[x] = ((coeffs[0] + 1,) + coeffs[1:], potential)
+    for source, target in ((x, anchor), (anchor, x)):
+        bad = solve_domain(d, source, target)
+        assert not certificate_accepts(d, source, target, bad.coefficients)
+        with pytest.raises(ConsistencyError, match="corner system"):
+            maslov_index(d, source, target, bad)
+        with pytest.raises(ConsistencyError, match="corner system"):
+            audit_index(d, source, target, positive_representative(bad))
 
 
 def test_label_of_builds_at_most_one_d0(monkeypatch):
@@ -1456,15 +1528,16 @@ def non_anchor_pair(d):
     return next(g for g in cls.members if g != cls.anchor), cls.anchor
 
 
-@pytest.mark.parametrize("query", [
-    grading_table,
-    homology_of_Y,
-    lambda d: relative_grading(d, *non_anchor_pair(d)),
-], ids=["grading_table", "homology_of_Y", "relative_grading"])
-def test_cached_results_do_not_retain_the_diagram(query):
+@pytest.mark.parametrize("query, memo", [
+    (grading_table, "_potentials"),
+    (homology_of_Y, None),
+    (lambda d: relative_grading(d, *non_anchor_pair(d)), "_pair_records"),
+    (lambda d: solve_domain(d, *non_anchor_pair(d)), "_pair_records"),
+], ids=["grading_table", "homology_of_Y", "relative_grading", "solve_domain"])
+def test_cached_results_do_not_retain_the_diagram(query, memo):
     d = build_annulus_open_book(3).diagram
     query(d)
-    assert query is homology_of_Y or grading._potentials(d)  # the memo is filled
+    assert memo is None or getattr(grading, memo)(d)  # the memo is filled
     ref = weakref.ref(d)
     del d
     gc.collect()
