@@ -639,9 +639,8 @@ def serialize(diagram: HeegaardDiagram) -> str:
     curve_len = {name: len(verts) for name, verts in inp.alpha + inp.beta}
 
     def new_dart_name(dart: int) -> str:
-        name = diagram.dart_names[dart]
-        curve, pos = name[:-1].rsplit(".", 1)
-        return f"{curve}.{(int(pos) - offsets[curve]) % curve_len[curve]}{name[-1]}"
+        curve, pos, direction = _circle_id_parts(diagram.dart_names[dart])
+        return f"{curve}.{(pos - offsets[curve]) % curve_len[curve]}{direction}"
 
     special = [r for r in diagram.regions if r.genus > 0 or len(r.faces) > 1]
     entries = []
@@ -653,21 +652,30 @@ def serialize(diagram: HeegaardDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _map_circle_ids(directives: tuple[RegionDirective, ...],
-                    dart: Callable[[str, str, str], tuple]) -> tuple[RegionDirective, ...]:
-    """The directives with each circle id ``CURVE.POS`` + direction rewritten
-    as the (curve, position, direction) that ``dart`` maps its parts to.
+def _circle_id_parts(cid: str) -> tuple[str, int, str] | None:
+    """(curve, position, direction) of a circle id ``CURVE.POS+`` or ``CURVE.POS-``, POS
+    as the dart names write it (decimal, no leading zero); None for any other string."""
+    curve, _, pos = cid[:-1].rpartition(".")
+    if curve and pos.isdecimal() and str(int(pos)) == pos and cid[-1] in "+-":
+        return curve, int(pos), cid[-1]
+    return None
 
-    POS is decimal digits and the direction ``+`` or ``-``; any other id
-    raises ``ValidationError`` naming it and its directive's line.
-    """
+
+def _map_circle_ids(directives: tuple[RegionDirective, ...],
+                    arc: Callable[[str, int], tuple]) -> tuple[RegionDirective, ...]:
+    """The directives with each circle id moved along its arc: ``arc`` sends
+    its (curve, position) to a new (curve, position, reverses), and an arc
+    that reverses swaps the id's direction.  An id that ``_circle_id_parts``
+    does not read raises ``ValidationError`` naming it and its line."""
     def rewrite(d: RegionDirective, cid: str) -> str:
-        curve, _, pos = cid[:-1].rpartition(".")
-        if not (curve and pos.isascii() and pos.isdigit() and cid[-1] in "+-"):
+        parts = _circle_id_parts(cid)
+        if parts is None:
             where = f"line {d.line}: " if d.line is not None else ""
             raise ValidationError(f"{where}region {d.label!r}: malformed circle id {cid!r}; "
                                   "expected CURVE.POS+ or CURVE.POS-")
-        return "{}.{}{}".format(*dart(curve, pos, cid[-1]))
+        curve, pos, reverses = arc(parts[0], parts[1])
+        direction = ("-" if parts[2] == "+" else "+") if reverses else parts[2]
+        return f"{curve}.{pos}{direction}"
 
     return tuple(d if d.circles is None
                  else d._replace(circles=tuple([rewrite(d, cid) for cid in d.circles]))
@@ -680,40 +688,31 @@ def reverse_curve(inp: CurveSystemInput, curve: str) -> CurveSystemInput:
     Reversing a curve's orientation flips the handedness of every crossing
     on it, so the signs of its vertices are flipped along with the listing
     order; the described surface and all grading quantities are unchanged.
-    Arc names on the reversed curve change (arc ``curve.p`` becomes
-    ``curve.(n-2-p mod n)`` with direction flipped), so region directives
-    and the basepoint locator are mapped through that dart bijection; the
-    basepoint stays in the same region.
+    Arc ``curve.p`` becomes ``curve.(n-2-p mod n)`` with direction flipped,
+    and region directives follow it (an id past the last arc is kept).  The
+    basepoint lies beside the arc from its vertex to the next, which now
+    leaves the next vertex with its sides swapped: the locator moves there
+    and changes side.  Other locators are kept for assembly to resolve.
     """
     names = dict(inp.alpha + inp.beta)
     if curve not in names:
         raise KeyError(f"unknown curve {curve!r}")
-    flipped = set(names[curve])
-    n = len(names[curve])
-
-    def map_dart(arc_curve: str, pos: int, direction: str) -> tuple[str, int, str]:
-        if arc_curve != curve:
-            return arc_curve, pos, direction
-        return arc_curve, (n - 2 - pos) % n, ("-" if direction == "+" else "+")
+    verts = names[curve]
+    flipped, n = set(verts), len(verts)
 
     def flip_listing(curves):
         return tuple((nm, tuple(reversed(v)) if nm == curve else v) for nm, v in curves)
 
     signs = {v: (-s if v in flipped else s) for v, s in inp.signs.items()}
-    directives = _map_circle_ids(inp.directives,
-                                 lambda c, pos, direction: map_dart(c, int(pos), direction))
-
-    # Relocate the basepoint: resolve the old locator to a dart, map it,
-    # and express the mapped dart as a locator in the new listings.
+    directives = _map_circle_ids(inp.directives, lambda c, pos: (
+        (c, (n - 2 - pos) % n, True) if c == curve and pos < n else (c, pos, False)))
     bp_curve, bp_vertex, side = inp.basepoint
-    old_pos = names[bp_curve].index(bp_vertex)
-    direction = "+" if side == LEFT_AFTER else "-"
-    c2, p2, d2 = map_dart(bp_curve, old_pos, direction)
-    new_listing = tuple(reversed(names[c2])) if c2 == curve else names[c2]
-    new_bp = (c2, new_listing[p2], LEFT_AFTER if d2 == "+" else RIGHT_AFTER)
-
+    if bp_curve == curve and bp_vertex in flipped:
+        bp_vertex = verts[(verts.index(bp_vertex) + 1) % n]
+        side = RIGHT_AFTER if side == LEFT_AFTER else LEFT_AFTER
     return inp._replace(alpha=flip_listing(inp.alpha), beta=flip_listing(inp.beta),
-                        signs=signs, basepoint=new_bp, directives=directives)
+                        signs=signs, basepoint=(bp_curve, bp_vertex, side),
+                        directives=directives)
 
 
 def rename(inp: CurveSystemInput,
@@ -732,7 +731,7 @@ def rename(inp: CurveSystemInput,
     def do(curves):
         return tuple((c(n, n), tuple(map(v, verts, verts))) for n, verts in curves)
 
-    directives = _map_circle_ids(inp.directives, lambda curve, pos, d: (c(curve, curve), pos, d))
+    directives = _map_circle_ids(inp.directives, lambda curve, pos: (c(curve, curve), pos, False))
     bp_curve, bp_vertex, side = inp.basepoint
     bp = (c(bp_curve, bp_curve), v(bp_vertex, bp_vertex), side)
     # Curve and vertex names live in separate namespaces; the maps collide

@@ -28,9 +28,9 @@ never factored or built as a matrix: it only certifies domains, vertex
 by vertex (``_check_connecting``, and the audit's one vertex pass in
 ``layers``).
 The generators, the factorization, the partition, the periodic domains,
-the potentials, the (D0, potential) records of the pair queries, the
-grading table and H1 are cached on the diagram itself, so each is
-computed once per diagram and lives as long as the diagram does.
+a (D0, potential) record per queried generator, the grading table and H1
+are cached on the diagram itself, so each is computed once per diagram
+and lives as long as the diagram does.
 
 All index quantities are computed exactly:
 
@@ -264,9 +264,7 @@ def solve_domain(diagram: HeegaardDiagram, x: Generator, y: Generator) -> Domain
     cls, other = _classes_of_pair(diagram, x, y)
     if cls.index != other.index:
         return None
-    memo, a = _pair_records(diagram), cls.anchor
-    dx = (memo.get(x) or memo.setdefault(x, _anchor_record(diagram, x, a)))[0]
-    dy = (memo.get(y) or memo.setdefault(y, _anchor_record(diagram, y, a)))[0]
+    dx, dy = _record(diagram, x, cls)[0], _record(diagram, y, cls)[0]
     # Made by tuple.__new__, as namedtuple's _make does: Domain's own
     # __new__ would parse its arguments each time.
     return tuple.__new__(Domain, (diagram, x, y, tuple(map(sub, dx, dy))))
@@ -284,20 +282,29 @@ def _classes_of_pair(diagram: HeegaardDiagram, x: Generator,
 
 @_per_diagram
 def _pair_records(diagram: HeegaardDiagram) -> dict[Generator, tuple[tuple[int, ...], int]]:
-    """(D0(g, a), P(g)) for each generator g that ``solve_domain`` or
-    ``relative_grading`` has read so far, a the anchor of g's class."""
+    """(D0(g, a), P(g)) for each generator g that a one-generator or pair
+    query has read so far (``_record``), a the anchor of g's class; the one
+    per-generator memo, which ``grading_table`` reads and does not fill."""
     return {}
 
 
+def _record(diagram: HeegaardDiagram, g: Generator, cls: SpincClass) -> tuple[tuple[int, ...], int]:
+    """g's record in ``_pair_records``, ``cls`` its class; built when first read."""
+    memo = _pair_records(diagram)
+    return memo.get(g) or memo.setdefault(g, _anchor_record(diagram, g, cls))
+
+
 def _anchor_record(diagram: HeegaardDiagram, g: Generator,
-                   anchor: Generator) -> tuple[tuple[int, ...], int]:
-    """D0(g, a), certified when it is built, and the potential P(g), the
-    grading mu - 2 n_z of D0 (unreduced); the zero vector and 0 at a."""
-    if g == anchor:
+                   cls: SpincClass) -> tuple[tuple[int, ...], int]:
+    """D0(g, a) for the anchor a of g's class ``cls``, certified when it is
+    built, and the potential P(g), the grading mu - 2 n_z of D0 reduced mod
+    the class divisibility; the zero vector and 0 at a."""
+    if g == cls.anchor:
         return (0,) * diagram.n_regions, 0
-    coeffs = _domain_avoiding_z(diagram, g, anchor).coefficients
-    weights = _quarter_weights(diagram, g.vertices + anchor.vertices, -2)
-    return coeffs, _whole(_dot(weights, coeffs), "grading value")
+    coeffs = _domain_avoiding_z(diagram, g, cls.anchor).coefficients
+    weights = _quarter_weights(diagram, g.vertices + cls.anchor.vertices, -2)
+    value = _whole(_dot(weights, coeffs), "grading value")
+    return coeffs, value % cls.divisibility if cls.divisibility else value
 
 
 @_per_diagram
@@ -654,7 +661,7 @@ def relative_grading(diagram: HeegaardDiagram, x: Generator, y: Generator) -> in
     Independent of the choice of A: two choices differ by a periodic
     class, whose grading value is a multiple of d by construction.  So it
     is P(x) - P(y) for the potentials that ``solve_domain``'s records
-    (``_pair_records``) keep beside their D0, built once per generator:
+    (``_record``) keep beside their D0, built once per generator:
     D0(x, a) followed by D0(a, y) connects x to y, mu and n_z add under
     juxtaposition, and D0(a, y) grades -P(y) up to the periodic class
     D0(a, y) + D0(y, a).  Raises ``NoConnectingClassError`` when the
@@ -664,35 +671,8 @@ def relative_grading(diagram: HeegaardDiagram, x: Generator, y: Generator) -> in
     if cls.index != other.index:
         raise NoConnectingClassError(
             f"{x.display(diagram)} and {y.display(diagram)} lie in different Spin^c classes")
-    memo, a = _pair_records(diagram), cls.anchor
-    value = ((memo.get(x) or memo.setdefault(x, _anchor_record(diagram, x, a)))[1]
-             - (memo.get(y) or memo.setdefault(y, _anchor_record(diagram, y, a)))[1])
+    value = _record(diagram, x, cls)[1] - _record(diagram, y, cls)[1]
     return value % cls.divisibility if cls.divisibility else value
-
-
-@_per_diagram
-def _potentials(diagram: HeegaardDiagram) -> dict[Generator, int]:
-    """P(g) for each generator ``_potential`` has read so far."""
-    return {}
-
-
-def _potential(diagram: HeegaardDiagram, g: Generator, cls: SpincClass) -> int:
-    """P(g), the grading mu - 2 n_z of D0(g, a) for the anchor a of g's class
-    ``cls``, reduced mod its divisibility; 0 at the anchor.
-
-    Built, and its D0 certified, the first time g is read, then kept in
-    the diagram's cache: at most one int per generator, and no D0.
-    """
-    if g == cls.anchor:
-        return 0
-    memo = _potentials(diagram)
-    value = memo.get(g)
-    if value is None:
-        value = _anchor_record(diagram, g, cls.anchor)[1]
-        if cls.divisibility:
-            value %= cls.divisibility
-        memo[g] = value
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -718,19 +698,25 @@ def grading_table(diagram: HeegaardDiagram) -> tuple[tuple[Generator, GradingLab
     The offset of g is its potential P(g), the grading of D0(g, anchor),
     0 at the anchor with no domain built; ``relative_grading`` reads the
     same potentials, so label differences within a class realize it.
+    P(g) is read from g's record when a query has built one; otherwise D0
+    is built for P and dropped, so the table keeps no D0 per generator.
     The labels are made class by class; the rows are in generator order.
     """
-    labels = {}
+    records, labels = _pair_records(diagram), {}
     for cls in spinc_partition(diagram):
         for g in cls.members:
-            labels[g] = GradingLabel(cls.index, _potential(diagram, g, cls), cls.divisibility)
+            offset = 0 if g == cls.anchor else (
+                records.get(g) or _anchor_record(diagram, g, cls))[1]
+            labels[g] = GradingLabel(cls.index, offset, cls.divisibility)
     return tuple((g, labels[g]) for g in enumerate_generators(diagram))
 
 
 def label_of(diagram: HeegaardDiagram, g: Generator) -> GradingLabel:
-    """The row of ``grading_table`` for g, with at most one D0 built."""
+    """The row of ``grading_table`` for g, read from g's record (``_record``):
+    it builds at most one D0, and none at an anchor.  To label every
+    generator, use ``grading_table``, which keeps no D0."""
     cls = spinc_class_of(diagram, g)
-    return GradingLabel(cls.index, _potential(diagram, g, cls), cls.divisibility)
+    return GradingLabel(cls.index, _record(diagram, g, cls)[1], cls.divisibility)
 
 
 # ---------------------------------------------------------------------------

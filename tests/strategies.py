@@ -103,8 +103,9 @@ def curve_systems():
 
 MUTATIONS = ("drop", "repeat", "move", "shuffle", "flip", "basepoint", "directive")
 
-# Circle ids that do not read CURVE.POS+ or CURVE.POS- with a decimal POS.
-MALFORMED_CIRCLE_IDS = ("foo", "a0.x+")
+# Circle ids that do not read CURVE.POS+ or CURVE.POS- with POS in decimal
+# digits and no leading zero, as dart names write it.
+MALFORMED_CIRCLE_IDS = ("foo", "a0.x+", "a0.01+")
 
 
 def _listed(draw, curves, past_the_end=0):

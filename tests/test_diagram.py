@@ -523,6 +523,19 @@ def test_reverse_twice_is_identity():
     assert serialize(assemble_regions(double)) == serialize(d)
 
 
+def test_reverse_curve_leaves_an_unresolved_basepoint_to_assembly():
+    """A basepoint locator whose vertex is off its curve, the reversed one
+    or another, passes through ``reverse_curve``; assembly then refuses it
+    as it refuses the input itself."""
+    inp = build_torus_diagram(3, 1).diagram.input
+    for bp_curve in ("a0", "b0"):
+        bad = inp._replace(basepoint=(bp_curve, "nope", inp.basepoint[2]))
+        message = re.escape(f"basepoint locator ({bp_curve}, nope) resolves to nothing")
+        for candidate in (bad, reverse_curve(bad, "a0")):
+            with pytest.raises(ValidationError, match=message):
+                assemble_regions(candidate)
+
+
 @pytest.mark.parametrize("curve", ["a0", "b0"])
 def test_reverse_curve_revalidates(curve):
     d = load_diagram(D2_TEXT)
@@ -641,6 +654,21 @@ def test_malformed_circle_id_names_its_line(cid):
     for rewrite in (lambda: rename(inp, vertex_map={"x0": "y0"}), lambda: reverse_curve(inp, "a0")):
         with pytest.raises(ValidationError, match=message):
             rewrite()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_inputs(st.sampled_from(MUTATION_BASES)), st.data())
+def test_reverse_curve_on_mutated_inputs_raises_only_diagram_errors(inp, data):
+    """``reverse_curve`` on a structurally mutated input returns or raises
+    a ``DiagramError``; reversing twice gives the input back when its
+    listings name each vertex once."""
+    curve = data.draw(st.sampled_from(inp.curve_names()))
+    try:
+        once = reverse_curve(inp, curve)
+    except DiagramError:
+        return
+    if lists_each_vertex_once(inp):
+        assert reverse_curve(once, curve) == inp
 
 
 def _classes_by_name(d):

@@ -869,6 +869,34 @@ def test_label_of_builds_at_most_one_d0(monkeypatch):
     assert dict(grading_table(d))[x] == label
 
 
+def test_pair_queries_then_grading_table_build_each_d0_once(monkeypatch):
+    """On openbook(6), ``relative_grading`` over every same-class pair and
+    then ``grading_table`` build one D0 per non-anchor generator in all:
+    the table reads P from the records the pair queries built.  The table
+    equals that of a fresh load of the same text."""
+    text = serialize(build_annulus_open_book(6).diagram)
+    d = load_diagram(text)
+    built = record_d0_builds(monkeypatch)
+    pairs = [(x, y) for cls in spinc_partition(d) for x in cls.members for y in cls.members]
+    for x, y in pairs:
+        relative_grading(d, x, y)
+    table = grading_table(d)
+    anchors = {cls.anchor for cls in spinc_partition(d)}
+    sources = [x for x, _ in built]
+    assert len(sources) == len(set(sources)) == len(enumerate_generators(d)) - len(anchors) > 0
+    monkeypatch.undo()
+    assert table == grading_table(load_diagram(text))
+
+
+def test_grading_table_alone_keeps_no_d0(monkeypatch):
+    """``grading_table`` on a fresh #^4 S1 x S2 builds a D0 for each of its
+    15 non-anchor generators and keeps none: ``_pair_records`` stays empty."""
+    d = load_diagram(s1s2_sum_text(4))
+    built = record_d0_builds(monkeypatch)
+    assert len(grading_table(d)) == 16 and len(built) == 15
+    assert grading._pair_records(d) == {}
+
+
 def test_label_differences_realize_relative_grading(rational_atlas, irrational_atlas):
     # The labels come from D0, at every b1; the reference grades the corner
     # solve instead.
@@ -1529,7 +1557,7 @@ def non_anchor_pair(d):
 
 
 @pytest.mark.parametrize("query, memo", [
-    (grading_table, "_potentials"),
+    (grading_table, "grading_table"),
     (homology_of_Y, None),
     (lambda d: relative_grading(d, *non_anchor_pair(d)), "_pair_records"),
     (lambda d: solve_domain(d, *non_anchor_pair(d)), "_pair_records"),
