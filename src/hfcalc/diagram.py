@@ -715,16 +715,36 @@ def reverse_curve(inp: CurveSystemInput, curve: str) -> CurveSystemInput:
                         directives=directives)
 
 
+def _unwritable(names: list, refused: tuple[str, ...]) -> bool:
+    """Whether the text format cannot carry one of ``names``: one that is not
+    a non-empty ``str``, or holds whitespace or ``#``, or, with a space after
+    each name, one of ``refused``.  The names are checked joined, in C-level
+    ``str`` calls; ``split`` cuts at exactly the whitespace the parser does."""
+    try:
+        text = " ".join(names) + " "
+    except TypeError:
+        return True
+    return text.split() != names or "#" in text or any(map(text.__contains__, refused))
+
+
 def rename(inp: CurveSystemInput,
            vertex_map: Mapping[str, str] | None = None,
            curve_map: Mapping[str, str] | None = None) -> CurveSystemInput:
     """Rename vertices and/or curves; the diagram is unchanged otherwise.
 
     Maps may be partial; both must be injective on the names they touch.
-    Region directives are rewritten (circle ids mention curve names).
+    Region directives are rewritten (circle ids mention curve names).  A
+    new name that the text format cannot carry raises ``ValidationError``:
+    one that is not a non-empty ``str``, or holds whitespace or ``#``, a
+    vertex name ending in a sign or a curve name holding ``:``.
     """
     vmap = dict(vertex_map or {})
     cmap = dict(curve_map or {})
+    for kind, names, refused in (("vertex", vmap, ("+ ", "- ")), ("curve", cmap, (":",))):
+        if _unwritable(list(names.values()), refused):
+            old, new = next(item for item in names.items() if _unwritable([item[1]], refused))
+            raise ValidationError(f"{kind}_map renames {old!r} to {new!r}, which the "
+                                  f"text format cannot carry as a {kind} name")
     # Each name maps to itself unless the map lists it: map(v, names, names).
     v, c = vmap.get, cmap.get
 

@@ -16,14 +16,13 @@ of levels c' + 1, ..., c between two consecutive distinct multiplicities
 c' < c hold the same regions, arcs and clusters.  A domain is therefore
 classified once per run of levels between distinct multiplicities, so the
 work grows with the number of distinct multiplicities, not with the
-largest one.  ``audit_index`` builds no clusters; it counts them.  Which
-clusters a vertex has at a layer depends only on which of its quadrants
-the layer includes and on its membership in x and y, so the audit looks
-up each vertex's counts in a 64-row table indexed by membership |
-quadrant mask, built from the run lengths of each mask at the first
-audit.  The same row counts the arc ends its clusters touch,
-and the layer's arcs are half the sum of those ends, so the audit reads
-every count off the quadrants at each vertex and lists no arcs.
+largest one.  ``audit_index`` builds no clusters and lists no arcs.
+What a vertex adds to a layer's report depends only on which of its
+quadrants the layer includes and on its membership in x and y, so the
+audit sums rows of a 64-row table indexed by membership | quadrant mask:
+each row holds the vertex's part of chi in half units (clusters count 2,
+the arc ends they touch -1 each, as every arc has two ends), its corner
+counts by kind, and its part of the layer index in quarter units.
 
 The audit reads each vertex's four quadrant multiplicities once.  One
 pass over the vertices forms each vertex's key (its membership and, for
@@ -130,41 +129,29 @@ class AuditReport(NamedTuple):
     single_layer_identity: bool | None  # None when hypotheses do not apply
 
 
-class _CornerCounts(NamedTuple):
-    """What ``audit_index`` counts of one vertex's clusters at one layer."""
-
-    clusters: int
-    ends: int  # arc ends the clusters touch: k + 1 for k < 4 quadrants, 4 for all four
-    convex: int
-    concave: int
-    boundary_degenerate: int
-    interior_degenerate: int
-    auxiliary: int
-    included: int  # included quadrants, once for each of x and y holding the vertex
-
-
 @functools.cache
-def _corner_table() -> tuple[_CornerCounts, ...]:
-    """The corner counts of every vertex and layer, indexed by membership |
-    mask.
+def _corner_table() -> tuple[tuple[int, ...], ...]:
+    """What one vertex adds to a layer's report, by membership | mask.
 
     membership is 16 (2 in_x + in_y), and bit q of mask is set when
     quadrant q is in the layer, that is m_q >= level.  The clusters are
-    the cyclic runs of set bits (mask 15 is one run of 4), and each row
-    counts them by length: runs of 1 are convex and runs of 3 concave;
-    at a vertex in both x and y the runs shorter than 4 are boundary
-    degenerate and a run of 4 interior degenerate; at a vertex in neither,
-    the convex and concave runs are auxiliary.  (The auxiliary corners'
-    sign is the vertex's pair sign, taken from its own multiplicities.)
-    Built on the first audit.
-
-    ``ends`` counts the layer's arc ends at the vertex.  An arc is in the
-    layer when one of its sides is, and near an end its sides are the two
+    the cyclic runs of set bits (mask 15 is one run of 4): runs of 1 are
+    convex and runs of 3 concave; at a vertex in both x and y the runs
+    shorter than 4 are boundary degenerate and a run of 4 interior
+    degenerate; at a vertex in neither, the convex and concave runs are
+    auxiliary, signed by the vertex's pair sign.  Each row is (h, convex,
+    concave, boundary degenerate, interior degenerate, auxiliary, 2 h -
+    convex + concave + included) for h = 2 clusters - ends: the vertex's
+    part of the layer's chi in half units, its corner counts, and its part
+    of 4 (e + n_x + n_y), the layer index in quarter units.  ``included``
+    counts the included quadrants once for each of x and y holding the
+    vertex, and ``ends`` the layer's arc ends at the vertex.  An arc is in
+    the layer when one of its sides is, and near an end its sides are the
     quadrants on either side of that half-edge.  A cluster of k < 4
     consecutive quadrants touches the k + 1 half-edges around it, a full
-    vertex touches all 4, and two clusters touch no half-edge in common,
-    since an excluded quadrant separates them.  Summed over the vertices,
-    the ends count each arc of the layer twice.
+    vertex all 4, and two clusters none in common, since an excluded
+    quadrant separates them.  Summed over the vertices, the ends count
+    each arc of the layer twice.  Built on the first audit.
     """
     rows = []
     for index in range(64):
@@ -175,10 +162,10 @@ def _corner_table() -> tuple[_CornerCounts, ...]:
         runs = [len(run) for run in (bits[cut:] + bits[:cut]).split("0") if run]
         convex, concave, full = runs.count(1), runs.count(3), runs.count(4)
         both, neither = in_x & in_y, not (in_x or in_y)
-        rows.append(_CornerCounts(
-            len(runs), sum(min(k + 1, 4) for k in runs), convex, concave,
-            (len(runs) - full) * both, full * both, (convex + concave) * neither,
-            bits.count("1") * (in_x + in_y)))
+        half_chi = 2 * len(runs) - sum(min(k + 1, 4) for k in runs)
+        rows.append((half_chi, convex, concave, (len(runs) - full) * both, full * both,
+                     (convex + concave) * neither,
+                     2 * half_chi - convex + concave + bits.count("1") * (in_x + in_y)))
     return tuple(rows)
 
 
@@ -207,14 +194,15 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
     region-linearly and so independently of the layer counts.  It
     keeps for the later runs only the vertices whose largest quadrant is
     above c; each later run keeps those whose largest quadrant reaches its
-    last level, and masks them by m_q >= its first level.  chi(F_l) is the
-    number of clusters, minus the layer's arcs (half the clusters' arc
-    ends), plus the regions' chi.  The report still holds one
-    ``LayerReport`` per level.  Raises ``ValueError`` on a negative domain,
-    then ``ConsistencyError`` when the domain is off the corner system for
-    (x, y) or its index is not an integer, as ``maslov_index`` does, and
-    ``AuditError`` when an identity fails; a failed identity signals
-    an implementation inconsistency, never bad user input.
+    last level, and masks them by m_q >= its first level.  A run's chi is
+    half the rows' half-unit sum plus the regions' chi, and its quarter
+    index the rows' quarter sum plus 4 times the regions' chi.  The report
+    holds one ``LayerReport`` per level.  Raises ``ValueError`` on a
+    negative domain, then ``ConsistencyError`` when the domain is off the
+    corner system for (x, y) or its index is not an integer, as
+    ``maslov_index`` does, and ``AuditError`` when a layer's half-unit chi
+    is odd or an identity fails, an implementation inconsistency, never
+    bad user input.
     """
     coeffs = _coeffs(diagram, domain)
     levels = sorted(set(coeffs))  # the sign check reads the least level
@@ -286,23 +274,25 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
             for _, (m0, m1, m2, m3), key in later:
                 key |= (m0 >= first) | (m1 >= first) << 1 | (m2 >= first) << 2 | (m3 >= first) << 3
                 counts[key] = counts.get(key, 0) + 1
-        clusters = ends = convex = concave = bdeg = ideg = auxiliary = aux_signed = included = 0
+        half = convex = concave = bdeg = ideg = auxiliary = aux_signed = layer_quarters = 0
         for key, n in counts.items():
-            row, pair_sign = table[key & 63], -1 if key & 64 else 1
-            clusters += n * row.clusters
-            ends += n * row.ends
-            convex += n * row.convex
-            concave += n * row.concave
-            bdeg += n * row.boundary_degenerate
-            ideg += n * row.interior_degenerate
-            auxiliary += n * row.auxiliary
-            aux_signed += n * row.auxiliary * pair_sign
-            included += n * row.included
+            h, p, q, b, i, a, four = table[key & 63]
+            half += n * h
+            convex += n * p
+            concave += n * q
+            bdeg += n * b
+            ideg += n * i
+            auxiliary += n * a
+            aux_signed += -n * a if key & 64 else n * a
+            layer_quarters += n * four
+        if half & 1:  # every arc of the layer has two ends
+            raise AuditError(f"level {first}: chi in half units {half} is odd")
         degenerate_present = degenerate_present or bool(bdeg or ideg)
         auxiliary_present = auxiliary_present or bool(auxiliary)
         # The run's regions are those of multiplicity >= last.
-        chi = clusters - ends // 2 + sum(compress(diagram.region_chi, map(last.__le__, coeffs)))
-        layer_quarters = 4 * chi - convex + concave + included
+        region_chi = sum(compress(diagram.region_chi, map(last.__le__, coeffs)))
+        chi = half // 2 + region_chi
+        layer_quarters += 4 * region_chi
         quarters += layer_quarters * (last - first + 1)
         # One report per level, made by tuple.__new__ as namedtuple's _make
         # does: LayerReport's own __new__ would parse its arguments each time.

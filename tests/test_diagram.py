@@ -576,6 +576,63 @@ def test_rename_collision():
     assert rename(d.input, vertex_map={"x0": "a0"}).signs.keys() == {"a0", "x1", "x2"}
 
 
+# New names that the text format cannot carry.  Unchecked, each one
+# assembles and serializes to text that ``load_diagram`` refuses, the first
+# with "line 4: beta vertex 'x0+' must not carry a sign".
+UNWRITABLE_RENAMES = [
+    ({"x0": "x0+"}, None), ({"x0": "a b"}, None), ({"x0": "x#1"}, None), ({"x0": ""}, None),
+    (None, {"a0": "a:0"}), (None, {"a0": "a 0"}), (None, {"b0": "#b"})]
+
+
+@pytest.mark.parametrize("vertex_map, curve_map", UNWRITABLE_RENAMES + [
+    ({"x1": "x1-"}, None), ({"x1": 7}, None), (None, {"b0": "b\tc"}), (None, {"b0": None})])
+def test_rename_refuses_names_the_text_format_cannot_carry(vertex_map, curve_map):
+    inp = build_torus_diagram(3, 1).diagram.input
+    ((old, new),) = (vertex_map or curve_map).items()
+    kind = "vertex" if vertex_map else "curve"
+    with pytest.raises(ValidationError, match=re.escape(f"{kind}_map renames {old!r} to {new!r}")):
+        rename(inp, vertex_map, curve_map)
+
+
+RENAME_BASES = [m.diagram for m in (
+    build_torus_diagram(3, 1), build_s1s2(), build_annulus_open_book(2))]
+RENAME_BASES += [stabilize(RENAME_BASES[0])[0].diagram, load_diagram(s1s2_plus_pairs_text(2))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RENAME_BASES), st.data())
+def test_rename_refuses_or_round_trips(d, data):
+    """A rename to names drawn with signs, ``:``, ``.`` and non-ASCII inside
+    them, one of them perhaps replaced by a name with whitespace, ``#``, a
+    trailing sign, ``:`` or no name at all, either raises
+    ``ValidationError`` or serializes to text that reloads with the new
+    names; without the replacement it never raises."""
+    vertices, curves = sorted(d.input.signs), d.input.curve_names()
+    vertex_names = st.text("ab0.:+-\u00e9", max_size=3).map(lambda s: s + "v")
+    curve_names = st.text("ab0.+-\u00e9", min_size=1, max_size=4)
+    new = data.draw(st.lists(vertex_names, min_size=len(vertices), max_size=len(vertices),
+                             unique=True))
+    new += data.draw(st.lists(curve_names, min_size=len(curves), max_size=len(curves),
+                              unique=True))
+    spoil = data.draw(st.none() | st.integers(min_value=0, max_value=len(new) - 1))
+    if spoil is not None:
+        new[spoil] = data.draw(st.text("ab0+-:#. \t\u2028", max_size=3) | st.integers())
+    vmap, cmap = dict(zip(vertices, new)), dict(zip(curves, new[len(vertices):]))
+    if len(set(vmap.values())) < len(vmap) or len(set(cmap.values())) < len(cmap):
+        return  # a collision, which raises ValueError
+    try:
+        inp = rename(d.input, vmap, cmap)
+    except ValidationError:
+        assert spoil is not None
+        return
+    back = load_diagram(serialize(assemble_regions(inp))).input
+    assert back.signs == inp.signs
+    assert back.basepoint == inp.basepoint
+    for family in ("alpha", "beta"):
+        assert ({name: set(verts) for name, verts in getattr(back, family)}
+                == {name: set(verts) for name, verts in getattr(inp, family)})
+
+
 ATLAS_TEXTS = [serialize(m.diagram) for m in (
     build_torus_diagram(1, 0), build_torus_diagram(3, 1), build_torus_diagram(5, 2),
     build_s1s2(), build_annulus_open_book(-2), build_annulus_open_book(2),

@@ -228,14 +228,16 @@ def test_each_run_of_identical_layers_is_classified_once(s1s2, monkeypatch):
 
 def test_corner_table_matches_classify_corner():
     # Every multiplicity pattern in {0, ..., 3}^4 at levels 1-3, in each
-    # membership: the row at membership | mask, with the auxiliary sign
-    # taken as the row's count times the vertex's pair sign, counts what
-    # ``classify_corner`` returns on the multiplicities themselves.  The
-    # arc ends are counted half-edge by half-edge: the half-edge in
-    # rotation slot q lies between quadrants q - 1 and q, and its arc is
-    # in the layer when either of them is.
+    # membership: every column of the row at membership | mask is derived
+    # from what ``classify_corner`` returns on the multiplicities
+    # themselves, and the auxiliary column times the vertex's pair sign is
+    # the auxiliary corners' signed count.  The arc ends are counted
+    # half-edge by half-edge: the half-edge in rotation slot q lies between
+    # quadrants q - 1 and q, and its arc is in the layer when either of
+    # them is.
     table = _corner_table()
     assert len(table) == 64
+    assert all(type(row) is tuple and all(type(c) is int for c in row) for row in table)
     for mults in itertools.product(range(4), repeat=4):
         for level in (1, 2, 3):
             mask = sum(1 << q for q in range(4) if mults[q] >= level)
@@ -245,12 +247,15 @@ def test_corner_table_matches_classify_corner():
                 kinds = [c.kind for c in out]
                 shapes = [c.shape for c in out]
                 ends = sum(mults[q - 1] >= level or mults[q] >= level for q in range(4))
+                convex, concave = shapes.count(CONVEX), shapes.count(CONCAVE)
+                included = sum(m >= level for m in mults) * (in_x + in_y)
+                half_chi = 2 * len(out) - ends
                 expected = (
-                    len(out), ends, shapes.count(CONVEX), shapes.count(CONCAVE),
+                    half_chi, convex, concave,
                     kinds.count(BOUNDARY_DEGENERATE), kinds.count(INTERIOR_DEGENERATE),
-                    kinds.count(AUXILIARY), sum(m >= level for m in mults) * (in_x + in_y))
-                assert tuple(row) == expected, (mults, level, in_x, in_y)
-                assert (row.auxiliary * _pair_sign(mults)
+                    kinds.count(AUXILIARY), 2 * half_chi - convex + concave + included)
+                assert row == expected, (mults, level, in_x, in_y)
+                assert (row[5] * _pair_sign(mults)
                         == sum(c.sign for c in out if c.kind == AUXILIARY))
 
 
@@ -370,8 +375,8 @@ def test_audit_error_paths(s1s2, atlas_suite, two_finger, monkeypatch):
     # The audit's own checks, reached through its inputs with no audit code
     # replaced.  A nonnegative domain off the corner system fails in the
     # audit's vertex pass, before any identity is audited; a negative domain
-    # fails before that.  A corner table with one quadrant too many puts a
-    # layer a quarter off per vertex, and a corner pair more breaks the
+    # fails before that.  A corner table with a quarter more index per row
+    # puts a layer a quarter off per vertex, and a corner pair more breaks the
     # single-layer identity; one vertex's quadrants turned by one slot, at a
     # vertex in neither or both generators, keep the corner system and the
     # layers but negate that vertex's boundary term.
@@ -388,14 +393,15 @@ def test_audit_error_paths(s1s2, atlas_suite, two_finger, monkeypatch):
         audit_index(s1s2, x, y, negative)
 
     # Every vertex of the bigon's one layer (its two corners) counted with
-    # one quadrant too many, or with one convex and one concave corner more.
+    # a quarter too much index, or with one convex and one concave corner
+    # more (columns 6, and 1 and 2, of the corner table).
     table = _corner_table()
     assert audit_index(s1s2, x, y, pos).single_layer_identity is True
     for change, message in [
-            ({"included": 1}, "layer index sum 3/2 differs from Maslov index 1"),
-            ({"convex": 1, "concave": 1}, "single-layer identity failed: chi 1 + q 2 != mu 1")]:
+            ({6: 1}, "layer index sum 3/2 differs from Maslov index 1"),
+            ({1: 1, 2: 1}, "single-layer identity failed: chi 1 + q 2 != mu 1")]:
         def perturbed():
-            return tuple(row._replace(**{f: getattr(row, f) + n for f, n in change.items()})
+            return tuple(tuple(c + change.get(j, 0) for j, c in enumerate(row))
                          if i & 15 else row for i, row in enumerate(table))
         with monkeypatch.context() as m:
             m.setattr("hfcalc.layers._corner_table", perturbed)
@@ -421,6 +427,34 @@ def test_audit_error_paths(s1s2, atlas_suite, two_finger, monkeypatch):
                         audit_index(d, x, y, coeffs)
                 turned += 1
     assert turned >= 10
+
+
+def test_audit_refuses_an_odd_half_chi(s1s2, monkeypatch):
+    # Every arc of a layer has two ends, so a layer's chi in half units sums
+    # to an even number.  The bigon of s1s2 plus 2 has two runs, levels 1-2
+    # and level 3, with its two vertices under distinct keys in each; one
+    # present key's half chi made odd must raise, naming the run's level.
+    x, y = enumerate_generators(s1s2)
+    coeffs = [c + 2 for c in positive_representative(solve_domain(s1s2, x, y)).coefficients]
+    table = _corner_table()
+    keys = []
+
+    class RecordingTable(tuple):
+        def __getitem__(self, index):
+            keys.append(index)
+            return tuple.__getitem__(self, index)
+
+    with monkeypatch.context() as m:
+        m.setattr("hfcalc.layers._corner_table", lambda: RecordingTable(table))
+        audit_index(s1s2, x, y, coeffs)
+    assert len(keys) == 4 and len(set(keys)) == 4
+    for key, level in zip(keys, (1, 1, 3, 3)):
+        odd = tuple((row[0] + 1, *row[1:]) if i == key else row for i, row in enumerate(table))
+        with monkeypatch.context() as m:
+            m.setattr("hfcalc.layers._corner_table", lambda: odd)
+            message = f"^level {level}: chi in half units -?\\d+ is odd$"
+            with pytest.raises(AuditError, match=message):
+                audit_index(s1s2, x, y, coeffs)
 
 
 def test_audit_reads_the_vertices_in_one_pass(s1s2, two_finger, atlas_suite, monkeypatch):
