@@ -614,9 +614,15 @@ def serialize(diagram: HeegaardDiagram) -> str:
 
     Re-parsing the output yields the same diagram (vertex and curve names
     preserved; arc positions and region labels are derived data and may
-    shift consistently).
+    shift consistently).  A name that the text format cannot carry, which
+    a ``CurveSystemInput`` built directly may hold, raises
+    ``ValidationError`` naming it (see ``rename``).
     """
     inp = diagram.input
+    for (kind, refused), names in zip(_REFUSED, (list(inp.signs), list(inp.curve_names()))):
+        if _unwritable(names, refused):
+            name = next(n for n in names if _unwritable([n], refused))
+            raise ValidationError(f"the text format cannot carry the {kind} name {name!r}")
     offsets: dict[str, int] = {}
     lines = ["heegaard v1", f"genus: {inp.genus}"]
 
@@ -715,6 +721,11 @@ def reverse_curve(inp: CurveSystemInput, curve: str) -> CurveSystemInput:
                         directives=directives)
 
 
+# What each kind of name may not hold, as ``_unwritable`` reads it: a vertex
+# name may not end in a crossing sign, and a curve name may not hold ``:``.
+_REFUSED = (("vertex", ("+ ", "- ")), ("curve", (":",)))
+
+
 def _unwritable(names: list, refused: tuple[str, ...]) -> bool:
     """Whether the text format cannot carry one of ``names``: one that is not
     a non-empty ``str``, or holds whitespace or ``#``, or, with a space after
@@ -740,7 +751,7 @@ def rename(inp: CurveSystemInput,
     """
     vmap = dict(vertex_map or {})
     cmap = dict(curve_map or {})
-    for kind, names, refused in (("vertex", vmap, ("+ ", "- ")), ("curve", cmap, (":",))):
+    for (kind, refused), names in zip(_REFUSED, (vmap, cmap)):
         if _unwritable(list(names.values()), refused):
             old, new = next(item for item in names.items() if _unwritable([item[1]], refused))
             raise ValidationError(f"{kind}_map renames {old!r} to {new!r}, which the "

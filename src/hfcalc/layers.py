@@ -24,20 +24,27 @@ each row holds the vertex's part of chi in half units (clusters count 2,
 the arc ends they touch -1 each, as every arc has two ends), its corner
 counts by kind, and its part of the layer index in quarter units.
 
+The levels 1, ..., f up to the domain's floor f = min(D) >= 0 are the
+whole surface: every vertex includes all four quadrants (mask 15), so
+that run's keys are counted from the generators alone, one count per
+membership, with no vertex scan.  Adding k copies of the surface class
+raises the floor by k and leaves the rest of the audit as it was.
+
 The audit reads each vertex's four quadrant multiplicities once.  One
 pass over the vertices forms each vertex's key (its membership and, for
-a vertex in neither or both generators, the sign of its corner pairs),
-checks the corner system m0 - m1 + m2 - m3 = [v in x] - [v in y] there
-(the certificate of ``grading._check_connecting``), sums the quadrant
-multiplicities at the vertices of x and of y for the Maslov index,
-counts both sides of the third identity below, and counts the first
-run's table keys directly: at the levels 1, ..., c of the least positive
-multiplicity c, a layer holds exactly the quadrants of positive
-multiplicity.  The pass keeps for the later runs only the vertices with
-a quadrant above c; the other vertices are absent from every layer above
-c.  Layer indices are counted in integer quarter units and become a
-``Fraction`` only when returned, and their sum is compared with four
-times the Maslov index as integers.  The index is formed region-linearly,
+a vertex in neither generator, the sign of its corner pairs), checks
+the corner system m0 - m1 + m2 - m3 = [v in x] - [v in y] there (the
+certificate of ``grading._check_connecting``), sums the quadrant
+multiplicities at the vertices of x and of y for the Maslov index, and
+counts both sides of the third identity below.  Only a vertex with a
+quadrant above the floor is masked: at the levels f + 1, ..., c of the
+least coefficient c above the floor, a layer holds exactly the
+quadrants above f, so the pass counts that run's keys directly, and it
+keeps for the later runs only the vertices with a quadrant above c; the
+other vertices are absent from every layer above c.  Layer indices are
+counted in integer quarter units and become a ``Fraction`` only when
+returned, and their sum is compared with four times the Maslov index as
+integers.  The index is formed region-linearly,
 as ``maslov_index`` forms it: 4 mu = 4 e(D), from the region weights, plus
 4 n_x + 4 n_y from the pass.  The layer indices are counted on the layers,
 not from those weights, so the first identity below still compares two
@@ -183,20 +190,23 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
 
     Statistics are taken once per run of identical layers, by counting
     ``_corner_table`` keys of the vertices present, and counted once per
-    level of the run.  One pass over the vertices reads each vertex's
+    level of the run.  The run of levels 1, ..., f up to the floor f =
+    min(D) is the whole surface, so its keys are membership | 15, counted
+    from the generators.  One pass over the vertices reads each vertex's
     quadrant multiplicities once: it forms the vertex's key, counts both
-    sides of n_x - n_y = d_alpha D . d_beta D, and counts the first run's
-    keys directly, since at the levels 1, ..., c of the least positive
-    coefficient c quadrant q is in the layer exactly when m_q > 0.  The
-    same pass checks the corner system at the vertex and adds its quadrant
-    multiplicities to 4 (n_x + n_y), twice at a vertex of both x and y;
-    with 4 e(D) from the region weights that is 4 mu, computed
-    region-linearly and so independently of the layer counts.  It
-    keeps for the later runs only the vertices whose largest quadrant is
-    above c; each later run keeps those whose largest quadrant reaches its
-    last level, and masks them by m_q >= its first level.  A run's chi is
-    half the rows' half-unit sum plus the regions' chi, and its quarter
-    index the rows' quarter sum plus 4 times the regions' chi.  The report
+    sides of n_x - n_y = d_alpha D . d_beta D, checks the corner system at
+    the vertex and adds its quadrant multiplicities to 4 (n_x + n_y),
+    twice at a vertex of both x and y; with 4 e(D) from the region weights
+    that is 4 mu, computed region-linearly and so independently of the
+    layer counts.  Only at a vertex with a quadrant above f does the pass
+    count the key of the first run above the floor, levels f + 1, ..., c
+    for the least coefficient c above f, where quadrant q is in the layer
+    exactly when m_q > f.  It keeps for the later runs only the vertices
+    whose largest quadrant is above c; each later run keeps those whose
+    largest quadrant reaches its last level, and masks them by m_q >= its
+    first level.  A run's chi is half the rows' half-unit sum plus the
+    regions' chi, and its quarter index the rows' quarter sum plus 4 times
+    the regions' chi.  The report
     holds one ``LayerReport`` per level.  Raises ``ValueError`` on a
     negative domain, then ``ConsistencyError`` when the domain is off the
     corner system for (x, y) or its index is not an integer, as
@@ -205,29 +215,28 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
     bad user input.
     """
     coeffs = _coeffs(diagram, domain)
-    levels = sorted(set(coeffs))  # the sign check reads the least level
-    if levels and levels[0] <= 0:
-        if levels[0]:
-            raise ValueError("layer decomposition needs a nonnegative domain")
-        del levels[0]
+    levels = sorted(set(coeffs))  # the sign check reads the floor
+    floor = levels.pop(0) if levels else 0
+    if floor < 0:
+        raise ValueError("layer decomposition needs a nonnegative domain")
     table = _corner_table()
-    least = levels[0] if levels else 0
+    least = levels[0] if levels else floor  # the last level of the first run above the floor
 
     # The one read of each vertex.  Its key is its membership (32 for x, 16
     # for y), plus 64 when its pair sign is negative: only a vertex in
-    # neither or both generators has auxiliary corners, and its pair sign
-    # is -1 exactly when its two jumps m1 - m0 and m3 - m0 have opposite
-    # signs.  The same read checks the corner system, m0 - m1 + m2 - m3 is
-    # 1 at x, -1 at y and 0 elsewhere, and counts in quarter units 4 n_x +
-    # 4 n_y for the Maslov index and both sides of n_x - n_y = d_alpha D .
-    # d_beta D (module docstring), and the key with its mask at the first
-    # run.
+    # neither generator has auxiliary corners, and its pair sign is -1
+    # exactly when its two jumps m1 - m0 and m3 - m0 have opposite signs.
+    # The same read checks the corner system, m0 - m1 + m2 - m3 is 1 at x,
+    # -1 at y and 0 elsewhere, and counts in quarter units 4 n_x + 4 n_y for
+    # the Maslov index and both sides of n_x - n_y = d_alpha D . d_beta D
+    # (module docstring).  A vertex with a quadrant above the floor adds its
+    # key and mask to the first run above the floor.
     membership = [0] * diagram.n_vertices
     for v in x.vertices:
         membership[v] = 32
     for v in y.vertices:
         membership[v] |= 16
-    counts: dict[int, int] = {}
+    above: dict[int, int] = {}
     later = []
     n_x_plus_n_y = n_xy = boundary = 0
     for key, (q0, q1, q2, q3) in zip(membership, diagram.quadrants):
@@ -250,30 +259,40 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
                 raise _off_the_corner_system()
             if key:  # in both x and y, so counted for each
                 n_x_plus_n_y += 2 * (m0 + m1 + m2 + m3)
-            if (m1 - m0) * (m3 - m0) < 0:
-                key |= 64
+            elif (m1 - m0) * (m3 - m0) < 0:
+                key = 64
         a, b = m0 - m2, m1 - m3
         boundary += b * b - a * a
-        mask = (m0 > 0) | (m1 > 0) << 1 | (m2 > 0) << 2 | (m3 > 0) << 3
-        if mask:
-            counts[key | mask] = counts.get(key | mask, 0) + 1
+        if m0 > floor or m1 > floor or m2 > floor or m3 > floor:
+            mask = (m0 > floor) | (m1 > floor) << 1 | (m2 > floor) << 2 | (m3 > floor) << 3
+            above[key | mask] = above.get(key | mask, 0) + 1
             if m0 > least or m1 > least or m2 > least or m3 > least:
                 later.append((max(m0, m1, m2, m3), (m0, m1, m2, m3), key))
 
     mu = _whole(_dot(_base_weights(diagram), coeffs) + n_x_plus_n_y, "Maslov index")
 
+    # The levels 1, ..., floor are the whole surface: every vertex has mask
+    # 15, where the pair sign adds nothing, so that run's keys are counted
+    # from the generators alone.
+    if floor:
+        levels.insert(0, floor)
+        counts = {m | 15: n for m in (0, 16, 32, 48) if (n := membership.count(m))}
+    else:
+        counts = above
     reports = []
     quarters = 0
     degenerate_present = False
     auxiliary_present = False
     first = 1
     for last in levels:
-        if first > 1:
+        if first > floor + 1:
             later = [t for t in later if t[0] >= last]
             counts = {}
             for _, (m0, m1, m2, m3), key in later:
                 key |= (m0 >= first) | (m1 >= first) << 1 | (m2 >= first) << 2 | (m3 >= first) << 3
                 counts[key] = counts.get(key, 0) + 1
+        elif first > 1:
+            counts = above
         half = convex = concave = bdeg = ideg = auxiliary = aux_signed = layer_quarters = 0
         for key, n in counts.items():
             h, p, q, b, i, a, four = table[key & 63]
@@ -294,11 +313,12 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
         chi = half // 2 + region_chi
         layer_quarters += 4 * region_chi
         quarters += layer_quarters * (last - first + 1)
+        index = _quarters(layer_quarters)
         # One report per level, made by tuple.__new__ as namedtuple's _make
         # does: LayerReport's own __new__ would parse its arguments each time.
-        report = (chi, convex, concave, bdeg, ideg, aux_signed, _quarters(layer_quarters))
-        reports += [tuple.__new__(LayerReport, (level, *report))
-                    for level in range(first, last + 1)]
+        for level in range(first, last + 1):
+            reports.append(tuple.__new__(LayerReport, (level, chi, convex, concave, bdeg, ideg,
+                                                       aux_signed, index)))
         first = last + 1
 
     if quarters != 4 * mu:
@@ -316,5 +336,5 @@ def audit_index(diagram: HeegaardDiagram, x: Generator, y: Generator,
                          f"d_alpha D . d_beta D = {_quarters(boundary)}")
 
     side = _quarters(n_xy)  # both sides, equal
-    return AuditReport(tuple(reports), _quarters(4 * mu), mu, coeffs[diagram.basepoint_region],
-                       side, side, single)
+    return tuple.__new__(AuditReport, (tuple(reports), _quarters(4 * mu), mu,
+                                       coeffs[diagram.basepoint_region], side, side, single))

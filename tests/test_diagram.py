@@ -5,6 +5,7 @@ import random
 import re
 import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -577,8 +578,8 @@ def test_rename_collision():
 
 
 # New names that the text format cannot carry.  Unchecked, each one
-# assembles and serializes to text that ``load_diagram`` refuses, the first
-# with "line 4: beta vertex 'x0+' must not carry a sign".
+# assembles, and written out unchecked it would be text that ``load_diagram``
+# refuses, the first with "line 4: beta vertex 'x0+' must not carry a sign".
 UNWRITABLE_RENAMES = [
     ({"x0": "x0+"}, None), ({"x0": "a b"}, None), ({"x0": "x#1"}, None), ({"x0": ""}, None),
     (None, {"a0": "a:0"}), (None, {"a0": "a 0"}), (None, {"b0": "#b"})]
@@ -599,14 +600,12 @@ RENAME_BASES = [m.diagram for m in (
 RENAME_BASES += [stabilize(RENAME_BASES[0])[0].diagram, load_diagram(s1s2_plus_pairs_text(2))]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(RENAME_BASES), st.data())
-def test_rename_refuses_or_round_trips(d, data):
-    """A rename to names drawn with signs, ``:``, ``.`` and non-ASCII inside
-    them, one of them perhaps replaced by a name with whitespace, ``#``, a
-    trailing sign, ``:`` or no name at all, either raises
-    ``ValidationError`` or serializes to text that reloads with the new
-    names; without the replacement it never raises."""
+def draw_names(d, data):
+    """Maps renaming every vertex and curve of ``d`` to names drawn with
+    signs, ``:``, ``.`` and non-ASCII inside them, one of them perhaps
+    replaced by a name with whitespace, ``#``, a trailing sign, ``:`` or no
+    name at all: (vertex map, curve map, whether one was replaced), or None
+    when two new names collide."""
     vertices, curves = sorted(d.input.signs), d.input.curve_names()
     vertex_names = st.text("ab0.:+-\u00e9", max_size=3).map(lambda s: s + "v")
     curve_names = st.text("ab0.+-\u00e9", min_size=1, max_size=4)
@@ -619,18 +618,81 @@ def test_rename_refuses_or_round_trips(d, data):
         new[spoil] = data.draw(st.text("ab0+-:#. \t\u2028", max_size=3) | st.integers())
     vmap, cmap = dict(zip(vertices, new)), dict(zip(curves, new[len(vertices):]))
     if len(set(vmap.values())) < len(vmap) or len(set(cmap.values())) < len(cmap):
-        return  # a collision, which raises ValueError
-    try:
-        inp = rename(d.input, vmap, cmap)
-    except ValidationError:
-        assert spoil is not None
-        return
-    back = load_diagram(serialize(assemble_regions(inp))).input
+        return None
+    return vmap, cmap, spoil is not None
+
+
+def renamed_directly(inp, vertex_map, curve_map):
+    """``rename`` without its check of the new names: the input that a
+    caller building a ``CurveSystemInput`` directly may hold."""
+    with mock.patch("hfcalc.diagram._unwritable", return_value=False):
+        return rename(inp, vertex_map, curve_map)
+
+
+def assert_reloads_with_the_same_names(inp, text):
+    back = load_diagram(text).input
     assert back.signs == inp.signs
     assert back.basepoint == inp.basepoint
     for family in ("alpha", "beta"):
         assert ({name: set(verts) for name, verts in getattr(back, family)}
                 == {name: set(verts) for name, verts in getattr(inp, family)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RENAME_BASES), st.data())
+def test_rename_refuses_or_round_trips(d, data):
+    """A rename to the names of ``draw_names`` either raises
+    ``ValidationError`` or serializes to text that reloads with the new
+    names; when no name was spoiled it never raises."""
+    drawn = draw_names(d, data)
+    if drawn is None:
+        return  # a collision, which raises ValueError
+    vmap, cmap, spoiled = drawn
+    try:
+        inp = rename(d.input, vmap, cmap)
+    except ValidationError:
+        assert spoiled
+        return
+    assert_reloads_with_the_same_names(inp, serialize(assemble_regions(inp)))
+
+
+@pytest.mark.parametrize("vertex_map, curve_map",
+                         UNWRITABLE_RENAMES + [({"x0": "x0#"}, None)])
+def test_serialize_refuses_names_the_text_format_cannot_carry(vertex_map, curve_map):
+    # Built directly, torus(3, 1) with its alpha curve (and so its basepoint
+    # curve) named "a 0" assembles; written out, it would fail to reload at
+    # line 5, the basepoint line, and with a vertex named "x0#" at line 3.
+    d = assemble_regions(renamed_directly(build_torus_diagram(3, 1).diagram.input,
+                                          vertex_map, curve_map))
+    ((_, new),) = (vertex_map or curve_map).items()
+    kind = "vertex" if vertex_map else "curve"
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"the text format cannot carry the {kind} name {new!r}")):
+        serialize(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RENAME_BASES), st.data())
+def test_serialize_refuses_or_round_trips(d, data):
+    """An input built directly with the names of ``draw_names`` that
+    assembles either makes ``serialize`` raise ``ValidationError`` or
+    serializes to text that reloads with its names; when no name was
+    spoiled it never raises."""
+    drawn = draw_names(d, data)
+    if drawn is None:
+        return
+    vmap, cmap, spoiled = drawn
+    inp = renamed_directly(d.input, vmap, cmap)
+    try:
+        assembled = assemble_regions(inp)
+    except DiagramError:
+        return
+    try:
+        text = serialize(assembled)
+    except ValidationError:
+        assert spoiled
+        return
+    assert_reloads_with_the_same_names(inp, text)
 
 
 ATLAS_TEXTS = [serialize(m.diagram) for m in (

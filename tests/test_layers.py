@@ -627,11 +627,17 @@ def test_audit_matches_oracle_on_the_atlas_plus_copies_of_the_surface(atlas_suit
 
 
 def test_audit_matches_oracle_where_vertices_leave_later_runs():
-    # b1 > 0: the positive representative, plus the surface, plus a
-    # combination of the periodic domains made nonnegative by copies of the
-    # surface.  Many have three or more distinct positive coefficients and
-    # a vertex of the first layer that is absent from the top layer.
+    # b1 > 0: the positive representative, plus a combination of the
+    # periodic domains made nonnegative by copies of the surface, with floor
+    # 0 and again plus one more copy of the surface.  Many have three or more
+    # distinct positive coefficients and a vertex of the first layer that is
+    # absent from the top layer.  The audit counts the levels up to the
+    # domain's floor, min(D), from the generators and masks only the vertices
+    # above it, so each branch is counted: floor 0, a positive floor with
+    # vertices above it, and a positive floor with none (a multiple of the
+    # surface).
     dropped = 0
+    branches = {"floor 0": 0, "floor > 0, vertices above": 0, "floor > 0, none above": 0}
     for d in [build_s1s2().diagram, build_annulus_open_book(0).diagram,
               load_diagram(s1s2_sum_text(2)), load_diagram(s1s2_sum_text(3))]:
         periodic = homogeneous_lattice(d)[1:]
@@ -643,11 +649,21 @@ def test_audit_matches_oracle_where_vertices_leave_later_runs():
                     for steps in itertools.product(range(3), repeat=len(periodic)):
                         p = [sum(s * vec[i] for s, vec in zip(steps, periodic))
                              for i in range(d.n_regions)]
-                        coeffs = [a + 1 + b - min(p) for a, b in zip(pos, p)]
-                        layers = per_level_decompose(d, x, y, coeffs)
-                        bottom, top = ({c.vertex for c in layer.clusters}
-                                       for layer in (layers[0], layers[-1]))
-                        dropped += len(set(coeffs)) >= 3 and bool(bottom - top)
-                        oracle = fraction_audit(d, x, y, coeffs, layers)
-                        assert repr(audit_index(d, x, y, coeffs)) == repr(oracle)
+                        for extra in (0, 1):
+                            coeffs = [a + extra + b - min(p) for a, b in zip(pos, p)]
+                            floor = min(coeffs)
+                            above = any(coeffs[q] > floor for qs in d.quadrants for q in qs)
+                            branches["floor 0" if floor == 0 else
+                                     "floor > 0, vertices above" if above else
+                                     "floor > 0, none above"] += 1
+                            layers = per_level_decompose(d, x, y, coeffs)
+                            if layers:
+                                bottom, top = ({c.vertex for c in layer.clusters}
+                                               for layer in (layers[0], layers[-1]))
+                                dropped += len(set(coeffs) - {0}) >= 3 and bool(bottom - top)
+                            oracle = fraction_audit(d, x, y, coeffs, layers)
+                            assert repr(audit_index(d, x, y, coeffs)) == repr(oracle)
     assert dropped > 1000
+    # 686, 3090 and 16 cases when written.
+    minimum = {"floor 0": 600, "floor > 0, vertices above": 3000, "floor > 0, none above": 16}
+    assert all(branches[b] >= n for b, n in minimum.items()), branches
