@@ -160,6 +160,8 @@ def parse_diagram(text: str) -> CurveSystemInput:
             name = name.strip()
             if not name:
                 raise ParseError(f"{keyword} curve needs a name", lineno)
+            if _unwritable([name], ()):
+                raise ParseError(f"{keyword} curve name {name!r} holds whitespace", lineno)
             if name in seen_curves:
                 raise ParseError(f"duplicate curve name {name!r}", lineno)
             seen_curves.add(name)

@@ -23,11 +23,11 @@ is certified when it is built, and the corner system is linear, so the
 difference solves it for (x, y).  The periodic lattice is
 Sigma plus those periodic domains, so A is the one matrix factored per
 diagram; its transforms stay sparse (U by rows and by columns, V by
-columns), and the factorization is certified.  The corner system is
-never factored or built as a matrix: it only certifies domains, vertex
-by vertex (``_check_connecting``, and the audit's one vertex pass in
-``layers``).
-The generators, the factorization, the partition, the periodic domains,
+columns), and the factorization is certified column by column against
+A's own columns.  The corner system is never factored or built as a
+matrix: it only certifies domains, vertex by vertex
+(``_check_connecting``, and the audit's one vertex pass in ``layers``).
+The generators, the factorization, the partition, the periodic lattice,
 a (D0, potential) record per queried generator, the grading table and H1
 are cached on the diagram itself, so each is computed once per diagram
 and lives as long as the diagram does.
@@ -56,8 +56,8 @@ from operator import mul, sub
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .diagram import HeegaardDiagram
-from .zlattice import (DimensionMismatch, IntMatrix, SmithDecomposition, _kernel, _particular,
-                       _transpose, gcd_over_lattice, smith_normal_form)
+from .zlattice import (DimensionMismatch, IntMatrix, SmithDecomposition, _apply, _kernel,
+                       _particular, _transpose, gcd_over_lattice, smith_normal_form)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -197,15 +197,20 @@ def homogeneous_lattice(diagram: HeegaardDiagram) -> tuple[tuple[int, ...], ...]
     """Basis of the lattice of periodic classes (kernel of the corner system).
 
     The kernel does not depend on the generator pair.  The basis is Sigma
-    (the class of the full surface, all ones) first, then
-    ``_periodic_domains``.  It spans: a periodic P minus n_z(P) Sigma has
-    n_z = 0, and its boundary on the beta arcs is a cycle, so whole beta
-    curves n; integrating across the beta arcs from D(z) = 0 rebuilds it,
-    which is consistent only when A n = 0 (``_domain_avoiding_z`` with base
-    chain 0), and integration is linear in n.  It is a basis: Sigma is the
-    one vector with n_z != 0, and a nonzero n jumps across some beta arc.
+    (the class of the full surface, all ones) first, then, for each n in
+    the basis of ker A, D0 with base chain 0 and beta multiples n: the
+    periodic domains with n_z = 0, none when b1 = 0.  It spans: a periodic
+    P minus n_z(P) Sigma has n_z = 0, and its boundary on the beta arcs is
+    a cycle, so whole beta curves n; integrating across the beta arcs from
+    D(z) = 0 rebuilds it, which is consistent only when A n = 0
+    (``_domain_avoiding_z`` with base chain 0), and integration is linear
+    in n.  It is a basis: Sigma is the one vector with n_z != 0, and a
+    nonzero n jumps across some beta arc.  This memo is the one copy of the
+    periodic lattice; ``divisibility`` reads it past Sigma.
     """
-    return ((1,) * diagram.n_regions,) + _periodic_domains(diagram)
+    zero = [0] * diagram.n_arcs
+    return ((1,) * diagram.n_regions,) + tuple(
+        tuple(_integrate_beta(diagram, zero, n)) for n in _kernel(_intersection_form(diagram)[0]))
 
 
 class Domain(NamedTuple):
@@ -563,24 +568,15 @@ class SpincClass(NamedTuple):
     divisibility: int
 
 
-@_per_diagram
-def _periodic_domains(diagram: HeegaardDiagram) -> tuple[tuple[int, ...], ...]:
-    """D0 with base chain 0 and beta multiples n, for each n in the basis
-    of ker A: periodic domains with n_z = 0, none when b1 = 0."""
-    zero = [0] * diagram.n_arcs
-    return tuple(tuple(_integrate_beta(diagram, zero, n))
-                 for n in _kernel(_intersection_form(diagram)[0]))
-
-
 def divisibility(diagram: HeegaardDiagram, anchor: Generator) -> int:
     """gcd of mu(P) - 2 n_z(P) over the periodic lattice, evaluated at the
     anchor with x = y; 0 encodes an integer-valued relative grading.
 
     Four times it is the gcd of the quarter weights over a lattice basis.
     Sigma contributes mu = 2 and n_z = 1, hence 0; the rest is
-    ``_periodic_domains`` (so none, and d = 0, when b1 = 0).
+    ``homogeneous_lattice`` past Sigma (so none, and d = 0, when b1 = 0).
     """
-    periodic = _periodic_domains(diagram)
+    periodic = homogeneous_lattice(diagram)[1:]
     if not periodic:
         return 0
     weights = _quarter_weights(diagram, anchor.vertices * 2, -2)
@@ -634,7 +630,7 @@ def spinc_partition(diagram: HeegaardDiagram) -> tuple[SpincClass, ...]:
         for r, m in enumerate(moduli):
             image[r] %= m
         members.setdefault(tuple(image), []).append(g)
-    periodic = _periodic_domains(diagram)  # none when b1 = 0, and then every d is 0
+    periodic = len(homogeneous_lattice(diagram)) > 1  # Sigma alone when b1 = 0: every d is 0
     classes = []
     for i, cls in enumerate(members.values()):
         anchor = cls[0] if len(cls) == 1 else min(cls, key=lambda g: _anchor_key(diagram, g))
@@ -758,56 +754,37 @@ class Homology(NamedTuple):
         return out
 
 
-def _check_factorization(a_rows: Sequence[Sequence[tuple[int, int]]],
-                         smith: SmithDecomposition) -> None:
-    """Certificate: U_A (A V_A) is the Smith form S_A (A is square).
+def _check_factorization(a_columns: Sequence[dict[int, int]], smith: SmithDecomposition,
+                         u_columns: Sequence[dict[int, int]]) -> None:
+    """Certificate: U_A A V_A is the Smith form S_A (A is square).
 
-    A comes as rows of (column, value) terms.  Each row of A V_A, and then
-    of U_A (A V_A) - S_A, is summed in one dense accumulator and read back
-    only at the columns it touched, so the check costs the nonzero terms,
-    not g^2.  A row of U_A (A V_A) - S_A passes when it is zero at those
-    columns, which leaves the accumulator zero for the next row.
+    Column j of U_A A V_A is U_A (A v_j) for column v_j of V_A, two sparse
+    products (``_apply``) over the nonzero terms, so the check costs the
+    nonzero terms, not g^2; minus d_j at j, it must be zero.
     """
-    v_rows = _transpose(smith.v_columns, len(smith.v_columns))
-    acc = [0] * len(smith.v_columns)
-    av: list[list[tuple[int, int]]] = []
-    for row in a_rows:
-        touched: list[int] = []
-        for k, a in row:
-            touched += v_rows[k]
-            for j, x in v_rows[k].items():
-                acc[j] += a * x
-        av.append([])
-        for j in touched:
-            if acc[j]:
-                av[-1].append((j, acc[j]))
-                acc[j] = 0
-    for i, u_row in enumerate(smith.u_rows):
-        acc[i] -= smith.invariants[i]
-        for k, a in u_row.items():
-            for j, x in av[k]:
-                acc[j] += a * x
-        zero = not acc[i]
-        for k in u_row:
-            for j, _ in av[k]:
-                zero = zero and not acc[j]
-        if not zero:
-            raise ConsistencyError(f"U A V differs from the Smith form S in row {i}")
+    for j, v in enumerate(smith.v_columns):
+        uav = _apply(u_columns, _apply(a_columns, v.items()).items())
+        uav[j] = uav.get(j, 0) - smith.invariants[j]
+        if any(uav.values()):
+            raise ConsistencyError(f"U A V differs from the Smith form S in column {j}")
 
 
 @_per_diagram
 def _intersection_form(diagram: HeegaardDiagram) -> tuple[SmithDecomposition, list]:
     """A_ij = alpha_i . beta_j (a sum of crossing signs) as U_A A V_A = S_A,
-    with the columns of U_A."""
+    with the columns of U_A.  A's columns are summed beside its dense rows,
+    and the factorization is certified against them (``_check_factorization``);
+    ``homogeneous_lattice`` reads ker A off V_A."""
     g = diagram.genus
     rows = [[0] * g for _ in range(g)]
-    terms: list[list[tuple[int, int]]] = [[] for _ in range(g)]
+    columns: list[dict[int, int]] = [{} for _ in range(g)]
     for i, j, sign in zip(diagram.alpha_of, diagram.beta_of, diagram.signs):
         rows[i][j] += sign
-        terms[i].append((j, sign))
+        columns[j][i] = columns[j].get(i, 0) + sign
     smith = smith_normal_form(IntMatrix(tuple(map(tuple, rows)), g))
-    _check_factorization(terms, smith)
-    return smith, _transpose(smith.u_rows, g)
+    u_columns = _transpose(smith.u_rows, g)
+    _check_factorization(columns, smith, u_columns)
+    return smith, u_columns
 
 
 @_per_diagram

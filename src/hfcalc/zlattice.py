@@ -9,7 +9,10 @@ diagram has vertices.  So the one classical Smith normal form,
 efficient sparse integer matrix Smith normal form computations*.
 Solving M x = b is built on it once: ``_particular`` divides U b by the
 invariant factors and forms V q, and ``_kernel`` reads the kernel basis
-off V.  ``grading`` uses both on A, with U kept by columns.
+off V.  ``grading`` uses both on A, with U kept by columns.  ``_apply``,
+a matrix of sparse columns times a sparse vector, is the one sparse
+product: ``_particular`` forms U b with it, and ``grading`` certifies
+U A V = S with it, column by column.
 ``solve_integer_system`` uses both on a matrix of the caller's; no
 command calls it, and it stays public API.
 
@@ -73,6 +76,18 @@ def _transpose(vectors: Sequence[dict[int, int]], n: int) -> list[dict[int, int]
     for i, vec in enumerate(vectors):
         for k, x in vec.items():
             out[k][i] = x
+    return out
+
+
+def _apply(columns: Sequence[dict[int, int]], terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The matrix of sparse ``{row: value}`` columns times the vector of
+    ``(index, value)`` terms, as ``{row: value}``, summed over the nonzero
+    terms only.  A row where the sum cancels keeps its 0."""
+    out: dict[int, int] = {}
+    for k, x in terms:
+        if x:
+            for i, a in columns[k].items():
+                out[i] = out.get(i, 0) + a * x
     return out
 
 
@@ -252,15 +267,12 @@ def _particular(dec: SmithDecomposition, u_columns: Sequence[dict[int, int]],
     """The solution V q of M x = b, where S q = U b; None when there is none.
 
     ``u_columns`` are the columns of U (``_transpose`` of ``u_rows``), so
-    c = U b is summed over the nonzero entries of b only.  Each invariant
-    d_i must divide c_i, and c must vanish past the rank; then q_i = c_i /
-    d_i and x = V q runs over the nonzero entries of V's first columns.
+    c = U b is summed over the nonzero entries of b only (``_apply``).
+    Each invariant d_i must divide c_i, and c must vanish past the rank;
+    then q_i = c_i / d_i and x = V q runs over the nonzero entries of V's
+    first columns.
     """
-    c: dict[int, int] = {}
-    for k, x in enumerate(b):
-        if x:
-            for i, a in u_columns[k].items():
-                c[i] = c.get(i, 0) + a * x
+    c = _apply(u_columns, enumerate(b))
     diag = dec.invariants
     solution = [0] * len(dec.v_columns)
     for i, ci in c.items():

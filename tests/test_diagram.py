@@ -68,6 +68,14 @@ NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
     ("heegaard v1\ngenus: 1\nalpha a0:\nbeta b0: x0\nbasepoint: a0 x0 left-after\n",
      "no vertices"),
     ("heegaard v1\ngenus: 0\nbasepoint: a0 x0 left-after\n", "at least 1"),
+    # No basepoint line could name a curve whose name holds whitespace, and
+    # serialize could not write it, so the parser refuses it on its line.
+    pytest.param(S3_TEXT.replace("alpha a0", "alpha a 0"),
+                 "line 3: alpha curve name 'a 0' holds whitespace", id="alpha-name-space"),
+    pytest.param(S3_TEXT.replace("beta  b0", "beta  b 0"),
+                 "line 4: beta curve name 'b 0' holds whitespace", id="beta-name-space"),
+    pytest.param(S3_TEXT.replace("alpha a0", "alpha a\t0"),
+                 "line 3: alpha curve name 'a\\t0' holds whitespace", id="alpha-name-tab"),
     # str.isdigit accepts superscripts, which int() rejects with ValueError.
     pytest.param("heegaard v1\ngenus: \u00b2\n",
                  "line 2: genus must be a nonnegative integer, got '\u00b2'",

@@ -972,9 +972,9 @@ def test_intersection_signs_are_an_oracle_at_scale():
 
 
 def test_falsy_cached_values_are_computed_once(monkeypatch):
-    """At b1 = 0 ``_periodic_domains`` is (), and the cache keeps it: ker A is
-    read once per diagram, however often the table, the partition and the
-    divisibility ask for it."""
+    """At b1 = 0 ker A is (), so the periodic lattice is Sigma alone, and its
+    one memo keeps it: ker A is read once per diagram, however often the
+    table, the partition and the divisibility ask for it."""
     real = grading._kernel
     calls = []
 
@@ -989,7 +989,7 @@ def test_falsy_cached_values_are_computed_once(monkeypatch):
             grading_table(d)
             for cls in spinc_partition(d):
                 assert divisibility(d, cls.anchor) == 0
-        assert grading._periodic_domains(d) == ()
+        assert homogeneous_lattice(d) == ((1,) * d.n_regions,)
         assert len(calls) == 1
 
 
@@ -1159,14 +1159,35 @@ def test_factorization_certificate_detects_a_wrong_form(monkeypatch):
             return dec._replace(**{field: tuple(vecs)})
         return factor
 
-    # Entry (0, 0) of V_A, for genus 1 and 3, and U_A's first and last rows
-    # for genus 3: U_A A V_A = S_A fails.
+    def wrong_invariant(j):
+        """Add 1 to invariant factor j of A's Smith form."""
+        def factor(m):
+            dec = smith_normal_form(m)
+            invariants = list(dec.invariants)
+            invariants[j] += 1
+            return dec._replace(invariants=tuple(invariants))
+        return factor
+
+    def factor_a_plus_one(i, j):
+        """Factor A with entry (i, j) one higher: U A' V = S holds, and the
+        certificate, which reads A's columns from the diagram, must fail."""
+        def factor(m):
+            rows = [list(row) for row in m.entries]
+            rows[i][j] += 1
+            return smith_normal_form(IntMatrix.from_rows(rows, m.cols))
+        return factor
+
+    # Entry (0, 0) of V_A, for genus 1 and 3, U_A's first and last rows for
+    # genus 3, a wrong first and last invariant factor, and the factorization
+    # of a matrix one entry away from A: U_A A V_A = S_A fails.
     torus = build_torus_diagram(3, 1).diagram
     genus3 = stabilize(stabilize(torus)[0].diagram)[0].diagram
-    cases = [(torus, "v_columns", 0, 0), (genus3, "v_columns", 0, 0),
-             (genus3, "u_rows", 0, 0), (genus3, "u_rows", -1, -1)]
-    for d, field, j, r in cases:
-        monkeypatch.setattr(grading, "smith_normal_form", off_by_one(field, j, r))
+    cases = [(torus, off_by_one("v_columns", 0, 0)), (genus3, off_by_one("v_columns", 0, 0)),
+             (genus3, off_by_one("u_rows", 0, 0)), (genus3, off_by_one("u_rows", -1, -1)),
+             (torus, wrong_invariant(0)), (genus3, wrong_invariant(-1)),
+             (torus, factor_a_plus_one(0, 0)), (genus3, factor_a_plus_one(2, 1))]
+    for d, factor in cases:
+        monkeypatch.setattr(grading, "smith_normal_form", factor)
         with pytest.raises(ConsistencyError, match="U A V"):
             spinc_partition(d)
         monkeypatch.undo()

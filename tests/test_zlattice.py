@@ -20,8 +20,9 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import hfcalc.grading as grading
 from hfcalc.atlas import build_annulus_open_book, build_s1s2, build_torus_diagram, stabilize
-from hfcalc.zlattice import (AffineSolutionSet, DimensionMismatch, IntMatrix, gcd_over_lattice,
-                             smith_invariants, smith_normal_form, solve_integer_system)
+from hfcalc.zlattice import (AffineSolutionSet, DimensionMismatch, IntMatrix, _apply,
+                             gcd_over_lattice, smith_invariants, smith_normal_form,
+                             solve_integer_system)
 from smith_oracle import column, corner_matrix, dense_transforms, full_scan_smith, mul_vec
 
 
@@ -163,6 +164,23 @@ def test_smith_form_properties(m):
             assert a and b % a == 0
         if a == 0:
             assert b == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5), st.data())
+def test_apply_is_the_dense_product(rows, cols, data):
+    """``_apply`` is the dense matrix-vector product on random sparse
+    matrices: their columns may keep a 0 as an entry, as A's do where
+    crossing signs cancel, and it reads no column at a zero term."""
+    sparse = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+    m = IntMatrix.from_rows(data.draw(st.lists(st.lists(sparse, min_size=cols, max_size=cols),
+                                               min_size=rows, max_size=rows)), cols)
+    x = data.draw(st.lists(sparse, min_size=cols, max_size=cols))
+    columns = [{i: a for i, a in enumerate(column(m, j)) if a or data.draw(st.booleans())}
+               for j in range(cols)]
+    product = _apply(columns, enumerate(x))
+    assert set(product) <= {i for j, xj in enumerate(x) if xj for i in columns[j]}
+    assert tuple(product.get(i, 0) for i in range(rows)) == mul_vec(m, x)
 
 
 @settings(max_examples=100, deadline=None)
