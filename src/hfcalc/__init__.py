@@ -14,8 +14,8 @@ quarter units, and the public functions that return a quarter-integer
 (Euler and point measures, the audit's layer indices, the grading shift)
 return a ``fractions.Fraction``.  ``fractions`` is imported when the first
 one is made, so of the commands only ``domain``, ``audit``, ``shift`` and
-``selftest`` load it; and a command-line run builds the argument parser
-of its own command only.
+``selftest`` load it; and a command-line run builds two argument
+parsers, the top-level one and its own command's.
 
 Every record, the audit's reports included, is a ``typing.NamedTuple``:
 immutable, updated with ``_replace``, iterated, ordered and compared as

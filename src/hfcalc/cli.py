@@ -19,8 +19,11 @@ Subcommands::
 Global flags: ``--json`` (emit one JSON document on stdout), ``--radius``
 (positive-representative search bound), ``--seed`` (selftest RNG).  They
 belong to the top-level parser, so they go before the command:
-``hfcalc --json --radius 3 audit FILE X Y``.  After the command they are
-usage errors.
+``hfcalc --json --radius 3 audit FILE X Y``.  A run parses in two stages:
+the top-level parser reads these flags and the command name, and hands
+every argument after the command to that command's own parser, which
+names itself in its usage errors (``hfcalc audit: error: ...``).  So the
+flags after the command are usage errors.
 
 Generators are named on the command line by comma-joined vertex names
 (order-insensitive; output order follows the alpha-curve index).  Exit
@@ -451,9 +454,11 @@ def _selftest(args, report):
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _add_command(sub, name: str) -> None:
-    """Add the subparser of command ``name``, with its arguments, to ``sub``."""
-    p = sub.add_parser(name)
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command ``name``'s own arguments, built once per process
+    on first use; it parses what the top-level parser left after the command."""
+    p = argparse.ArgumentParser(prog=f"hfcalc {name}")
     if name in ("domain", "audit"):
         for arg in ("file", "x", "y"):
             p.add_argument(arg)
@@ -480,47 +485,7 @@ def _add_command(sub, name: str) -> None:
         p.add_argument("file")
         if name == "stabilize":
             p.add_argument("-o", "--output", required=True)
-
-
-@functools.cache
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The command-line parser, built once per process on first use.
-
-    It has the subparser of ``command`` only, or every subparser when
-    ``command`` is None.  The one-subparser build names every command in
-    its metavar, so its usage lines and messages read as the full build's.
-    """
-    ap = argparse.ArgumentParser(prog="hfcalc",
-                                 description="Exact calculator for gradings of "
-                                             "Heegaard-diagram generators")
-    ap.add_argument("--json", action="store_true", help="emit a single JSON document")
-    ap.add_argument("--radius", type=int, default=8,
-                    help="search radius for positive representatives (default 8)")
-    ap.add_argument("--seed", type=int, default=0, help="selftest RNG seed")
-    if command is None:
-        sub = ap.add_subparsers(dest="command", required=True)
-        for name in _COMMANDS:
-            _add_command(sub, name)
-    else:
-        sub = ap.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(_COMMANDS) + "}")
-        _add_command(sub, command)
-    return ap
-
-
-def _command_of(argv) -> str | None:
-    """The first token of ``argv`` that is ``--`` or does not start with
-    ``-``, when it names a command, else None.  The token after ``--radius``,
-    ``--seed`` or an abbreviation of either is that option's value and is
-    skipped (the ``=`` forms hold their value).  Both options take integers,
-    so a command name taken as an option's value fails either way."""
-    tokens = iter(argv)
-    for token in tokens:
-        if token == "--" or not token.startswith("-"):
-            return token if token in _COMMANDS else None
-        if len(token) > 2 and ("--radius".startswith(token) or "--seed".startswith(token)):
-            next(tokens, None)
-    return None
+    return p
 
 
 def _on_file(command):
@@ -546,6 +511,25 @@ _COMMANDS = {
     "shift": _cmd_shift,
     "selftest": _selftest,
 }
+
+# The top-level options and the command; everything after the command is
+# left, unparsed, to that command's own parser.
+_PARSER = argparse.ArgumentParser(prog="hfcalc",
+                                  description="Exact calculator for gradings of "
+                                              "Heegaard-diagram generators")
+_PARSER.add_argument("--json", action="store_true", help="emit a single JSON document")
+_PARSER.add_argument("--radius", type=int, default=8,
+                     help="search radius for positive representatives (default 8)")
+_PARSER.add_argument("--seed", type=int, default=0, help="selftest RNG seed")
+_PARSER.add_argument("command", choices=_COMMANDS)
+_PARSER.add_argument("arguments", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse the top-level options and the command, then hand the arguments
+    after the command to that command's parser, into the same namespace."""
+    args = _PARSER.parse_args(argv)
+    return _command_parser(args.command).parse_args(vars(args).pop("arguments"), namespace=args)
 
 
 def _emit(args, report: dict, lines: list[str]) -> int:
@@ -578,7 +562,7 @@ def _fail(args, report: dict, code: int, error: dict, text: str) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(_command_of(argv)).parse_args(argv)
+    args = _parse_args(argv)
     report = {"command": list(argv), "diagram": None, "payload": None,
               "status": "ok", "exit_status": 0}
     try:

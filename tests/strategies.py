@@ -35,6 +35,12 @@ def transformed_diagrams(draw):
     return d
 
 
+def mirror(inp):
+    """The curve system of -Y: alpha and beta swapped, every crossing sign negated."""
+    return inp._replace(alpha=inp.beta, beta=inp.alpha,
+                        signs={v: -s for v, s in inp.signs.items()})
+
+
 def random_curve_system(rng):
     """A random genus 1-3 curve system plus random region directives.
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, structured output."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -273,7 +274,7 @@ def test_top_level_options_go_before_the_command(capsys, s1s2_file):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage: hfcalc ")
-    assert "hfcalc: error: unrecognized arguments: --radius" in captured.err
+    assert "hfcalc audit: error: unrecognized arguments: --radius" in captured.err
 
 
 def test_json_round_trip_fixed_point(capsys, l31_file):
@@ -548,49 +549,104 @@ def test_text_and_error_digest(capsys, monkeypatch, tmp_path):
     assert digest.hexdigest() == TEXT_AND_ERROR_DIGEST
 
 
-def parse_outcome(parser, argv, capsys):
-    """The namespace ``parser`` makes of ``argv``, or its exit code, stdout and stderr."""
+def reference_parser():
+    """The all-subparsers parser that hfcalc built before its parse had two
+    stages: every command's arguments on one subparser of the top level."""
+    ap = argparse.ArgumentParser(prog="hfcalc",
+                                 description="Exact calculator for gradings of "
+                                             "Heegaard-diagram generators")
+    ap.add_argument("--json", action="store_true", help="emit a single JSON document")
+    ap.add_argument("--radius", type=int, default=8,
+                    help="search radius for positive representatives (default 8)")
+    ap.add_argument("--seed", type=int, default=0, help="selftest RNG seed")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in ("validate", "info", "generators", "spinc", "grade", "domain", "audit",
+                 "stabilize", "atlas", "shift", "selftest"):
+        p = sub.add_parser(name)
+        if name in ("domain", "audit"):
+            for arg in ("file", "x", "y"):
+                p.add_argument(arg)
+            if name == "domain":
+                p.add_argument("--positive", action="store_true",
+                               help="also compute a nonnegative representative")
+        elif name == "atlas":
+            asub = p.add_subparsers(dest="builder", required=True)
+            t = asub.add_parser("torus")
+            t.add_argument("p", type=int)
+            t.add_argument("q", type=int)
+            t.add_argument("-o", "--output", required=True)
+            s = asub.add_parser("s1s2")
+            s.add_argument("-o", "--output", required=True)
+            o = asub.add_parser("openbook-annulus")
+            o.add_argument("n", type=int)
+            o.add_argument("-o", "--output", required=True)
+        elif name == "shift":
+            p.add_argument("--c1sq", required=True,
+                           help="self-pairing of PD c1 (integer or rational like 3/4)")
+            p.add_argument("--chi", type=int, required=True)
+            p.add_argument("--sigma", type=int, required=True)
+        elif name != "selftest":
+            p.add_argument("file")
+            if name == "stabilize":
+                p.add_argument("-o", "--output", required=True)
+    return ap
+
+
+def parse_outcome(parse, argv, capsys):
+    """The namespace ``parse`` makes of ``argv``, or its exit code and stdout."""
     try:
-        return vars(parser.parse_args(argv))
+        return vars(parse(argv))
     except SystemExit as exc:
-        captured = capsys.readouterr()
-        return exc.code, captured.out, captured.err
+        return exc.code, capsys.readouterr().out
 
 
 def test_one_subparser_parses_as_the_full_parser(capsys, monkeypatch, tmp_path):
-    """A run builds only its command's subparser; every argv parses, fails
-    and prints help as with every subparser built."""
+    """A run builds the top-level parser and its command's parser only; every
+    argv parses as the all-subparsers reference parses it, or fails with its
+    exit code, and each command's help is the reference's."""
     import hfcalc.cli as cli
 
     monkeypatch.chdir(tmp_path)
     commands = list(cli._COMMANDS)
     argvs = [["--json"] + argv for argv, _, _ in golden_cases(capsys)]
     argvs += [argv for argv, _, _, _ in text_and_error_cases(capsys, monkeypatch)]
-    argvs += [["-h"], ["atlas", "torus", "-h"]] + [[c, "-h"] for c in commands]
-    argvs += [["frobnicate", "grade", "f"], ["--", "grade", "f"],
-              ["--radius=-1", "audit", "f", "x", "y"],
+    argvs += [["atlas", "torus", "-h"], ["atlas", "-h"]] + [[c, "-h"] for c in commands]
+    argvs += [["frobnicate", "grade", "f"], ["--radius=-1", "audit", "f", "x", "y"],
               ["--j", "shift", "--c1sq", "1", "--chi", "2", "--sigma", "0"],
-              ["grade", "f", "extra"], [], ["--json"]]
-    # A valued top-level option before the command: its value is skipped,
-    # and the run still builds only its command's subparser.
-    valued = {("--seed", "1", "selftest"): "selftest", ("--se", "2", "selftest"): "selftest",
-              ("--radius", "3", "audit", "s.hd", "x0", "x1"): "audit",
-              ("--json", "--radius", "3", "audit", "s.hd", "x0", "x1"): "audit",
-              ("--radius", "-1", "info", "s.hd"): "info", ("--s", "grade", "grade", "f"): "grade",
-              ("--radius", "grade", "grade", "f"): "grade",
-              ("--rad", "3", "validate", "f"): "validate"}
-    argvs += [list(argv) for argv in valued]
-    full = cli._build_parser(None)
+              ["--seed", "1", "selftest"], ["--se", "2", "selftest"],
+              ["--radius", "3", "audit", "s.hd", "x0", "x1"],
+              ["--json", "--radius", "3", "audit", "s.hd", "x0", "x1"],
+              ["--radius", "-1", "info", "s.hd"], ["--s", "grade", "grade", "f"],
+              ["--radius", "grade", "grade", "f"], ["--rad", "3", "validate", "f"],
+              ["grade", "f", "extra"], ["grade", "--json", "f"], ["grade", "--", "f"],
+              ["domain", "f", "x", "y", "--pos"], ["audit", "f", "x", "y", "--radius", "3"],
+              ["atlas", "torus", "3", "1"], ["shift", "--c1sq", "-1", "--chi", "1",
+                                             "--sigma", "0"], [], ["--json"]]
+    reference = reference_parser()
+    built, command_parser = [], cli._command_parser
+    monkeypatch.setattr(cli, "_command_parser",
+                        lambda name: built.append(name) or command_parser(name))
     for argv in argvs:
-        command = cli._command_of(argv)
-        assert parse_outcome(cli._build_parser(command), argv, capsys) == \
-            parse_outcome(full, argv, capsys), argv
-    for argv, command in valued.items():
-        assert cli._command_of(list(argv)) == command, argv
-    for command in commands:
-        parser = cli._build_parser(command)
-        chosen = next(a.choices for a in parser._actions if a.dest == "command")
-        assert list(chosen) == [command]
+        built.clear()
+        outcome = parse_outcome(cli._parse_args, argv, capsys)
+        expected = parse_outcome(reference.parse_args, argv, capsys)
+        if isinstance(expected, dict) or argv[-1:] == ["-h"]:
+            assert outcome == expected, argv
+        else:  # a rejection: the same exit code, in argparse's wording
+            assert isinstance(outcome, tuple) and outcome[0] == expected[0], argv
+        if isinstance(expected, dict):
+            assert built == [expected["command"]], argv
+    # "--" before the command ends the top-level options; the run is that of
+    # the argv without it.
+    for argv in (["--", "grade", "f"], ["--json", "--", "validate", "f"],
+                 ["--radius", "3", "--", "domain", "f", "x", "y", "--positive"]):
+        dashless = [a for a in argv if a != "--"]
+        assert vars(cli._parse_args(argv)) == vars(reference.parse_args(dashless)), argv
+    # The top-level help differs from the reference's only by the " ..."
+    # that stood for the subparsers' arguments.
+    expected = parse_outcome(reference.parse_args, ["-h"], capsys)
+    assert parse_outcome(cli._parse_args, ["-h"], capsys) == \
+        (0, re.sub(r"\s+\.\.\.\n", "\n", expected[1], count=1))
 
 
 def test_generators_beyond_the_recursion_limit(capsys, tmp_path):

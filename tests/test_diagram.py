@@ -68,6 +68,18 @@ NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
     ("heegaard v1\ngenus: 1\nalpha a0:\nbeta b0: x0\nbasepoint: a0 x0 left-after\n",
      "no vertices"),
     ("heegaard v1\ngenus: 0\nbasepoint: a0 x0 left-after\n", "at least 1"),
+    ("", "empty input; expected header 'heegaard v1'"),
+    ("# nothing but a comment\n\n", "empty input"),
+    ("heegaard v1\ngenus: 1\ngenus: 1\n", "line 3: duplicate genus line"),
+    (S3_TEXT.replace("beta  b0", "beta  a0"), "line 4: duplicate curve name 'a0'"),
+    ("heegaard v1\ngenus: 1\nalpha a0: x0+\nbeta b0: x0 x0\n",
+     "line 4: vertex 'x0' listed twice on beta curves"),
+    (S3_TEXT + "basepoint: a0 x0 left-after\n", "line 6: duplicate basepoint line"),
+    (S3_TEXT.replace(" left-after", ""),
+     "line 5: basepoint line must read 'basepoint: CURVE VERTEX SIDE'"),
+    (S3_TEXT + "region r: genus=0 circles=auto a0.0+\n",
+     "line 6: 'circles=auto' takes no further ids"),
+    (S3_TEXT + "region r: genus=0 circles=\n", "line 6: empty circle id"),
     # No basepoint line could name a curve whose name holds whitespace, and
     # serialize could not write it, so the parser refuses it on its line.
     pytest.param(S3_TEXT.replace("alpha a0", "alpha a 0"),
@@ -186,18 +198,21 @@ def test_assemble_unknown_circle():
     ({"alpha": (("a0", ("x0", "x1", "x2")), ("a1", ())), "beta": (("b0", ("x0", "x2", "x1")),
                                                                  ("b1", ()))},
      "curve 'a1' lists no vertices; every curve must cross the other family at least once"),
+    ({"directives": (RegionDirective("r", 1, None),)},
+     "'circles=auto' regions must have genus 0"),
 ], ids=["basepoint-vertex", "unsigned-vertex", "unknown-beta-vertex", "beta-misses-vertex",
-        "beta-repeats-vertex", "alpha-repeats-vertex", "empty-curve"])
+        "beta-repeats-vertex", "alpha-repeats-vertex", "empty-curve", "auto-region-genus"])
 def test_malformed_programmatic_inputs_are_validation_errors(change, message):
     """Inputs the parser refuses, built directly: each names a vertex that
     assembly cannot look up, or that a curve family lists twice or not at
     all, or a curve that lists no vertex, and fails with a ValidationError
-    naming it, not with a KeyError or traced garbage."""
+    naming it, not with a KeyError or traced garbage.  So does a
+    ``circles=auto`` region of genus 1, which the parser reads."""
     inp = parse_diagram(L31_TEXT)._replace(**change)
     with pytest.raises(ValidationError) as err:
         assemble_regions(inp)
     assert str(err.value) == message
-    if "basepoint" not in change:  # tracing reads no basepoint
+    if not {"basepoint", "directives"} & change.keys():  # tracing reads neither
         with pytest.raises(ValidationError) as err:
             trace_faces(inp)
         assert str(err.value) == message
@@ -514,6 +529,9 @@ def test_serialize_round_trip(text):
     assert set(d2.vertex_names) == set(d1.vertex_names)
     assert d2.genus == d1.genus
     assert sorted(r.chi for r in d2.regions) == sorted(r.chi for r in d1.regions)
+    # ``circles=auto`` leaves every unclaimed circle its own disk, as the
+    # file without that line does.
+    assert serialize(load_diagram(text + "region r: genus=0 circles=auto\n")) == canonical
 
 
 @pytest.mark.parametrize("text", [S3_TEXT, L31_TEXT, D2_TEXT, TWO_FINGER_TEXT])
@@ -543,6 +561,11 @@ def test_reverse_curve_leaves_an_unresolved_basepoint_to_assembly():
         for candidate in (bad, reverse_curve(bad, "a0")):
             with pytest.raises(ValidationError, match=message):
                 assemble_regions(candidate)
+
+
+def test_reverse_curve_refuses_an_unknown_curve():
+    with pytest.raises(KeyError, match="unknown curve 'c0'"):
+        reverse_curve(parse_diagram(L31_TEXT), "c0")
 
 
 @pytest.mark.parametrize("curve", ["a0", "b0"])

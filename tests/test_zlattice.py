@@ -138,6 +138,8 @@ def test_dimension_errors():
         gcd_over_lattice([(1, 2, 3)], (1, 2))
     with pytest.raises(DimensionMismatch):
         IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch, match="expected 3 columns, got 2"):
+        IntMatrix.from_rows([[1, 2], [3, 4]], 3)
 
 
 @settings(max_examples=150, deadline=None)
