@@ -86,13 +86,14 @@ def stabilize(diagram: HeegaardDiagram) -> tuple[MarkedDiagram, dict[Generator, 
     nb = _fresh(f"b{inp.genus}", taken_curves | {na})
     w = _fresh("w", taken_vertices)
 
-    bp_region = diagram.regions[diagram.basepoint_region]
+    k = diagram.basepoint_region
+    bp_region = diagram.regions[k]
     bp_circles = [diagram.face_names[f] for f in bp_region.faces]
-    labels = {d.label for d in inp.directives}
-    merged_label = bp_region.label if bp_region.label in labels else _fresh("r", labels)
-    directives = tuple(d for d in inp.directives if d.label != merged_label)
-    directives += (RegionDirective(
-        merged_label, bp_region.genus, tuple(bp_circles) + (f"{na}.0+",)),)
+    # Region k is made by the k-th directive that lists circles; a disk has none.
+    own = [d for d in inp.directives if d.circles is not None][k:k + 1]
+    merged_label = own[0].label if own else _fresh("r", {d.label for d in inp.directives})
+    directives = tuple(d for d in inp.directives if d not in own)
+    directives += (RegionDirective(merged_label, bp_region.genus, (*bp_circles, f"{na}.0+")),)
 
     signs = dict(inp.signs)
     signs[w] = 1

@@ -56,8 +56,8 @@ from operator import mul, sub
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .diagram import HeegaardDiagram
-from .zlattice import (DimensionMismatch, IntMatrix, SmithDecomposition, _apply, _kernel,
-                       _particular, _transpose, gcd_over_lattice, smith_normal_form)
+from .zlattice import (DimensionMismatch, SmithDecomposition, _apply, _kernel, _particular,
+                       _smith, _transpose, gcd_over_lattice)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -772,16 +772,15 @@ def _check_factorization(a_columns: Sequence[dict[int, int]], smith: SmithDecomp
 @_per_diagram
 def _intersection_form(diagram: HeegaardDiagram) -> tuple[SmithDecomposition, list]:
     """A_ij = alpha_i . beta_j (a sum of crossing signs) as U_A A V_A = S_A,
-    with the columns of U_A.  A's columns are summed beside its dense rows,
-    and the factorization is certified against them (``_check_factorization``);
-    ``homogeneous_lattice`` reads ker A off V_A."""
+    with the columns of U_A.  A is summed once, as sparse columns; their
+    transpose, A's rows, is factored (``_smith`` drops the zero sums), and
+    the factorization is certified against the columns
+    (``_check_factorization``); ``homogeneous_lattice`` reads ker A off V_A."""
     g = diagram.genus
-    rows = [[0] * g for _ in range(g)]
     columns: list[dict[int, int]] = [{} for _ in range(g)]
     for i, j, sign in zip(diagram.alpha_of, diagram.beta_of, diagram.signs):
-        rows[i][j] += sign
         columns[j][i] = columns[j].get(i, 0) + sign
-    smith = smith_normal_form(IntMatrix(tuple(map(tuple, rows)), g))
+    smith = _smith(_transpose(columns, g), g)
     u_columns = _transpose(smith.u_rows, g)
     _check_factorization(columns, smith, u_columns)
     return smith, u_columns

@@ -1,12 +1,14 @@
-"""Exact integer linear algebra: a Smith normal form with sparse transforms.
+"""Exact integer linear algebra: a Smith normal form on sparse rows.
 
 Everything here runs over arbitrary-precision Python ints.  The one
 matrix that ``grading`` factors is the g x g intersection matrix A of a
 diagram, once per diagram; A has no more nonzero entries than the
-diagram has vertices.  So the one classical Smith normal form,
-``smith_normal_form``, keeps U by rows and V by columns as
-``{index: value}`` dicts, following Dumas, Saunders and Villard, *On
-efficient sparse integer matrix Smith normal form computations*.
+diagram has vertices.  So the one Smith algorithm, ``_smith``, keeps the
+working matrix and U by rows and V by columns, all as ``{index: value}``
+dicts, following Dumas, Saunders and Villard, *On efficient sparse
+integer matrix Smith normal form computations*; ``_add_multiple`` is its
+one row operation.  ``grading`` hands it A's sparse rows;
+``smith_normal_form`` hands it the rows of an ``IntMatrix``.
 Solving M x = b is built on it once: ``_particular`` divides U b by the
 invariant factors and forms V q, and ``_kernel`` reads the kernel basis
 off V.  ``grading`` uses both on A, with U kept by columns.  ``_apply``,
@@ -119,9 +121,15 @@ def _add_multiple(dst: dict[int, int], src: dict[int, int], factor: int) -> None
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Compute the Smith normal form of ``m``, with U by rows and V by columns.
 
-    This is the one Smith form of the package: ``smith_invariants`` and
-    ``solve_integer_system`` read their answers off it, and ``grading``
-    factors the intersection matrix A with it, once per diagram.
+    ``smith_invariants`` and ``solve_integer_system`` read their answers
+    off it.  It is ``_smith`` on the rows of ``m`` as ``{column: value}``
+    dicts; ``grading`` calls ``_smith`` on A's sparse rows directly."""
+    return _smith([dict(enumerate(row)) for row in m.entries], m.cols)
+
+
+def _smith(rows: Sequence[dict[int, int]], ncols: int) -> SmithDecomposition:
+    """The Smith normal form of the matrix M of sparse ``{column: value}``
+    ``rows`` with ``ncols`` columns, with U by rows and V by columns.
 
     Classical pivoting algorithm: bring the smallest nonzero entry of the
     working submatrix to the pivot position, clear its row and column by
@@ -129,102 +137,93 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     a smaller pivot), then fix up divisibility by folding any offending
     entry into the pivot row.  Pivot magnitudes strictly decrease on every
     restart, so the loop terminates.  The pivot is the first entry of
-    least magnitude in row-major order, so its search stops at the first
-    entry of magnitude 1.
+    least magnitude in row-major order, the least (|x|, i, j), so its
+    search stops at the first row holding an entry of magnitude 1.
 
-    The working matrix A stays dense.  Each row operation on A is repeated
-    on a sparse row of U, and each column operation on a sparse column of
-    V (a row operation on V transposed), so a column swap of V is O(1).
-    A column operation only starts once the pivot column is clear below
-    the pivot, so on A it changes a single entry of the pivot row.
+    The working matrix is a copy of ``rows`` without zeros (a caller's rows
+    never change), sparse like U and V: each row operation is
+    ``_add_multiple`` on one of its rows and the same row of U, and each
+    column operation on a column of V (a row operation on V transposed), so
+    a column swap of V is O(1).  Rows above the pivot t hold only their
+    diagonal entry, so a column swap of the working matrix touches only rows
+    t onward, and a column operation, which only starts once column t is
+    clear below the pivot, changes a single entry of the pivot row.
     """
-    nrows, ncols = m.rows, m.cols
-    a = [list(row) for row in m.entries]
+    a = [{j: x for j, x in row.items() if x} for row in rows]
+    nrows = len(a)
     u = [{i: 1} for i in range(nrows)]
     v = [{j: 1} for j in range(ncols)]
 
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
     def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
+        for row in a[i:]:
+            if i in row or j in row:
+                x, y = row.pop(i, 0), row.pop(j, 0)
+                if x:
+                    row[j] = x
+                if y:
+                    row[i] = y
         v[i], v[j] = v[j], v[i]
 
     def add_row(src: int, dst: int, factor: int) -> None:
         if factor:
-            a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
+            _add_multiple(a[dst], a[src], factor)
             _add_multiple(u[dst], u[src], factor)
 
     t = 0
     while t < min(nrows, ncols):
-        # Locate the first smallest-magnitude nonzero entry in the submatrix.
-        pivot = None
-        best = None
+        pivot = (math.inf,)
         for i in range(t, nrows):
-            row = a[i]
-            for j in range(t, ncols):
-                x = row[j]
-                if x and (best is None or abs(x) < best):
-                    best, pivot = abs(x), (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
+            for j, x in a[i].items():
+                if (abs(x), i, j) < pivot:
+                    pivot = (abs(x), i, j)
+            if pivot[0] == 1:
                 break
-        if pivot is None:
+        if pivot[0] == math.inf:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        _, i, j = pivot
+        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+        if j != t:
+            swap_cols(t, j)
         if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
+            a[t] = {j: -x for j, x in a[t].items()}
             u[t] = {k: -x for k, x in u[t].items()}
 
+        i = t + 1
         while True:
-            restart = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    if a[i][t]:  # remainder is a strictly smaller pivot
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
+            # Clear column t below the pivot.  The scan resumes where it
+            # stopped: the rows it passed hold no entry in column t.
+            while i < nrows and t not in a[i]:
+                i += 1
+            if i < nrows:
+                add_row(t, i, -(a[i][t] // a[t][t]))
+                if t in a[i]:  # remainder is a strictly smaller pivot
+                    a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
                 continue
             # Column t is now zero outside the pivot, so adding a multiple
             # of it to column j changes only the pivot row's entry j.
-            pivot_row, p = a[t], a[t][t]
-            for j in range(t + 1, ncols):
-                if pivot_row[j]:
-                    factor = -(pivot_row[j] // p)
-                    if factor:
-                        pivot_row[j] += factor * p
-                        _add_multiple(v[j], v[t], factor)
-                    if pivot_row[j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            break
+            pivot_row = a[t]
+            if len(pivot_row) == 1:
+                break
+            j = min(k for k in pivot_row if k != t)
+            factor, rest = divmod(pivot_row.pop(j), pivot_row[t])
+            if factor:
+                _add_multiple(v[j], v[t], -factor)
+            if rest:  # a strictly smaller pivot
+                pivot_row[j] = rest
+                swap_cols(t, j)
+                i = t + 1
 
         # Divisibility fix: fold a non-multiple into the pivot row and redo.
         # A unit pivot divides every entry, so it needs no scan.
-        offender = None
-        if a[t][t] != 1:
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-        if offender is not None:
+        p = a[t][t]
+        offender = p != 1 and next(
+            (i for i in range(t + 1, nrows) if any(x % p for x in a[i].values())), None)
+        if offender:  # a row index, never 0
             add_row(offender, t, 1)
             continue
         t += 1
 
-    return SmithDecomposition(tuple(u), tuple(a[i][i] for i in range(min(nrows, ncols))),
+    return SmithDecomposition(tuple(u), tuple(a[i].get(i, 0) for i in range(min(nrows, ncols))),
                               tuple(v))
 
 

@@ -2,10 +2,10 @@
 
 ``full_scan_smith`` stores U, S and V as dense lists and applies every
 row and column operation to whole rows and columns.
-``smith_normal_form``, which keeps U and V sparse, must return exactly
-its U, S and V (``dense_transforms``): same pivots, same operations,
-same order.  ``column`` and ``mul_vec`` are the dense matrix reads the
-tests check answers with.
+``smith_normal_form``, which keeps the working matrix, U and V sparse,
+must return exactly its U, S and V (``dense_transforms``): same pivots,
+same operations, same order.  ``column`` and ``mul_vec`` are the dense
+matrix reads the tests check answers with.
 
 ``corner_matrix`` builds the 2N x R corner matrix M from the traced
 face boundaries (``boundary_trace``), so it shares no code with

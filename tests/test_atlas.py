@@ -86,18 +86,45 @@ def test_s1s2_is_the_untwisted_open_book_without_its_contact_generator():
     assert s1s2.contact_generator is None
 
 
+# #^2 S1 x S2 whose two regions of several circles share the label r0.
+SHARED_REGION_LABEL_TEXT = """heegaard v1
+genus: 2
+alpha a0: x0+ y0-
+alpha a1: x1+ y1-
+beta  b0: x0 y0
+beta  b1: x1 y1
+basepoint: a0 y0 left-after
+region r0: genus=0 circles=a0.0- a0.1+
+region r0: genus=0 circles=a1.0- a1.1+ a0.0+
+"""
+
+# S1 x S2 whose annulus is labelled a0.0+, the circle id of the basepoint's disk.
+CIRCLE_ID_LABEL_TEXT = """heegaard v1
+genus: 1
+alpha a0: x0+ x1-
+beta  b0: x0 x1
+basepoint: a0 x0 left-after
+region a0.0+: genus=0 circles=a0.0- a0.1+
+"""
+
+
 @pytest.mark.parametrize("builder", [
-    lambda: build_torus_diagram(1, 0),
-    lambda: build_torus_diagram(3, 1),
-    lambda: build_s1s2(),
-    lambda: build_annulus_open_book(0),
-    lambda: build_annulus_open_book(2),
+    lambda: build_torus_diagram(1, 0).diagram,
+    lambda: build_torus_diagram(3, 1).diagram,
+    lambda: build_s1s2().diagram,
+    lambda: build_annulus_open_book(0).diagram,
+    lambda: build_annulus_open_book(2).diagram,
+    # stabilize finds the basepoint region's directive by its index among
+    # the directives that list circles, not by its label.
+    lambda: load_diagram(SHARED_REGION_LABEL_TEXT),
+    lambda: load_diagram(CIRCLE_ID_LABEL_TEXT),
 ])
 def test_stabilize_preserves_gradings(builder):
-    d = builder().diagram
+    d = builder()
     st, corr = stabilize(d)
     d2 = st.diagram
     assert d2.genus == d.genus + 1
+    assert homology_of_Y(d2) == homology_of_Y(d)
     gens = enumerate_generators(d)
     gens2 = enumerate_generators(d2)
     assert len(gens2) == len(gens)

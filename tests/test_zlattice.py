@@ -20,7 +20,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import hfcalc.grading as grading
 from hfcalc.atlas import build_annulus_open_book, build_s1s2, build_torus_diagram, stabilize
-from hfcalc.zlattice import (AffineSolutionSet, DimensionMismatch, IntMatrix, _apply,
+from hfcalc.zlattice import (AffineSolutionSet, DimensionMismatch, IntMatrix, _apply, _smith,
                              gcd_over_lattice, smith_invariants, smith_normal_form,
                              solve_integer_system)
 from smith_oracle import column, corner_matrix, dense_transforms, full_scan_smith, mul_vec
@@ -300,11 +300,12 @@ def test_smith_form_matches_full_scan_on_atlas_matrices(monkeypatch):
     corner matrices of those with a class of several members."""
     seen = []
 
-    def recording(m):
-        seen.append(m)
-        return smith_normal_form(m)
+    def recording(rows, ncols):
+        seen.append(IntMatrix.from_rows([[row.get(j, 0) for j in range(ncols)] for row in rows],
+                                        ncols))
+        return _smith(rows, ncols)
 
-    monkeypatch.setattr(grading, "smith_normal_form", recording)
+    monkeypatch.setattr(grading, "_smith", recording)
     diagrams = [build_torus_diagram(p, q).diagram
                 for p in range(1, 8) for q in range(p) if gcd(p, q) == 1]
     diagrams += [build_annulus_open_book(n).diagram for n in range(-5, 6)]

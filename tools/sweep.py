@@ -9,7 +9,12 @@ The cases, in text and ``--json`` mode:
 
 - ``validate``, ``info``, ``generators``, ``spinc`` and ``grade`` on
   torus(p, q) for p <= 5, the annulus open books -3..3 and S1 x S2, each as
-  built, stabilized once and with each curve reversed;
+  built, stabilized once and with each curve reversed; on the diagrams that
+  assemble among 1,000 draws of ``strategies.random_curve_system`` seeded
+  2024 (genus 1-3, many with an intersection matrix that is not diagonal,
+  so the Smith form's pivot order shows in ``domain`` and ``audit`` at
+  b1 > 0), and on the mirror of each; and on #^2 and #^3 S1 x S2
+  (``conftest.s1s2_sum_text``);
 - ``domain --positive`` and ``audit`` on up to 13 seeded generator pairs of
   each of those diagrams, at the default radius and at ``--radius 1``;
 - ``selftest`` at seeds 1-3 and a few ``shift`` values;
@@ -60,7 +65,9 @@ def write_diagrams() -> list[str]:
     """Write the diagram files into the current directory; return their names."""
     from hfcalc.atlas import (build_annulus_open_book, build_s1s2, build_torus_diagram,
                               stabilize)
-    from hfcalc.diagram import assemble_regions, reverse_curve, serialize
+    from hfcalc.diagram import assemble_regions, load_diagram, reverse_curve, serialize
+    from conftest import s1s2_sum_text
+    from strategies import assembled_curve_systems, mirror
 
     built = {f"torus-{p}-{q}": build_torus_diagram(p, q) for p in range(1, 6)
              for q in range(p) if math.gcd(p, q) == 1}
@@ -73,6 +80,10 @@ def write_diagrams() -> list[str]:
         files[f"{name}-st"] = stabilize(d)[0].diagram
         for curve in d.input.curve_names():
             files[f"{name}-rev-{curve}"] = assemble_regions(reverse_curve(d.input, curve))
+    for k, d in enumerate(assembled_curve_systems(random.Random(2024), 1000)):
+        files[f"draw{k}"] = d
+        files[f"draw{k}-mirror"] = assemble_regions(mirror(d.input))
+    files.update((f"s1s2x{g}", load_diagram(s1s2_sum_text(g))) for g in (2, 3))
     for name, d in files.items():
         Path(f"{name}.hd").write_text(serialize(d), encoding="utf-8")
     return [f"{name}.hd" for name in files]
@@ -157,7 +168,7 @@ def main() -> int:
         json.dump({"package": os.path.dirname(hfcalc.__file__), "results": results},
                   sys.stdout)
         return 0
-    sys.path.insert(0, str(ROOT / "src"))
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     os.environ["COLUMNS"] = "80"  # argparse wraps its usage lines to the terminal
     against = args.against.resolve() if args.against else None
     with tempfile.TemporaryDirectory(prefix="hfcalc-sweep-") as work:
